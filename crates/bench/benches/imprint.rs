@@ -1,5 +1,5 @@
 //! Micro-benchmarks for the imprint path (simulator cost; §V timing
-//! arithmetic is exercised by `table1_timing`).
+//! arithmetic is exercised by the suite's `table1` step).
 
 use std::hint::black_box;
 

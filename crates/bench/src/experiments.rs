@@ -5,17 +5,21 @@
 //! independent unit of work (a stress level, a replica pair, a read count)
 //! is one *trial* running on its own chip seeded by
 //! `TrialRunner::trial_seed`, and results are merged in trial order.
-//! The binaries print tables and dump JSON/CSV.
+//! The suite ([`crate::suite`]) writes each result as a JSON artifact.
 
 use flashmark_core::{
     analyze_segment, characterize_segment, select_t_pew, CoreError, Extractor, FlashmarkConfig,
-    Imprinter, ReplicaLayout, StressDetector, SweepSpec, Watermark,
+    Imprinter, ProgramTimeDetector, ReplicaLayout, SegmentCondition, StressDetector, SweepSpec,
+    TestStatus, Verdict, Verifier, Watermark,
 };
 use flashmark_ecc::{Code, Hamming};
-use flashmark_nor::interface::{FlashInterface, FlashInterfaceExt};
-use flashmark_nor::{FlashController, SegmentAddr};
+use flashmark_msp430::{Msp430Flash, Msp430Variant};
+use flashmark_nand::{NandChip, NandGeometry, NandWordAdapter};
+use flashmark_nor::interface::{BulkStress, FlashInterface, FlashInterfaceExt};
+use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_par::TrialRunner;
-use flashmark_physics::Micros;
+use flashmark_physics::{Micros, PhysicsParams};
+use flashmark_supply::Manufacturer;
 
 use crate::harness::{precondition_segment, test_chip, trial_chip, uppercase_ascii_watermark};
 
@@ -626,6 +630,218 @@ pub fn recycled_probe(
     Ok(RecycledProbeData { rows: merge(rows)? })
 }
 
+/// Recycled-chip detector comparison: the paper's partial-erase primitive
+/// against the FFD/timing-style partial-program baseline of related work
+/// \[6\]/\[7\].
+#[derive(Debug, Clone)]
+pub struct DetectorComparisonData {
+    /// `(prior_kcycles, erase_frac, erase_flags, prog_frac, prog_flags)`.
+    pub rows: Vec<(f64, f64, bool, f64, bool)>,
+}
+
+/// Sweeps prior wear over the segments of one chip (seeded `seed`) and
+/// classifies each segment with both detectors.
+///
+/// # Errors
+///
+/// Flash/configuration errors.
+pub fn detector_comparison(
+    seed: u64,
+    prior_kcycles: &[f64],
+) -> Result<DetectorComparisonData, CoreError> {
+    let mut flash = test_chip(seed);
+    let erase_det = StressDetector::fig5();
+    let prog_det = ProgramTimeDetector::default_for_msp430();
+    let mut rows = Vec::new();
+    for (i, &k) in prior_kcycles.iter().enumerate() {
+        let seg = SegmentAddr::new(i as u32);
+        precondition_segment(&mut flash, seg, (k * 1000.0) as u64)?;
+        let e = erase_det.classify(&mut flash, seg)?;
+        let p = prog_det.classify(&mut flash, seg)?;
+        rows.push((
+            k,
+            e.programmed_fraction(),
+            e.verdict == SegmentCondition::Stressed,
+            p.programmed_fraction(),
+            p.verdict == SegmentCondition::Stressed,
+        ));
+    }
+    Ok(DetectorComparisonData { rows })
+}
+
+// ------------------------------------------------ operating conditions ----
+
+/// Extraction window vs die temperature for a recipe calibrated at 25 °C.
+#[derive(Debug, Clone)]
+pub struct TemperatureSweepData {
+    /// `(temp_c, best_t_pe_us, min_ber)` rows.
+    pub rows: Vec<(f64, f64, f64)>,
+    /// `(temp_c, ber)` at the 25 °C-calibrated 28 µs `tPEW`.
+    pub fixed_t_pew_rows: Vec<(f64, f64)>,
+}
+
+/// Imprints one die (seeded by the runner's experiment seed) at 60 K and
+/// sweeps extraction at each temperature. One trial per temperature; every
+/// trial re-creates the same die.
+///
+/// # Errors
+///
+/// Flash/configuration errors.
+pub fn temperature_sweep(
+    runner: &TrialRunner,
+    temps_c: &[f64],
+    sweep: &SweepSpec,
+) -> Result<TemperatureSweepData, CoreError> {
+    let wm = uppercase_ascii_watermark(512, 0x7E);
+    let per_temp = runner.run(temps_c.len(), |trial| {
+        let temp = temps_c[trial.index];
+        let mut flash = FlashController::new(
+            PhysicsParams::msp430_like(),
+            FlashGeometry::single_bank(2),
+            FlashTimings::msp430(),
+            runner.experiment_seed(),
+        );
+        flash.trace_mut().set_capacity(0);
+        let seg = SegmentAddr::new(0);
+        let cfg = FlashmarkConfig::builder()
+            .n_pe(60_000)
+            .replicas(1)
+            .reads(1)
+            .build()?;
+        Imprinter::new(&cfg).imprint(&mut flash, seg, &wm)?;
+
+        flash.set_temperature_c(temp);
+        let mut best = (0.0f64, f64::INFINITY);
+        let mut at_ref = f64::NAN;
+        for t in sweep.times() {
+            let c = FlashmarkConfig::builder()
+                .n_pe(1)
+                .replicas(1)
+                .reads(1)
+                .t_pew(t)
+                .build()?;
+            let ber = Extractor::new(&c)
+                .extract(&mut flash, seg, wm.len())?
+                .ber_against(&wm);
+            if ber < best.1 {
+                best = (t.get(), ber);
+            }
+            if (t.get() - 28.0).abs() < 0.01 {
+                at_ref = ber;
+            }
+        }
+        Ok(((temp, best.0, best.1), (temp, at_ref)))
+    });
+    let (rows, fixed_t_pew_rows) = merge(per_temp)?.into_iter().unzip();
+    Ok(TemperatureSweepData {
+        rows,
+        fixed_t_pew_rows,
+    })
+}
+
+// ------------------------------------------------- deployment trade-offs --
+
+/// Imprint effort vs verification reliability: Section V's "conflicting
+/// requirements".
+#[derive(Debug, Clone)]
+pub struct NpeSweepData {
+    /// `(n_pe, chips, verified_genuine, imprint_s)` rows; `imprint_s` is
+    /// the accelerated imprint time of the level's last chip.
+    pub rows: Vec<(u64, usize, usize, f64)>,
+}
+
+/// Manufactures `chips` record-carrying chips per `NPE` level and verifies
+/// each. One trial per (level, chip) pair; chip `i` at level `n_pe` is
+/// seeded `experiment_seed + n_pe + i`, so the family does not depend on
+/// the thread count.
+///
+/// # Errors
+///
+/// Flash/configuration errors.
+pub fn npe_sweep(
+    runner: &TrialRunner,
+    levels: &[u64],
+    chips: usize,
+) -> Result<NpeSweepData, CoreError> {
+    const MFG: u16 = 0x7C01;
+    let outcomes = runner.run(levels.len() * chips, |trial| {
+        let n_pe = levels[trial.index / chips];
+        let i = trial.index % chips;
+        let cfg = FlashmarkConfig::builder()
+            .n_pe(n_pe)
+            .replicas(7)
+            .t_pew(Micros::new(28.0))
+            .build()?;
+        let mut fab = Manufacturer::new(MFG, Msp430Variant::F5438, cfg.clone());
+        let mut chip = fab.produce(
+            runner.experiment_seed() + n_pe + i as u64,
+            TestStatus::Accept,
+        )?;
+        let imprint_s = chip.flash.main().elapsed().get(); // dominated by the imprint
+        let seg = chip.flash.watermark_segment();
+        let verdict = Verifier::new(cfg, MFG)
+            .verify(&mut chip.flash, seg)?
+            .verdict;
+        Ok((verdict == Verdict::Genuine, imprint_s))
+    });
+    let outcomes = merge(outcomes)?;
+    let rows = levels
+        .iter()
+        .zip(outcomes.chunks(chips))
+        .map(|(&n_pe, level)| {
+            let passed = level.iter().filter(|&&(ok, _)| ok).count();
+            let imprint_s = level.last().map_or(0.0, |&(_, s)| s);
+            (n_pe, chips, passed, imprint_s)
+        })
+        .collect();
+    Ok(NpeSweepData { rows })
+}
+
+/// Flashmark on NAND (the conclusion's applicability claim): one pipeline
+/// on the MSP430 embedded NOR and on SLC NAND.
+#[derive(Debug, Clone)]
+pub struct NandDemoData {
+    /// `(device, n_pe, imprint_s, post_vote_ber)` rows.
+    pub rows: Vec<(String, u64, f64, f64)>,
+}
+
+/// Imprints and extracts "NAND-TOO" at each `NPE` on a fresh NOR chip
+/// (seeded `seed`) and a fresh NAND chip (seeded `seed + 1`), through the
+/// same `Imprinter`/`Extractor` code.
+///
+/// # Errors
+///
+/// Flash/configuration errors.
+pub fn nand_demo(seed: u64, n_pe_levels: &[u64]) -> Result<NandDemoData, CoreError> {
+    fn imprint_extract<F: FlashInterface + BulkStress>(
+        flash: &mut F,
+        seg: SegmentAddr,
+        cfg: &FlashmarkConfig,
+        wm: &Watermark,
+    ) -> Result<(f64, f64), CoreError> {
+        let report = Imprinter::new(cfg).imprint(flash, seg, wm)?;
+        let e = Extractor::new(cfg).extract(flash, seg, wm.len())?;
+        Ok((report.elapsed.get(), e.ber_against(wm)))
+    }
+    let wm = Watermark::from_ascii("NAND-TOO")?;
+    let mut rows = Vec::new();
+    for &n_pe in n_pe_levels {
+        let cfg = FlashmarkConfig::builder()
+            .n_pe(n_pe)
+            .replicas(7)
+            .t_pew(Micros::new(28.0))
+            .build()?;
+        let mut nor = Msp430Flash::f5438(seed);
+        let seg = nor.watermark_segment();
+        let (t, ber) = imprint_extract(&mut nor, seg, &cfg, &wm)?;
+        rows.push(("MSP430 NOR".to_string(), n_pe, t, ber));
+        let mut nand = NandWordAdapter::new(NandChip::new(NandGeometry::tiny(), seed + 1));
+        let (t, ber) = imprint_extract(&mut nand, SegmentAddr::new(0), &cfg, &wm)?;
+        rows.push(("SLC NAND".to_string(), n_pe, t, ber));
+    }
+    Ok(NandDemoData { rows })
+}
+
 // JSON serialization of the result structs (the offline replacement for
 // the former `#[derive(Serialize)]`).
 use crate::impl_to_json;
@@ -667,12 +883,19 @@ impl_to_json!(Table1Data { imprint, extract_s });
 impl_to_json!(EccAblationData { rows });
 impl_to_json!(ReadMajorityData { rows });
 impl_to_json!(RecycledProbeData { rows });
+impl_to_json!(DetectorComparisonData { rows });
+impl_to_json!(TemperatureSweepData {
+    rows,
+    fixed_t_pew_rows
+});
+impl_to_json!(NpeSweepData { rows });
+impl_to_json!(NandDemoData { rows });
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Scaled-down smoke tests; full-scale runs live in the binaries.
+    // Scaled-down smoke tests; full-scale runs live in the suite.
 
     fn serial(seed: u64) -> TrialRunner {
         TrialRunner::with_threads(seed, 1)

@@ -32,27 +32,6 @@ pub fn trial_chip(trial: Trial) -> FlashController {
     test_chip(trial.seed)
 }
 
-/// Imprints `wm` into `seg` with `cycles` P/E cycles (closed-form fast
-/// path, accelerated-schedule timing).
-///
-/// # Errors
-///
-/// Flash errors.
-pub fn imprint_watermark(
-    flash: &mut FlashController,
-    seg: SegmentAddr,
-    wm: &Watermark,
-    replicas: usize,
-    cycles: u64,
-) -> Result<(), CoreError> {
-    let cfg = flashmark_core::FlashmarkConfig::builder()
-        .n_pe(cycles)
-        .replicas(replicas)
-        .build()?;
-    flashmark_core::Imprinter::new(&cfg).imprint(flash, seg, wm)?;
-    Ok(())
-}
-
 /// Uniformly stresses a whole segment by `cycles` (all cells programmed
 /// each cycle) and leaves it erased — the "pre-conditioned segment" of the
 /// paper's Section III characterization.

@@ -3,25 +3,30 @@
 //! the Flashmark paper.
 //!
 //! Each experiment is a library function (so integration tests can run
-//! scaled-down versions) with a thin binary wrapper:
+//! scaled-down versions) and a step of the [`suite`], which writes it to
+//! `results/<step>.json`:
 //!
-//! | paper artifact | function | binary |
+//! | paper artifact | function | step |
 //! |---|---|---|
-//! | Fig. 4 — cells vs `tPE` per stress level | [`experiments::fig04`] | `fig04_characterization` |
-//! | Fig. 5 — fresh/50 K discrimination | [`experiments::fig05`] | `fig05_detection` |
-//! | Fig. 9 — single-copy BER vs `tPE` | [`experiments::fig09`] | `fig09_ber_single` |
-//! | Fig. 10 — 7-replica majority recovery | [`experiments::fig10`] | `fig10_replication_majority` |
-//! | Fig. 11 — replication sweep | [`experiments::fig11`] | `fig11_replication_sweep` |
-//! | §V timing | [`experiments::table1`] | `table1_timing` |
+//! | Fig. 4 — cells vs `tPE` per stress level | [`experiments::fig04`] | `fig04` |
+//! | Fig. 5 — fresh/50 K discrimination | [`experiments::fig05`] | `fig05` |
+//! | Fig. 9 — single-copy BER vs `tPE` | [`experiments::fig09`] | `fig09` |
+//! | Fig. 10 — 7-replica majority recovery | [`experiments::fig10`] | `fig10` |
+//! | Fig. 11 — replication sweep | [`experiments::fig11`] | `fig11` |
+//! | §V timing | [`experiments::table1`] | `table1` |
+//! | §V imprint-effort trade-off | [`experiments::npe_sweep`] | `npe_sweep` |
 //! | ECC-vs-replication ablation | [`experiments::ecc_ablation`] | `ecc_ablation` |
+//! | die temperature vs window | [`experiments::temperature_sweep`] | `temperature_sweep` |
+//! | recycled-detector baselines | [`experiments::detector_comparison`] | `detector_comparison` |
+//! | Flashmark on NAND | [`experiments::nand_demo`] | `nand_demo` |
 //!
-//! `run_all` executes everything and emits a Markdown report comparing
-//! paper numbers with measured ones (the basis of `EXPERIMENTS.md`).
-//!
-//! Run binaries in release mode; the cell-level simulation is hot:
+//! `run_all` is the one regeneration command: it runs every step and
+//! emits a Markdown report comparing paper numbers with measured ones (the
+//! basis of `EXPERIMENTS.md`). Run it in release mode; the cell-level
+//! simulation is hot:
 //!
 //! ```text
-//! cargo run --release -p flashmark-bench --bin fig09_ber_single
+//! cargo run --release -p flashmark-bench --bin run_all
 //! ```
 
 pub mod backend_campaign;

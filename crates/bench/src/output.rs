@@ -1,7 +1,6 @@
-//! Result rendering: aligned console tables, CSV, and JSON artifacts.
+//! Result rendering: aligned console tables and JSON artifacts.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::json::ToJson;
@@ -15,7 +14,7 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// A simple fixed-width console table that doubles as a CSV writer.
+/// A simple fixed-width console table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     header: Vec<String>,
@@ -64,20 +63,6 @@ impl Table {
         }
         out
     }
-
-    /// Writes the table as CSV.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors.
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = fs::File::create(path)?;
-        writeln!(f, "{}", self.header.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
-        Ok(())
-    }
 }
 
 /// Serializes an experiment result as pretty JSON into the results dir.
@@ -101,12 +86,6 @@ pub fn write_json_in<T: ToJson>(dir: &Path, name: &str, value: &T) -> std::io::R
     let path = dir.join(format!("{name}.json"));
     fs::write(&path, value.to_json().pretty())?;
     Ok(path)
-}
-
-/// Formats a paper-vs-measured comparison line.
-#[must_use]
-pub fn compare_line(metric: &str, paper: f64, measured: f64, unit: &str) -> String {
-    compare_line_labeled(metric, ("paper", paper), ("measured", measured), unit)
 }
 
 /// Formats a comparison line with caller-chosen labels (e.g.
@@ -140,24 +119,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("tPE (us)"));
         assert!(s.lines().count() == 4);
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["1", "2"]);
-        let dir = std::env::temp_dir().join("flashmark_test_csv");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("t.csv");
-        t.write_csv(&path).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "a,b\n1,2\n");
-    }
-
-    #[test]
-    fn compare_line_has_ratio() {
-        let line = compare_line("min BER @40K", 11.8, 10.0, "%");
-        assert!(line.contains("x0.85"));
     }
 
     #[test]

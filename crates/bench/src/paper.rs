@@ -1,8 +1,5 @@
 //! Reference numbers from the paper, for paper-vs-measured comparison.
 
-/// Cells per 512-byte segment.
-pub const SEGMENT_CELLS: usize = 4096;
-
 /// Fig. 4: minimum partial-erase time (µs) at which all 4096 cells read
 /// erased, per stress level (kcycles).
 pub const FIG4_ALL_ERASED_US: &[(f64, f64)] = &[

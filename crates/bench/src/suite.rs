@@ -2,9 +2,12 @@
 //! a configurable worker count and profile, timed, and rendered into the
 //! `results/experiments_report.md` paper-vs-measured report.
 //!
-//! `run_all` is a thin wrapper over [`run_suite`]; the workspace
-//! determinism test runs the [`Profile::Smoke`] suite at 1 and 8 threads
-//! and asserts byte-identical JSON artifacts. Wall-clock timings appear
+//! `run_all` is a thin wrapper over [`run_suite`], the only writer of
+//! experiment artifacts. The workspace determinism test runs the
+//! [`Profile::Smoke`] suite at 1 and 8 threads, asserts byte-identical JSON
+//! artifacts, and fails if `results/` holds a file the suite does not write
+//! (other than the outputs of the campaign bins, `perf_smoke`, the registry
+//! golden test and the lint). Wall-clock timings appear
 //! only in the Markdown report, `BENCH_runtime.json`, and the quarantined
 //! `obs_timings.json`, never in the experiment JSONs, so the determinism
 //! guarantee covers every other `*.json` artifact (including
@@ -15,19 +18,15 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use flashmark_core::{
-    characterize_sample, fuse_windows, Extractor, FlashmarkConfig, Imprinter, ReplicaLayout,
-    SweepSpec, Watermark,
-};
-use flashmark_nand::{NandChip, NandGeometry, NandWordAdapter};
+use flashmark_core::{characterize_sample, fuse_windows, ReplicaLayout, SweepSpec};
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_par::TrialRunner;
 use flashmark_physics::{Micros, PhysicsParams};
 use flashmark_supply::{ScenarioConfig, SupplyChainScenario};
 
 use crate::experiments::{
-    ecc_ablation, fig04, fig05, fig09, fig10, fig11, read_majority_ablation, recycled_probe,
-    table1, BerSeries,
+    detector_comparison, ecc_ablation, fig04, fig05, fig09, fig10, fig11, nand_demo, npe_sweep,
+    read_majority_ablation, recycled_probe, table1, temperature_sweep, BerSeries,
 };
 use crate::fault_campaign::{fault_campaign, fault_campaign_trials};
 use crate::impl_to_json;
@@ -430,7 +429,7 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
         if let Some((_, b)) = f11
             .series
             .iter()
-            .find(|s| same(s.kcycles, 70.0) && s.replicas == 3)
+            .find(|s| same(s.kcycles, 70.0) && s.replicas == paper::FIG11_70K_ZERO_BER_REPLICAS)
             .and_then(BerSeries::minimum)
         {
             row(
@@ -497,6 +496,35 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
         },
     );
 
+    // §V imprint-effort trade-off. This step and the temperature, detector
+    // and NAND steps take well under a second, so they run at full size in
+    // both profiles.
+    let npe_levels = [20_000u64, 30_000, 40_000, 50_000, 60_000, 70_000, 80_000];
+    let npe_chips = 6;
+    step(
+        &mut outcomes,
+        &mut md,
+        "npe_sweep",
+        npe_levels.len() * npe_chips,
+        |md| {
+            let npe = npe_sweep(&runner(0x59EE9), &npe_levels, npe_chips)?;
+            write_json_in(dir, "npe_sweep", &npe)?;
+            let verified: Vec<String> = npe
+                .rows
+                .iter()
+                .map(|&(n, _, passed, _)| format!("{}K {passed}", n / 1000))
+                .collect();
+            row(
+                md,
+                "§V trade-off",
+                &format!("chips verifying genuine per NPE (of {npe_chips})"),
+                "conflicting requirements".into(),
+                verified.join(" · "),
+            );
+            Ok(())
+        },
+    );
+
     // Ablations.
     step(&mut outcomes, &mut md, "ecc_ablation", 3, |md| {
         let ecc = ecc_ablation(&runner(0xECC), 50.0, Micros::new(30.0))?;
@@ -540,6 +568,28 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
         },
     );
 
+    let temps = [-20.0, 0.0, 25.0, 55.0, 85.0];
+    step(
+        &mut outcomes,
+        &mut md,
+        "temperature_sweep",
+        temps.len(),
+        |md| {
+            let sweep = SweepSpec::new(Micros::new(10.0), Micros::new(60.0), Micros::new(2.0))?;
+            let ts = temperature_sweep(&runner(0x7E3), &temps, &sweep)?;
+            write_json_in(dir, "temperature_sweep", &ts)?;
+            let best: Vec<String> = ts.rows.iter().map(|&(_, t, _)| format!("{t:.0}")).collect();
+            row(
+                md,
+                "ablation",
+                "best tPEW @−20/0/25/55/85 °C (µs)",
+                "calibrated at 25 °C".into(),
+                best.join(" / "),
+            );
+            Ok(())
+        },
+    );
+
     // Recycled probe.
     let prior: Vec<f64> = if smoke {
         vec![0.0, 30.0]
@@ -566,6 +616,26 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
             Ok(())
         },
     );
+
+    let prior_wear = [0.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0];
+    step(&mut outcomes, &mut md, "detector_comparison", 1, |md| {
+        let dc = detector_comparison(0xDE7E, &prior_wear)?;
+        write_json_in(dir, "detector_comparison", &dc)?;
+        let first_flagged = |flags: fn(&(f64, f64, bool, f64, bool)) -> bool| {
+            dc.rows
+                .iter()
+                .find(|r| flags(r))
+                .map_or_else(|| "none".to_string(), |r| format!("{:.0}", r.0))
+        };
+        row(
+            md,
+            "recycling",
+            "lowest prior wear flagged, partial erase / partial program (K)",
+            "partial erase chosen (§III)".into(),
+            format!("{} / {}", first_flagged(|r| r.2), first_flagged(|r| r.4)),
+        );
+        Ok(())
+    });
 
     // Family consistency: per-chip characterization is one trial per
     // sample chip (chip seeds are fixed, not trial-derived, so the family
@@ -644,27 +714,18 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
     );
 
     // Flashmark on NAND (conclusion's applicability claim).
-    step(&mut outcomes, &mut md, "nand", 1, |md| {
-        let cfg = FlashmarkConfig::builder()
-            .n_pe(70_000)
-            .replicas(7)
-            .t_pew(Micros::new(28.0))
-            .build()?;
-        let mut nand = NandWordAdapter::new(NandChip::new(NandGeometry::tiny(), 0x0A1));
-        let wm = Watermark::from_ascii("NAND-TOO")?;
-        let rep = Imprinter::new(&cfg).imprint(&mut nand, SegmentAddr::new(0), &wm)?;
-        let e = Extractor::new(&cfg).extract(&mut nand, SegmentAddr::new(0), wm.len())?;
-        row(
-            md,
-            "NAND",
-            "imprint @70K (s) / post-vote BER (%)",
-            "applicable to NAND (conclusion)".into(),
-            format!(
-                "{:.0} s / {:.2} %",
-                rep.elapsed.get(),
-                e.ber_against(&wm) * 100.0
-            ),
-        );
+    step(&mut outcomes, &mut md, "nand_demo", 1, |md| {
+        let nd = nand_demo(0x0A0, &[40_000, 70_000])?;
+        write_json_in(dir, "nand_demo", &nd)?;
+        if let Some((_, _, t, ber)) = nd.rows.iter().find(|r| r.0 == "SLC NAND" && r.1 == 70_000) {
+            row(
+                md,
+                "NAND",
+                "imprint @70K (s) / post-vote BER (%)",
+                "applicable to NAND (conclusion)".into(),
+                format!("{t:.0} s / {:.2} %", ber * 100.0),
+            );
+        }
         Ok(())
     });
 

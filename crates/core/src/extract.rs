@@ -18,7 +18,6 @@ use flashmark_ecc::MajorityVote;
 use flashmark_nor::interface::{FlashInterface, FlashInterfaceExt};
 use flashmark_nor::SegmentAddr;
 use flashmark_obs as obs;
-use flashmark_obs::ObsEvent;
 use flashmark_physics::{Micros, Seconds};
 
 use crate::characterize::analyze_segment;
@@ -211,44 +210,6 @@ impl<'a> Extractor<'a> {
             t_pew: self.config.t_pew(),
             elapsed,
         })
-    }
-
-    /// [`Extractor::extract`] with bounded retry on transient flash errors
-    /// (interface NAKs, busy controllers, mid-operation power loss).
-    ///
-    /// A field verifier talks to chips over cables and sockets; transient
-    /// interface errors are routine and re-running the extraction is always
-    /// safe — the watermark lives in wear, which extraction cannot change.
-    /// Each retry restarts the Fig. 8 sequence from the segment erase, which
-    /// doubles as the backoff: the failed operation is left behind and the
-    /// device sees a fresh command sequence. At most `max_retries` retries
-    /// are attempted (so `max_retries + 1` extraction runs in total).
-    ///
-    /// # Errors
-    ///
-    /// The last transient error once the retry budget is exhausted, or the
-    /// first non-transient error immediately.
-    pub fn extract_with_retry<F: FlashInterface>(
-        &self,
-        flash: &mut F,
-        seg: SegmentAddr,
-        data_len: usize,
-        max_retries: u32,
-    ) -> Result<Extraction, CoreError> {
-        let mut remaining = max_retries;
-        loop {
-            match self.extract(flash, seg, data_len) {
-                Ok(extraction) => return Ok(extraction),
-                Err(CoreError::Flash(e)) if e.is_transient() && remaining > 0 => {
-                    remaining -= 1;
-                    obs::emit(ObsEvent::Retry {
-                        stage: "extract",
-                        attempt: max_retries - remaining,
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Extraction followed by leaving the segment erased (the extraction

@@ -8,19 +8,8 @@
 //! * [`inspect`] — the inspector flow: verify against an enrollment.
 //! * [`roundtrip`] — provision then immediately inspect (the basic
 //!   genuine-chip sanity flow the contract tests pin).
-//!
-//! The concrete-NOR entry points that predate the redesign remain as
-//! deprecated thin shims ([`provision_nor`], [`inspect_nor`]) so existing
-//! callers keep compiling; they delegate to the generic flow over
-//! [`NorTpew`](crate::nor_scheme::NorTpew) and are pinned equivalent by
-//! test.
 
-use flashmark_nor::{FlashController, SegmentAddr};
-
-use crate::config::FlashmarkConfig;
-use crate::nor_scheme::{NorEnrollment, NorTpew, NorTpewParams};
 use crate::scheme::{ImprintCost, SchemeError, SchemeVerification, WatermarkScheme};
-use crate::watermark::WatermarkRecord;
 
 /// The manufacturer provisioning flow: enroll the chip, then imprint the
 /// enrollment's mark. For intrinsic schemes the imprint is a free no-op and
@@ -71,132 +60,43 @@ pub fn roundtrip<S: WatermarkScheme>(
     Ok((enrollment, cost, verification))
 }
 
-fn nor_params(
-    config: &FlashmarkConfig,
-    seg: SegmentAddr,
-    manufacturer_id: u16,
-    record: WatermarkRecord,
-) -> NorTpewParams {
-    NorTpewParams {
-        config: config.clone(),
-        seg,
-        manufacturer_id,
-        record,
-    }
-}
-
-/// Pre-redesign concrete-NOR provisioning entry point.
-///
-/// # Errors
-///
-/// Same as [`provision`] over [`NorTpew`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use pipeline::provision with the NorTpew scheme"
-)]
-pub fn provision_nor(
-    config: &FlashmarkConfig,
-    flash: &mut FlashController,
-    seg: SegmentAddr,
-    record: WatermarkRecord,
-) -> Result<(NorEnrollment, ImprintCost), SchemeError> {
-    let params = nor_params(config, seg, record.manufacturer_id, record);
-    provision(&NorTpew, flash, &params)
-}
-
-/// Pre-redesign concrete-NOR inspection entry point.
-///
-/// # Errors
-///
-/// Same as [`inspect`] over [`NorTpew`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use pipeline::inspect with the NorTpew scheme"
-)]
-pub fn inspect_nor(
-    config: &FlashmarkConfig,
-    flash: &mut FlashController,
-    seg: SegmentAddr,
-    expected_manufacturer: u16,
-    enrollment: &NorEnrollment,
-) -> Result<SchemeVerification, SchemeError> {
-    let params = nor_params(config, seg, expected_manufacturer, enrollment.record);
-    inspect(&NorTpew, flash, &params, enrollment)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FlashmarkConfig;
+    use crate::nor_scheme::{NorTpew, NorTpewParams};
     use crate::verify::Verdict;
-    use crate::watermark::TestStatus;
-    use flashmark_nor::{FlashGeometry, FlashTimings};
+    use crate::watermark::{TestStatus, WatermarkRecord};
+    use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
     use flashmark_physics::PhysicsParams;
-
-    fn chip(seed: u64) -> FlashController {
-        FlashController::new(
-            PhysicsParams::msp430_like(),
-            FlashGeometry::single_bank(8),
-            FlashTimings::msp430(),
-            seed,
-        )
-    }
-
-    fn record(manufacturer_id: u16) -> WatermarkRecord {
-        WatermarkRecord {
-            manufacturer_id,
-            die_id: 99,
-            speed_grade: 1,
-            status: TestStatus::Accept,
-            year_week: 2214,
-        }
-    }
-
-    fn config() -> FlashmarkConfig {
-        FlashmarkConfig::builder()
-            .n_pe(80_000)
-            .replicas(7)
-            .t_pew(flashmark_physics::Micros::new(28.0))
-            .build()
-            .unwrap()
-    }
 
     #[test]
     fn roundtrip_accepts_genuine() {
         let p = NorTpewParams {
-            config: config(),
+            config: FlashmarkConfig::builder()
+                .n_pe(80_000)
+                .replicas(7)
+                .t_pew(flashmark_physics::Micros::new(28.0))
+                .build()
+                .unwrap(),
             seg: SegmentAddr::new(0),
             manufacturer_id: 0xAA01,
-            record: record(0xAA01),
+            record: WatermarkRecord {
+                manufacturer_id: 0xAA01,
+                die_id: 99,
+                speed_grade: 1,
+                status: TestStatus::Accept,
+                year_week: 2214,
+            },
         };
-        let mut c = chip(31);
+        let mut c = FlashController::new(
+            PhysicsParams::msp430_like(),
+            FlashGeometry::single_bank(8),
+            FlashTimings::msp430(),
+            31,
+        );
         let (_, cost, v) = roundtrip(&NorTpew, &mut c, &p).unwrap();
         assert_eq!(v.verdict, Verdict::Genuine);
         assert!(cost.cycles > 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_generic_path() {
-        let cfg = config();
-        let seg = SegmentAddr::new(0);
-        let rec = record(0xAB02);
-
-        let mut via_shim = chip(33);
-        let (enrollment, cost) = provision_nor(&cfg, &mut via_shim, seg, rec).unwrap();
-        let shim_v =
-            inspect_nor(&cfg, &mut via_shim, seg, rec.manufacturer_id, &enrollment).unwrap();
-
-        let p = NorTpewParams {
-            config: cfg,
-            seg,
-            manufacturer_id: rec.manufacturer_id,
-            record: rec,
-        };
-        let mut generic = chip(33);
-        let (gen_enrollment, gen_cost, gen_v) = roundtrip(&NorTpew, &mut generic, &p).unwrap();
-
-        assert_eq!(enrollment, gen_enrollment);
-        assert_eq!(cost, gen_cost);
-        assert_eq!(shim_v, gen_v);
     }
 }

@@ -32,12 +32,6 @@ impl Hamming {
         Self { extended: true }
     }
 
-    /// Whether this is the extended variant.
-    #[must_use]
-    pub fn is_extended(&self) -> bool {
-        self.extended
-    }
-
     fn block_len(self) -> usize {
         CODE_BITS + usize::from(self.extended)
     }

@@ -18,9 +18,6 @@ pub const T_PROG_MIN_US: f64 = 64.0;
 pub const T_PROG_MAX_US: f64 = 85.0;
 /// Rated program/erase endurance used by the paper's experiments (cycles).
 pub const ENDURANCE_CYCLES: u64 = 100_000;
-/// Maximum cumulative program time per 128-byte row between erases (ms);
-/// firmware must interleave erases on real parts.
-pub const T_CUM_PROGRAM_MS: f64 = 16.0;
 
 /// The timing set used by the device models (within datasheet bounds).
 #[must_use]

@@ -82,11 +82,6 @@ impl RegisterFront {
         &self.ctl
     }
 
-    /// Mutable access to the wrapped controller.
-    pub fn controller_mut(&mut self) -> &mut FlashController {
-        &mut self.ctl
-    }
-
     /// Unwraps back into the controller.
     #[must_use]
     pub fn into_controller(self) -> FlashController {

@@ -94,12 +94,6 @@ impl Trace {
         self.rearm();
     }
 
-    /// Disables recording (events already captured are kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-        self.rearm();
-    }
-
     fn rearm(&mut self) {
         self.armed = self.enabled && self.capacity > 0;
     }

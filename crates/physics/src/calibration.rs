@@ -149,17 +149,6 @@ impl SusceptibilityTable {
         .expect("builtin table is valid")
     }
 
-    /// A degenerate table where every cell responds identically (useful for
-    /// isolating the susceptibility effect in ablations).
-    #[expect(
-        clippy::missing_panics_doc,
-        reason = "builtin table is statically valid"
-    )]
-    #[must_use]
-    pub fn uniform_response() -> Self {
-        Self::from_quantiles(vec![(0.0, 1.0), (1.0, 1.0)]).expect("valid")
-    }
-
     /// Susceptibility at cumulative probability `u` (piecewise-linear
     /// inverse CDF).
     #[expect(

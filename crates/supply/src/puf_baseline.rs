@@ -43,12 +43,6 @@ impl PufFingerprint {
         &self.bits
     }
 
-    /// Which cells responded unanimously across rounds.
-    #[must_use]
-    pub fn stable_mask(&self) -> &[bool] {
-        &self.stable
-    }
-
     /// Fraction of cells that were stable during extraction.
     #[must_use]
     pub fn stable_fraction(&self) -> f64 {

@@ -48,12 +48,27 @@ fn scenario_statistics_are_reproducible() {
     assert_eq!(format!("{s1}"), format!("{s2}"));
 }
 
+/// The committed `results/` files that the Smoke suite does not write,
+/// because another writer owns them.
+const OTHER_WRITERS: [&str; 6] = [
+    "BENCH_runtime.json",    // the Full suite and perf_smoke
+    "service_campaign.json", // the service_campaign bin
+    "service_metrics.prom",  // the service_campaign bin
+    "backend_campaign.json", // the backend_campaign bin
+    "registry_golden.log",   // the registry golden-schema test
+    "lint_report.json",      // cargo xtask lint
+];
+
 /// The parallel trial engine's core guarantee: a reduced-profile `run_all`
 /// produces byte-identical JSON, `.jsonl`, and `.prom` artifacts at 1
 /// worker thread (the exact legacy serial path) and at 8. The only
 /// exceptions are `obs_timings.json` and `service_timings.json`, which
 /// exist precisely to quarantine wall-clock measurements away from the
 /// deterministic artifacts.
+///
+/// The suite is also the only writer of experiment artifacts: it writes
+/// exactly the files in `results/` apart from those another writer owns,
+/// so no artifact that nothing regenerates can hide there.
 #[test]
 fn suite_json_artifacts_identical_across_thread_counts() {
     use flashmark_bench::suite::{run_suite, Profile, SuiteOptions};
@@ -115,6 +130,25 @@ fn suite_json_artifacts_identical_across_thread_counts() {
             "{name} differs between --threads 1 and --threads 8"
         );
     }
+
+    let file_names = |dir: &std::path::Path| -> std::collections::BTreeSet<String> {
+        std::fs::read_dir(dir)
+            .expect("results dir")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .filter(|name| !OTHER_WRITERS.contains(&name.as_str()))
+            .collect()
+    };
+    let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    assert_eq!(
+        file_names(&base.join("threads_1")),
+        file_names(&committed),
+        "the smoke suite's artifacts differ from the committed results/ files"
+    );
     let _ = std::fs::remove_dir_all(&base);
 }
 
