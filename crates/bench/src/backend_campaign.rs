@@ -24,8 +24,8 @@
 //! whether the verdicts matched ([`BackendRow::legacy_match`]).
 
 use flashmark_core::{
-    inspect, provision, CounterfeitReason, FlashmarkConfig, Imprinter, InconclusiveReason, NorTpew,
-    NorTpewParams, SchemeError, TestStatus, Verdict, Verifier, WatermarkRecord, WatermarkScheme,
+    inspect, provision, CounterfeitReason, FlashmarkConfig, Imprinter, NorTpew, NorTpewParams,
+    SchemeError, TestStatus, Verdict, Verifier, WatermarkRecord, WatermarkScheme,
 };
 use flashmark_nand::{BlockAddr, NandChip, NandGeometry, NandPuf, NandPufConfig, NandPufParams};
 use flashmark_nor::interface::FlashInterface;
@@ -313,26 +313,12 @@ impl_to_json!(BackendCampaignData {
 /// the same labels the serving layer archives.
 #[must_use]
 pub fn verdict_labels(verdict: &Verdict) -> (&'static str, &'static str) {
-    match verdict {
-        Verdict::Genuine => ("accept", ""),
-        Verdict::Counterfeit(reason) => (
-            "reject",
-            match reason {
-                CounterfeitReason::NoWatermark => "no_watermark",
-                CounterfeitReason::SignatureMismatch => "signature_mismatch",
-                CounterfeitReason::RejectedDie => "rejected_die",
-                CounterfeitReason::WrongManufacturer { .. } => "wrong_manufacturer",
-            },
-        ),
-        Verdict::Inconclusive(reason) => (
-            "inconclusive",
-            match reason {
-                InconclusiveReason::TransientFaults => "transient_faults",
-                InconclusiveReason::RecharacterizationFailed => "recharacterization_failed",
-                InconclusiveReason::FuzzyMatchMarginal => "fuzzy_match_marginal",
-            },
-        ),
-    }
+    let class = match verdict {
+        Verdict::Genuine => "accept",
+        Verdict::Counterfeit(_) => "reject",
+        Verdict::Inconclusive(_) => "inconclusive",
+    };
+    (class, verdict.reason())
 }
 
 /// One generic trial's measured outcome, before row labeling.
@@ -803,23 +789,6 @@ mod tests {
             Scenario::RejectedDie.expects(&Verdict::Counterfeit(CounterfeitReason::RejectedDie))
         );
         assert!(!Scenario::Cloned.expects(&Verdict::Genuine));
-    }
-
-    #[test]
-    fn verdict_labels_are_stable() {
-        assert_eq!(verdict_labels(&Verdict::Genuine), ("accept", ""));
-        assert_eq!(
-            verdict_labels(&Verdict::Counterfeit(
-                CounterfeitReason::WrongManufacturer { found: 1 }
-            )),
-            ("reject", "wrong_manufacturer")
-        );
-        assert_eq!(
-            verdict_labels(&Verdict::Inconclusive(
-                InconclusiveReason::FuzzyMatchMarginal
-            )),
-            ("inconclusive", "fuzzy_match_marginal")
-        );
     }
 
     #[test]

@@ -701,7 +701,6 @@ pub fn temperature_sweep(
             FlashTimings::msp430(),
             runner.experiment_seed(),
         );
-        flash.trace_mut().set_capacity(0);
         let seg = SegmentAddr::new(0);
         let cfg = FlashmarkConfig::builder()
             .n_pe(60_000)

@@ -12,16 +12,12 @@ pub use flashmark_par::{default_threads, Trial, TrialRunner};
 /// a multi-stress-level experiment.
 #[must_use]
 pub fn test_chip(seed: u64) -> FlashController {
-    let mut flash = FlashController::new(
+    FlashController::new(
         PhysicsParams::msp430_like(),
         FlashGeometry::single_bank(16),
         FlashTimings::msp430(),
         seed,
-    );
-    // Experiments never inspect the event trace; a capacity-0 ring makes
-    // `record()` a single predictable branch on the hot read/program paths.
-    flash.trace_mut().set_capacity(0);
-    flash
+    )
 }
 
 /// The chip of one [`Trial`]: a fresh [`test_chip`] keyed by the trial's

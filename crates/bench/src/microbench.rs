@@ -305,14 +305,12 @@ pub fn kernel_suite() -> RuntimeReport {
     let bench = Bench::new("kernel").samples(10);
     let seg = SegmentAddr::new(0);
     let chip = || {
-        let mut c = FlashController::new(
+        FlashController::new(
             PhysicsParams::msp430_like(),
             FlashGeometry::single_bank(2),
             FlashTimings::msp430(),
             0xBE7C,
-        );
-        c.trace_mut().set_capacity(0);
-        c
+        )
     };
     let pattern: Vec<u16> = (0..256u32).map(|w| (w as u16).rotate_left(3)).collect();
     let mut report = RuntimeReport::new();

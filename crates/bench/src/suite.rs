@@ -666,7 +666,6 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
                     FlashTimings::msp430(),
                     seeds[trial.index],
                 );
-                chip.trace_mut().set_capacity(0);
                 characterize_sample(
                     &mut chip,
                     SegmentAddr::new(0),

@@ -241,11 +241,13 @@ mod tests {
         let seg = SegmentAddr::new(3);
         let mut f = flash(4);
         let cfg = config(5, true);
-        Imprinter::new(&cfg)
-            .imprint_via_cycles(&mut f, seg, &wm)
-            .unwrap();
-        assert_eq!(f.counters().early_exit_erases, 5);
-        assert_eq!(f.counters().segment_erases, 0);
+        obs::install(obs::Collector::new(0));
+        let result = Imprinter::new(&cfg).imprint_via_cycles(&mut f, seg, &wm);
+        let collector = obs::take().expect("collector installed");
+        result.unwrap();
+        let ops = |kind| collector.metrics().counter("flash", kind);
+        assert_eq!(ops("erase_until_clean"), 5);
+        assert_eq!(ops("erase_segment"), 0);
     }
 
     #[test]

@@ -169,6 +169,26 @@ impl Verdict {
             Self::Inconclusive(_) => "inconclusive",
         }
     }
+
+    /// Stable reason label of a reject or inconclusive verdict (the
+    /// registry's `reason` field); `""` for [`Verdict::Genuine`].
+    #[must_use]
+    pub fn reason(self) -> &'static str {
+        match self {
+            Self::Genuine => "",
+            Self::Counterfeit(reason) => match reason {
+                CounterfeitReason::NoWatermark => "no_watermark",
+                CounterfeitReason::SignatureMismatch => "signature_mismatch",
+                CounterfeitReason::RejectedDie => "rejected_die",
+                CounterfeitReason::WrongManufacturer { .. } => "wrong_manufacturer",
+            },
+            Self::Inconclusive(reason) => match reason {
+                InconclusiveReason::TransientFaults => "transient_faults",
+                InconclusiveReason::RecharacterizationFailed => "recharacterization_failed",
+                InconclusiveReason::FuzzyMatchMarginal => "fuzzy_match_marginal",
+            },
+        }
+    }
 }
 
 impl fmt::Display for Verdict {
@@ -778,6 +798,32 @@ mod tests {
             &crate::extract::Extraction::for_tests(votes, bits.clone(), 7),
         );
         assert_eq!(repaired, Some(r));
+    }
+
+    #[test]
+    fn reason_labels_are_stable() {
+        // The registry archives these strings: renaming one changes
+        // committed record bytes.
+        use CounterfeitReason as C;
+        use InconclusiveReason as I;
+        assert_eq!(Verdict::Genuine.reason(), "");
+        let rejects = [
+            (C::NoWatermark, "no_watermark"),
+            (C::SignatureMismatch, "signature_mismatch"),
+            (C::RejectedDie, "rejected_die"),
+            (C::WrongManufacturer { found: 1 }, "wrong_manufacturer"),
+        ];
+        for (reason, label) in rejects {
+            assert_eq!(Verdict::Counterfeit(reason).reason(), label);
+        }
+        let inconclusives = [
+            (I::TransientFaults, "transient_faults"),
+            (I::RecharacterizationFailed, "recharacterization_failed"),
+            (I::FuzzyMatchMarginal, "fuzzy_match_marginal"),
+        ];
+        for (reason, label) in inconclusives {
+            assert_eq!(Verdict::Inconclusive(reason).reason(), label);
+        }
     }
 
     #[test]

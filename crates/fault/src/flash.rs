@@ -432,14 +432,12 @@ mod tests {
     use flashmark_physics::PhysicsParams;
 
     fn chip(seed: u64) -> FlashController {
-        let mut c = FlashController::new(
+        FlashController::new(
             PhysicsParams::msp430_like(),
             FlashGeometry::single_bank(4),
             FlashTimings::msp430(),
             seed,
-        );
-        c.trace_mut().set_capacity(0);
-        c
+        )
     }
 
     #[test]

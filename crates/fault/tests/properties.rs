@@ -29,7 +29,6 @@ fn imprinted_chip(seed: u64, status: TestStatus) -> FlashController {
         FlashTimings::msp430(),
         seed,
     );
-    chip.trace_mut().set_capacity(0);
     let record = WatermarkRecord {
         manufacturer_id: MFG,
         die_id: 3,

@@ -1,4 +1,4 @@
-//! The flash controller: command sequencing, timing, locking, tracing.
+//! The flash controller: command sequencing, timing, locking.
 //!
 //! Wraps a [`FlashArray`] with the state machine and wall-clock accounting a
 //! real flash module has. All Flashmark algorithms drive this type through
@@ -14,30 +14,6 @@ use crate::error::NorError;
 use crate::geometry::FlashGeometry;
 use crate::interface::{BulkStress, FlashInterface, ImprintTiming, PartialProgram};
 use crate::timing::{FlashTimings, SimClock};
-use crate::trace::{FlashEvent, Trace};
-
-/// Cumulative operation counters (always on; cheap).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OpCounters {
-    /// Full segment erases.
-    pub segment_erases: u64,
-    /// Partial (aborted) erases.
-    pub partial_erases: u64,
-    /// Early-exited (erase-until-clean) erases.
-    pub early_exit_erases: u64,
-    /// Single-word programs.
-    pub word_programs: u64,
-    /// Block programs (segments).
-    pub block_programs: u64,
-    /// Word reads.
-    pub word_reads: u64,
-    /// Mass erases.
-    pub mass_erases: u64,
-    /// Bulk (closed-form) imprints.
-    pub bulk_imprints: u64,
-    /// Partial (aborted) program pulses.
-    pub partial_programs: u64,
-}
 
 /// A simulated flash controller plus its array.
 ///
@@ -51,8 +27,6 @@ pub struct FlashController {
     strict_program: bool,
     poll_step: Micros,
     poll_words: usize,
-    counters: OpCounters,
-    trace: Trace,
     // tCPT budget per 128-byte flash row, keyed by (segment, row).
     cumulative_program: std::collections::BTreeMap<(u32, u32), Micros>,
 }
@@ -74,8 +48,6 @@ impl FlashController {
             strict_program: false,
             poll_step: Micros::new(25.0),
             poll_words: 16,
-            counters: OpCounters::default(),
-            trace: Trace::new(),
             cumulative_program: std::collections::BTreeMap::new(),
         }
     }
@@ -127,23 +99,6 @@ impl FlashController {
         self.strict_program = strict;
     }
 
-    /// Operation counters so far.
-    #[must_use]
-    pub fn counters(&self) -> OpCounters {
-        self.counters
-    }
-
-    /// The event trace.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the event trace (to enable/clear it).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-
     /// Wear statistics of a segment (ground truth).
     pub fn wear_stats(&mut self, seg: SegmentAddr) -> WearStats {
         self.array.wear_stats(seg)
@@ -163,8 +118,6 @@ impl FlashController {
         }
         self.clock
             .advance(self.timings.setup_overhead + self.timings.mass_erase);
-        self.counters.mass_erases += 1;
-        self.trace.record(self.clock.now(), FlashEvent::MassErase);
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::MassErase,
             seg: 0,
@@ -261,9 +214,6 @@ impl FlashInterface for FlashController {
     fn read_word(&mut self, word: WordAddr) -> Result<u16, NorError> {
         let v = self.array.read_word(word)?;
         self.clock.advance(self.timings.read_word);
-        self.counters.word_reads += 1;
-        self.trace
-            .record(self.clock.now(), FlashEvent::ReadWord { word });
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::ReadWord,
             seg: self.geometry().segment_of(word).index(),
@@ -273,18 +223,10 @@ impl FlashInterface for FlashController {
 
     fn read_block(&mut self, seg: SegmentAddr) -> Result<Vec<u16>, NorError> {
         let values = self.array.read_segment_words(seg)?;
-        self.counters.word_reads += values.len() as u64;
-        let base = self.geometry().first_word(seg);
-        // Per-word clock/trace updates in the same order as a word-by-word
-        // loop, so elapsed time stays float-identical to the legacy path.
-        for i in 0..values.len() {
+        // Per-word clock updates in the same order as a word-by-word loop,
+        // so elapsed time stays float-identical to the legacy path.
+        for _ in 0..values.len() {
             self.clock.advance(self.timings.read_word);
-            self.trace.record(
-                self.clock.now(),
-                FlashEvent::ReadWord {
-                    word: base.offset(i as u32),
-                },
-            );
         }
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::ReadBlock,
@@ -301,9 +243,6 @@ impl FlashInterface for FlashController {
         self.charge_program_time(seg, row, self.timings.program_word)?;
         self.array.program_word(word, value, self.strict_program)?;
         self.clock.advance(self.timings.program_word);
-        self.counters.word_programs += 1;
-        self.trace
-            .record(self.clock.now(), FlashEvent::ProgramWord { word });
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::ProgramWord,
             seg: seg.index(),
@@ -329,9 +268,6 @@ impl FlashInterface for FlashController {
         self.array
             .program_segment_words(seg, values, self.strict_program)?;
         self.clock.advance(self.timings.block_write(n));
-        self.counters.block_programs += 1;
-        self.trace
-            .record(self.clock.now(), FlashEvent::ProgramBlock { seg });
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::ProgramBlock,
             seg: seg.index(),
@@ -346,9 +282,6 @@ impl FlashInterface for FlashController {
         self.array.erase_complete(seg, self.timings.erase_segment)?;
         self.clock
             .advance(self.timings.setup_overhead + self.timings.erase_segment);
-        self.counters.segment_erases += 1;
-        self.trace
-            .record(self.clock.now(), FlashEvent::EraseSegment { seg });
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::EraseSegment,
             seg: seg.index(),
@@ -362,9 +295,6 @@ impl FlashInterface for FlashController {
         self.array.erase_pulse(seg, t_pe)?;
         self.clock
             .advance(self.timings.setup_overhead + t_pe + self.timings.abort_latency);
-        self.counters.partial_erases += 1;
-        self.trace
-            .record(self.clock.now(), FlashEvent::PartialErase { seg, t_pe });
         obs::emit(ObsEvent::PartialErase {
             seg: seg.index(),
             t_pe_us: t_pe.get(),
@@ -389,11 +319,6 @@ impl FlashInterface for FlashController {
                 break;
             }
         }
-        self.counters.early_exit_erases += 1;
-        self.trace.record(
-            self.clock.now(),
-            FlashEvent::EraseUntilClean { seg, took: spent },
-        );
         obs::emit(ObsEvent::EraseUntilClean {
             seg: seg.index(),
             took_us: spent.get(),
@@ -416,7 +341,6 @@ impl PartialProgram for FlashController {
         self.array.program_pulse(seg, t_pp)?;
         self.clock
             .advance(self.timings.setup_overhead + t_pp + self.timings.abort_latency);
-        self.counters.partial_programs += 1;
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::PartialProgram,
             seg: seg.index(),
@@ -477,9 +401,6 @@ impl BulkStress for FlashController {
             }
         }
         self.array.bulk_stress(seg, pattern, cycles)?;
-        self.counters.bulk_imprints += 1;
-        self.trace
-            .record(self.clock.now(), FlashEvent::BulkImprint { seg, cycles });
         obs::emit(ObsEvent::BulkImprint {
             seg: seg.index(),
             cycles,
@@ -512,8 +433,6 @@ mod tests {
         assert!(t1 > t0);
         assert_eq!(ctl.read_word(WordAddr::new(0)).unwrap(), 0x1234);
         assert!(ctl.elapsed() > t1);
-        assert_eq!(ctl.counters().word_programs, 1);
-        assert_eq!(ctl.counters().word_reads, 1);
     }
 
     #[test]
@@ -620,16 +539,37 @@ mod tests {
     }
 
     #[test]
-    fn trace_captures_operations() {
-        let mut ctl = controller();
-        ctl.trace_mut().enable();
-        ctl.erase_segment(SegmentAddr::new(0)).unwrap();
-        ctl.partial_erase(SegmentAddr::new(0), Micros::new(20.0))
-            .unwrap();
-        let events = ctl.trace().events();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(events[0].1, FlashEvent::EraseSegment { .. }));
-        assert!(matches!(events[1].1, FlashEvent::PartialErase { .. }));
+    fn each_operation_emits_one_event_of_its_own_kind() {
+        type Op = fn(&mut FlashController) -> Result<(), NorError>;
+        const SEG: SegmentAddr = SegmentAddr::new(1);
+        const W: WordAddr = WordAddr::new(0);
+        let ops: [(&str, Op); 10] = [
+            ("read_word", |c| c.read_word(W).map(drop)),
+            ("read_block", |c| c.read_block(SEG).map(drop)),
+            ("program_word", |c| c.program_word(W, 0)),
+            ("program_block", |c| c.program_block(SEG, &[0; 256])),
+            ("erase_segment", |c| c.erase_segment(SEG)),
+            ("partial_erase", |c| c.partial_erase(SEG, Micros::new(20.0))),
+            ("erase_until_clean", |c| c.erase_until_clean(SEG).map(drop)),
+            ("mass_erase", FlashController::mass_erase),
+            ("partial_program", |c| {
+                c.partial_program(SEG, Micros::new(5.0))
+            }),
+            ("bulk_imprint", |c| {
+                c.bulk_imprint(SEG, &[0; 256], 1_000, ImprintTiming::Baseline)
+                    .map(drop)
+            }),
+        ];
+        for (kind, op) in ops {
+            let mut ctl = controller();
+            obs::install(obs::Collector::new(0));
+            let result = op(&mut ctl);
+            let collector = obs::take().expect("collector installed");
+            result.unwrap();
+            let metrics = collector.metrics();
+            assert_eq!(metrics.counter("flash", kind), 1, "{kind}");
+            assert_eq!(metrics.group_total("flash"), 1, "{kind} counts once");
+        }
     }
 
     #[test]
@@ -640,8 +580,6 @@ mod tests {
         for ctl in [&mut a, &mut b] {
             ctl.program_all_zero(seg).unwrap();
             ctl.partial_erase(seg, Micros::new(20.5)).unwrap();
-            ctl.trace_mut().set_record_reads(true);
-            ctl.trace_mut().enable();
         }
         let batched = a.read_block(seg).unwrap();
         let looped: Vec<u16> = b
@@ -651,8 +589,6 @@ mod tests {
             .collect();
         assert_eq!(batched, looped);
         assert_eq!(a.elapsed().get().to_bits(), b.elapsed().get().to_bits());
-        assert_eq!(a.counters().word_reads, b.counters().word_reads);
-        assert_eq!(a.trace().events(), b.trace().events());
     }
 
     #[test]

@@ -56,14 +56,12 @@ pub mod geometry;
 pub mod interface;
 pub mod registers;
 pub mod timing;
-pub mod trace;
 
 pub use addr::{SegmentAddr, WordAddr};
 pub use array::{FlashArray, SegmentCells, WearStats};
-pub use controller::{FlashController, OpCounters};
+pub use controller::FlashController;
 pub use error::NorError;
 pub use geometry::FlashGeometry;
 pub use interface::{BulkStress, FlashInterface, ImprintTiming, PartialProgram};
 pub use registers::{Fctl, RegisterFront};
 pub use timing::FlashTimings;
-pub use trace::{FlashEvent, Trace};

@@ -74,26 +74,7 @@ impl Default for ReramTimings {
     }
 }
 
-/// Cumulative ReRAM operation counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReramOpCounters {
-    /// Word reads.
-    pub word_reads: u64,
-    /// Single-word sets.
-    pub word_sets: u64,
-    /// Block sets (segments).
-    pub block_sets: u64,
-    /// Full segment resets.
-    pub segment_resets: u64,
-    /// Partial (aborted) resets.
-    pub partial_resets: u64,
-    /// Early-exited (reset-until-clean) resets.
-    pub early_exit_resets: u64,
-    /// Forming passes.
-    pub forming_passes: u64,
-}
-
-/// An emulated ReRAM module (array + timings + clock + counters).
+/// An emulated ReRAM module (array + timings + clock).
 #[derive(Debug, Clone)]
 pub struct ReramChip {
     array: FlashArray,
@@ -101,7 +82,6 @@ pub struct ReramChip {
     clock: SimClock,
     poll_step: Micros,
     poll_words: usize,
-    counters: ReramOpCounters,
 }
 
 impl ReramChip {
@@ -120,7 +100,6 @@ impl ReramChip {
             clock: SimClock::new(),
             poll_step: Micros::new(25.0),
             poll_words: 16,
-            counters: ReramOpCounters::default(),
         }
     }
 
@@ -147,12 +126,6 @@ impl ReramChip {
         &mut self.array
     }
 
-    /// Operation counters so far.
-    #[must_use]
-    pub fn counters(&self) -> ReramOpCounters {
-        self.counters
-    }
-
     /// Sets the die temperature (°C) for subsequent operations.
     pub fn set_temperature_c(&mut self, temp_c: f64) {
         self.array.set_temperature_c(temp_c);
@@ -177,7 +150,6 @@ impl ReramChip {
     pub fn read_word(&mut self, word: WordAddr) -> Result<u16, ReramError> {
         let v = self.array.read_word(word)?;
         self.clock.advance(self.timings.read_word);
-        self.counters.word_reads += 1;
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::ReadWord,
             seg: self.geometry().segment_of(word).index(),
@@ -192,7 +164,6 @@ impl ReramChip {
     /// Returns [`ReramError::Array`] for a bad address.
     pub fn read_block(&mut self, seg: SegmentAddr) -> Result<Vec<u16>, ReramError> {
         let values = self.array.read_segment_words(seg)?;
-        self.counters.word_reads += values.len() as u64;
         self.clock
             .advance(self.timings.read_word * values.len() as f64);
         obs::emit(ObsEvent::FlashOp {
@@ -215,7 +186,6 @@ impl ReramChip {
     pub fn set_word(&mut self, word: WordAddr, value: u16) -> Result<(), ReramError> {
         self.array.program_word(word, value, false)?;
         self.clock.advance(self.timings.set_word);
-        self.counters.word_sets += 1;
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::ProgramWord,
             seg: self.geometry().segment_of(word).index(),
@@ -239,7 +209,6 @@ impl ReramChip {
         }
         self.array.program_segment_words(seg, values, false)?;
         self.clock.advance(self.timings.block_set(n));
-        self.counters.block_sets += 1;
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::ProgramBlock,
             seg: seg.index(),
@@ -260,7 +229,6 @@ impl ReramChip {
         self.array.erase_complete(seg, self.timings.reset_segment)?;
         self.clock
             .advance(self.timings.setup_overhead + self.timings.reset_segment);
-        self.counters.segment_resets += 1;
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::EraseSegment,
             seg: seg.index(),
@@ -280,7 +248,6 @@ impl ReramChip {
         self.array.erase_pulse(seg, t_pe)?;
         self.clock
             .advance(self.timings.setup_overhead + t_pe + self.timings.abort_latency);
-        self.counters.partial_resets += 1;
         obs::emit(ObsEvent::PartialErase {
             seg: seg.index(),
             t_pe_us: t_pe.get(),
@@ -315,7 +282,6 @@ impl ReramChip {
                 break;
             }
         }
-        self.counters.early_exit_resets += 1;
         obs::emit(ObsEvent::EraseUntilClean {
             seg: seg.index(),
             took_us: spent.get(),
@@ -364,7 +330,6 @@ impl ReramChip {
         self.array.bulk_stress(seg, pattern, cycles)?;
         self.clock
             .advance(self.timings.setup_overhead + self.timings.forming_pass);
-        self.counters.forming_passes += 1;
         obs::emit(ObsEvent::BulkImprint {
             seg: seg.index(),
             cycles,
@@ -390,7 +355,6 @@ mod tests {
         let mut c = chip();
         c.set_word(WordAddr::new(3), 0x5AA5).unwrap();
         assert_eq!(c.read_word(WordAddr::new(3)).unwrap(), 0x5AA5);
-        assert_eq!(c.counters().word_sets, 1);
         assert!(c.elapsed().get() > 0.0);
     }
 
@@ -404,6 +368,35 @@ mod tests {
     }
 
     #[test]
+    fn each_operation_emits_one_event_of_its_own_kind() {
+        type Op = fn(&mut ReramChip) -> Result<(), ReramError>;
+        const SEG: SegmentAddr = SegmentAddr::new(1);
+        const W: WordAddr = WordAddr::new(0);
+        let ops: [(&str, Op); 8] = [
+            ("read_word", |c| c.read_word(W).map(drop)),
+            ("read_block", |c| c.read_block(SEG).map(drop)),
+            ("program_word", |c| c.set_word(W, 0)),
+            ("program_block", |c| c.set_block(SEG, &[0; 256])),
+            ("erase_segment", |c| c.reset_segment(SEG)),
+            ("partial_erase", |c| c.partial_reset(SEG, Micros::new(20.0))),
+            ("erase_until_clean", |c| c.reset_until_clean(SEG).map(drop)),
+            ("bulk_imprint", |c| {
+                c.form_mark(SEG, &[0; 256], 1_000).map(drop)
+            }),
+        ];
+        for (kind, op) in ops {
+            let mut c = chip();
+            obs::install(obs::Collector::new(0));
+            let result = op(&mut c);
+            let collector = obs::take().expect("collector installed");
+            result.unwrap();
+            let metrics = collector.metrics();
+            assert_eq!(metrics.counter("flash", kind), 1, "{kind}");
+            assert_eq!(metrics.group_total("flash"), 1, "{kind} counts once");
+        }
+    }
+
+    #[test]
     fn forming_is_a_single_cheap_pass() {
         let mut c = chip();
         let dt = c
@@ -411,7 +404,6 @@ mod tests {
             .unwrap();
         // One pass: milliseconds, not the NOR loop's hundreds of seconds.
         assert!(dt.get() < 0.05, "forming took {dt}");
-        assert_eq!(c.counters().forming_passes, 1);
         let wear = c.wear_stats(SegmentAddr::new(2));
         assert!(wear.max_cycles > 50_000.0, "wear {wear:?}");
     }

@@ -57,7 +57,7 @@ pub mod params;
 pub mod scheme;
 
 pub use adapter::ReramWordAdapter;
-pub use chip::{ReramChip, ReramOpCounters, ReramTimings};
+pub use chip::{ReramChip, ReramTimings};
 pub use error::ReramError;
 pub use params::{reram_like, reram_wear_weights, MAX_FORMING_CYCLES};
 pub use scheme::{ReramEnrollment, ReramParams, ReramScheme};

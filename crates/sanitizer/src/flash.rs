@@ -3,12 +3,12 @@
 use std::collections::VecDeque;
 
 use flashmark_nor::{
-    BulkStress, FlashController, FlashEvent, FlashGeometry, FlashInterface, FlashTimings,
-    ImprintTiming, NorError, PartialProgram, SegmentAddr, WordAddr,
+    BulkStress, FlashController, FlashGeometry, FlashInterface, FlashTimings, ImprintTiming,
+    NorError, PartialProgram, SegmentAddr, WordAddr,
 };
 use flashmark_physics::{Micros, Seconds};
 
-use crate::violation::{Policy, SegState, Violation, ViolationKind};
+use crate::violation::{FlashEvent, Policy, SegState, Violation, ViolationKind};
 
 /// Words per 128-byte `tCPT` row (the datasheet's cumulative-program-time
 /// accounting granule), matching the controller's accounting.
@@ -132,13 +132,6 @@ impl<I: FlashInterface> SanitizedFlash<I> {
     }
 
     /// Sets how many trailing events each violation backtrace keeps.
-    ///
-    /// The sanitizer keeps its own always-on event ring, independent of any
-    /// [`Trace`](flashmark_nor::Trace) inside the backend, so backtraces are
-    /// populated even when backend tracing is off. On a wrapped
-    /// [`FlashController`], call
-    /// [`sync_inner_trace`](SanitizedFlash::sync_inner_trace) afterwards to
-    /// push the same capacity into the controller's trace.
     #[must_use]
     pub fn backtrace_capacity(mut self, capacity: usize) -> Self {
         self.ring_capacity = capacity;
@@ -376,27 +369,9 @@ impl<I: FlashInterface> SanitizedFlash<I> {
 
 impl SanitizedFlash<FlashController> {
     /// Wraps a [`FlashController`] with the wear-monotonicity probe
-    /// installed (reading [`FlashController::wear_stats`]) and the
-    /// controller's own trace enabled and synced to the sanitizer's
-    /// backtrace settings.
+    /// installed (reading [`FlashController::wear_stats`]).
     pub fn wrap_controller(ctl: FlashController) -> Self {
-        let mut sanitized =
-            Self::new(ctl).with_wear_probe(|c, seg| Some(c.wear_stats(seg).mean_cycles));
-        sanitized.sync_inner_trace();
-        sanitized
-    }
-
-    /// Pushes the sanitizer's backtrace capacity and read-recording policy
-    /// into the wrapped controller's [`Trace`](flashmark_nor::Trace) and
-    /// enables it, so the controller-side trace is never empty either. Call
-    /// again after changing either setting.
-    pub fn sync_inner_trace(&mut self) {
-        let capacity = self.ring_capacity;
-        let record_reads = self.record_reads;
-        let trace = self.inner.trace_mut();
-        trace.set_capacity(capacity);
-        trace.set_record_reads(record_reads);
-        trace.enable();
+        Self::new(ctl).with_wear_probe(|c, seg| Some(c.wear_stats(seg).mean_cycles))
     }
 }
 

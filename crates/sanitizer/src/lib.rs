@@ -11,8 +11,8 @@
 //! The sanitizer never changes behavior: every operation is forwarded and
 //! its result returned unchanged. Detected violations are reported as
 //! structured [`Violation`] values carrying a bounded backtrace of the
-//! trailing [`FlashEvent`](flashmark_nor::FlashEvent)s, under a configurable
-//! [`Policy`] (panic / collect / log).
+//! trailing [`FlashEvent`]s, taken from the sanitizer's own event ring,
+//! under a configurable [`Policy`] (panic / collect / log).
 //!
 //! ```
 //! use flashmark_nor::{FlashController, FlashGeometry, FlashInterface, FlashTimings, SegmentAddr};
@@ -40,4 +40,4 @@ pub mod flash;
 pub mod violation;
 
 pub use flash::{SanitizedFlash, WearProbe};
-pub use violation::{Policy, SegState, Violation, ViolationKind};
+pub use violation::{FlashEvent, Policy, SegState, Violation, ViolationKind};

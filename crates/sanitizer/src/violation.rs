@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use flashmark_nor::{FlashEvent, SegmentAddr, WordAddr};
+use flashmark_nor::{SegmentAddr, WordAddr};
 use flashmark_physics::{Micros, Seconds};
 
 /// What the sanitizer does when it detects a violation.
@@ -160,6 +160,55 @@ impl fmt::Display for ViolationKind {
             ),
         }
     }
+}
+
+/// One flash operation the sanitizer forwarded, as kept in its backtrace
+/// ring.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[non_exhaustive]
+pub enum FlashEvent {
+    /// A full segment erase completed.
+    EraseSegment {
+        /// Erased segment.
+        seg: SegmentAddr,
+    },
+    /// An erase was started and aborted after a partial-erase time.
+    PartialErase {
+        /// Target segment.
+        seg: SegmentAddr,
+        /// Partial-erase time before the emergency exit.
+        t_pe: Micros,
+    },
+    /// An early-exited erase ran until the segment read clean.
+    EraseUntilClean {
+        /// Target segment.
+        seg: SegmentAddr,
+        /// Total erase time actually spent.
+        took: Micros,
+    },
+    /// A word was programmed.
+    ProgramWord {
+        /// Target word.
+        word: WordAddr,
+    },
+    /// A whole segment was block-programmed.
+    ProgramBlock {
+        /// Target segment.
+        seg: SegmentAddr,
+    },
+    /// A word was read (recorded only with
+    /// [`record_reads`](crate::SanitizedFlash::record_reads) on).
+    ReadWord {
+        /// Source word.
+        word: WordAddr,
+    },
+    /// A bulk (closed-form) imprint was applied by the simulator.
+    BulkImprint {
+        /// Target segment.
+        seg: SegmentAddr,
+        /// Number of P/E cycles applied.
+        cycles: u64,
+    },
 }
 
 /// A violation report: what rule was broken, during which operation, when,

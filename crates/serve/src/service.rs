@@ -19,10 +19,7 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use flashmark_core::CoreError;
-use flashmark_core::{
-    CounterfeitReason, FlashmarkConfig, InconclusiveReason, SegmentCondition, StressDetector,
-    Verdict, Verifier,
-};
+use flashmark_core::{FlashmarkConfig, SegmentCondition, StressDetector, Verdict, Verifier};
 use flashmark_obs::{install, take, virtual_latency_of, Collector, Metrics, Snapshot, GLOBAL};
 use flashmark_par::TrialRunner;
 use flashmark_physics::rng::mix2;
@@ -429,26 +426,12 @@ impl ShardCtx<'_> {
 
 /// Maps a core verdict into the registry's (verdict, reason) pair.
 fn map_verdict(verdict: Verdict) -> (RecordVerdict, &'static str) {
-    match verdict {
-        Verdict::Genuine => (RecordVerdict::Accept, ""),
-        Verdict::Counterfeit(reason) => (
-            RecordVerdict::Reject,
-            match reason {
-                CounterfeitReason::NoWatermark => "no_watermark",
-                CounterfeitReason::SignatureMismatch => "signature_mismatch",
-                CounterfeitReason::RejectedDie => "rejected_die",
-                CounterfeitReason::WrongManufacturer { .. } => "wrong_manufacturer",
-            },
-        ),
-        Verdict::Inconclusive(reason) => (
-            RecordVerdict::Inconclusive,
-            match reason {
-                InconclusiveReason::TransientFaults => "transient_faults",
-                InconclusiveReason::RecharacterizationFailed => "recharacterization_failed",
-                InconclusiveReason::FuzzyMatchMarginal => "fuzzy_match_marginal",
-            },
-        ),
-    }
+    let class = match verdict {
+        Verdict::Genuine => RecordVerdict::Accept,
+        Verdict::Counterfeit(_) => RecordVerdict::Reject,
+        Verdict::Inconclusive(_) => RecordVerdict::Inconclusive,
+    };
+    (class, verdict.reason())
 }
 
 /// Canonical recipe-parameter JSON (fixed field order; part of the record

@@ -268,21 +268,25 @@ impl TrendLog {
         out
     }
 
-    /// Parses and verifies a serialized log: every line must parse, seqs
-    /// must be gap-free from 0, and every line's chain digest must match
-    /// the replayed chain.
+    /// Parses and verifies a serialized log: every line must parse and be
+    /// byte-equal to its canonical framing (so the chain covers the bytes,
+    /// not just the parsed values), seqs must be gap-free from 0, and every
+    /// line's chain digest must match the replayed chain.
     ///
     /// # Errors
     ///
     /// [`TrendError`] naming the first offending line.
     pub fn parse(text: &str) -> Result<Self, TrendError> {
         let mut log = Self::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
+        for (i, line) in text.split_terminator('\n').enumerate() {
             let (seq, chain, record) =
                 parse_line(line).map_err(|msg| TrendError::Parse(i + 1, msg))?;
+            if line != framed_line(seq, chain, &record) {
+                return Err(TrendError::Parse(
+                    i + 1,
+                    "not in canonical form".to_string(),
+                ));
+            }
             if seq != log.len() {
                 return Err(TrendError::Sequence {
                     line: i + 1,
@@ -704,6 +708,29 @@ mod tests {
             TrendLog::parse("not json\n"),
             Err(TrendError::Parse(1, _))
         ));
+    }
+
+    #[test]
+    fn non_canonical_bytes_are_rejected_even_when_values_chain() {
+        let mut log = TrendLog::new();
+        log.append(record("suite", 1, &[("genuine", "accept", 5)]));
+        log.append(record("suite", 1, &[("clone", "reject", 5)]));
+        let text = log.contents();
+        let chain = Digest64::EMPTY.link(log.records()[0].digest()).to_string();
+        // Each edit parses to the same values, so the chain still replays.
+        let edits = [
+            (text.replacen(&chain, &chain.to_uppercase(), 1), 1),
+            (text.replacen("\"seq\":0", "\"seq\":00", 1), 1),
+            (text.replacen('\n', "\r\n", 1), 1),
+            (text.replacen('\n', "\n\n", 1), 2),
+        ];
+        for (edited, line) in edits {
+            assert_ne!(edited, text);
+            match TrendLog::parse(&edited) {
+                Err(TrendError::Parse(at, _)) => assert_eq!(at, line, "{edited:?}"),
+                other => panic!("{edited:?} gave {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -43,14 +43,12 @@ fn config() -> FlashmarkConfig {
 }
 
 fn nor_chip(seed: u64) -> FlashController {
-    let mut chip = FlashController::new(
+    FlashController::new(
         PhysicsParams::msp430_like(),
         FlashGeometry::single_bank(8),
         FlashTimings::msp430(),
         seed,
-    );
-    chip.trace_mut().set_capacity(0);
-    chip
+    )
 }
 
 fn nor_params() -> NorTpewParams {
