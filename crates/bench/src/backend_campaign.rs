@@ -15,8 +15,8 @@
 //! `results/backend_campaign.json` is byte-identical at any `--threads`
 //! count. Each scheme's rows are additionally sealed into a provenance
 //! [`Registry`] (tagged with the scheme name) whose root digest lands in
-//! the artifact, and the `backend_campaign` bin appends one trend record
-//! per scheme so `trend_check` gates cross-run drift per backend.
+//! the artifact, and the suite appends one trend record per scheme so
+//! `trend_check` gates cross-run drift per backend.
 //!
 //! The NOR rows double as the API-redesign no-drift proof: every NOR
 //! trial re-runs the pre-redesign concrete pipeline
@@ -148,17 +148,6 @@ impl BackendCampaignOptions {
         Self {
             seed: 0xBACD,
             trials: 8,
-            threads,
-        }
-    }
-
-    /// The committed CI smoke campaign
-    /// (`results/backend_campaign_smoke.json`).
-    #[must_use]
-    pub fn smoke(threads: usize) -> Self {
-        Self {
-            seed: 0xBACD,
-            trials: 2,
             threads,
         }
     }

@@ -1,5 +1,5 @@
-//! Replays one trial of the observability campaign and pretty-prints its
-//! event timeline: flash ops, retry decisions, ladder rungs, fault
+//! Replays one trial of the instrumented fault campaign and pretty-prints
+//! its event timeline: flash ops, retry decisions, ladder rungs, fault
 //! firings, and the verdict, in op order.
 //!
 //! Flags (values accept both `--flag=N` and `--flag N` forms):

@@ -1,73 +1,55 @@
-//! Deterministic verification-service load generator.
+//! The million-request verification-service campaign.
 //!
-//! Streams verify requests (1 M by default; 10 k with `--smoke`) through
-//! the channel front end of the sharded verification service and writes
-//! the registry summary:
+//! Streams 10⁶ verify requests through the channel front end of the
+//! sharded verification service and writes the registry summary:
 //!
-//! * `results/service_campaign.json` (or `service_campaign_smoke.json`
-//!   with `--smoke`) — verdict mix per provenance class, retry-ladder,
-//!   transient-retry and virtual-latency histograms, reason breakdown,
-//!   telemetry gauges/counters, registry root digest. Byte-identical at
-//!   any `--threads` count.
-//! * `results/service_metrics.prom` (or `service_metrics_smoke.prom`) —
-//!   the telemetry snapshot in Prometheus text exposition format (the
-//!   `obs_top` bin renders it as a per-shard table).
+//! * `results/service_campaign.json` — verdict mix per provenance class,
+//!   retry-ladder, transient-retry and virtual-latency histograms, reason
+//!   breakdown, telemetry gauges/counters, registry root digest.
+//!   Byte-identical at any `--threads` count.
+//! * `results/service_metrics.prom` — the telemetry snapshot in Prometheus
+//!   text exposition format (the `obs_top` bin renders it as a per-shard
+//!   table).
 //! * `results/trend_log.jsonl` + `results/trend_report.json` — the run is
 //!   appended to the cross-run trend log and the drift report recomputed
 //!   (the `trend_check` bin gates on it).
-//! * `results/service_timings.json` — wall clock and throughput,
-//!   quarantined so the campaign artifact stays deterministic.
+//!
+//! Throughput goes to stdout only. The 10 k-request shape and its
+//! `service_timings.json` belong to `run_all`. The run takes about 15
+//! minutes at `--threads 2`; `--threads` is the only flag.
 //!
 //! ```text
-//! cargo run --release -p flashmark-bench --bin service_campaign -- \
-//!     --threads 8 [--smoke] [--requests N]
+//! cargo run --release -p flashmark-bench --bin service_campaign -- --threads 8
 //! ```
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use flashmark_bench::output::{results_dir, write_json, Table};
-use flashmark_bench::service_campaign::{
-    run_service_campaign, ServiceCampaignOptions, ServiceTimings,
-};
+use flashmark_bench::service_campaign::{run_service_campaign, ServiceCampaignOptions};
 use flashmark_bench::trend::{append_and_report, service_record};
 use flashmark_par::threads_from_env_args;
 
-fn parse_requests() -> Result<Option<u64>, String> {
+/// Refuses every argument but `--threads N` / `--threads=N`, so a stale
+/// flag fails fast instead of starting a 15-minute run.
+fn reject_other_args() -> Result<(), String> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let value = if arg == "--requests" {
-            args.next().ok_or("missing value after --requests")?
-        } else if let Some(v) = arg.strip_prefix("--requests=") {
-            v.to_owned()
-        } else {
-            continue;
-        };
-        return value
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("bad --requests: {value:?}"));
+        if arg == "--threads" {
+            args.next();
+        } else if !arg.starts_with("--threads=") {
+            return Err(format!(
+                "unknown argument {arg:?}; usage: service_campaign [--threads N]"
+            ));
+        }
     }
-    Ok(None)
+    Ok(())
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
+    reject_other_args()?;
     let threads = threads_from_env_args()?;
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut opts = if smoke {
-        ServiceCampaignOptions::smoke(threads)
-    } else {
-        ServiceCampaignOptions::full(threads)
-    };
-    if let Some(requests) = parse_requests()? {
-        opts.requests = requests;
-        opts.batch = opts.batch.min(requests.max(1));
-    }
-    let artifact = if smoke {
-        "service_campaign_smoke"
-    } else {
-        "service_campaign"
-    };
+    let opts = ServiceCampaignOptions::full(threads);
     eprintln!(
         "service_campaign: {} requests, seed {}, {} thread(s) ...",
         opts.requests, opts.seed, threads
@@ -76,7 +58,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let t0 = Instant::now();
     let mut last_pct = 0u64;
     let run = run_service_campaign(&opts, |done| {
-        let pct = done * 100 / opts.requests.max(1);
+        let pct = done * 100 / opts.requests;
         if pct >= last_pct + 10 || done == opts.requests {
             eprintln!("  {done}/{} ({pct}%)", opts.requests);
             last_pct = pct;
@@ -100,15 +82,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         data.registry_root, data.registry_records, data.registry_seals, data.duplicates
     );
 
-    let path = write_json(artifact, &data)?;
+    let path = write_json("service_campaign", &data)?;
     println!("wrote {}", path.display());
 
     let dir = results_dir();
-    let prom = dir.join(if smoke {
-        "service_metrics_smoke.prom"
-    } else {
-        "service_metrics.prom"
-    });
+    let prom = dir.join("service_metrics.prom");
     std::fs::write(&prom, &run.exposition)?;
     println!("wrote {}", prom.display());
 
@@ -120,19 +98,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         report.failures.len(),
         report.warnings.len()
     );
-
-    let timings = ServiceTimings {
-        threads,
-        requests: data.requests,
-        wall_s,
-        requests_per_s: data.requests as f64 / wall_s.max(1e-9),
-    };
-    let tpath = write_json("service_timings", &timings)?;
     println!(
-        "wrote {} ({:.0} requests/s over {:.1} s)",
-        tpath.display(),
-        timings.requests_per_s,
-        wall_s
+        "{:.0} requests/s over {wall_s:.1} s at {threads} thread(s)",
+        data.requests as f64 / wall_s.max(1e-9)
     );
     Ok(())
 }

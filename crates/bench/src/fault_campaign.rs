@@ -15,8 +15,13 @@
 //!   wear probe runs inside the faulted stack and must never record a
 //!   [`ViolationKind::WearDecrease`].
 //!
-//! Everything is a pure function of `(campaign seed, trial index)`, so the
-//! artifact is byte-identical at any `--threads` count.
+//! The trials run once, each under its own obs
+//! [`Collector`](flashmark_obs::Collector), so the same run also yields the
+//! instrumented aggregate behind `results/obs_report.json`
+//! ([`ObsCampaignData`]).
+//!
+//! Everything is a pure function of `(campaign seed, trial index)`, so both
+//! artifacts are byte-identical at any `--threads` count.
 
 use flashmark_core::{
     CoreError, FlashmarkConfig, Imprinter, TestStatus, Verdict, VerificationReport, Verifier,
@@ -24,6 +29,7 @@ use flashmark_core::{
 };
 use flashmark_fault::{FaultPlan, FaultyFlash};
 use flashmark_nor::{FlashController, SegmentAddr};
+use flashmark_obs::{run_instrumented, DEFAULT_EVENT_CAPACITY};
 use flashmark_par::TrialRunner;
 use flashmark_physics::rng::mix2;
 use flashmark_physics::Micros;
@@ -31,6 +37,7 @@ use flashmark_sanitizer::{SanitizedFlash, ViolationKind};
 
 use crate::harness::test_chip;
 use crate::impl_to_json;
+use crate::observability::ObsCampaignData;
 use crate::suite::Profile;
 
 const N_PE: u64 = 80_000;
@@ -158,7 +165,7 @@ pub(crate) enum Scenario {
     Blank,
 }
 
-pub(crate) const SCENARIOS: [Scenario; 3] = [Scenario::Accept, Scenario::Reject, Scenario::Blank];
+const SCENARIOS: [Scenario; 3] = [Scenario::Accept, Scenario::Reject, Scenario::Blank];
 
 impl Scenario {
     pub(crate) const fn name(self) -> &'static str {
@@ -170,10 +177,16 @@ impl Scenario {
     }
 }
 
-/// Independent trials of a profile's campaign (for suite bookkeeping).
+/// Independent trials of a profile's campaign.
 #[must_use]
 pub fn fault_campaign_trials(profile: Profile) -> usize {
     fault_grid(profile).len() * SCENARIOS.len() * trials_per_cell(profile)
+}
+
+/// The (scenario, fault class) of cell `cell`: scenario-major, then grid
+/// order. Trial `i` belongs to cell `i / trials_per_cell(profile)`.
+pub(crate) fn cell_of(grid: &[FaultClass], cell: usize) -> (Scenario, &FaultClass) {
+    (SCENARIOS[cell / grid.len()], &grid[cell % grid.len()])
 }
 
 pub(crate) const fn trials_per_cell(profile: Profile) -> usize {
@@ -350,8 +363,19 @@ pub(crate) fn run_trial(
     })
 }
 
+/// A completed campaign: the fault artifact and the obs aggregate of the
+/// same trials.
+#[derive(Debug, Clone)]
+pub struct FaultCampaignRun {
+    /// The `fault_campaign.json` artifact.
+    pub data: FaultCampaignData,
+    /// The `obs_report.json` artifact.
+    pub obs: ObsCampaignData,
+}
+
 /// Runs the campaign: `fault_campaign_trials(profile)` independent trials,
-/// fanned out over the runner, aggregated in trial order.
+/// fanned out over the runner with a fresh collector (ring size
+/// [`DEFAULT_EVENT_CAPACITY`]) around each, aggregated in trial order.
 ///
 /// # Errors
 ///
@@ -359,23 +383,21 @@ pub(crate) fn run_trial(
 pub fn fault_campaign(
     runner: &TrialRunner,
     profile: Profile,
-) -> Result<FaultCampaignData, CoreError> {
+) -> Result<FaultCampaignRun, CoreError> {
     let grid = fault_grid(profile);
     let reps = trials_per_cell(profile);
     let cells = SCENARIOS.len() * grid.len();
 
-    let outcomes = runner.run(cells * reps, |trial| {
-        let cell = trial.index / reps;
-        let scenario = SCENARIOS[cell / grid.len()];
-        let class = &grid[cell % grid.len()];
+    let run = run_instrumented(runner, cells * reps, DEFAULT_EVENT_CAPACITY, |trial| {
+        let (scenario, class) = cell_of(&grid, trial.index / reps);
         run_trial(trial.seed, scenario, class)
     });
-    let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let obs = ObsCampaignData::from_report(runner.experiment_seed(), profile, &run.report());
+    let outcomes = run.outputs.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     let mut rows = Vec::with_capacity(cells);
     for (cell, chunk) in outcomes.chunks(reps).enumerate() {
-        let scenario = SCENARIOS[cell / grid.len()];
-        let class = &grid[cell % grid.len()];
+        let (scenario, class) = cell_of(&grid, cell);
         let bers: Vec<f64> = chunk.iter().filter_map(|o| o.ber).collect();
         rows.push(FaultCampaignRow {
             scenario: scenario.name(),
@@ -404,12 +426,9 @@ pub fn fault_campaign(
 
     let reject_to_accept_total = rows.iter().map(|r| r.reject_to_accept).sum();
     let wear_decrease_total = rows.iter().map(|r| r.wear_decreases).sum();
-    Ok(FaultCampaignData {
+    let data = FaultCampaignData {
         seed: runner.experiment_seed(),
-        profile: match profile {
-            Profile::Full => "full",
-            Profile::Smoke => "smoke",
-        },
+        profile: profile.name(),
         n_pe: N_PE,
         replicas: REPLICAS,
         t_pew_us: T_PEW_US,
@@ -417,7 +436,8 @@ pub fn fault_campaign(
         rows,
         reject_to_accept_total,
         wear_decrease_total,
-    })
+    };
+    Ok(FaultCampaignRun { data, obs })
 }
 
 #[cfg(test)]
@@ -441,15 +461,16 @@ mod tests {
     #[test]
     fn smoke_campaign_upholds_the_invariants_at_any_thread_count() {
         let serial = fault_campaign(&TrialRunner::with_threads(42, 1), Profile::Smoke).unwrap();
+        let data = &serial.data;
         assert!(
-            serial.invariants_hold(),
+            data.invariants_hold(),
             "reject→accept flip or wear decrease"
         );
-        assert_eq!(serial.rows.len(), fault_grid(Profile::Smoke).len() * 3);
+        assert_eq!(data.rows.len(), fault_grid(Profile::Smoke).len() * 3);
         // The genuine population survives faults: a decent fraction of
         // accept-scenario faulted runs still verify (the rest degrade to
         // Inconclusive, never to a silent wrong answer).
-        let accept_faulted: usize = serial
+        let accept_faulted: usize = data
             .rows
             .iter()
             .filter(|r| r.scenario == "accept")
@@ -457,6 +478,7 @@ mod tests {
             .sum();
         assert!(accept_faulted > 0);
 
+        // Both artifacts, the fault rows and the obs aggregate.
         let parallel = fault_campaign(&TrialRunner::with_threads(42, 8), Profile::Smoke).unwrap();
         assert_eq!(
             format!("{serial:?}"),

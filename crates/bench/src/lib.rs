@@ -19,6 +19,9 @@
 //! | die temperature vs window | [`experiments::temperature_sweep`] | `temperature_sweep` |
 //! | recycled-detector baselines | [`experiments::detector_comparison`] | `detector_comparison` |
 //! | Flashmark on NAND | [`experiments::nand_demo`] | `nand_demo` |
+//! | no reject→accept flip under faults (§III) | [`fault_campaign::fault_campaign`] | `fault_campaign` (also `obs_report.json`) |
+//! | 10 k-request verification service | [`service_campaign::run_service_campaign`] | `service_campaign_smoke` |
+//! | NOR / NAND / ReRAM backends | [`backend_campaign::run_backend_campaign`] | `backend_campaign` |
 //!
 //! `run_all` is the one regeneration command: it runs every step and
 //! emits a Markdown report comparing paper numbers with measured ones (the
@@ -28,6 +31,9 @@
 //! ```text
 //! cargo run --release -p flashmark-bench --bin run_all
 //! ```
+//!
+//! The one artifact too slow for the suite, the million-request
+//! `service_campaign.json`, has its own bin, `service_campaign`.
 
 pub mod backend_campaign;
 pub mod experiments;

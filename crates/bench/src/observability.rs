@@ -1,14 +1,13 @@
-//! The observability campaign behind `results/obs_report.json` and the
-//! `obs_dump` timeline tool.
+//! The `results/obs_report.json` aggregate and the `obs_dump` timeline
+//! tool.
 //!
-//! [`obs_campaign`] re-runs the differential fault-injection grid of
-//! [`crate::fault_campaign`] with a per-trial
-//! [`Collector`](flashmark_obs::Collector) installed around every trial,
-//! then merges the collectors **in trial order** into a deterministic
-//! aggregate: counters, histograms, and per-trial summaries that are
-//! byte-identical at any `--threads` count. Wall-clock timings never enter
-//! the aggregate — the suite quarantines them into
-//! `results/obs_timings.json`, which the determinism test skips.
+//! [`crate::fault_campaign::fault_campaign`] runs every trial of the
+//! fault-injection grid under a per-trial
+//! [`Collector`](flashmark_obs::Collector) and merges the collectors **in
+//! trial order** into [`ObsCampaignData`]: counters, histograms, and
+//! per-trial summaries that are byte-identical at any `--threads` count.
+//! Wall-clock timings never enter the aggregate; the suite reports the
+//! step's wall time in its runtime table only.
 //!
 //! [`dump_trial`] replays a single trial of the same campaign serially
 //! with a large event ring and renders its op-ordered event timeline —
@@ -17,11 +16,12 @@
 
 use std::fmt::Write as _;
 
-use flashmark_core::CoreError;
-use flashmark_obs::run_instrumented;
+use flashmark_obs::{run_instrumented, ObsReport};
 use flashmark_par::TrialRunner;
 
-use crate::fault_campaign::{fault_grid, run_trial, trials_per_cell, SCENARIOS};
+use crate::fault_campaign::{
+    cell_of, fault_campaign_trials, fault_grid, run_trial, trials_per_cell,
+};
 use crate::impl_to_json;
 use crate::suite::Profile;
 
@@ -123,79 +123,45 @@ impl ObsCampaignData {
             .map(|c| c.count)
             .sum()
     }
-}
 
-/// Independent trials of a profile's observability campaign (identical to
-/// the fault campaign's trial count — it is the same grid, instrumented).
-#[must_use]
-pub fn obs_campaign_trials(profile: Profile) -> usize {
-    fault_grid(profile).len() * SCENARIOS.len() * trials_per_cell(profile)
-}
-
-const fn profile_name(profile: Profile) -> &'static str {
-    match profile {
-        Profile::Full => "full",
-        Profile::Smoke => "smoke",
+    /// The artifact form of a merged report from the seed-`seed` campaign.
+    pub(crate) fn from_report(seed: u64, profile: Profile, report: &ObsReport) -> Self {
+        Self {
+            seed,
+            profile: profile.name(),
+            trials: report.trials(),
+            total_ops: report.total_ops(),
+            events_dropped: report.events_dropped(),
+            counters: report
+                .metrics()
+                .counters()
+                .map(|(group, name, count)| ObsCounterRow {
+                    group: group.to_string(),
+                    name: name.to_string(),
+                    count,
+                })
+                .collect(),
+            histograms: report
+                .metrics()
+                .histograms()
+                .map(|(metric, bucket, count)| ObsHistogramRow {
+                    metric: metric.to_string(),
+                    bucket,
+                    count,
+                })
+                .collect(),
+            per_trial: report
+                .per_trial()
+                .iter()
+                .map(|t| ObsTrialRow {
+                    trial_index: t.trial_index,
+                    ops: t.ops,
+                    events_retained: t.events_retained,
+                    dropped: t.dropped,
+                })
+                .collect(),
+        }
     }
-}
-
-/// Runs the instrumented campaign: every trial of the fault grid under a
-/// fresh per-trial collector, merged in trial order.
-///
-/// # Errors
-///
-/// Configuration or flash errors from any trial.
-pub fn obs_campaign(runner: &TrialRunner, profile: Profile) -> Result<ObsCampaignData, CoreError> {
-    let grid = fault_grid(profile);
-    let reps = trials_per_cell(profile);
-    let n = SCENARIOS.len() * grid.len() * reps;
-
-    let run = run_instrumented(runner, n, flashmark_obs::DEFAULT_EVENT_CAPACITY, |trial| {
-        let cell = trial.index / reps;
-        let scenario = SCENARIOS[cell / grid.len()];
-        let class = &grid[cell % grid.len()];
-        run_trial(trial.seed, scenario, class)
-    });
-    if let Some(err) = run.outputs.iter().find_map(|o| o.as_ref().err()) {
-        return Err(err.clone());
-    }
-
-    let report = run.report();
-    Ok(ObsCampaignData {
-        seed: runner.experiment_seed(),
-        profile: profile_name(profile),
-        trials: report.trials(),
-        total_ops: report.total_ops(),
-        events_dropped: report.events_dropped(),
-        counters: report
-            .metrics()
-            .counters()
-            .map(|(group, name, count)| ObsCounterRow {
-                group: group.to_string(),
-                name: name.to_string(),
-                count,
-            })
-            .collect(),
-        histograms: report
-            .metrics()
-            .histograms()
-            .map(|(metric, bucket, count)| ObsHistogramRow {
-                metric: metric.to_string(),
-                bucket,
-                count,
-            })
-            .collect(),
-        per_trial: report
-            .per_trial()
-            .iter()
-            .map(|t| ObsTrialRow {
-                trial_index: t.trial_index,
-                ops: t.ops,
-                events_retained: t.events_retained,
-                dropped: t.dropped,
-            })
-            .collect(),
-    })
 }
 
 /// Ring capacity for [`dump_trial`]: large enough that a single smoke
@@ -233,11 +199,11 @@ pub fn dump_trial(
 ) -> Result<String, Box<dyn std::error::Error>> {
     let grid = fault_grid(profile);
     let reps = trials_per_cell(profile);
-    let n = SCENARIOS.len() * grid.len() * reps;
+    let n = fault_campaign_trials(profile);
     if trial_index >= n {
         return Err(format!(
             "trial {trial_index} out of range: the {} campaign has {n} trials (0..={})",
-            profile_name(profile),
+            profile.name(),
             n - 1
         )
         .into());
@@ -248,25 +214,21 @@ pub fn dump_trial(
         if trial.index != trial_index {
             return Ok(None);
         }
-        let cell = trial.index / reps;
-        let scenario = SCENARIOS[cell / grid.len()];
-        let class = &grid[cell % grid.len()];
+        let (scenario, class) = cell_of(&grid, trial.index / reps);
         run_trial(trial.seed, scenario, class).map(Some)
     });
     if let Some(err) = run.outputs.iter().find_map(|o| o.as_ref().err()) {
         return Err(err.clone().into());
     }
 
-    let cell = trial_index / reps;
-    let scenario = SCENARIOS[cell / grid.len()];
-    let class = &grid[cell % grid.len()];
+    let (scenario, class) = cell_of(&grid, trial_index / reps);
     let collector = &run.collectors[trial_index];
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "trial {trial_index} of {n} (campaign seed {seed}, {} profile)",
-        profile_name(profile)
+        profile.name()
     );
     let _ = writeln!(
         out,
@@ -294,12 +256,13 @@ pub fn dump_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault_campaign::fault_campaign;
 
     #[test]
     fn smoke_campaign_counts_verdicts_and_faults() {
         let runner = TrialRunner::with_threads(42, 2);
-        let data = obs_campaign(&runner, Profile::Smoke).unwrap();
-        assert_eq!(data.trials as usize, obs_campaign_trials(Profile::Smoke));
+        let data = fault_campaign(&runner, Profile::Smoke).unwrap().obs;
+        assert_eq!(data.trials as usize, fault_campaign_trials(Profile::Smoke));
         assert_eq!(data.per_trial.len(), data.trials as usize);
         // Every trial runs a golden and a faulted verify — two verdicts.
         assert_eq!(data.group_total("verdict"), 2 * data.trials);
@@ -307,13 +270,6 @@ mod tests {
         assert!(data.group_total("fault") > 0, "no fault firings observed");
         assert!(data.counter("span", "verify_resilient") >= 2 * data.trials);
         assert!(data.total_ops > 0);
-    }
-
-    #[test]
-    fn campaign_is_identical_across_thread_counts() {
-        let serial = obs_campaign(&TrialRunner::with_threads(42, 1), Profile::Smoke).unwrap();
-        let parallel = obs_campaign(&TrialRunner::with_threads(42, 8), Profile::Smoke).unwrap();
-        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -343,7 +299,7 @@ mod tests {
 
     #[test]
     fn dump_rejects_out_of_range_trials() {
-        let n = obs_campaign_trials(Profile::Smoke);
+        let n = fault_campaign_trials(Profile::Smoke);
         assert!(dump_trial(42, n, Profile::Smoke).is_err());
     }
 }

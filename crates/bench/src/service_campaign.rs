@@ -73,7 +73,8 @@ impl ServiceCampaignOptions {
         }
     }
 
-    /// The committed CI smoke campaign (`results/service_campaign_smoke.json`).
+    /// The Full suite's 10 k-request campaign
+    /// (`results/service_campaign_smoke.json`).
     #[must_use]
     pub fn smoke(threads: usize) -> Self {
         Self {

@@ -3,14 +3,15 @@
 //! `results/experiments_report.md` paper-vs-measured report.
 //!
 //! `run_all` is a thin wrapper over [`run_suite`], the only writer of
-//! experiment artifacts. The workspace determinism test runs the
-//! [`Profile::Smoke`] suite at 1 and 8 threads, asserts byte-identical JSON
-//! artifacts, and fails if `results/` holds a file the suite does not write
-//! (other than the outputs of the campaign bins, `perf_smoke`, the registry
-//! golden test and the lint). Wall-clock timings appear
-//! only in the Markdown report, `BENCH_runtime.json`, and the quarantined
-//! `obs_timings.json`, never in the experiment JSONs, so the determinism
-//! guarantee covers every other `*.json` artifact (including
+//! experiment artifacts, the fault, obs and backend campaigns included.
+//! The workspace determinism test runs the [`Profile::Smoke`] suite at 1
+//! and 8 threads, asserts byte-identical JSON artifacts, and fails if
+//! `results/` holds a file the suite does not write (other than the
+//! million-request `service_campaign` bin's outputs, `perf_smoke`, the
+//! registry golden test and the lint). Wall-clock timings appear only in
+//! the Markdown report, `BENCH_runtime.json`, and the quarantined
+//! `service_timings.json`, never in the experiment JSONs, so the
+//! determinism guarantee covers every other `*.json` artifact (including
 //! `obs_report.json`).
 
 use std::fmt::Write as _;
@@ -24,17 +25,23 @@ use flashmark_par::TrialRunner;
 use flashmark_physics::{Micros, PhysicsParams};
 use flashmark_supply::{ScenarioConfig, SupplyChainScenario};
 
+use crate::backend_campaign::{
+    run_backend_campaign, BackendCampaignData, BackendCampaignOptions, Scenario as BackendScenario,
+    BACKEND_SCHEMES,
+};
 use crate::experiments::{
     detector_comparison, ecc_ablation, fig04, fig05, fig09, fig10, fig11, nand_demo, npe_sweep,
     read_majority_ablation, recycled_probe, table1, temperature_sweep, BerSeries,
 };
-use crate::fault_campaign::{fault_campaign, fault_campaign_trials};
+use crate::fault_campaign::{fault_campaign, fault_campaign_trials, FaultCampaignRun};
 use crate::impl_to_json;
 use crate::microbench::kernel_suite;
-use crate::observability::{obs_campaign, obs_campaign_trials};
 use crate::output::write_json_in;
 use crate::paper;
-use crate::trend::{append_and_report, suite_record};
+use crate::service_campaign::{
+    run_service_campaign, ServiceCampaignData, ServiceCampaignOptions, ServiceTimings,
+};
+use crate::trend::{append_and_report, backend_trend_record, suite_record};
 
 /// How much work the suite does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +50,17 @@ pub enum Profile {
     Full,
     /// Reduced trials/sweeps for CI and the determinism test.
     Smoke,
+}
+
+impl Profile {
+    /// The name artifacts record (`full` / `smoke`).
+    #[must_use]
+    pub(crate) const fn name(self) -> &'static str {
+        match self {
+            Self::Full => "full",
+            Self::Smoke => "smoke",
+        }
+    }
 }
 
 /// Suite configuration.
@@ -100,21 +118,6 @@ impl_to_json!(FamilySummary {
     recipe_t_pew_us,
     recipe_window,
     optimum_spread_us
-});
-
-/// The `obs_timings.json` artifact: the observability step's wall clock,
-/// quarantined away from the deterministic `obs_report.json` so the latter
-/// stays byte-identical across machines and thread counts.
-#[derive(Debug)]
-struct ObsTimings {
-    wall_s: f64,
-    threads: usize,
-    trials: u64,
-}
-impl_to_json!(ObsTimings {
-    wall_s,
-    threads,
-    trials
 });
 
 /// One profile's row in the `physics_params.json` artifact: the scalar
@@ -729,24 +732,28 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
     });
 
     // Trend-record ingredients the later steps capture: the fault
-    // campaign's flip count, the obs campaign's op count, and the service
-    // campaign's deterministic summary.
+    // campaign's flip and op counts, the service campaign's deterministic
+    // summary, and the backend campaign's per-scheme verdict mix.
     let mut fault_flips: Option<u64> = None;
     let mut obs_ops: Option<u64> = None;
-    let mut service_data: Option<crate::service_campaign::ServiceCampaignData> = None;
+    let mut service_data: Option<ServiceCampaignData> = None;
+    let mut backend_data: Option<BackendCampaignData> = None;
 
-    // Differential fault-injection campaign (seed 42 matches the
-    // `fault_campaign` bin default, so the committed artifact and the
-    // suite's agree).
+    // Differential fault-injection campaign, instrumented: one run of the
+    // grid yields both fault_campaign.json and the obs aggregate
+    // obs_report.json. The step fails on any reject→accept flip or wear
+    // decrease.
     step(
         &mut outcomes,
         &mut md,
         "fault_campaign",
         fault_campaign_trials(opts.profile),
         |md| {
-            let fc = fault_campaign(&runner(42), opts.profile)?;
+            let FaultCampaignRun { data: fc, obs } = fault_campaign(&runner(42), opts.profile)?;
             fault_flips = Some(fc.reject_to_accept_total as u64);
+            obs_ops = Some(obs.total_ops);
             write_json_in(dir, "fault_campaign", &fc)?;
+            write_json_in(dir, "obs_report", &obs)?;
             row(
                 md,
                 "fault injection",
@@ -761,40 +768,12 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
                 "0 (invariant)".into(),
                 format!("{}", fc.wear_decrease_total),
             );
-            if !fc.invariants_hold() {
-                return Err("fault campaign invariant violated".into());
-            }
-            Ok(())
-        },
-    );
-
-    // Observability: the same fault grid, instrumented. The deterministic
-    // aggregate goes to obs_report.json (covered by the determinism test);
-    // the step's wall clock is quarantined into obs_timings.json, the one
-    // JSON artifact the test skips.
-    step(
-        &mut outcomes,
-        &mut md,
-        "obs_report",
-        obs_campaign_trials(opts.profile),
-        |md| {
-            let t0 = Instant::now();
-            let data = obs_campaign(&runner(42), opts.profile)?;
-            let wall_s = t0.elapsed().as_secs_f64();
-            obs_ops = Some(data.total_ops);
-            write_json_in(dir, "obs_report", &data)?;
-            let timings = ObsTimings {
-                wall_s,
-                threads: opts.threads,
-                trials: data.trials,
-            };
-            write_json_in(dir, "obs_timings", &timings)?;
             row(
                 md,
                 "observability",
                 "events traced across fault campaign",
                 "—".into(),
-                format!("{} ({} trials)", data.total_ops, data.trials),
+                format!("{} ({} trials)", obs.total_ops, obs.trials),
             );
             row(
                 md,
@@ -803,8 +782,8 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
                 "—".into(),
                 format!(
                     "{} / {}",
-                    data.group_total("fault"),
-                    data.group_total("sanitizer")
+                    obs.group_total("fault"),
+                    obs.group_total("sanitizer")
                 ),
             );
             row(
@@ -814,9 +793,9 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
                 "—".into(),
                 format!(
                     "{} : {} : {}",
-                    data.counter("verdict", "genuine"),
-                    data.counter("verdict", "counterfeit"),
-                    data.counter("verdict", "inconclusive"),
+                    obs.counter("verdict", "genuine"),
+                    obs.counter("verdict", "counterfeit"),
+                    obs.counter("verdict", "inconclusive"),
                 ),
             );
             row(
@@ -824,23 +803,24 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
                 "observability",
                 "events dropped by trial ring buffers",
                 "0".into(),
-                format!("{}", data.events_dropped),
+                format!("{}", obs.events_dropped),
             );
+            if !fc.invariants_hold() {
+                return Err("fault campaign invariant violated".into());
+            }
             Ok(())
         },
     );
 
-    // Verification-service campaign. The deterministic summary goes to
-    // service_campaign_smoke.json (the CI `service-smoke` diff target —
-    // the Full profile writes the same 10 k-request shape the
-    // `service_campaign --smoke` bin produces); wall clock is quarantined
-    // into service_timings.json like obs_timings.json. The committed
-    // million-request service_campaign.json comes from the bin's default
-    // run, not the suite.
+    // Verification-service campaign at 10 k requests (1 k on Smoke). The
+    // deterministic summary goes to service_campaign_smoke.json, and wall
+    // clock is quarantined into service_timings.json. The committed
+    // million-request service_campaign.json comes from the
+    // `service_campaign` bin, not the suite.
     let svc_opts = if smoke {
-        crate::service_campaign::ServiceCampaignOptions::tiny(opts.threads)
+        ServiceCampaignOptions::tiny(opts.threads)
     } else {
-        crate::service_campaign::ServiceCampaignOptions::smoke(opts.threads)
+        ServiceCampaignOptions::smoke(opts.threads)
     };
     step(
         &mut outcomes,
@@ -849,12 +829,12 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
         svc_opts.requests as usize,
         |md| {
             let t0 = Instant::now();
-            let run = crate::service_campaign::run_service_campaign(&svc_opts, |_| {})?;
+            let run = run_service_campaign(&svc_opts, |_| {})?;
             let wall_s = t0.elapsed().as_secs_f64();
             let data = run.data;
             write_json_in(dir, "service_campaign_smoke", &data)?;
             fs::write(dir.join("service_metrics_smoke.prom"), &run.exposition)?;
-            let timings = crate::service_campaign::ServiceTimings {
+            let timings = ServiceTimings {
                 threads: opts.threads,
                 requests: data.requests,
                 wall_s,
@@ -893,28 +873,22 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
     );
 
     // Differential backend campaign: the same scenario grid through every
-    // `WatermarkScheme` backend (NOR tPEW / NAND PUF / ReRAM forming).
-    // The deterministic summary goes to backend_campaign_smoke.json (the
-    // CI `backend-smoke` diff target — the Full profile writes the same
-    // shape the `backend_campaign --smoke` bin produces); the committed
-    // full-size backend_campaign.json and the per-scheme trend records
-    // come from the bin's default run, not the suite.
+    // `WatermarkScheme` backend (NOR tPEW / NAND PUF / ReRAM forming),
+    // written to backend_campaign.json. The step fails when a scenario
+    // misses its ground-truth verdict.
     let be_opts = if smoke {
-        crate::backend_campaign::BackendCampaignOptions::tiny(opts.threads)
+        BackendCampaignOptions::tiny(opts.threads)
     } else {
-        crate::backend_campaign::BackendCampaignOptions::smoke(opts.threads)
+        BackendCampaignOptions::full(opts.threads)
     };
-    let be_trials = be_opts.trials
-        * crate::backend_campaign::Scenario::ALL.len()
-        * crate::backend_campaign::BACKEND_SCHEMES.len();
     step(
         &mut outcomes,
         &mut md,
-        "backend_campaign_smoke",
-        be_trials,
+        "backend_campaign",
+        be_opts.trials * BackendScenario::ALL.len() * BACKEND_SCHEMES.len(),
         |md| {
-            let data = crate::backend_campaign::run_backend_campaign(&be_opts)?;
-            write_json_in(dir, "backend_campaign_smoke", &data)?;
+            let data = backend_data.insert(run_backend_campaign(&be_opts)?);
+            write_json_in(dir, "backend_campaign", data)?;
             for s in &data.schemes {
                 row(
                     md,
@@ -1013,12 +987,24 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
     write_json_in(dir, "physics_params", &params_report())?;
 
     // Append this run to the cross-run trend log and regenerate the drift
-    // report. Deterministic inputs only (verdict mix, flips, op counts),
-    // so the appended line — and the report — are byte-identical at any
-    // thread count. Skipped when the service step failed: a partial
-    // record would start a non-comparable trend group.
-    if let Some(svc) = &service_data {
-        let report = append_and_report(dir, suite_record(svc, fault_flips, obs_ops))?;
+    // report: the suite record, then one backend record per scheme, so
+    // `trend_check` gates each backend's detection drift on its own.
+    // Deterministic inputs only (verdict mix, flips, op counts), so the
+    // appended lines — and the report — are byte-identical at any thread
+    // count. The suite record is skipped when the service step failed: a
+    // partial record would start a non-comparable trend group.
+    let mut records: Vec<_> = service_data
+        .iter()
+        .map(|svc| suite_record(svc, fault_flips, obs_ops))
+        .collect();
+    if let Some(be) = &backend_data {
+        records.extend(be.schemes.iter().map(|s| backend_trend_record(be, s)));
+    }
+    let mut trend = None;
+    for record in records {
+        trend = Some(append_and_report(dir, record)?);
+    }
+    if let Some(report) = trend {
         let _ = writeln!(
             md,
             "\n## Trend\n\n{} run(s) on record; drift gates {} \

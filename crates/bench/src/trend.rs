@@ -5,14 +5,14 @@
 //! from the verified log:
 //!
 //! * the suite appends a `"suite"` record — service verdict mix,
-//!   fault-campaign flip count, obs op count (deterministic: no perf);
+//!   fault-campaign flip count, obs op count (deterministic: no perf) —
+//!   and then one `"backend"` record **per scheme** of its backend
+//!   campaign (NOR tPEW / NAND PUF / ReRAM forming), so detection drift
+//!   gates each technology backend independently;
 //! * the `service_campaign` bin appends a `"service"` record for the
-//!   standalone campaign it ran;
+//!   million-request campaign it ran;
 //! * `perf_smoke` appends a `"perf"` record carrying the kernel
-//!   throughputs (wall-clock-bearing, so drift on it only ever warns);
-//! * the `backend_campaign` bin appends one `"backend"` record **per
-//!   scheme** (NOR tPEW / NAND PUF / ReRAM forming), so detection drift
-//!   gates each technology backend independently.
+//!   throughputs (wall-clock-bearing, so drift on it only ever warns).
 //!
 //! The `trend_check` bin re-verifies the chained log, recomputes the
 //! drift report, and fails CI on any detection-rate drift.

@@ -85,10 +85,7 @@ pub use pipeline::{inspect, provision, roundtrip};
 pub use recipe::{
     characterize_sample, derive_recipe, fuse_windows, ExtractionRecipe, FamilyCharacterization,
 };
-pub use sanitized::{
-    characterize_sanitized, extract_sanitized, imprint_sanitized, imprint_via_cycles_sanitized,
-    run_sanitized, SanitizedOutcome,
-};
+pub use sanitized::run_sanitized;
 pub use scheme::{ImprintCost, SchemeError, SchemeVerification, WatermarkScheme};
 pub use tamper::{BalancePolicy, FlipAsymmetry};
 pub use verify::{

@@ -144,7 +144,7 @@ impl<'a> MultiSegment<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashmark_nor::interface::{FlashInterfaceExt, ImprintTiming};
+    use flashmark_nor::interface::ImprintTiming;
     use flashmark_nor::{FlashController, FlashGeometry, FlashTimings};
     use flashmark_physics::{Micros, PhysicsParams};
 
@@ -230,7 +230,7 @@ mod tests {
         let wm = Watermark::from_ascii("X").unwrap();
         ms.imprint(&mut f, &wm).unwrap();
         for &seg in ms.segments() {
-            let words = f.read_segment(seg).unwrap();
+            let words = f.read_block(seg).unwrap();
             assert!(
                 words.iter().any(|&w| w != 0xFFFF),
                 "segment {seg} untouched"

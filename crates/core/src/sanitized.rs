@@ -1,41 +1,16 @@
-//! Sanitized entry points: run the Flashmark procedures under the
+//! The sanitized entry point: run any Flashmark procedure under the
 //! flash-protocol sanitizer and get the violation report back with the
 //! result.
 //!
-//! These wrap the flash in a [`SanitizedFlash`] (policy
+//! [`run_sanitized`] wraps the flash in a [`SanitizedFlash`] (policy
 //! [`Collect`](flashmark_sanitizer::Policy::Collect)) for the duration of
-//! one procedure. The sanitizer never changes behavior, so the value
+//! one closure. The sanitizer never changes behavior, so the value
 //! computed is identical to the unsanitized call — what's added is the
 //! [`Violation`] list. The test suite runs the clean-path algorithm tests
-//! through these to prove the reference flows are protocol-clean.
+//! through it to prove the reference flows are protocol-clean.
 
-use flashmark_nor::{BulkStress, FlashInterface, SegmentAddr};
+use flashmark_nor::FlashInterface;
 use flashmark_sanitizer::{SanitizedFlash, Violation};
-
-use crate::characterize::{characterize_segment, CharacterizationCurve, SweepSpec};
-use crate::config::FlashmarkConfig;
-use crate::error::CoreError;
-use crate::extract::{Extraction, Extractor};
-use crate::imprint::{ImprintReport, Imprinter};
-use crate::watermark::Watermark;
-
-/// A procedure result together with the protocol violations (if any)
-/// detected while producing it.
-#[derive(Debug, Clone)]
-pub struct SanitizedOutcome<T> {
-    /// The procedure's normal result.
-    pub value: T,
-    /// Violations collected during the run, in detection order.
-    pub violations: Vec<Violation>,
-}
-
-impl<T> SanitizedOutcome<T> {
-    /// Whether the run was protocol-clean.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
 
 /// Runs `op` against a sanitizer-wrapped borrow of `flash` and returns its
 /// result alongside the collected violations (also on error — a failing run
@@ -50,82 +25,4 @@ where
     let mut sanitized = SanitizedFlash::new(&mut *flash);
     let result = op(&mut sanitized);
     (result, sanitized.take_violations())
-}
-
-/// [`Imprinter::imprint`] under the sanitizer.
-///
-/// # Errors
-///
-/// Same as [`Imprinter::imprint`]; violations collected before the error
-/// are discarded — use [`run_sanitized`] to keep them.
-pub fn imprint_sanitized<F: BulkStress>(
-    config: &FlashmarkConfig,
-    flash: &mut F,
-    seg: SegmentAddr,
-    wm: &Watermark,
-) -> Result<SanitizedOutcome<ImprintReport>, CoreError> {
-    let mut sanitized = SanitizedFlash::new(&mut *flash);
-    let value = Imprinter::new(config).imprint(&mut sanitized, seg, wm)?;
-    Ok(SanitizedOutcome {
-        value,
-        violations: sanitized.take_violations(),
-    })
-}
-
-/// [`Imprinter::imprint_via_cycles`] (the faithful Fig. 7 loop) under the
-/// sanitizer.
-///
-/// # Errors
-///
-/// Same as [`Imprinter::imprint_via_cycles`].
-pub fn imprint_via_cycles_sanitized<F: FlashInterface>(
-    config: &FlashmarkConfig,
-    flash: &mut F,
-    seg: SegmentAddr,
-    wm: &Watermark,
-) -> Result<SanitizedOutcome<ImprintReport>, CoreError> {
-    let mut sanitized = SanitizedFlash::new(&mut *flash);
-    let value = Imprinter::new(config).imprint_via_cycles(&mut sanitized, seg, wm)?;
-    Ok(SanitizedOutcome {
-        value,
-        violations: sanitized.take_violations(),
-    })
-}
-
-/// [`Extractor::extract`] (the Fig. 8 procedure) under the sanitizer.
-///
-/// # Errors
-///
-/// Same as [`Extractor::extract`].
-pub fn extract_sanitized<F: FlashInterface>(
-    config: &FlashmarkConfig,
-    flash: &mut F,
-    seg: SegmentAddr,
-    data_len: usize,
-) -> Result<SanitizedOutcome<Extraction>, CoreError> {
-    let mut sanitized = SanitizedFlash::new(&mut *flash);
-    let value = Extractor::new(config).extract(&mut sanitized, seg, data_len)?;
-    Ok(SanitizedOutcome {
-        value,
-        violations: sanitized.take_violations(),
-    })
-}
-
-/// [`characterize_segment`] (the Fig. 3/4 sweep) under the sanitizer.
-///
-/// # Errors
-///
-/// Same as [`characterize_segment`].
-pub fn characterize_sanitized<F: FlashInterface>(
-    flash: &mut F,
-    seg: SegmentAddr,
-    sweep: &SweepSpec,
-    reads: usize,
-) -> Result<SanitizedOutcome<CharacterizationCurve>, CoreError> {
-    let mut sanitized = SanitizedFlash::new(&mut *flash);
-    let value = characterize_segment(&mut sanitized, seg, sweep, reads)?;
-    Ok(SanitizedOutcome {
-        value,
-        violations: sanitized.take_violations(),
-    })
 }

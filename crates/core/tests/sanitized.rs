@@ -1,11 +1,10 @@
 //! The reference Flashmark flows are flash-protocol clean: imprinting,
 //! extraction, and characterization run under the sanitizer without a
-//! single violation, and the sanitized entry points return the same values
-//! as the unsanitized ones.
+//! single violation, and return the same values as unsanitized runs.
 
 use flashmark_core::{
-    characterize_sanitized, extract_sanitized, imprint_sanitized, imprint_via_cycles_sanitized,
-    run_sanitized, Extractor, FlashmarkConfig, Imprinter, SweepSpec, Watermark,
+    characterize_segment, run_sanitized, Extractor, FlashmarkConfig, Imprinter, SweepSpec,
+    Watermark,
 };
 use flashmark_nor::{
     FlashController, FlashGeometry, FlashInterface, FlashTimings, SegmentAddr, WordAddr,
@@ -38,21 +37,22 @@ fn imprint_then_extract_is_protocol_clean() {
     let wm = Watermark::from_ascii("OK").unwrap();
     let seg = SegmentAddr::new(0);
 
-    let imprinted = imprint_sanitized(&config, &mut f, seg, &wm).unwrap();
+    let (imprinted, violations) =
+        run_sanitized(&mut f, |f| Imprinter::new(&config).imprint(f, seg, &wm));
     assert!(
-        imprinted.is_clean(),
-        "imprint violated the protocol: {:?}",
-        imprinted.violations
+        violations.is_empty(),
+        "imprint violated the protocol: {violations:?}"
     );
-    assert_eq!(imprinted.value.cycles, 60_000);
+    assert_eq!(imprinted.unwrap().cycles, 60_000);
 
-    let extracted = extract_sanitized(&config, &mut f, seg, wm.len()).unwrap();
+    let (extracted, violations) = run_sanitized(&mut f, |f| {
+        Extractor::new(&config).extract(f, seg, wm.len())
+    });
     assert!(
-        extracted.is_clean(),
-        "extract violated the protocol: {:?}",
-        extracted.violations
+        violations.is_empty(),
+        "extract violated the protocol: {violations:?}"
     );
-    assert_eq!(extracted.value.bits(), wm.bits());
+    assert_eq!(extracted.unwrap().bits(), wm.bits());
 }
 
 #[test]
@@ -60,26 +60,27 @@ fn cycle_faithful_imprint_is_protocol_clean() {
     let mut f = flash(102);
     let config = cfg(60);
     let wm = Watermark::from_ascii("C").unwrap();
-    let outcome = imprint_via_cycles_sanitized(&config, &mut f, SegmentAddr::new(1), &wm).unwrap();
+    let (report, violations) = run_sanitized(&mut f, |f| {
+        Imprinter::new(&config).imprint_via_cycles(f, SegmentAddr::new(1), &wm)
+    });
     assert!(
-        outcome.is_clean(),
-        "cycle loop violated the protocol: {:?}",
-        outcome.violations
+        violations.is_empty(),
+        "cycle loop violated the protocol: {violations:?}"
     );
-    assert_eq!(outcome.value.cycles, 60);
+    assert_eq!(report.unwrap().cycles, 60);
 }
 
 #[test]
 fn characterization_sweep_is_protocol_clean() {
     let mut f = flash(103);
-    let outcome =
-        characterize_sanitized(&mut f, SegmentAddr::new(2), &SweepSpec::fig4(), 3).unwrap();
+    let (curve, violations) = run_sanitized(&mut f, |f| {
+        characterize_segment(f, SegmentAddr::new(2), &SweepSpec::fig4(), 3)
+    });
     assert!(
-        outcome.is_clean(),
-        "sweep violated the protocol: {:?}",
-        outcome.violations
+        violations.is_empty(),
+        "sweep violated the protocol: {violations:?}"
     );
-    assert!(!outcome.value.points.is_empty());
+    assert!(!curve.unwrap().points.is_empty());
 }
 
 #[test]
@@ -96,10 +97,12 @@ fn sanitized_extraction_matches_unsanitized() {
 
     let mut b = flash(104);
     Imprinter::new(&config).imprint(&mut b, seg, &wm).unwrap();
-    let sanitized = extract_sanitized(&config, &mut b, seg, wm.len()).unwrap();
+    let (sanitized, _) = run_sanitized(&mut b, |f| {
+        Extractor::new(&config).extract(f, seg, wm.len())
+    });
 
     assert_eq!(
-        sanitized.value.bits(),
+        sanitized.unwrap().bits(),
         plain.bits(),
         "sanitizer must not change behavior"
     );

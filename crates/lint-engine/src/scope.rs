@@ -40,9 +40,9 @@ fn is_tooling(crate_name: &str) -> bool {
 const SANCTIONED_RNG: &str = "crates/physics/src/rng.rs";
 
 /// The quarantined timing modules: the only library sources allowed to
-/// read the wall clock, because everything they measure lands in the
-/// `obs_timings.json` / `service_timings.json` quarantine artifacts that
-/// the determinism tests exempt by name.
+/// read the wall clock, because everything they measure lands in
+/// `service_timings.json`, `BENCH_runtime.json` or the runtime table of
+/// `experiments_report.md`, none of which the determinism tests compare.
 const WALL_CLOCK_QUARANTINE: [&str; 2] = [
     "crates/bench/src/suite.rs",
     "crates/bench/src/microbench.rs",
@@ -96,8 +96,9 @@ impl FileScope {
             // nondeterminism: even the bench *library* (where the broad
             // rule is off so it can time kernels) may only touch the
             // clock inside the two timing modules whose output lands in
-            // the `*_timings.json` quarantine artifacts. Drivers own
-            // their wall clock; the tooling spells the type names.
+            // the wall-clock artifacts the determinism tests exempt.
+            // Drivers own their wall clock; the tooling spells the type
+            // names.
             wall_clock: !is_bin && !tooling && !WALL_CLOCK_QUARANTINE.contains(&path.as_str()),
             merge_commutativity: !is_bin && !tooling,
             unsafe_audit: true,

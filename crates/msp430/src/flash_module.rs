@@ -147,7 +147,6 @@ impl BulkStress for Msp430Flash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashmark_nor::interface::FlashInterfaceExt;
 
     #[test]
     fn chip_basics() {
@@ -173,7 +172,7 @@ mod tests {
         let w = chip.geometry().first_word(seg);
         chip.program_word(w, 0xBEEF).unwrap();
         assert_eq!(chip.read_word(w).unwrap(), 0xBEEF);
-        let words = chip.read_segment(seg).unwrap();
+        let words = chip.read_block(seg).unwrap();
         assert_eq!(words[0], 0xBEEF);
     }
 

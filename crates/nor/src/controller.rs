@@ -474,7 +474,7 @@ mod tests {
         let took = ctl.erase_until_clean(seg).unwrap();
         // Fresh cells complete in well under 150 µs.
         assert!(took.get() <= 150.0, "took {took}");
-        let words = ctl.read_segment(seg).unwrap();
+        let words = ctl.read_block(seg).unwrap();
         assert!(words.iter().all(|&w| w == 0xFFFF));
     }
 

@@ -105,16 +105,6 @@ pub trait FlashInterface {
 
 /// Extension helpers over any [`FlashInterface`].
 pub trait FlashInterfaceExt: FlashInterface {
-    /// Reads every word of a segment once (delegates to the possibly-batched
-    /// [`FlashInterface::read_block`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first read error.
-    fn read_segment(&mut self, seg: SegmentAddr) -> Result<Vec<u16>, NorError> {
-        self.read_block(seg)
-    }
-
     /// Programs every word of a segment to 0 (all cells programmed) using
     /// block-write mode.
     ///
@@ -230,7 +220,7 @@ mod tests {
     use flashmark_physics::PhysicsParams;
 
     #[test]
-    fn ext_read_segment_and_program_all_zero() {
+    fn ext_program_all_zero() {
         let mut ctl = FlashController::new(
             PhysicsParams::msp430_like(),
             FlashGeometry::single_bank(2),
@@ -238,11 +228,11 @@ mod tests {
             1,
         );
         let seg = SegmentAddr::new(0);
-        let words = ctl.read_segment(seg).unwrap();
+        let words = ctl.read_block(seg).unwrap();
         assert_eq!(words.len(), 256);
         assert!(words.iter().all(|&w| w == 0xFFFF));
         ctl.program_all_zero(seg).unwrap();
-        let words = ctl.read_segment(seg).unwrap();
+        let words = ctl.read_block(seg).unwrap();
         assert!(words.iter().all(|&w| w == 0x0000));
     }
 

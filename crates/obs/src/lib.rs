@@ -11,8 +11,7 @@
 //!
 //! Determinism quarantine rule: nothing in this crate touches wall-clock
 //! time (`std::time` is banned here by `cargo xtask lint`). Timings are a
-//! bench-layer concern and live in the separate, non-gated
-//! `results/obs_timings.json`.
+//! bench-layer concern and live only in the suite's runtime report.
 //!
 //! # Example
 //!

@@ -24,8 +24,7 @@ pub struct TrialSummary {
 /// Everything in here derives from per-trial collectors merged **in trial
 /// order** with pointwise-added [`Metrics`], so the report is byte-for-byte
 /// identical at any worker-thread count. Wall-clock timings never enter
-/// this type — they are quarantined into `results/obs_timings.json` by the
-/// bench layer.
+/// this type; the bench layer reports them in the suite's runtime table.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsReport {
     trials: u64,

@@ -123,9 +123,9 @@ mod tests {
         let mut a = adapter();
         let seg = SegmentAddr::new(1);
         a.program_all_zero(seg).unwrap();
-        assert!(a.read_segment(seg).unwrap().iter().all(|&w| w == 0));
+        assert!(a.read_block(seg).unwrap().iter().all(|&w| w == 0));
         a.erase_segment(seg).unwrap();
-        assert!(a.read_segment(seg).unwrap().iter().all(|&w| w == 0xFFFF));
+        assert!(a.read_block(seg).unwrap().iter().all(|&w| w == 0xFFFF));
     }
 
     #[test]

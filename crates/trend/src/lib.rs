@@ -270,8 +270,9 @@ impl TrendLog {
 
     /// Parses and verifies a serialized log: every line must parse and be
     /// byte-equal to its canonical framing (so the chain covers the bytes,
-    /// not just the parsed values), seqs must be gap-free from 0, and every
-    /// line's chain digest must match the replayed chain.
+    /// not just the parsed values), seqs must be gap-free from 0, every
+    /// line's chain digest must match the replayed chain, and the last line
+    /// must end in `\n` (an append would otherwise land on that line).
     ///
     /// # Errors
     ///
@@ -299,6 +300,12 @@ impl TrendLog {
                 return Err(TrendError::Chain { seq });
             }
             log.append(record);
+        }
+        if !text.is_empty() && !text.ends_with('\n') {
+            return Err(TrendError::Parse(
+                log.records.len(),
+                "no final newline".to_string(),
+            ));
         }
         Ok(log)
     }
@@ -755,6 +762,27 @@ mod tests {
         // A corrupt file refuses further appends.
         std::fs::write(&path, "broken\n").unwrap();
         assert!(append_to_log(&path, record("service", 2, &[])).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_without_its_final_newline_is_refused_not_extended() {
+        let dir = std::env::temp_dir().join(format!("flashmark_trend_torn_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trend_log.jsonl");
+        let mut log = TrendLog::new();
+        log.append(record("suite", 1, &[("genuine", "accept", 5)]));
+        log.append(record("suite", 1, &[("clone", "reject", 5)]));
+        let text = log.contents();
+        let torn = text.strip_suffix('\n').unwrap();
+
+        match TrendLog::parse(torn) {
+            Err(TrendError::Parse(2, msg)) => assert!(msg.contains("newline"), "{msg}"),
+            other => panic!("torn log gave {other:?}"),
+        }
+        std::fs::write(&path, torn).unwrap();
+        assert!(append_to_log(&path, record("suite", 1, &[])).is_err());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), torn);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,7 +6,7 @@
 //! cargo run --example sanitizer
 //! ```
 
-use flashmark::core::{extract_sanitized, imprint_sanitized, FlashmarkConfig, Watermark};
+use flashmark::core::{run_sanitized, Extractor, FlashmarkConfig, Imprinter, Watermark};
 use flashmark::msp430::Msp430Flash;
 use flashmark::nor::{FlashInterface, SegmentAddr, WordAddr};
 use flashmark::physics::Micros;
@@ -22,13 +22,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     let wm = Watermark::from_ascii("TC")?;
 
-    let imprint = imprint_sanitized(&config, &mut chip, seg, &wm)?;
-    let extract = extract_sanitized(&config, &mut chip, seg, wm.len())?;
+    let (imprint, imprint_violations) =
+        run_sanitized(&mut chip, |f| Imprinter::new(&config).imprint(f, seg, &wm));
+    imprint?;
+    let (extract, extract_violations) = run_sanitized(&mut chip, |f| {
+        Extractor::new(&config).extract(f, seg, wm.len())
+    });
     println!(
         "imprint -> extract: recovered {:?}, imprint clean: {}, extract clean: {}",
-        extract.value.to_watermark()?.to_ascii().unwrap_or_default(),
-        imprint.is_clean(),
-        extract.is_clean()
+        extract?.to_watermark()?.to_ascii().unwrap_or_default(),
+        imprint_violations.is_empty(),
+        extract_violations.is_empty()
     );
 
     // --- 2. Injected faults are caught with backtraces. ---

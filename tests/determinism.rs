@@ -50,11 +50,10 @@ fn scenario_statistics_are_reproducible() {
 
 /// The committed `results/` files that the Smoke suite does not write,
 /// because another writer owns them.
-const OTHER_WRITERS: [&str; 6] = [
+const OTHER_WRITERS: [&str; 5] = [
     "BENCH_runtime.json",    // the Full suite and perf_smoke
     "service_campaign.json", // the service_campaign bin
     "service_metrics.prom",  // the service_campaign bin
-    "backend_campaign.json", // the backend_campaign bin
     "registry_golden.log",   // the registry golden-schema test
     "lint_report.json",      // cargo xtask lint
 ];
@@ -62,9 +61,9 @@ const OTHER_WRITERS: [&str; 6] = [
 /// The parallel trial engine's core guarantee: a reduced-profile `run_all`
 /// produces byte-identical JSON, `.jsonl`, and `.prom` artifacts at 1
 /// worker thread (the exact legacy serial path) and at 8. The only
-/// exceptions are `obs_timings.json` and `service_timings.json`, which
-/// exist precisely to quarantine wall-clock measurements away from the
-/// deterministic artifacts.
+/// exception is `service_timings.json`, which exists precisely to
+/// quarantine wall-clock measurements away from the deterministic
+/// artifacts.
 ///
 /// The suite is also the only writer of experiment artifacts: it writes
 /// exactly the files in `results/` apart from those another writer owns,
@@ -92,12 +91,11 @@ fn suite_json_artifacts_identical_across_thread_counts() {
         for entry in std::fs::read_dir(&dir).expect("results dir") {
             let path = entry.expect("dir entry").path();
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            // The quarantine files for wall-clock data are the only
-            // deterministic-format artifacts allowed to differ.
+            // The quarantine file for wall-clock data is the only
+            // deterministic-format artifact allowed to differ.
             if path
                 .extension()
                 .is_some_and(|e| e == "json" || e == "jsonl" || e == "prom")
-                && name != "obs_timings.json"
                 && name != "service_timings.json"
             {
                 files.insert(name, std::fs::read(&path).expect("artifact"));

@@ -2,7 +2,7 @@
 //! wrapping a device model, catching a protocol fault, and running the
 //! sanitized core entry points end to end.
 
-use flashmark::core::{extract_sanitized, imprint_sanitized, FlashmarkConfig, Watermark};
+use flashmark::core::{run_sanitized, Extractor, FlashmarkConfig, Imprinter, Watermark};
 use flashmark::msp430::Msp430Flash;
 use flashmark::nor::{FlashInterface, NorError, SegmentAddr};
 use flashmark::physics::Micros;
@@ -34,18 +34,14 @@ fn device_level_imprint_extract_is_protocol_clean() {
         .unwrap();
     let wm = Watermark::from_ascii("TC").unwrap();
 
-    let imprinted = imprint_sanitized(&config, &mut chip, seg, &wm).unwrap();
-    assert!(
-        imprinted.is_clean(),
-        "imprint violations: {:?}",
-        imprinted.violations
-    );
+    let (imprinted, violations) =
+        run_sanitized(&mut chip, |f| Imprinter::new(&config).imprint(f, seg, &wm));
+    imprinted.unwrap();
+    assert!(violations.is_empty(), "imprint violations: {violations:?}");
 
-    let extracted = extract_sanitized(&config, &mut chip, seg, wm.len()).unwrap();
-    assert!(
-        extracted.is_clean(),
-        "extract violations: {:?}",
-        extracted.violations
-    );
-    assert_eq!(extracted.value.bits(), wm.bits());
+    let (extracted, violations) = run_sanitized(&mut chip, |f| {
+        Extractor::new(&config).extract(f, seg, wm.len())
+    });
+    assert!(violations.is_empty(), "extract violations: {violations:?}");
+    assert_eq!(extracted.unwrap().bits(), wm.bits());
 }
