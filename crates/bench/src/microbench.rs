@@ -518,7 +518,14 @@ mod tests {
         let loaded = RuntimeReport::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.entries.len(), 2);
-        assert_eq!(loaded.get("experiment/fig09").unwrap().trials_per_s, 3.0);
+        assert_eq!(
+            loaded
+                .get("experiment/fig09")
+                .unwrap()
+                .trials_per_s
+                .to_bits(),
+            3.0_f64.to_bits()
+        );
         // `ops` and the derived `ns_per_op` roundtrip, including absence.
         let kernel = loaded.get("kernel/read_segment").unwrap();
         assert_eq!(kernel.ops, Some(7));

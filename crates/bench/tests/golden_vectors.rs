@@ -48,15 +48,18 @@ fn fig05_extraction_matches_committed_golden_vector() {
     let f5 = fig05(&runner, 50.0, Micros::new(field(&text, "t_pew_us"))).unwrap();
 
     assert_eq!(f5.t_pew_us.to_bits(), field(&text, "t_pew_us").to_bits());
-    assert_eq!(f5.distinguishable as f64, field(&text, "distinguishable"));
-    assert_eq!(f5.total as f64, field(&text, "total"));
+    assert_eq!(
+        (f5.distinguishable as f64).to_bits(),
+        field(&text, "distinguishable").to_bits()
+    );
+    assert_eq!((f5.total as f64).to_bits(), field(&text, "total").to_bits());
     assert_eq!(
         f5.best_t_pew_us.to_bits(),
         field(&text, "best_t_pew_us").to_bits()
     );
     assert_eq!(
-        f5.best_distinguishable as f64,
-        field(&text, "best_distinguishable")
+        (f5.best_distinguishable as f64).to_bits(),
+        field(&text, "best_distinguishable").to_bits()
     );
     assert_eq!(f5.programmed_at_t_pew, programmed_pair(&text));
 }

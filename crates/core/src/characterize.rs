@@ -114,19 +114,6 @@ impl CharacterizationCurve {
             .map(|p| p.t_pe)
     }
 
-    /// Sweep time closest to the 50 % transition.
-    #[must_use]
-    pub fn midpoint_time(&self) -> Option<Micros> {
-        let total = self.total_cells();
-        if total == 0 {
-            return None;
-        }
-        self.points
-            .iter()
-            .min_by_key(|p| p.cells_0.abs_diff(total / 2))
-            .map(|p| p.t_pe)
-    }
-
     /// Interpolated count of programmed cells at an arbitrary time.
     #[must_use]
     pub fn cells_0_at(&self, t: Micros) -> f64 {
@@ -340,6 +327,5 @@ mod tests {
         assert!((curve.cells_0_at(Micros::new(2.5)) - 75.0).abs() < 1e-12);
         assert!((curve.cells_0_at(Micros::new(-1.0)) - 100.0).abs() < 1e-12);
         assert!(curve.cells_0_at(Micros::new(99.0)).abs() < 1e-12);
-        assert_eq!(curve.midpoint_time(), Some(Micros::new(5.0)));
     }
 }

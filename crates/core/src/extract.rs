@@ -130,9 +130,8 @@ impl Extraction {
 impl Extraction {
     /// Builds an extraction from raw parts — test support for decoder-layer
     /// code that needs vote sets without driving a simulator.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn for_tests(votes: Vec<MajorityVote>, channel: Vec<bool>, replicas: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn for_tests(votes: Vec<MajorityVote>, channel: Vec<bool>, replicas: usize) -> Self {
         Self {
             votes,
             channel,
@@ -210,24 +209,6 @@ impl<'a> Extractor<'a> {
             t_pew: self.config.t_pew(),
             elapsed,
         })
-    }
-
-    /// Extraction followed by leaving the segment erased (the extraction
-    /// itself leaves cells mid-transition, which is an undefined state the
-    /// paper warns about).
-    ///
-    /// # Errors
-    ///
-    /// Layout or flash errors.
-    pub fn extract_and_restore<F: FlashInterface>(
-        &self,
-        flash: &mut F,
-        seg: SegmentAddr,
-        data_len: usize,
-    ) -> Result<Extraction, CoreError> {
-        let e = self.extract(flash, seg, data_len)?;
-        flash.erase_segment(seg)?;
-        Ok(e)
     }
 }
 
@@ -337,23 +318,6 @@ mod tests {
             e.elapsed().get() > 0.02,
             "extract too fast: {}",
             e.elapsed()
-        );
-    }
-
-    #[test]
-    fn extract_and_restore_leaves_segment_erased() {
-        let mut f = flash(47);
-        let config = cfg(60_000, 3);
-        let wm = Watermark::from_ascii("Z").unwrap();
-        let seg = SegmentAddr::new(5);
-        Imprinter::new(&config).imprint(&mut f, seg, &wm).unwrap();
-        Extractor::new(&config)
-            .extract_and_restore(&mut f, seg, wm.len())
-            .unwrap();
-        let bits = f.array_mut().ideal_bits(seg);
-        assert!(
-            bits.iter().all(|&b| b),
-            "segment must be erased after restore"
         );
     }
 

@@ -58,7 +58,6 @@ pub mod extract;
 pub mod imprint;
 pub mod layout;
 pub mod metrics;
-pub mod multi;
 pub mod nor_scheme;
 pub mod pipeline;
 pub mod recipe;
@@ -79,15 +78,12 @@ pub use extract::{Extraction, Extractor};
 pub use imprint::{ImprintReport, Imprinter};
 pub use layout::{ReplicaLayout, SegmentLayout};
 pub use metrics::ExtractionErrors;
-pub use multi::{MultiExtraction, MultiSegment};
 pub use nor_scheme::{NorEnrollment, NorTpew, NorTpewParams};
-pub use pipeline::{inspect, provision, roundtrip};
-pub use recipe::{
-    characterize_sample, derive_recipe, fuse_windows, ExtractionRecipe, FamilyCharacterization,
-};
+pub use pipeline::{inspect, provision};
+pub use recipe::{characterize_sample, fuse_windows, ExtractionRecipe, FamilyCharacterization};
 pub use sanitized::run_sanitized;
 pub use scheme::{ImprintCost, SchemeError, SchemeVerification, WatermarkScheme};
-pub use tamper::{BalancePolicy, FlipAsymmetry};
+pub use tamper::BalancePolicy;
 pub use verify::{
     CounterfeitReason, InconclusiveReason, Resolution, Verdict, VerificationReport, Verifier,
 };

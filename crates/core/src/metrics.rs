@@ -67,24 +67,6 @@ impl ExtractionErrors {
         self.errors() as f64 / self.total() as f64
     }
 
-    /// Error rate among "good" (1) reference bits.
-    #[must_use]
-    pub fn good_error_rate(&self) -> f64 {
-        if self.good_total == 0 {
-            return 0.0;
-        }
-        self.good_to_bad as f64 / self.good_total as f64
-    }
-
-    /// Error rate among "bad" (0) reference bits.
-    #[must_use]
-    pub fn bad_error_rate(&self) -> f64 {
-        if self.bad_total == 0 {
-            return 0.0;
-        }
-        self.bad_to_good as f64 / self.bad_total as f64
-    }
-
     /// Merges two breakdowns (e.g. across replicas or chips).
     #[must_use]
     pub fn merged(self, other: Self) -> Self {
@@ -112,8 +94,6 @@ mod tests {
         assert_eq!(e.bad_total, 2);
         assert_eq!(e.errors(), 2);
         assert!((e.ber() - 0.4).abs() < 1e-12);
-        assert!((e.good_error_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((e.bad_error_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -148,7 +128,5 @@ mod tests {
     fn empty_is_safe() {
         let e = ExtractionErrors::default();
         assert!(e.ber().abs() < 1e-12);
-        assert!(e.good_error_rate().abs() < 1e-12);
-        assert!(e.bad_error_rate().abs() < 1e-12);
     }
 }

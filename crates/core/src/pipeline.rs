@@ -6,8 +6,6 @@
 //!
 //! * [`provision`] — the manufacturer flow: enroll, then imprint.
 //! * [`inspect`] — the inspector flow: verify against an enrollment.
-//! * [`roundtrip`] — provision then immediately inspect (the basic
-//!   genuine-chip sanity flow the contract tests pin).
 
 use crate::scheme::{ImprintCost, SchemeError, SchemeVerification, WatermarkScheme};
 
@@ -44,22 +42,6 @@ pub fn inspect<S: WatermarkScheme>(
     scheme.verify(chip, params, enrollment)
 }
 
-/// Provision then immediately inspect the same chip — the genuine-chip
-/// sanity flow. Returns the enrollment, the imprint cost, and the verdict.
-///
-/// # Errors
-///
-/// Backend or parameter errors from any step.
-pub fn roundtrip<S: WatermarkScheme>(
-    scheme: &S,
-    chip: &mut S::Chip,
-    params: &S::Params,
-) -> Result<(S::Enrollment, ImprintCost, SchemeVerification), SchemeError> {
-    let (enrollment, cost) = provision(scheme, chip, params)?;
-    let verification = inspect(scheme, chip, params, &enrollment)?;
-    Ok((enrollment, cost, verification))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,7 +53,7 @@ mod tests {
     use flashmark_physics::PhysicsParams;
 
     #[test]
-    fn roundtrip_accepts_genuine() {
+    fn provision_then_inspect_accepts_genuine() {
         let p = NorTpewParams {
             config: FlashmarkConfig::builder()
                 .n_pe(80_000)
@@ -95,7 +77,8 @@ mod tests {
             FlashTimings::msp430(),
             31,
         );
-        let (_, cost, v) = roundtrip(&NorTpew, &mut c, &p).unwrap();
+        let (enrollment, cost) = provision(&NorTpew, &mut c, &p).unwrap();
+        let v = inspect(&NorTpew, &mut c, &p, &enrollment).unwrap();
         assert_eq!(v.verdict, Verdict::Genuine);
         assert!(cost.cycles > 0);
     }

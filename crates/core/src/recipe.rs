@@ -73,61 +73,14 @@ impl FamilyCharacterization {
             Micros::new(hi - lo)
         }
     }
-
-    /// Worst per-chip separation fraction.
-    #[must_use]
-    pub fn worst_separation(&self) -> f64 {
-        self.per_chip
-            .iter()
-            .map(WindowChoice::separation)
-            .fold(1.0, f64::min)
-    }
 }
 
-/// Characterizes a family from sample chips and derives the public recipe.
-///
-/// Each sample chip donates two segments: `fresh_seg` stays untouched and
-/// `scratch_seg` is stressed `reference_stress_kcycles` before the sweep.
-/// The recipe window is the intersection of every chip's usable window (with
-/// `window_slack` cells of tolerance), and `t_pew` is the mean of the
-/// per-chip optima clamped into that intersection.
-///
-/// # Errors
-///
-/// Flash/configuration errors, or [`CoreError::Config`] when no samples are
-/// given or the windows do not overlap (an inconsistent family, which must
-/// not be papered over).
-#[allow(clippy::too_many_arguments)]
-pub fn derive_recipe<F: FlashInterface + BulkStress>(
-    samples: &mut [F],
-    fresh_seg: SegmentAddr,
-    scratch_seg: SegmentAddr,
-    reference_stress_kcycles: f64,
-    sweep: &SweepSpec,
-    window_slack: usize,
-    replicas: usize,
-    reads: usize,
-) -> Result<FamilyCharacterization, CoreError> {
-    let mut per_chip = Vec::with_capacity(samples.len());
-    for chip in samples.iter_mut() {
-        per_chip.push(characterize_sample(
-            chip,
-            fresh_seg,
-            scratch_seg,
-            reference_stress_kcycles,
-            sweep,
-            window_slack,
-            reads,
-        )?);
-    }
-    fuse_windows(per_chip, reference_stress_kcycles, replicas, reads)
-}
-
-/// The per-chip half of [`derive_recipe`]: stress the scratch segment,
-/// characterize both segments, and select this chip's window. Each chip is
-/// independent, so callers may run this stage on sample chips in parallel
-/// and pass the windows (in chip order) to [`fuse_windows`] — the result is
-/// identical to the serial [`derive_recipe`].
+/// The per-chip half of family characterization: stress `scratch_seg`
+/// by `reference_stress_kcycles`, characterize it and the untouched
+/// `fresh_seg`, and select this chip's window (with `window_slack` cells of
+/// tolerance). Each chip is independent, so callers may run this stage on
+/// sample chips in parallel and pass the windows, in chip order, to
+/// [`fuse_windows`].
 ///
 /// # Errors
 ///
@@ -154,8 +107,9 @@ pub fn characterize_sample<F: FlashInterface + BulkStress>(
     select_t_pew(&fresh, &worn, window_slack)
 }
 
-/// The fusion half of [`derive_recipe`]: intersect the per-chip windows and
-/// clamp the mean optimum into the intersection.
+/// The fusion half of family characterization: the recipe window is the
+/// intersection of every chip's window, and `t_pew` is the mean of the
+/// per-chip optima clamped into it.
 ///
 /// # Errors
 ///
@@ -225,18 +179,22 @@ mod tests {
 
     #[test]
     fn family_of_three_yields_consistent_recipe() {
-        let mut chips = samples(3);
-        let fam = derive_recipe(
-            &mut chips,
-            SegmentAddr::new(0),
-            SegmentAddr::new(1),
-            50.0,
-            &sweep(),
-            260,
-            7,
-            3,
-        )
-        .unwrap();
+        let per_chip = samples(3)
+            .iter_mut()
+            .map(|chip| {
+                characterize_sample(
+                    chip,
+                    SegmentAddr::new(0),
+                    SegmentAddr::new(1),
+                    50.0,
+                    &sweep(),
+                    260,
+                    3,
+                )
+                .unwrap()
+            })
+            .collect();
+        let fam = fuse_windows(per_chip, 50.0, 7, 3).unwrap();
         assert_eq!(fam.per_chip.len(), 3);
         // The paper's observed family consistency: optima within a few µs.
         assert!(
@@ -244,11 +202,9 @@ mod tests {
             "spread {}",
             fam.optimum_spread()
         );
-        assert!(
-            fam.worst_separation() > 0.8,
-            "separation {}",
-            fam.worst_separation()
-        );
+        for w in &fam.per_chip {
+            assert!(w.separation() > 0.8, "separation {}", w.separation());
+        }
         let r = &fam.recipe;
         assert!(r.window_lo.get() <= r.t_pew.get() && r.t_pew.get() <= r.window_hi.get());
         // The recipe builds a usable config.
@@ -259,18 +215,8 @@ mod tests {
 
     #[test]
     fn empty_family_rejected() {
-        let mut none: Vec<FlashController> = Vec::new();
         assert!(matches!(
-            derive_recipe(
-                &mut none,
-                SegmentAddr::new(0),
-                SegmentAddr::new(1),
-                50.0,
-                &sweep(),
-                100,
-                7,
-                3
-            ),
+            fuse_windows(Vec::new(), 50.0, 7, 3),
             Err(CoreError::Config(_))
         ));
     }

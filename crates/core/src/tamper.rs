@@ -11,9 +11,6 @@
 //!   [`WatermarkRecord`](crate::watermark::WatermarkRecord)); flipping any
 //!   payload bit breaks the signature, and the attacker cannot flip
 //!   signature bits in the bad→good direction to compensate.
-//!
-//! [`FlipAsymmetry`] quantifies which direction extracted bits moved
-//! relative to a reference — the forensic view of Fig. 10's observation.
 
 use crate::error::CoreError;
 use crate::watermark::Watermark;
@@ -61,53 +58,6 @@ impl BalancePolicy {
     }
 }
 
-/// Directional flip counts between a reference and an observed bit string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlipAsymmetry {
-    /// Bits that went 1 → 0 (good → bad): achievable by an attacker.
-    pub good_to_bad: usize,
-    /// Bits that went 0 → 1 (bad → good): physically impossible to induce;
-    /// any occurrences are extraction noise, not tampering.
-    pub bad_to_good: usize,
-}
-
-impl FlipAsymmetry {
-    /// Compares an observed bit string against the reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    #[must_use]
-    pub fn between(reference: &[bool], observed: &[bool]) -> Self {
-        assert_eq!(reference.len(), observed.len(), "length mismatch");
-        let mut a = Self::default();
-        for (&r, &o) in reference.iter().zip(observed) {
-            match (r, o) {
-                (true, false) => a.good_to_bad += 1,
-                (false, true) => a.bad_to_good += 1,
-                _ => {}
-            }
-        }
-        a
-    }
-
-    /// Total flips.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.good_to_bad + self.bad_to_good
-    }
-
-    /// Whether the flips are *consistent with tampering*: a meaningful
-    /// number of good→bad flips with (near-)zero bad→good flips. Random
-    /// extraction noise produces flips in both directions (dominated by
-    /// bad→good, per Fig. 10); a stress attack produces strictly one-way
-    /// changes.
-    #[must_use]
-    pub fn looks_tampered(&self, min_flips: usize) -> bool {
-        self.good_to_bad >= min_flips && self.good_to_bad > 4 * self.bad_to_good
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,37 +94,5 @@ mod tests {
     fn policy_tolerance_validated() {
         assert!(BalancePolicy::half(0.0).is_err());
         assert!(BalancePolicy::half(0.5).is_err());
-    }
-
-    #[test]
-    fn asymmetry_counts_directions() {
-        let reference = [true, true, false, false];
-        let observed = [false, true, true, false];
-        let a = FlipAsymmetry::between(&reference, &observed);
-        assert_eq!(a.good_to_bad, 1);
-        assert_eq!(a.bad_to_good, 1);
-        assert_eq!(a.total(), 2);
-    }
-
-    #[test]
-    fn one_way_flips_look_tampered() {
-        let reference = vec![true; 40];
-        let mut observed = reference.clone();
-        for b in observed.iter_mut().take(10) {
-            *b = false;
-        }
-        let a = FlipAsymmetry::between(&reference, &observed);
-        assert!(a.looks_tampered(5));
-    }
-
-    #[test]
-    fn noise_like_flips_do_not_look_tampered() {
-        // Extraction noise flips mostly bad->good (Fig. 10).
-        let reference = [false; 20];
-        let mut observed = reference;
-        observed[3] = true;
-        observed[11] = true;
-        let a = FlipAsymmetry::between(&reference, &observed);
-        assert!(!a.looks_tampered(1));
     }
 }

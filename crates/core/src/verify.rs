@@ -250,26 +250,6 @@ impl Verifier {
         }
     }
 
-    /// Overrides the per-attempt transient-error retry budget used by
-    /// [`Verifier::verify_resilient`] (`0` disables retries).
-    #[must_use]
-    pub fn with_transient_retries(mut self, retries: u32) -> Self {
-        self.max_transient_retries = retries;
-        self
-    }
-
-    /// Overrides the `tPEW` retry ladder (offsets in µs, tried in order;
-    /// `[0.0]` disables retries).
-    #[must_use]
-    pub fn with_retry_offsets(mut self, offsets_us: Vec<f64>) -> Self {
-        self.retry_offsets_us = if offsets_us.is_empty() {
-            vec![0.0]
-        } else {
-            offsets_us
-        };
-        self
-    }
-
     /// The configuration in use.
     #[must_use]
     pub fn config(&self) -> &FlashmarkConfig {
@@ -743,26 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_ladder_can_be_disabled() {
-        let mut f = flash(105);
-        imprint(&mut f, &record(TestStatus::Accept));
-        let v = Verifier::new(config(), MFG).with_retry_offsets(vec![0.0]);
-        // Still expected to pass at the default operating point; the point
-        // is the configuration surface, exercised here.
-        let report = v.verify(&mut f, SegmentAddr::new(0)).unwrap();
-        assert!(matches!(
-            report.verdict,
-            Verdict::Genuine | Verdict::Counterfeit(_)
-        ));
-        let v_empty = Verifier::new(config(), MFG).with_retry_offsets(vec![]);
-        let report = v_empty.verify(&mut f, SegmentAddr::new(0)).unwrap();
-        assert!(matches!(
-            report.verdict,
-            Verdict::Genuine | Verdict::Counterfeit(_)
-        ));
-    }
-
-    #[test]
     fn soft_repair_fixes_a_single_low_margin_bit() {
         // Build an extraction-like vote set with one wrong low-margin bit
         // and check the repair path decodes the true record.
@@ -954,7 +914,10 @@ mod tests {
             naks: u64::MAX, // never recovers
             ops: 0,
         };
-        let v = Verifier::new(config(), MFG).with_transient_retries(2);
+        let v = Verifier {
+            max_transient_retries: 2,
+            ..Verifier::new(config(), MFG)
+        };
         let report = v.verify_resilient(&mut flaky, SegmentAddr::new(0)).unwrap();
         assert_eq!(
             report.verdict,
@@ -980,7 +943,10 @@ mod tests {
         let mut f = flash(110);
         imprint(&mut f, &record(TestStatus::Accept));
         let seg = SegmentAddr::new(0);
-        let drifted = Verifier::new(config(), MFG).with_retry_offsets(vec![24.0, 28.0]);
+        let drifted = Verifier {
+            retry_offsets_us: vec![24.0, 28.0],
+            ..Verifier::new(config(), MFG)
+        };
         let plain = drifted.verify(&mut f, seg).unwrap();
         assert_ne!(
             plain.verdict,

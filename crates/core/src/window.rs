@@ -37,12 +37,6 @@ impl WindowChoice {
         }
         self.distinguishable as f64 / self.total as f64
     }
-
-    /// Width of the usable window.
-    #[must_use]
-    pub fn window_width(&self) -> Micros {
-        self.window_hi - self.window_lo
-    }
 }
 
 /// Picks the extraction time separating a fresh from a stressed segment.
@@ -181,6 +175,5 @@ mod tests {
             w.t_pew
         );
         assert!(w.window_lo <= w.t_pew && w.t_pew <= w.window_hi);
-        assert!(w.window_width().get() >= 0.0);
     }
 }

@@ -39,7 +39,7 @@ pub mod repetition;
 pub use bits::{bits_from_bytes, bytes_from_bits, hamming_distance};
 pub use hamming::Hamming;
 pub use interleave::Interleaver;
-pub use majority::{majority, MajorityVote};
+pub use majority::MajorityVote;
 pub use repetition::Repetition;
 
 /// Outcome of a decode.

@@ -4,15 +4,6 @@
 //! reads of `AnalyzeSegment` (Fig. 3) and across watermark replicas
 //! (Fig. 10).
 
-/// Majority vote over boolean votes: `true` wins on a strict majority of
-/// `true` votes. With an even count, ties go to `false` (the paper always
-/// uses odd counts, where no tie is possible).
-#[must_use]
-pub fn majority(votes: &[bool]) -> bool {
-    let ones = votes.iter().filter(|&&v| v).count();
-    2 * ones > votes.len()
-}
-
 /// An incremental majority-vote accumulator with soft information.
 ///
 /// # Example
@@ -76,16 +67,6 @@ impl MajorityVote {
     pub fn is_unanimous(&self) -> bool {
         self.total > 0 && (self.ones == 0 || self.ones == self.total)
     }
-
-    /// Confidence of the winner: winner votes / total (0.5 on a tie).
-    #[must_use]
-    pub fn confidence(&self) -> f64 {
-        if self.total == 0 {
-            return 0.5;
-        }
-        let winner_votes = self.ones.max(self.total - self.ones);
-        winner_votes as f64 / self.total as f64
-    }
 }
 
 impl FromIterator<bool> for MajorityVote {
@@ -110,6 +91,10 @@ impl Extend<bool> for MajorityVote {
 mod tests {
     use super::*;
 
+    fn majority(votes: &[bool]) -> bool {
+        votes.iter().copied().collect::<MajorityVote>().winner()
+    }
+
     #[test]
     fn simple_majorities() {
         assert!(majority(&[true, true, false]));
@@ -124,24 +109,22 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_matches_slice_vote() {
+    fn accumulator_counts_votes() {
         let votes = [true, false, true, true, false];
         let acc: MajorityVote = votes.iter().copied().collect();
-        assert_eq!(acc.winner(), majority(&votes));
+        assert!(acc.winner());
         assert_eq!(acc.ones(), 3);
         assert_eq!(acc.total(), 5);
         assert_eq!(acc.margin(), 1);
     }
 
     #[test]
-    fn unanimity_and_confidence() {
+    fn unanimity_needs_every_vote() {
         let acc: MajorityVote = [true, true, true].into_iter().collect();
         assert!(acc.is_unanimous());
-        assert!((acc.confidence() - 1.0).abs() < 1e-12);
         let mixed: MajorityVote = [true, false, false].into_iter().collect();
         assert!(!mixed.is_unanimous());
-        assert!((mixed.confidence() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(MajorityVote::new().confidence(), 0.5);
+        assert!(!MajorityVote::new().is_unanimous());
     }
 
     #[test]

@@ -118,8 +118,7 @@ pub struct FaultyFlash<F> {
 
 impl<F: FlashInterface> FaultyFlash<F> {
     /// Wraps `inner` under `plan`. The nominal tErase used for fractional
-    /// power-loss erases defaults to the MSP430 datasheet value; override
-    /// with [`FaultyFlash::with_t_erase`] for other parts.
+    /// power-loss erases is the MSP430 datasheet value.
     pub fn new(inner: F, plan: FaultPlan) -> Self {
         let segments = inner.geometry().total_segments() as usize;
         Self {
@@ -132,14 +131,6 @@ impl<F: FlashInterface> FaultyFlash<F> {
             events: Vec::new(),
             events_dropped: 0,
         }
-    }
-
-    /// Overrides the nominal full-erase time used when power loss interrupts
-    /// a segment erase at fraction `f` (the array receives `f × t_erase`).
-    #[must_use]
-    pub fn with_t_erase(mut self, t_erase: Micros) -> Self {
-        self.t_erase = t_erase;
-        self
     }
 
     /// The plan driving the schedule.
@@ -495,8 +486,8 @@ mod tests {
         // (the Fig. 4 window), far below the 25 ms datasheet command time;
         // pin tErase inside the transition window so the interrupted pulse
         // leaves the mid-erase state we want to observe.
-        let mut f = FaultyFlash::new(chip(3), FaultPlan::new(4).with_power_loss(1, 0.4))
-            .with_t_erase(Micros::new(60.0));
+        let mut f = FaultyFlash::new(chip(3), FaultPlan::new(4).with_power_loss(1, 0.4));
+        f.t_erase = Micros::new(60.0);
         let seg = SegmentAddr::new(0);
         f.program_all_zero(seg).unwrap(); // op 0
         assert_eq!(f.erase_segment(seg), Err(NorError::PowerLoss)); // op 1

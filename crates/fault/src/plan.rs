@@ -117,16 +117,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Whether the plan injects nothing at all.
-    #[must_use]
-    pub fn is_golden(&self) -> bool {
-        self.transient_rate <= 0.0
-            && self.power_loss_at_op.is_none()
-            && self.read_flip_rate <= 0.0
-            && self.disturb_rate <= 0.0
-            && self.jitter_us <= 0.0
-    }
-
     /// The independent decision stream for `(op, channel)`.
     fn stream(&self, op: u64, channel: FaultChannel) -> SplitMix64 {
         SplitMix64::new(mix2(mix2(self.seed, op), channel as u64))
@@ -208,7 +198,6 @@ mod tests {
     #[test]
     fn golden_plan_is_silent() {
         let p = FaultPlan::golden(42);
-        assert!(p.is_golden());
         for op in 0..100 {
             assert!(!p.transient_at(op, 0));
             assert!(p.power_loss_at(op).is_none());

@@ -255,8 +255,12 @@ pub fn baseline_to_json(entries: &[BaselineEntry]) -> String {
     out
 }
 
-/// Parses a baseline document. Returns an error string on malformed input
-/// so the gate fails loudly rather than silently accepting everything.
+/// Parses a baseline document.
+///
+/// # Errors
+///
+/// A message on malformed input, so the gate fails loudly rather than
+/// silently accepting everything.
 pub fn baseline_from_json(text: &str) -> Result<Vec<BaselineEntry>, String> {
     let value = json::parse(text)?;
     let obj = value.as_object().ok_or("baseline root must be an object")?;
@@ -354,7 +358,13 @@ pub mod json {
         }
     }
 
-    /// Parses one JSON document.
+    /// Parses one JSON document (RFC 8259).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offset of the first token that is not valid
+    /// JSON, including bad escapes, unpaired surrogates, raw control
+    /// characters in strings and numbers with leading zeros.
     pub fn parse(text: &str) -> Result<Value, String> {
         let chars: Vec<char> = text.chars().collect();
         let mut p = Parser { chars, pos: 0 };
@@ -378,9 +388,27 @@ pub mod json {
         }
 
         fn skip_ws(&mut self) {
-            while self.peek().is_some_and(char::is_whitespace) {
+            while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
                 self.pos += 1;
             }
+        }
+
+        /// Consumes `c` if it is next.
+        fn eat(&mut self, c: char) -> bool {
+            let hit = self.peek() == Some(c);
+            if hit {
+                self.pos += 1;
+            }
+            hit
+        }
+
+        /// Consumes a run of ASCII digits and returns its length.
+        fn digits(&mut self) -> usize {
+            let start = self.pos;
+            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+            self.pos - start
         }
 
         fn expect(&mut self, c: char) -> Result<(), String> {
@@ -466,50 +494,89 @@ pub mod json {
             self.expect('"')?;
             let mut out = String::new();
             loop {
-                match self.peek() {
-                    None => return Err("unterminated string".to_string()),
-                    Some('"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some('\\') => {
-                        self.pos += 1;
+                let c = self.peek().ok_or("unterminated string")?;
+                self.pos += 1;
+                match c {
+                    '"' => return Ok(out),
+                    '\\' => {
                         let esc = self.peek().ok_or("dangling escape")?;
                         self.pos += 1;
-                        match esc {
-                            'n' => out.push('\n'),
-                            'r' => out.push('\r'),
-                            't' => out.push('\t'),
-                            'u' => {
-                                let hex: String = self.chars
-                                    [self.pos..(self.pos + 4).min(self.chars.len())]
-                                    .iter()
-                                    .collect();
-                                let code = u32::from_str_radix(&hex, 16)
-                                    .map_err(|e| format!("bad \\u escape: {e}"))?;
-                                self.pos += 4;
-                                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                        out.push(match esc {
+                            '"' | '\\' | '/' => esc,
+                            'b' => '\u{8}',
+                            'f' => '\u{c}',
+                            'n' => '\n',
+                            'r' => '\r',
+                            't' => '\t',
+                            'u' => self.unicode_escape()?,
+                            other => {
+                                return Err(format!(
+                                    "invalid escape `\\{other}` at offset {}",
+                                    self.pos - 1
+                                ))
                             }
-                            other => out.push(other),
-                        }
+                        });
                     }
-                    Some(c) => {
-                        self.pos += 1;
-                        out.push(c);
+                    c if c < ' ' => {
+                        return Err(format!(
+                            "raw control character {c:?} in string at offset {}",
+                            self.pos - 1
+                        ))
                     }
+                    c => out.push(c),
                 }
             }
         }
 
+        /// The four hex digits of a `\u` escape.
+        fn hex4(&mut self) -> Result<u32, String> {
+            let end = self.pos + 4;
+            match self.chars.get(self.pos..end) {
+                Some(hex) if hex.iter().all(char::is_ascii_hexdigit) => {
+                    let code = hex
+                        .iter()
+                        .fold(0, |acc, c| acc * 16 + c.to_digit(16).unwrap_or(0));
+                    self.pos = end;
+                    Ok(code)
+                }
+                _ => Err(format!("bad \\u escape at offset {}", self.pos)),
+            }
+        }
+
+        /// A `\u` escape after its `u`: one code point, where a high
+        /// surrogate must be followed by an escaped low one.
+        fn unicode_escape(&mut self) -> Result<char, String> {
+            let at = self.pos;
+            let high = self.hex4()?;
+            let code = if (0xD800..0xDC00).contains(&high) {
+                if !(self.eat('\\') && self.eat('u')) {
+                    return Err(format!("unpaired surrogate at offset {at}"));
+                }
+                let low = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&low) {
+                    return Err(format!("unpaired surrogate at offset {at}"));
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            } else {
+                high
+            };
+            char::from_u32(code).ok_or_else(|| format!("unpaired surrogate at offset {at}"))
+        }
+
+        /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
         fn number(&mut self) -> Result<Value, String> {
             let start = self.pos;
-            while self
-                .peek()
-                .is_some_and(|c| c.is_ascii_digit() || "-+.eE".contains(c))
-            {
-                self.pos += 1;
-            }
+            self.eat('-');
+            let int_digits = if self.eat('0') { 1 } else { self.digits() };
+            let frac_ok = !self.eat('.') || self.digits() > 0;
+            let exp_ok = !(self.eat('e') || self.eat('E')) || {
+                let _ = self.eat('+') || self.eat('-');
+                self.digits() > 0
+            };
             let text: String = self.chars[start..self.pos].iter().collect();
+            if int_digits == 0 || !frac_ok || !exp_ok {
+                return Err(format!("bad number `{text}` at offset {start}"));
+            }
             text.parse::<f64>()
                 .map(Value::Num)
                 .map_err(|e| format!("bad number `{text}`: {e}"))
@@ -630,5 +697,32 @@ mod tests {
         assert!(json::parse("{").is_err());
         assert!(json::parse("[1,]").is_err());
         assert!(json::parse("1 2").is_err());
+    }
+
+    #[test]
+    fn mini_json_is_strict_rfc_8259() {
+        use json::Value::{Num, Str};
+        let s = |v: &str| Some(Str(v.to_string()));
+        let table: [(&str, Option<json::Value>); 16] = [
+            (r#""a\bz""#, s("a\u{8}z")),
+            (r#""a\fz""#, s("a\u{c}z")),
+            (r#""\"\\\/\n\r\t""#, s("\"\\/\n\r\t")),
+            (r#""\u00e9""#, s("\u{e9}")),
+            (r#""\ud83d\ude00""#, s("\u{1F600}")),
+            (r#""a\xz""#, None),
+            (r#""\ud83d""#, None),
+            (r#""\ude00""#, None),
+            (r#""\u12g4""#, None),
+            ("\"a\u{1}b\"", None),
+            ("01", None),
+            ("-0.5e+3", Some(Num(-500.0))),
+            ("1.", None),
+            ("1e", None),
+            ("-", None),
+            ("\u{a0}1", None),
+        ];
+        for (text, want) in table {
+            assert_eq!(json::parse(text).ok(), want, "{text:?}");
+        }
     }
 }

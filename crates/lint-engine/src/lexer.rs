@@ -463,7 +463,7 @@ mod tests {
 
     #[test]
     fn raw_string_hides_patterns() {
-        let toks = lex(r###"let s = r#"x.unwrap() panic!"#;"###);
+        let toks = lex(r##"let s = r#"x.unwrap() panic!"#;"##);
         let strs: Vec<&Token> = toks.iter().filter(|t| t.kind == TokenKind::Str).collect();
         assert_eq!(strs.len(), 1);
         assert!(strs[0].text.contains("unwrap"));
@@ -473,7 +473,7 @@ mod tests {
 
     #[test]
     fn raw_string_with_hash_in_body() {
-        let toks = lex(r####"let s = r##"end "# not yet"##; done"####);
+        let toks = lex(r###"let s = r##"end "# not yet"##; done"###);
         assert!(toks.iter().any(|t| t.is_ident("done")));
         let s = toks.iter().find(|t| t.kind == TokenKind::Str).unwrap();
         assert!(s.text.contains("not yet"));

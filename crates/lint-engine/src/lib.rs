@@ -58,17 +58,17 @@ pub struct SourceFile {
 /// Analyzes a set of workspace sources.
 ///
 /// Pass **every** `.rs` file in the workspace (library sources, binary
-/// targets, integration tests, examples): files outside the lint scope
-/// are not themselves linted, but they feed the pub-liveness reference
-/// index — a `pub` item used only from a test or example is live.
+/// targets, integration tests, examples, benches, `benchmark/`): files
+/// outside the lint scope are not themselves linted, but their items are
+/// the pub-liveness roots, so a `pub` item that no such file reaches, even
+/// through other library items, is a finding.
 ///
 /// The returned report is normalized (sorted) and carries suppression
 /// accounting; the caller applies the baseline.
 #[must_use]
 pub fn analyze(files: &[SourceFile]) -> Report {
     let mut report = Report::default();
-    let mut index = rules::liveness::ReferenceIndex::default();
-    let mut defs = Vec::new();
+    let mut graph = rules::liveness::Graph::default();
     let mut all_suppressions: Vec<(String, Vec<suppress::Suppression>)> = Vec::new();
     let mut findings = Vec::new();
 
@@ -78,8 +78,15 @@ pub fn analyze(files: &[SourceFile]) -> Report {
 
     for file in sorted {
         let tokens = lexer::lex(&file.source);
-        index.add_file(&tokens);
-        let Some(scope) = FileScope::classify(&file.path) else {
+        let scope = FileScope::classify(&file.path);
+        // Every file that is not a linted library source belongs to a
+        // non-library target (bin, test, example, bench, `benchmark/`),
+        // whose items are the pub-liveness roots.
+        match &scope {
+            Some(s) if s.rules.pub_liveness => graph.add_library(&s.path, &tokens),
+            _ => graph.add_root(&tokens),
+        }
+        let Some(scope) = scope else {
             continue;
         };
         report.files_checked += 1;
@@ -87,17 +94,10 @@ pub fn analyze(files: &[SourceFile]) -> Report {
         let (suppressions, suppression_problems) = suppress::parse(&scope.path, &tokens);
         findings.extend(suppression_problems);
         findings.extend(rules::run_file(&scope, &tokens, &structure));
-        if scope.rules.pub_liveness {
-            defs.extend(rules::liveness::collect_defs(
-                &scope.path,
-                &tokens,
-                &structure,
-            ));
-        }
         all_suppressions.push((scope.path.clone(), suppressions));
     }
 
-    rules::liveness::check(&defs, &index, &mut findings);
+    graph.check(&mut findings);
 
     // Apply suppressions file by file (a suppression only ever covers
     // findings in its own file).
@@ -106,8 +106,7 @@ pub fn analyze(files: &[SourceFile]) -> Report {
         let suppressions = all_suppressions
             .iter()
             .find(|(path, _)| *path == finding.file)
-            .map(|(_, s)| s.as_slice())
-            .unwrap_or(&[]);
+            .map_or(&[][..], |(_, s)| s.as_slice());
         let covered = finding.rule != Rule::Suppression
             && suppressions
                 .iter()

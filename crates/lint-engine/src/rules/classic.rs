@@ -385,7 +385,7 @@ mod tests {
     fn panic_inside_raw_string_or_test_is_clean() {
         assert!(run(
             panic_free,
-            r###"fn f() { let s = r#"x.unwrap() panic!"#; }"###
+            r##"fn f() { let s = r#"x.unwrap() panic!"#; }"##
         )
         .is_empty());
         assert!(run(panic_free, "#[cfg(test)]\nmod t { fn g() { x.unwrap(); } }").is_empty());

@@ -23,8 +23,7 @@ const HASH_CONTAINERS: [&str; 3] = ["HashMap", "HashSet", "RandomState"];
 
 /// Flags every mention of a hash-ordered container in live code.
 pub fn map_order(file: &str, tokens: &[Token], structure: &Structure, findings: &mut Vec<Finding>) {
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
+    for (i, t) in tokens.iter().enumerate() {
         if !t.is_code() || !structure.is_live_code(i) {
             continue;
         }
@@ -60,8 +59,7 @@ pub fn wall_clock(
     structure: &Structure,
     findings: &mut Vec<Finding>,
 ) {
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
+    for (i, t) in tokens.iter().enumerate() {
         if !t.is_code() || !structure.is_live_code(i) {
             continue;
         }

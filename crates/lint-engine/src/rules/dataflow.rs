@@ -215,7 +215,7 @@ fn float_idents(tokens: &[Token], f: &FnScope) -> BTreeSet<String> {
                             .copied()
                             .take_while(|&j| !tokens[j].is_punct(";"))
                             .collect();
-                        if float_evidence(tokens, &until_semi, &floats) {
+                        if float_evidence(tokens, &until_semi, floats) {
                             floats.insert(tokens[name_j].text.clone());
                         }
                     } else if tokens[name_j].is_ident("mut") {
@@ -225,7 +225,7 @@ fn float_idents(tokens: &[Token], f: &FnScope) -> BTreeSet<String> {
                                 .copied()
                                 .take_while(|&j| !tokens[j].is_punct(";"))
                                 .collect();
-                            if float_evidence(tokens, &until_semi, &floats) {
+                            if float_evidence(tokens, &until_semi, floats) {
                                 floats.insert(tokens[name_k].text.clone());
                             }
                         }

@@ -1,10 +1,11 @@
 //! Rule passes.
 //!
 //! Each pass walks the token stream (plus the [`Structure`] facts) of one
-//! file; [`liveness`] additionally runs as a workspace-level pass over a
-//! cross-file reference index. Every pass skips comment/string tokens and
-//! `#[cfg(test)]` / `macro_rules!` regions through [`Structure`], which is
-//! what the old line-oriented scanner could only approximate.
+//! file; [`liveness`] instead runs as a workspace-level pass over a
+//! cross-file reachability graph. Every per-file pass skips comment/string
+//! tokens and `#[cfg(test)]` / `macro_rules!` regions through
+//! [`Structure`], which is what the old line-oriented scanner could only
+//! approximate.
 
 pub mod classic;
 pub mod containers;

@@ -56,7 +56,7 @@ impl FileScope {
         let path = path.replace('\\', "/");
         let in_src =
             path.starts_with("src/") || (path.starts_with("crates/") && path.contains("/src/"));
-        if !in_src || !path.ends_with(".rs") {
+        if !in_src || std::path::Path::new(&path).extension() != Some("rs".as_ref()) {
             return None;
         }
         let crate_name = path
@@ -168,7 +168,7 @@ impl Structure {
 
 /// Returns the token index just past an attribute starting at `i` (which
 /// must point at `#`), or `None` if it is not an attribute.
-fn attr_end(tokens: &[Token], i: usize) -> Option<usize> {
+pub(crate) fn attr_end(tokens: &[Token], i: usize) -> Option<usize> {
     if !tokens.get(i)?.is_punct("#") {
         return None;
     }
@@ -197,7 +197,7 @@ fn attr_end(tokens: &[Token], i: usize) -> Option<usize> {
 
 /// Whether the attribute tokens in `[start, end)` gate on `test`
 /// (`#[cfg(test)]`, `#[cfg(all(test, …))]`, …).
-fn attr_is_cfg_test(tokens: &[Token], start: usize, end: usize) -> bool {
+pub(crate) fn attr_is_cfg_test(tokens: &[Token], start: usize, end: usize) -> bool {
     let has_cfg = tokens[start..end].iter().any(|t| t.is_ident("cfg"));
     let has_test = tokens[start..end].iter().any(|t| t.is_ident("test"));
     has_cfg && has_test
@@ -205,8 +205,9 @@ fn attr_is_cfg_test(tokens: &[Token], start: usize, end: usize) -> bool {
 
 /// Finds the end (exclusive token index) of the item starting at `i`:
 /// skips leading attributes and doc comments, then runs to the matching
-/// close of the first `{` block, or to a `;` if none opens first.
-fn item_end(tokens: &[Token], mut i: usize) -> usize {
+/// close of the first `{` block, or to a `;` outside every bracket if no
+/// block opens first (so `const X: [u8; 4] = [0; 4];` is one item).
+pub(crate) fn item_end(tokens: &[Token], mut i: usize) -> usize {
     // Skip any further attributes / doc comments between the cfg attr and
     // the item keyword.
     loop {
@@ -222,11 +223,11 @@ fn item_end(tokens: &[Token], mut i: usize) -> usize {
     let mut depth = 0usize;
     while i < tokens.len() {
         let t = &tokens[i];
-        if t.is_punct("{") {
+        if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") {
             depth += 1;
-        } else if t.is_punct("}") {
+        } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") {
             depth = depth.saturating_sub(1);
-            if depth == 0 {
+            if depth == 0 && t.is_punct("}") {
                 return i + 1;
             }
         } else if t.is_punct(";") && depth == 0 {
@@ -513,6 +514,13 @@ mod tests {
         assert!(!s.test_mask[live]);
         let thing = tokens.iter().position(|t| t.is_ident("thing")).unwrap();
         assert!(s.test_mask[thing]);
+        // A `;` inside brackets does not end the item.
+        let tokens = lex("#[cfg(test)]\nconst T: [u8; 2] = [ZERO; 2];\nfn live() {}");
+        let s = Structure::analyze(&tokens);
+        let zero = tokens.iter().position(|t| t.is_ident("ZERO")).unwrap();
+        assert!(s.test_mask[zero]);
+        let live = tokens.iter().position(|t| t.is_ident("live")).unwrap();
+        assert!(!s.test_mask[live]);
     }
 
     #[test]

@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn suppressions_inside_raw_strings_are_ignored() {
-        let src = r###"let s = r#"// flashmark-lint: allow(panic-free) -- fake"#;"###;
+        let src = r##"let s = r#"// flashmark-lint: allow(panic-free) -- fake"#;"##;
         let (sups, probs) = parse("x.rs", &lex(src));
         assert!(sups.is_empty() && probs.is_empty());
     }

@@ -49,10 +49,18 @@ fn raw_strings_and_comments_never_fire() {
 
 #[test]
 fn nested_cfg_test_regions_are_fully_exempt() {
-    let r = analyze_at(
-        "crates/nor/src/fixture.rs",
-        include_str!("fixtures/nested_cfg_test.rs"),
-    );
+    // The fixture's unit tests do not keep `live` live; a bin calling it
+    // does, so every remaining finding would come from test-only code.
+    let r = analyze(&[
+        SourceFile {
+            path: "crates/nor/src/fixture.rs".to_string(),
+            source: include_str!("fixtures/nested_cfg_test.rs").to_string(),
+        },
+        SourceFile {
+            path: "crates/nor/src/bin/driver.rs".to_string(),
+            source: "//! Driver.\nfn main() {\n    let _ = live(1);\n}\n".to_string(),
+        },
+    ]);
     assert!(
         r.findings.is_empty(),
         "test-only code produced findings: {:?}",

@@ -79,20 +79,6 @@ pub struct DeviceSpec {
     pub endurance_cycles: u64,
 }
 
-impl DeviceSpec {
-    /// Main flash capacity in bytes.
-    #[must_use]
-    pub fn main_flash_bytes(&self) -> u64 {
-        self.main_geometry.total_bytes()
-    }
-
-    /// Info memory capacity in bytes.
-    #[must_use]
-    pub fn info_flash_bytes(&self) -> u64 {
-        self.info_geometry.total_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,8 +86,8 @@ mod tests {
     #[test]
     fn f5438_memory_map() {
         let s = Msp430Variant::F5438.spec();
-        assert_eq!(s.main_flash_bytes(), 256 * 1024);
-        assert_eq!(s.info_flash_bytes(), 512);
+        assert_eq!(s.main_geometry.total_words() * 2, 256 * 1024);
+        assert_eq!(s.info_geometry.total_words() * 2, 512);
         assert_eq!(s.main_geometry.cells_per_segment(), 4096);
         assert_eq!(s.name, "MSP430F5438");
     }
@@ -109,7 +95,7 @@ mod tests {
     #[test]
     fn f5529_memory_map() {
         let s = Msp430Variant::F5529.spec();
-        assert_eq!(s.main_flash_bytes(), 128 * 1024);
+        assert_eq!(s.main_geometry.total_words() * 2, 128 * 1024);
         assert_eq!(s.ram_bytes, 8 * 1024);
     }
 

@@ -45,12 +45,6 @@ impl Msp430Flash {
         Self::new(Msp430Variant::F5438, chip_seed)
     }
 
-    /// An MSP430F5529 chip.
-    #[must_use]
-    pub fn f5529(chip_seed: u64) -> Self {
-        Self::new(Msp430Variant::F5529, chip_seed)
-    }
-
     /// The device specification.
     #[must_use]
     pub fn spec(&self) -> &DeviceSpec {
@@ -158,7 +152,7 @@ mod tests {
 
     #[test]
     fn main_and_info_are_independent() {
-        let mut chip = Msp430Flash::f5529(2);
+        let mut chip = Msp430Flash::new(Msp430Variant::F5529, 2);
         chip.program_word(WordAddr::new(0), 0x0).unwrap();
         assert_eq!(chip.info_mut().read_word(WordAddr::new(0)).unwrap(), 0xFFFF);
         assert_eq!(chip.main_mut().read_word(WordAddr::new(0)).unwrap(), 0x0000);

@@ -272,7 +272,7 @@ mod tests {
         words[3] ^= 0x0100;
         assert!(matches!(
             DeviceDescriptor::decode(&words),
-            Err(DescriptorError::BadChecksum) | Err(DescriptorError::Malformed)
+            Err(DescriptorError::BadChecksum | DescriptorError::Malformed)
         ));
     }
 

@@ -15,7 +15,7 @@
 //! use flashmark_nor::interface::FlashInterface;
 //!
 //! let mut chip = Msp430Flash::new(Msp430Variant::F5438, 0xD1E5);
-//! assert_eq!(chip.spec().main_flash_bytes(), 256 * 1024);
+//! assert_eq!(chip.spec().main_geometry.total_words() * 2, 256 * 1024);
 //! let seg = chip.watermark_segment();
 //! chip.erase_segment(seg).expect("erase reserved segment");
 //! ```

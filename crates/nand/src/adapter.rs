@@ -63,12 +63,6 @@ impl NandWordAdapter {
         &mut self.chip
     }
 
-    /// Unwraps back into the chip.
-    #[must_use]
-    pub fn into_chip(self) -> NandChip {
-        self.chip
-    }
-
     fn words_per_page(&self) -> u32 {
         self.chip.geometry().bytes_per_page() / 2
     }

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use flashmark_nor::timing::SimClock;
 use flashmark_physics::cell::{sense, CellState, CellStatics};
-use flashmark_physics::erase::apply_erase;
+use flashmark_physics::erase::{apply_erase_cached, EraseDistCache};
 use flashmark_physics::noise::PulseNoise;
 use flashmark_physics::program::{apply_partial_program, apply_program};
 use flashmark_physics::rng::{mix2, SplitMix64};
@@ -103,6 +103,8 @@ pub struct NandChip {
     blocks: BTreeMap<u32, BlockCells>,
     op_rng: SplitMix64,
     clock: SimClock,
+    /// Wear-keyed erase-time distribution table (a pure cache).
+    dist_cache: EraseDistCache,
 }
 
 impl NandChip {
@@ -120,6 +122,7 @@ impl NandChip {
         timings: NandTimings,
         chip_seed: u64,
     ) -> Self {
+        let dist_cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
         Self {
             params,
             geometry,
@@ -128,6 +131,7 @@ impl NandChip {
             blocks: BTreeMap::new(),
             op_rng: SplitMix64::new(mix2(chip_seed, 0x0DA1)),
             clock: SimClock::new(),
+            dist_cache,
         }
     }
 
@@ -275,6 +279,7 @@ impl NandChip {
         let params = self.params.clone();
         let pulse = PulseNoise::draw(&params, &mut self.op_rng);
         let base = block.index() as u64 * self.geometry.cells_per_block() as u64;
+        let mut cache = std::mem::take(&mut self.dist_cache);
         let cells = self.block_cells(block);
         let mut done = true;
         for (i, (st, state)) in cells
@@ -284,9 +289,10 @@ impl NandChip {
             .enumerate()
         {
             let eff = pulse.effective_us(&params, base + i as u64, t.get());
-            done &= apply_erase(&params, st, state, eff).completed;
+            done &= apply_erase_cached(&params, st, state, eff, &mut cache).completed;
         }
         cells.nop_counts.fill(0);
+        self.dist_cache = cache;
         Ok(done)
     }
 

@@ -76,12 +76,6 @@ impl NandGeometry {
         }
     }
 
-    /// A classic small-block SLC layout: 512-byte pages, 32 pages per block.
-    #[must_use]
-    pub fn small_block(blocks: u32) -> Self {
-        Self::new(blocks, 32, 512)
-    }
-
     /// A deliberately tiny layout for fast tests: 512-byte pages, 4 pages
     /// per block (one block = 16 Kib of cells).
     #[must_use]
@@ -119,12 +113,6 @@ impl NandGeometry {
         self.cells_per_page() * self.pages_per_block as usize
     }
 
-    /// Total device capacity in bytes (main array, no spare).
-    #[must_use]
-    pub const fn total_bytes(&self) -> u64 {
-        self.blocks as u64 * self.pages_per_block as u64 * self.bytes_per_page as u64
-    }
-
     /// Global cell index of bit `bit` of `page`.
     #[must_use]
     pub fn cell_index(&self, page: PageAddr, bit: usize) -> u64 {
@@ -151,10 +139,9 @@ mod tests {
 
     #[test]
     fn small_block_shape() {
-        let g = NandGeometry::small_block(64);
+        let g = NandGeometry::new(64, 32, 512);
         assert_eq!(g.cells_per_page(), 4096);
         assert_eq!(g.cells_per_block(), 4096 * 32);
-        assert_eq!(g.total_bytes(), 64 * 32 * 512);
     }
 
     #[test]

@@ -57,7 +57,7 @@ mod tests {
     fn nand_is_much_faster_to_erase_than_msp430_nor() {
         // tBERS 2 ms vs TERASE 25 ms: the paper's remark that stand-alone
         // parts would imprint far faster holds a fortiori for NAND.
-        assert!(NandTimings::slc().block_erase.as_millis() < 5.0);
+        assert!(NandTimings::slc().block_erase.get() < 5_000.0);
     }
 
     #[test]

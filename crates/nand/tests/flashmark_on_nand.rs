@@ -6,6 +6,7 @@ use flashmark_core::{
     Watermark,
 };
 use flashmark_nand::{NandChip, NandGeometry, NandWordAdapter};
+use flashmark_nor::interface::{FlashInterface, FlashInterfaceExt};
 use flashmark_nor::SegmentAddr;
 use flashmark_physics::Micros;
 
@@ -94,7 +95,6 @@ fn wear_is_permanent_on_nand_too() {
     Imprinter::new(&cfg).imprint(&mut flash, seg, &wm).unwrap();
 
     // Attacker: erase storm + overwrite.
-    use flashmark_nor::interface::{FlashInterface, FlashInterfaceExt};
     for _ in 0..10 {
         flash.erase_segment(seg).unwrap();
         flash.program_all_zero(seg).unwrap();

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use flashmark_physics::arena::CellArena;
 use flashmark_physics::cell::CellState;
-use flashmark_physics::erase::{erase_temp_factor, t_full_us_cached};
+use flashmark_physics::erase::erase_temp_factor;
 use flashmark_physics::noise::PulseNoise;
 use flashmark_physics::program::apply_partial_program;
 use flashmark_physics::retention::apply_bake;
@@ -100,13 +100,6 @@ impl FlashArray {
         }
     }
 
-    /// Current die temperature (°C). Erase pulses act faster when hot (see
-    /// [`flashmark_physics::erase::erase_temp_factor`]).
-    #[must_use]
-    pub fn temperature_c(&self) -> f64 {
-        self.temp_c
-    }
-
     /// Sets the die temperature for subsequent operations.
     pub fn set_temperature_c(&mut self, temp_c: f64) {
         self.temp_c = temp_c;
@@ -175,31 +168,6 @@ impl FlashArray {
         (params, cells, op_counter, dist_cache)
     }
 
-    /// Strict-mode overwrite check, then the arena's program-word kernel.
-    /// `word_index` is only for the error.
-    fn program_word_cells(
-        params: &PhysicsParams,
-        cells: &mut SegmentCells,
-        offset: usize,
-        word_index: u32,
-        value: u16,
-        strict: bool,
-        stream: CounterStream,
-    ) -> Result<(), NorError> {
-        if strict {
-            let vref = params.vref.get();
-            for bit in 0..WORD_BITS {
-                let wants_one = value & (1 << bit) != 0;
-                let is_zero = cells.arena.vth()[offset + bit] >= vref;
-                if wants_one && is_zero {
-                    return Err(NorError::OverwriteWithoutErase { word: word_index });
-                }
-            }
-        }
-        cells.arena.program_word(params, offset, value, &stream);
-        Ok(())
-    }
-
     /// Expands a per-word pattern into the per-cell stress mask the arena
     /// kernels take: bit 0 of the pattern word means "stressed".
     fn stressed_mask(pattern: &[u16]) -> Vec<bool> {
@@ -263,22 +231,13 @@ impl FlashArray {
     }
 
     /// Programs the 0-bits of `value` into a word (flash semantics: a
-    /// program can only flip bits from 1 to 0).
-    ///
-    /// In `strict` mode, attempting to "program" a bit that is already 0 to
-    /// 1 is reported as [`NorError::OverwriteWithoutErase`]; otherwise the
-    /// result is the AND of old and new contents, as on real parts.
+    /// program can only flip bits from 1 to 0, so the result is the AND of
+    /// old and new contents, as on real parts).
     ///
     /// # Errors
     ///
-    /// Returns [`NorError::WordOutOfRange`] or, in strict mode,
-    /// [`NorError::OverwriteWithoutErase`].
-    pub fn program_word(
-        &mut self,
-        word: WordAddr,
-        value: u16,
-        strict: bool,
-    ) -> Result<(), NorError> {
+    /// Returns [`NorError::WordOutOfRange`].
+    pub fn program_word(&mut self, word: WordAddr, value: u16) -> Result<(), NorError> {
         self.geometry.check_word(word)?;
         let seg = self.geometry.segment_of(word);
         let offset = self.geometry.word_offset_in_segment(word) * WORD_BITS;
@@ -287,28 +246,24 @@ impl FlashArray {
         let stream =
             CounterStream::new(op_seed, 0x9806_0000 ^ u64::from(word.index()), *op_counter);
         *op_counter += 1;
-        Self::program_word_cells(params, cells, offset, word.index(), value, strict, stream)
+        cells.arena.program_word(params, offset, value, &stream);
+        Ok(())
     }
 
     /// Programs every word of a segment in one sweep (the bulk-program
     /// kernel behind block programming).
     ///
-    /// Stream derivation, cell updates, and errors are bit-identical to
-    /// calling [`FlashArray::program_word`] on each word in order — in
-    /// particular, a strict-mode overwrite error leaves the words before it
-    /// programmed (and the op counter advanced), exactly like the
-    /// word-by-word loop.
+    /// Stream derivation and cell updates are bit-identical to calling
+    /// [`FlashArray::program_word`] on each word in order.
     ///
     /// # Errors
     ///
-    /// Returns [`NorError::SegmentOutOfRange`],
-    /// [`NorError::BlockLengthMismatch`], or (strict mode)
-    /// [`NorError::OverwriteWithoutErase`].
+    /// Returns [`NorError::SegmentOutOfRange`] or
+    /// [`NorError::BlockLengthMismatch`].
     pub fn program_segment_words(
         &mut self,
         seg: SegmentAddr,
         values: &[u16],
-        strict: bool,
     ) -> Result<(), NorError> {
         self.geometry.check_segment(seg)?;
         if values.len() != self.geometry.words_per_segment() {
@@ -325,15 +280,9 @@ impl FlashArray {
             let stream =
                 CounterStream::new(op_seed, 0x9806_0000 ^ u64::from(word_index), *op_counter);
             *op_counter += 1;
-            Self::program_word_cells(
-                params,
-                cells,
-                w * WORD_BITS,
-                word_index,
-                value,
-                strict,
-                stream,
-            )?;
+            cells
+                .arena
+                .program_word(params, w * WORD_BITS, value, &stream);
         }
         Ok(())
     }
@@ -404,61 +353,15 @@ impl FlashArray {
         Ok(())
     }
 
-    /// Time until the slowest cell of the segment finishes erasing, from the
-    /// segment's *current* state (used by the early-exit erase).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NorError::SegmentOutOfRange`] for a bad address.
-    pub fn erase_completion_time(&mut self, seg: SegmentAddr) -> Result<Micros, NorError> {
-        self.geometry.check_segment(seg)?;
-        let (params, cells, _, dist_cache) = self.op_context(seg);
-        let mut worst = 0.0f64;
-        for i in 0..cells.arena.len() {
-            let statics = cells.arena.statics_at(i);
-            let state = cells.arena.state_at(i);
-            let t_full = t_full_us_cached(params, &statics, &state, dist_cache);
-            let vth_prog = state.vth_prog_now(params, &statics);
-            let vth_end = state.vth_erased_now(params, &statics);
-            let span = (vth_prog - vth_end).max(1e-9);
-            let remaining = ((state.vth - vth_end) / span).clamp(0.0, 1.0);
-            worst = worst.max(t_full * remaining);
-        }
-        Ok(Micros::new(worst))
-    }
-
     /// Worst-case read-reference crossing time (µs) over a segment's cells
-    /// at *hypothetical* per-cell wear: cells whose pattern bit is 0 are
-    /// evaluated at `stressed_wear`, the rest at `spared_wear`. This is the
-    /// early-exit-erase estimator used by the accelerated imprint schedule;
-    /// it runs as the arena's chunked log-domain max kernel with one final
-    /// `exp`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NorError::SegmentOutOfRange`] or
-    /// [`NorError::BlockLengthMismatch`].
-    pub fn worst_t_cross_us(
-        &mut self,
-        seg: SegmentAddr,
-        pattern: &[u16],
-        stressed_wear: f64,
-        spared_wear: f64,
-    ) -> Result<f64, NorError> {
-        self.check_pattern(seg, pattern)?;
-        let (params, cells, _, dist_cache) = self.op_context(seg);
-        let mask = Self::stressed_mask(pattern);
-        Ok(cells
-            .arena
-            .max_ln_t_cross(params, dist_cache, &mask, stressed_wear, spared_wear)
-            .exp())
-    }
-
-    /// [`FlashArray::worst_t_cross_us`] for a whole schedule of
-    /// `(stressed_wear, spared_wear)` pairs in one call — the arena prunes
-    /// the segment to the Pareto frontier of cells that can attain the
-    /// maximum, then evaluates only those per pair, bit-identically to the
-    /// one-pair kernel.
+    /// at *hypothetical* per-cell wear, for a whole schedule of
+    /// `(stressed_wear, spared_wear)` pairs in one call: cells whose pattern
+    /// bit is 0 are evaluated at `stressed_wear`, the rest at
+    /// `spared_wear`. This is the early-exit-erase estimator used by the
+    /// accelerated imprint schedule. The arena prunes the segment to the
+    /// Pareto frontier of cells that can attain the maximum, then
+    /// evaluates only those per pair, bit-identically to the one-pair
+    /// kernel.
     ///
     /// # Errors
     ///
@@ -586,7 +489,7 @@ mod tests {
     fn program_then_read_back() {
         let mut a = array();
         let w = WordAddr::new(10);
-        a.program_word(w, 0x5443, false).unwrap();
+        a.program_word(w, 0x5443).unwrap();
         assert_eq!(a.read_word(w).unwrap(), 0x5443);
     }
 
@@ -594,18 +497,9 @@ mod tests {
     fn program_is_logical_and() {
         let mut a = array();
         let w = WordAddr::new(11);
-        a.program_word(w, 0xFF0F, false).unwrap();
-        a.program_word(w, 0x0FFF, false).unwrap();
+        a.program_word(w, 0xFF0F).unwrap();
+        a.program_word(w, 0x0FFF).unwrap();
         assert_eq!(a.read_word(w).unwrap(), 0x0F0F);
-    }
-
-    #[test]
-    fn strict_program_rejects_overwrite() {
-        let mut a = array();
-        let w = WordAddr::new(12);
-        a.program_word(w, 0x0000, true).unwrap();
-        let err = a.program_word(w, 0xFFFF, true).unwrap_err();
-        assert_eq!(err, NorError::OverwriteWithoutErase { word: 12 });
     }
 
     #[test]
@@ -613,7 +507,7 @@ mod tests {
         let mut a = array();
         let seg = SegmentAddr::new(1);
         let w = WordAddr::new(256);
-        a.program_word(w, 0x0000, false).unwrap();
+        a.program_word(w, 0x0000).unwrap();
         a.erase_complete(seg, Micros::from_millis(25.0)).unwrap();
         assert_eq!(a.read_word(w).unwrap(), 0xFFFF);
     }
@@ -623,7 +517,7 @@ mod tests {
         let mut a = array();
         let seg = SegmentAddr::new(2);
         for w in a.geometry().segment_words(seg) {
-            a.program_word(w, 0x0000, false).unwrap();
+            a.program_word(w, 0x0000).unwrap();
         }
         let done = a.erase_pulse(seg, Micros::new(5.0)).unwrap();
         assert!(!done);
@@ -636,7 +530,7 @@ mod tests {
         let mut a = array();
         let seg = SegmentAddr::new(3);
         for w in a.geometry().segment_words(seg) {
-            a.program_word(w, 0x0000, false).unwrap();
+            a.program_word(w, 0x0000).unwrap();
         }
         // ~median crossing time for fresh cells: a mid-range fraction flips.
         a.erase_pulse(seg, Micros::new(20.5)).unwrap();
@@ -674,28 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn worn_segment_erases_slower() {
-        let mut a = array();
-        let fresh_seg = SegmentAddr::new(5);
-        let worn_seg = SegmentAddr::new(6);
-        a.bulk_stress(worn_seg, &vec![0x0000u16; 256], 50_000)
-            .unwrap();
-        // Program both fully, then measure completion times.
-        for seg in [fresh_seg, worn_seg] {
-            a.erase_complete(seg, Micros::from_millis(25.0)).unwrap();
-            for w in a.geometry().segment_words(seg) {
-                a.program_word(w, 0x0000, false).unwrap();
-            }
-        }
-        let t_fresh = a.erase_completion_time(fresh_seg).unwrap();
-        let t_worn = a.erase_completion_time(worn_seg).unwrap();
-        assert!(
-            t_worn.get() > t_fresh.get() * 2.0,
-            "worn {t_worn} vs fresh {t_fresh}"
-        );
-    }
-
-    #[test]
     fn out_of_range_addresses_error() {
         let mut a = array();
         assert!(a.read_word(WordAddr::new(8 * 256)).is_err());
@@ -719,7 +591,7 @@ mod tests {
         let seg = SegmentAddr::new(0);
         for arr in [&mut a, &mut b] {
             for w in arr.geometry().segment_words(seg) {
-                arr.program_word(w, 0x0000, false).unwrap();
+                arr.program_word(w, 0x0000).unwrap();
             }
             arr.erase_pulse(seg, Micros::new(20.0)).unwrap();
         }
@@ -741,7 +613,7 @@ mod tests {
         let seg = SegmentAddr::new(0);
         for arr in [&mut a, &mut b] {
             for w in arr.geometry().segment_words(seg) {
-                arr.program_word(w, 0x0000, false).unwrap();
+                arr.program_word(w, 0x0000).unwrap();
             }
             arr.erase_pulse(seg, Micros::new(20.0)).unwrap();
         }
@@ -766,11 +638,10 @@ mod tests {
         let mut hot = array();
         hot.set_temperature_c(85.0);
         cold.set_temperature_c(-20.0);
-        assert_eq!(hot.temperature_c(), 85.0);
         let seg = SegmentAddr::new(0);
         for a in [&mut cold, &mut hot] {
             for w in a.geometry().segment_words(seg) {
-                a.program_word(w, 0x0000, false).unwrap();
+                a.program_word(w, 0x0000).unwrap();
             }
             a.erase_pulse(seg, Micros::new(19.0)).unwrap();
         }
@@ -789,7 +660,7 @@ mod tests {
         let seg = SegmentAddr::new(3);
         for arr in [&mut a, &mut b] {
             for w in arr.geometry().segment_words(seg) {
-                arr.program_word(w, (w.index() as u16).rotate_left(3), false)
+                arr.program_word(w, (w.index() as u16).rotate_left(3))
                     .unwrap();
             }
             // A partial erase puts many cells near the reference so read
@@ -813,9 +684,9 @@ mod tests {
         let mut b = array();
         let seg = SegmentAddr::new(2);
         let values: Vec<u16> = (0..256).map(|i| !(i as u16).wrapping_mul(0x1357)).collect();
-        a.program_segment_words(seg, &values, true).unwrap();
+        a.program_segment_words(seg, &values).unwrap();
         for (w, &v) in b.geometry().segment_words(seg).zip(&values) {
-            b.program_word(w, v, true).unwrap();
+            b.program_word(w, v).unwrap();
         }
         assert_eq!(a.ideal_bits(seg), b.ideal_bits(seg));
         let (sa_vth, sa_wear) = {
@@ -830,21 +701,15 @@ mod tests {
     }
 
     #[test]
-    fn batched_program_validates_length_and_strictness() {
+    fn batched_program_validates_length() {
         let mut a = array();
         let seg = SegmentAddr::new(1);
         assert!(matches!(
-            a.program_segment_words(seg, &[0u16; 3], false),
+            a.program_segment_words(seg, &[0u16; 3]),
             Err(NorError::BlockLengthMismatch {
                 got: 3,
                 expected: 256
             })
-        ));
-        a.program_segment_words(seg, &vec![0u16; 256], true)
-            .unwrap();
-        assert!(matches!(
-            a.program_segment_words(seg, &vec![0xFFFFu16; 256], true),
-            Err(NorError::OverwriteWithoutErase { .. })
         ));
     }
 
@@ -853,35 +718,16 @@ mod tests {
         let mut a = array();
         let seg = SegmentAddr::new(0);
         let all_stressed = vec![0x0000u16; 256];
-        let fresh = a.worst_t_cross_us(seg, &all_stressed, 0.0, 0.0).unwrap();
-        let worn = a
-            .worst_t_cross_us(seg, &all_stressed, 60_000.0, 0.0)
+        let worst = a
+            .worst_t_cross_multi(seg, &all_stressed, &[(0.0, 0.0), (60_000.0, 0.0)])
             .unwrap();
+        let (fresh, worn) = (worst[0], worst[1]);
         assert!(fresh > 0.0);
         assert!(worn > fresh * 2.0, "worn {worn} vs fresh {fresh}");
         assert!(matches!(
-            a.worst_t_cross_us(seg, &[0u16; 2], 0.0, 0.0),
+            a.worst_t_cross_multi(seg, &[0u16; 2], &[(0.0, 0.0)]),
             Err(NorError::BlockLengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn worst_t_cross_multi_matches_single_calls() {
-        let mut a = array();
-        let seg = SegmentAddr::new(0);
-        let mut pattern = vec![0xA5A5u16; 256];
-        pattern[17] = 0xFFFF;
-        let pairs: Vec<(f64, f64)> = (0..=16)
-            .map(|s| {
-                let w = 40_000.0 * f64::from(s) / 16.0;
-                (w, w * 0.0172)
-            })
-            .collect();
-        let multi = a.worst_t_cross_multi(seg, &pattern, &pairs).unwrap();
-        for (i, &(sw, pw)) in pairs.iter().enumerate() {
-            let single = a.worst_t_cross_us(seg, &pattern, sw, pw).unwrap();
-            assert_eq!(multi[i].to_bits(), single.to_bits(), "pair {i}");
-        }
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub struct FlashController {
     timings: FlashTimings,
     clock: SimClock,
     locked: bool,
-    strict_program: bool,
     poll_step: Micros,
     poll_words: usize,
     // tCPT budget per 128-byte flash row, keyed by (segment, row).
@@ -45,7 +44,6 @@ impl FlashController {
             timings,
             clock: SimClock::new(),
             locked: false,
-            strict_program: false,
             poll_step: Micros::new(25.0),
             poll_words: 16,
             cumulative_program: std::collections::BTreeMap::new(),
@@ -85,18 +83,6 @@ impl FlashController {
     /// Unlocks the controller.
     pub fn unlock(&mut self) {
         self.locked = false;
-    }
-
-    /// Whether the controller is locked.
-    #[must_use]
-    pub fn is_locked(&self) -> bool {
-        self.locked
-    }
-
-    /// Enables strict programming: flipping a 0 bit to 1 errors instead of
-    /// silently ANDing.
-    pub fn set_strict_program(&mut self, strict: bool) {
-        self.strict_program = strict;
     }
 
     /// Wear statistics of a segment (ground truth).
@@ -241,7 +227,7 @@ impl FlashInterface for FlashController {
         let seg = self.geometry().segment_of(word);
         let row = (self.geometry().word_offset_in_segment(word) / 64) as u32;
         self.charge_program_time(seg, row, self.timings.program_word)?;
-        self.array.program_word(word, value, self.strict_program)?;
+        self.array.program_word(word, value)?;
         self.clock.advance(self.timings.program_word);
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::ProgramWord,
@@ -265,8 +251,7 @@ impl FlashInterface for FlashController {
         for row in 0..rows {
             self.charge_program_time(seg, row, per_row)?;
         }
-        self.array
-            .program_segment_words(seg, values, self.strict_program)?;
+        self.array.program_segment_words(seg, values)?;
         self.clock.advance(self.timings.block_write(n));
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::ProgramBlock,
@@ -439,7 +424,7 @@ mod tests {
     fn erase_takes_terase() {
         let mut ctl = controller();
         ctl.erase_segment(SegmentAddr::new(0)).unwrap();
-        let ms = ctl.elapsed().as_millis();
+        let ms = ctl.elapsed().get() * 1e3;
         assert!((24.9..=25.3).contains(&ms), "elapsed {ms} ms");
     }
 
@@ -447,7 +432,6 @@ mod tests {
     fn locked_controller_refuses_writes_but_reads() {
         let mut ctl = controller();
         ctl.lock();
-        assert!(ctl.is_locked());
         assert_eq!(
             ctl.program_word(WordAddr::new(0), 0).unwrap_err(),
             NorError::Locked
@@ -589,17 +573,6 @@ mod tests {
             .collect();
         assert_eq!(batched, looped);
         assert_eq!(a.elapsed().get().to_bits(), b.elapsed().get().to_bits());
-    }
-
-    #[test]
-    fn strict_program_mode_propagates() {
-        let mut ctl = controller();
-        ctl.set_strict_program(true);
-        ctl.program_word(WordAddr::new(7), 0x0000).unwrap();
-        assert!(matches!(
-            ctl.program_word(WordAddr::new(7), 0xFFFF).unwrap_err(),
-            NorError::OverwriteWithoutErase { .. }
-        ));
     }
 
     #[test]

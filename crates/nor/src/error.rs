@@ -28,12 +28,6 @@ pub enum NorError {
     Busy,
     /// An abort was issued with no erase in flight.
     NoEraseInProgress,
-    /// A program tried to flip bits from 0 to 1, which flash cannot do
-    /// without an erase (strict mode only).
-    OverwriteWithoutErase {
-        /// Word that was being programmed.
-        word: u32,
-    },
     /// A register write used a wrong password key (sets `KEYV` on real
     /// parts).
     KeyViolation,
@@ -103,12 +97,6 @@ impl fmt::Display for NorError {
             Self::Locked => write!(f, "flash controller is locked"),
             Self::Busy => write!(f, "flash controller is busy"),
             Self::NoEraseInProgress => write!(f, "no erase operation in progress to abort"),
-            Self::OverwriteWithoutErase { word } => {
-                write!(
-                    f,
-                    "program of word {word} would flip 0 bits to 1 without an erase"
-                )
-            }
             Self::KeyViolation => write!(f, "register write with invalid password key"),
             Self::AccessViolation { word } => {
                 write!(
@@ -158,7 +146,6 @@ mod tests {
             NorError::Locked,
             NorError::Busy,
             NorError::NoEraseInProgress,
-            NorError::OverwriteWithoutErase { word: 3 },
             NorError::KeyViolation,
             NorError::BlockLengthMismatch {
                 got: 3,

@@ -86,12 +86,6 @@ impl FlashGeometry {
         self.banks as u32 * self.segments_per_bank
     }
 
-    /// Total flash capacity in bytes.
-    #[must_use]
-    pub const fn total_bytes(&self) -> u64 {
-        self.total_segments() as u64 * self.bytes_per_segment as u64
-    }
-
     /// Words per segment.
     #[must_use]
     pub const fn words_per_segment(&self) -> usize {
@@ -108,12 +102,6 @@ impl FlashGeometry {
     #[must_use]
     pub const fn total_words(&self) -> u64 {
         self.total_segments() as u64 * self.words_per_segment() as u64
-    }
-
-    /// Bank containing `seg`.
-    #[must_use]
-    pub const fn bank_of(&self, seg: SegmentAddr) -> u16 {
-        (seg.index() / self.segments_per_bank) as u16
     }
 
     /// First word of a segment.
@@ -201,7 +189,7 @@ mod tests {
         assert_eq!(g.words_per_segment(), 256);
         assert_eq!(g.cells_per_segment(), 4096);
         assert_eq!(g.total_segments(), 16);
-        assert_eq!(g.total_bytes(), 16 * 512);
+        assert_eq!(g.total_words(), 16 * 256);
     }
 
     #[test]
@@ -236,11 +224,7 @@ mod tests {
     fn multi_bank_layout() {
         let g = FlashGeometry::new(4, 128, 512).unwrap();
         assert_eq!(g.total_segments(), 512);
-        assert_eq!(g.total_bytes(), 256 * 1024);
-        assert_eq!(g.bank_of(SegmentAddr::new(0)), 0);
-        assert_eq!(g.bank_of(SegmentAddr::new(127)), 0);
-        assert_eq!(g.bank_of(SegmentAddr::new(128)), 1);
-        assert_eq!(g.bank_of(SegmentAddr::new(511)), 3);
+        assert_eq!(g.total_words(), 128 * 1024);
     }
 
     #[test]

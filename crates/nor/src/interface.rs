@@ -47,7 +47,7 @@ pub trait FlashInterface {
     ///
     /// # Errors
     ///
-    /// Address, lock, or (strict mode) overwrite errors.
+    /// Address or lock errors.
     fn program_word(&mut self, word: WordAddr, value: u16) -> Result<(), NorError>;
 
     /// Reads every word of a segment in one burst.

@@ -11,7 +11,7 @@
 //!   erase time `tPE` — the operation Flashmark uses to sense analog wear
 //!   through the digital interface,
 //! * a simulated wall clock driven by datasheet operation timings, and
-//! * an optional MSP430-style register front-end (`FCTL1/FCTL3/FCTL4` with
+//! * an optional MSP430-style register front-end (`FCTL1/FCTL3` with
 //!   password keys and violation flags).
 //!
 //! The Flashmark algorithms in `flashmark-core` are generic over the

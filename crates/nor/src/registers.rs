@@ -1,4 +1,4 @@
-//! MSP430-style register front-end (`FCTL1/FCTL3/FCTL4`).
+//! MSP430-style register front-end (`FCTL1/FCTL3`).
 //!
 //! Real firmware drives the flash controller through password-protected
 //! control registers: set a mode bit (`ERASE`, `WRT`, …) in `FCTL1`, clear
@@ -21,7 +21,8 @@ use crate::interface::FlashInterface;
 /// Password that must be in the high byte of every register write (`FWKEY`).
 pub const FWKEY: u16 = 0xA500;
 /// Key returned in the high byte of every register read (`FRKEY`).
-pub const FRKEY: u16 = 0x9600;
+#[cfg(test)]
+const FRKEY: u16 = 0x9600;
 
 /// `FCTL1.ERASE`: next flash write triggers a segment erase.
 pub const ERASE: u16 = 0x0002;
@@ -32,8 +33,6 @@ pub const WRT: u16 = 0x0040;
 /// `FCTL1.BLKWRT`: block write mode.
 pub const BLKWRT: u16 = 0x0080;
 
-/// `FCTL3.BUSY`: operation in progress.
-pub const BUSY: u16 = 0x0001;
 /// `FCTL3.KEYV`: a register write used a bad key.
 pub const KEYV: u16 = 0x0002;
 /// `FCTL3.ACCVIFG`: access violation interrupt flag.
@@ -43,15 +42,13 @@ pub const LOCK: u16 = 0x0010;
 /// `FCTL3.EMEX`: emergency exit — aborts the operation in progress.
 pub const EMEX: u16 = 0x0020;
 
-/// The three flash control registers.
+/// The modelled flash control registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fctl {
     /// Operation mode bits.
     Fctl1,
     /// Lock/status bits.
     Fctl3,
-    /// Extended control (read back as written; no modelled behaviour).
-    Fctl4,
 }
 
 /// Register-protocol adapter over a [`FlashController`].
@@ -60,7 +57,6 @@ pub struct RegisterFront {
     ctl: FlashController,
     fctl1: u16,
     fctl3: u16,
-    fctl4: u16,
 }
 
 impl RegisterFront {
@@ -72,7 +68,6 @@ impl RegisterFront {
             ctl,
             fctl1: 0,
             fctl3: LOCK,
-            fctl4: 0,
         }
     }
 
@@ -82,19 +77,12 @@ impl RegisterFront {
         &self.ctl
     }
 
-    /// Unwraps back into the controller.
-    #[must_use]
-    pub fn into_controller(self) -> FlashController {
-        self.ctl
-    }
-
     /// Reads a control register (high byte reads back as `FRKEY`).
-    #[must_use]
-    pub fn read_register(&self, reg: Fctl) -> u16 {
+    #[cfg(test)]
+    fn read_register(&self, reg: Fctl) -> u16 {
         let low = match reg {
             Fctl::Fctl1 => self.fctl1,
             Fctl::Fctl3 => self.fctl3,
-            Fctl::Fctl4 => self.fctl4,
         };
         FRKEY | (low & 0x00FF)
     }
@@ -121,7 +109,6 @@ impl RegisterFront {
                     self.ctl.unlock();
                 }
             }
-            Fctl::Fctl4 => self.fctl4 = low,
         }
         Ok(())
     }
@@ -317,12 +304,5 @@ mod tests {
         f.write_word(WordAddr::new(0), 0x0).unwrap();
         assert_eq!(f.read_word(WordAddr::new(0)).unwrap(), 0xFFFF);
         assert_eq!(f.read_word(WordAddr::new(256)).unwrap(), 0xFFFF);
-    }
-
-    #[test]
-    fn into_controller_roundtrip() {
-        let f = front();
-        let ctl = f.into_controller();
-        assert_eq!(ctl.geometry().total_segments(), 4);
     }
 }

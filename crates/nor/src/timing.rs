@@ -55,34 +55,10 @@ impl FlashTimings {
         }
     }
 
-    /// Timings of a fast stand-alone NOR part (the paper notes imprint would
-    /// be much quicker on such devices).
-    #[must_use]
-    pub fn fast_standalone() -> Self {
-        Self {
-            erase_segment: Micros::from_millis(5.0),
-            mass_erase: Micros::from_millis(20.0),
-            program_word: Micros::new(12.0),
-            block_write_word: Micros::new(7.0),
-            block_write_overhead: Micros::new(100.0),
-            read_word: Micros::new(0.1),
-            abort_latency: Micros::new(2.0),
-            setup_overhead: Micros::new(10.0),
-            cumulative_program_limit: Micros::from_millis(16.0),
-        }
-    }
-
     /// Duration of a block write of `words` words.
     #[must_use]
     pub fn block_write(&self, words: usize) -> Micros {
         self.block_write_overhead + self.block_write_word * words as f64
-    }
-
-    /// Duration of one baseline imprint cycle (full erase + block write of a
-    /// whole segment).
-    #[must_use]
-    pub fn baseline_imprint_cycle(&self, words_per_segment: usize) -> Micros {
-        self.erase_segment + self.block_write(words_per_segment)
     }
 }
 
@@ -132,13 +108,10 @@ mod tests {
     #[test]
     fn msp430_cycle_matches_paper_arithmetic() {
         let t = FlashTimings::msp430();
-        let cycle = t.baseline_imprint_cycle(256);
+        let cycle = t.erase_segment + t.block_write(256);
         // Paper: 40 K cycles -> 1380 s, i.e. 34.5 ms per cycle.
-        assert!(
-            (cycle.as_millis() - 34.5).abs() < 0.2,
-            "cycle = {} ms",
-            cycle.as_millis()
-        );
+        let ms = cycle.get() * 1e-3;
+        assert!((ms - 34.5).abs() < 0.2, "cycle = {ms} ms");
         let total_40k = cycle.to_seconds() * 40_000.0;
         assert!(
             (total_40k.get() - 1380.0).abs() < 10.0,
@@ -154,7 +127,7 @@ mod tests {
     #[test]
     fn erase_in_datasheet_window() {
         let t = FlashTimings::msp430();
-        let ms = t.erase_segment.as_millis();
+        let ms = t.erase_segment.get() * 1e-3;
         assert!((23.0..=35.0).contains(&ms));
     }
 
@@ -173,12 +146,5 @@ mod tests {
         c.advance(Micros::from_millis(25.0));
         c.advance(Micros::new(75.0));
         assert!((c.now().get() - 0.025_075).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fast_part_is_faster() {
-        let slow = FlashTimings::msp430();
-        let fast = FlashTimings::fast_standalone();
-        assert!(fast.baseline_imprint_cycle(256).get() < slow.baseline_imprint_cycle(256).get());
     }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use flashmark_nor::interface::FlashInterface;
+use flashmark_nor::interface::{FlashInterface, FlashInterfaceExt};
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr, WordAddr};
 use flashmark_physics::{Micros, PhysicsParams};
 
@@ -47,7 +47,6 @@ proptest! {
     fn partial_erase_is_monotone(seed in any::<u64>(), t1 in 1.0f64..40.0, t2 in 1.0f64..40.0) {
         let mut ctl = controller(seed);
         let seg = SegmentAddr::new(1);
-        use flashmark_nor::interface::FlashInterfaceExt;
         ctl.program_all_zero(seg).unwrap();
         ctl.partial_erase(seg, Micros::new(t1)).unwrap();
         let ones_1 = ctl.array_mut().ideal_bits(seg).iter().filter(|&&b| b).count();

@@ -145,27 +145,6 @@ pub enum ObsEvent {
 }
 
 impl ObsEvent {
-    /// Stable name of this event's variant, used as the counter key.
-    #[must_use]
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Self::FlashOp { .. } => "flash_op",
-            Self::PartialErase { .. } => "partial_erase",
-            Self::EraseUntilClean { .. } => "erase_until_clean",
-            Self::BulkImprint { .. } => "bulk_imprint",
-            Self::CellsTouched { .. } => "cells_touched",
-            Self::SpanEnter { .. } => "span_enter",
-            Self::SpanExit { .. } => "span_exit",
-            Self::Retry { .. } => "retry",
-            Self::LadderRung { .. } => "ladder_rung",
-            Self::Resolution { .. } => "resolution",
-            Self::FaultFired { .. } => "fault_fired",
-            Self::SanitizerViolation { .. } => "sanitizer_violation",
-            Self::SweepWidth { .. } => "sweep_width",
-            Self::Verdict { .. } => "verdict",
-        }
-    }
-
     /// One human-readable line describing the event, for timeline dumps.
     #[must_use]
     pub fn describe(&self) -> String {
@@ -205,62 +184,6 @@ impl ObsEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_names_are_unique() {
-        let names = [
-            ObsEvent::FlashOp {
-                kind: FlashOpKind::ReadWord,
-                seg: 0,
-            }
-            .kind_name(),
-            ObsEvent::PartialErase {
-                seg: 0,
-                t_pe_us: 1.0,
-            }
-            .kind_name(),
-            ObsEvent::EraseUntilClean {
-                seg: 0,
-                took_us: 1.0,
-            }
-            .kind_name(),
-            ObsEvent::BulkImprint { seg: 0, cycles: 1 }.kind_name(),
-            ObsEvent::CellsTouched {
-                kind: "x",
-                cells: 1,
-            }
-            .kind_name(),
-            ObsEvent::SpanEnter { name: "x" }.kind_name(),
-            ObsEvent::SpanExit { name: "x" }.kind_name(),
-            ObsEvent::Retry {
-                stage: "x",
-                attempt: 1,
-            }
-            .kind_name(),
-            ObsEvent::LadderRung {
-                offset_us: 0.0,
-                outcome: "x",
-            }
-            .kind_name(),
-            ObsEvent::Resolution { strategy: "x" }.kind_name(),
-            ObsEvent::FaultFired {
-                channel: "x",
-                op: 0,
-            }
-            .kind_name(),
-            ObsEvent::SanitizerViolation { kind: "x", op: "y" }.kind_name(),
-            ObsEvent::SweepWidth {
-                width_us: 1.0,
-                points: 2,
-            }
-            .kind_name(),
-            ObsEvent::Verdict { verdict: "x" }.kind_name(),
-        ];
-        let mut sorted = names.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), names.len(), "duplicate kind names");
-    }
 
     #[test]
     fn descriptions_include_the_payload() {

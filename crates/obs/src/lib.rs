@@ -40,4 +40,4 @@ pub use collector::{Collector, Metrics, DEFAULT_EVENT_CAPACITY};
 pub use event::{FlashOpKind, ObsEvent};
 pub use metrics::{bucket_of, flash_op_cost, virtual_latency_of, Snapshot, FLASH_OP_COSTS, GLOBAL};
 pub use report::{run_instrumented, InstrumentedRun, ObsReport, TrialSummary};
-pub use runtime::{emit, install, is_enabled, span, take, Span};
+pub use runtime::{emit, install, span, take, Span};

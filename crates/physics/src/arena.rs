@@ -815,6 +815,6 @@ mod tests {
         let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
         let worst = arena.max_ln_t_cross(&params, &mut cache, &[], 10_000.0, 0.0);
         assert!(worst.is_infinite() && worst < 0.0);
-        assert_eq!(worst.exp(), 0.0);
+        assert_eq!(worst.exp().to_bits(), 0.0_f64.to_bits());
     }
 }

@@ -25,7 +25,7 @@
 //! so that the extreme order statistics of 4096 cells land on the paper's
 //! numbers.
 
-use crate::variation::{expected_max_z, LogNormal};
+use crate::variation::LogNormal;
 
 /// One calibration anchor: erase-time distribution at a given wear level.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -294,17 +294,6 @@ impl EraseCalibration {
         LogNormal::new(self.median_us(kcycles), self.sigma(kcycles).max(0.0))
     }
 
-    /// Estimated time (µs) at which all `n_cells` cells of a segment at
-    /// `kcycles` wear read erased — the quantity Fig. 4 reports.
-    ///
-    /// `tail_headroom` is the multiplicative allowance for straggler cells
-    /// (see [`TailParams::straggler_max_extra`](crate::params::TailParams)).
-    #[must_use]
-    pub fn all_erased_estimate_us(&self, kcycles: f64, n_cells: usize, tail_headroom: f64) -> f64 {
-        let z = expected_max_z(n_cells);
-        self.distribution(kcycles).at(z) * (1.0 + tail_headroom)
-    }
-
     fn interp(&self, kcycles: f64, f: impl Fn(&WearAnchor) -> f64, extrapolate: bool) -> f64 {
         let k = kcycles.max(0.0);
         let a = &self.anchors;
@@ -402,32 +391,7 @@ mod tests {
         let cal = EraseCalibration::msp430();
         assert!(cal.median_us(150.0) > cal.median_us(100.0));
         // Sigma is clamped, not extrapolated.
-        assert_eq!(cal.sigma(150.0), cal.sigma(100.0));
-    }
-
-    #[test]
-    fn all_erased_estimates_track_paper_anchors() {
-        // The model's extreme order statistic should land within ~25 % of the
-        // paper's Fig. 4 numbers (we verify the tighter empirical match in
-        // the experiment harness).
-        let cal = EraseCalibration::msp430();
-        let headroom = 0.30;
-        let paper = [
-            (0.0, 35.0),
-            (20.0, 115.0),
-            (40.0, 203.0),
-            (60.0, 226.0),
-            (80.0, 687.0),
-            (100.0, 811.0),
-        ];
-        for (k, target) in paper {
-            let est = cal.all_erased_estimate_us(k, 4096, headroom);
-            let ratio = est / target;
-            assert!(
-                (0.6..=1.45).contains(&ratio),
-                "at {k}K: estimate {est:.0} vs paper {target} (ratio {ratio:.2})"
-            );
-        }
+        assert_eq!(cal.sigma(150.0).to_bits(), cal.sigma(100.0).to_bits());
     }
 
     #[test]
@@ -435,7 +399,7 @@ mod tests {
         let cal = EraseCalibration::msp430();
         let fast = cal.scaled(0.2);
         assert!((fast.median_us(0.0) - cal.median_us(0.0) * 0.2).abs() < 1e-12);
-        assert_eq!(fast.sigma(40.0), cal.sigma(40.0));
+        assert_eq!(fast.sigma(40.0).to_bits(), cal.sigma(40.0).to_bits());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Erase (Fowler–Nordheim tunneling) dynamics, including partial erase.
 //!
 //! The observable Flashmark exploits: the time a cell takes to cross the read
-//! reference during an erase grows with accumulated wear. [`t_cross_us`]
-//! gives that time for a cell starting from the fully-programmed level;
-//! [`apply_erase`] advances a cell's threshold voltage through an erase pulse
-//! of a given effective duration (possibly aborted early — a *partial* erase).
+//! reference during an erase grows with accumulated wear.
+//! [`t_cross_us_cached`] gives that time for a cell starting from the
+//! fully-programmed level; [`apply_erase_cached`] advances a cell's
+//! threshold voltage through an erase pulse of a given effective duration
+//! (possibly aborted early — a *partial* erase). Both read the erase-time
+//! distribution through an [`EraseDistCache`].
 
 use crate::calibration::EraseCalibration;
 use crate::cell::{CellState, CellStatics};
@@ -12,8 +14,8 @@ use crate::params::{PhysicsParams, DEFAULT_ERASE_DIST_GRID_KCYCLES};
 
 /// Bucket index of effective wear `kcycles` on a quantization grid of
 /// `grid_kcycles`: the nearest grid point. Shared by every path that touches
-/// the erase-distribution table, cached or not, so all of them agree on the
-/// quantized key bit-for-bit.
+/// the erase-distribution table, so all of them agree on the quantized key
+/// bit-for-bit.
 #[must_use]
 pub fn wear_bucket(kcycles: f64, grid_kcycles: f64) -> usize {
     (kcycles / grid_kcycles).round() as usize
@@ -32,11 +34,14 @@ pub fn wear_bucket(kcycles: f64, grid_kcycles: f64) -> usize {
 /// dense `Vec<f64>` lanes, extended on demand. At the default 0.25-kcycle
 /// grid the full 0–115 kcycle range is ~460 buckets (≈ 7 KB) — L1-resident.
 ///
-/// **Determinism contract:** the cached accessors are bit-identical to the
-/// uncached functions ([`t_cross_us`] etc.), because *both* quantize through
-/// [`wear_bucket`] before consulting the calibration. The quantization grid
-/// is therefore part of the physical parameter record, not a private cache
-/// detail.
+/// **Determinism contract:** a bucket's entry depends only on the
+/// calibration and the grid, never on which cells filled the table or in
+/// what order, so any two tables on the same grid return bit-identical
+/// crossing times, and a chip's results do not depend on its table's
+/// history. Every accessor quantizes through [`wear_bucket`], so the
+/// quantization grid is part of the physical parameter record
+/// ([`PhysicsParams::erase_dist_grid_kcycles`]), not a private cache
+/// detail: the cache must be built on that grid.
 #[derive(Debug, Clone)]
 pub struct EraseDistCache {
     grid_kcycles: f64,
@@ -171,22 +176,11 @@ fn ln_t_cross_statics(ln_median: f64, sigma: f64, statics: &CellStatics, kcycles
 /// erase, starting from the fully-programmed level, at `wear_cycles` of wear.
 ///
 /// This excludes per-pulse jitter (the caller folds jitter into the pulse's
-/// effective duration, see [`crate::noise::PulseNoise`]). The calibration
-/// distribution is evaluated at the effective wear quantized to
-/// [`PhysicsParams::erase_dist_grid_kcycles`].
-#[must_use]
-pub fn t_cross_us(params: &PhysicsParams, statics: &CellStatics, wear_cycles: f64) -> f64 {
-    // Heterogeneous wear response: weak responders age at a fraction of the
-    // applied stress (the source of the paper's bad→good extraction errors).
-    let k = wear_cycles * statics.susceptibility / 1000.0;
-    let grid = params.erase_dist_grid_kcycles;
-    let kq = wear_bucket(k, grid) as f64 * grid;
-    let dist = params.erase_cal.distribution(kq);
-    ln_t_cross_statics(dist.median.ln(), dist.sigma, statics, k).exp()
-}
-
-/// [`t_cross_us`] with the calibration lookup served from the quantized
-/// table. Bit-identical to the uncached version.
+/// effective duration, see [`crate::noise::PulseNoise`]). Heterogeneous
+/// wear response scales the wear first: weak responders age at a fraction
+/// of the applied stress (the source of the paper's bad→good extraction
+/// errors). The calibration distribution is read from `cache` at the
+/// effective wear quantized to [`PhysicsParams::erase_dist_grid_kcycles`].
 #[must_use]
 pub fn t_cross_us_cached(
     params: &PhysicsParams,
@@ -219,16 +213,8 @@ pub fn ln_t_cross_us_cached(
 }
 
 /// Time (µs) for this cell to reach its *fully erased* level from the
-/// programmed level — longer than [`t_cross_us`] because the threshold keeps
-/// falling after crossing the read reference.
-#[must_use]
-pub fn t_full_us(params: &PhysicsParams, statics: &CellStatics, state: &CellState) -> f64 {
-    let t_cross = t_cross_us(params, statics, state.wear_cycles);
-    t_full_from_t_cross(params, statics, state, t_cross)
-}
-
-/// [`t_full_us`] with the calibration lookup memoized in `cache`.
-/// Bit-identical to the uncached version.
+/// programmed level — longer than [`t_cross_us_cached`] because the
+/// threshold keeps falling after crossing the read reference.
 #[must_use]
 pub fn t_full_us_cached(
     params: &PhysicsParams,
@@ -237,16 +223,6 @@ pub fn t_full_us_cached(
     cache: &mut EraseDistCache,
 ) -> f64 {
     let t_cross = t_cross_us_cached(params, statics, state.wear_cycles, cache);
-    t_full_from_t_cross(params, statics, state, t_cross)
-}
-
-/// Shared tail of the `t_full` computation once `t_cross` is in hand.
-fn t_full_from_t_cross(
-    params: &PhysicsParams,
-    statics: &CellStatics,
-    state: &CellState,
-    t_cross: f64,
-) -> f64 {
     let vth_prog = state.vth_prog_now(params, statics);
     let vth_end = state.vth_erased_now(params, statics);
     let span_to_ref = vth_prog - params.vref.get();
@@ -262,21 +238,9 @@ fn t_full_from_t_cross(
 /// The threshold voltage descends linearly from the programmed level toward
 /// the wear-shifted erased level; the slope is set so that a cell starting
 /// fully programmed crosses the read reference exactly at its
-/// [`t_cross_us`]. Cells that start partially erased finish proportionally
-/// sooner. Wear is accrued in proportion to the tunneling activity actually
-/// performed (see [`crate::params::WearWeights`]).
-pub fn apply_erase(
-    params: &PhysicsParams,
-    statics: &CellStatics,
-    state: &mut CellState,
-    effective_us: f64,
-) -> EraseOutcome {
-    let t_full = t_full_us(params, statics, state);
-    apply_erase_with_t_full(params, statics, state, effective_us, t_full)
-}
-
-/// [`apply_erase`] with the calibration lookup memoized in `cache`.
-/// Bit-identical to the uncached version.
+/// [`t_cross_us_cached`]. Cells that start partially erased finish
+/// proportionally sooner. Wear is accrued in proportion to the tunneling
+/// activity actually performed (see [`crate::params::WearWeights`]).
 pub fn apply_erase_cached(
     params: &PhysicsParams,
     statics: &CellStatics,
@@ -284,23 +248,11 @@ pub fn apply_erase_cached(
     effective_us: f64,
     cache: &mut EraseDistCache,
 ) -> EraseOutcome {
-    let t_full = t_full_us_cached(params, statics, state, cache);
-    apply_erase_with_t_full(params, statics, state, effective_us, t_full)
-}
-
-/// Shared erase-pulse body once the cell's full-erase time is in hand.
-fn apply_erase_with_t_full(
-    params: &PhysicsParams,
-    statics: &CellStatics,
-    state: &mut CellState,
-    effective_us: f64,
-    t_full: f64,
-) -> EraseOutcome {
     debug_assert!(effective_us >= 0.0, "negative pulse duration");
+    let t_full = t_full_us_cached(params, statics, state, cache).max(1e-9);
     let was_programmed = !state.ideal_bit(params);
     let vth_prog = state.vth_prog_now(params, statics);
     let vth_end = state.vth_erased_now(params, statics);
-    let t_full = t_full.max(1e-9);
     let slope = (vth_prog - vth_end).max(0.0) / t_full; // volts per µs
 
     let start_vth = state.vth;
@@ -338,18 +290,6 @@ pub fn erase_temp_factor(params: &PhysicsParams, temp_c: f64) -> f64 {
     (params.erase_activation_energy_ev / BOLTZMANN_EV_PER_K * (1.0 / t_ref - 1.0 / t)).exp()
 }
 
-/// Estimated time (µs) at which **all** `n_cells` cells at uniform wear
-/// `wear_cycles` would read erased — the quantity the paper's Fig. 4 reports
-/// per stress level. Includes straggler headroom.
-#[must_use]
-pub fn all_erased_estimate_us(params: &PhysicsParams, wear_cycles: f64, n_cells: usize) -> f64 {
-    params.erase_cal.all_erased_estimate_us(
-        wear_cycles / 1000.0,
-        n_cells,
-        params.tails.straggler_max_extra,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,13 +306,31 @@ mod tests {
         (statics, state)
     }
 
+    /// One-shot lookups through a fresh table on the parameters' grid.
+    fn cache(params: &PhysicsParams) -> EraseDistCache {
+        EraseDistCache::new(params.erase_dist_grid_kcycles)
+    }
+
+    fn t_cross(params: &PhysicsParams, statics: &CellStatics, wear_cycles: f64) -> f64 {
+        t_cross_us_cached(params, statics, wear_cycles, &mut cache(params))
+    }
+
+    fn erase(
+        params: &PhysicsParams,
+        statics: &CellStatics,
+        state: &mut CellState,
+        effective_us: f64,
+    ) -> EraseOutcome {
+        apply_erase_cached(params, statics, state, effective_us, &mut cache(params))
+    }
+
     #[test]
     fn t_cross_grows_with_wear() {
         let params = PhysicsParams::msp430_like();
         let statics = CellStatics::derive(&params, 3, 3);
         let mut prev = 0.0;
         for w in [0.0, 10_000.0, 20_000.0, 50_000.0, 100_000.0] {
-            let t = t_cross_us(&params, &statics, w);
+            let t = t_cross(&params, &statics, w);
             assert!(t > prev, "t_cross not increasing at wear {w}");
             prev = t;
         }
@@ -386,7 +344,7 @@ mod tests {
         let mut max_t: f64 = 0.0;
         for i in 0..4096u64 {
             let s = CellStatics::derive(&params, 0x5EED, i);
-            let t = t_cross_us(&params, &s, 0.0);
+            let t = t_cross(&params, &s, 0.0);
             min_t = min_t.min(t);
             max_t = max_t.max(t);
         }
@@ -398,8 +356,8 @@ mod tests {
     fn full_pulse_erases_programmed_cell() {
         let params = PhysicsParams::msp430_like();
         let (statics, mut state) = programmed_cell(&params, 9, 1);
-        let t_full = t_full_us(&params, &statics, &state);
-        let out = apply_erase(&params, &statics, &mut state, t_full * 1.01);
+        let t_full = t_full_us_cached(&params, &statics, &state, &mut cache(&params));
+        let out = erase(&params, &statics, &mut state, t_full * 1.01);
         assert!(out.crossed && out.completed);
         assert!(state.ideal_bit(&params));
     }
@@ -408,8 +366,8 @@ mod tests {
     fn short_pulse_leaves_cell_programmed() {
         let params = PhysicsParams::msp430_like();
         let (statics, mut state) = programmed_cell(&params, 9, 2);
-        let t_cross = t_cross_us(&params, &statics, state.wear_cycles);
-        let out = apply_erase(&params, &statics, &mut state, t_cross * 0.5);
+        let t_cross = t_cross(&params, &statics, state.wear_cycles);
+        let out = erase(&params, &statics, &mut state, t_cross * 0.5);
         assert!(!out.crossed);
         assert!(!state.ideal_bit(&params));
     }
@@ -418,14 +376,14 @@ mod tests {
     fn crossing_happens_at_t_cross() {
         let params = PhysicsParams::msp430_like();
         let (statics, state0) = programmed_cell(&params, 9, 3);
-        let t_cross = t_cross_us(&params, &statics, state0.wear_cycles);
+        let t_cross = t_cross(&params, &statics, state0.wear_cycles);
 
         let mut before = state0;
-        apply_erase(&params, &statics, &mut before, t_cross * 0.98);
+        erase(&params, &statics, &mut before, t_cross * 0.98);
         // Slight slack: the programmed vth has op noise around the nominal
         // level the slope is derived from.
         let mut after = state0;
-        apply_erase(&params, &statics, &mut after, t_cross * 1.05);
+        erase(&params, &statics, &mut after, t_cross * 1.05);
         assert!(after.vth < before.vth);
         assert!(
             after.ideal_bit(&params),
@@ -439,11 +397,11 @@ mod tests {
         let (statics, state0) = programmed_cell(&params, 9, 4);
 
         let mut split = state0;
-        apply_erase(&params, &statics, &mut split, 10.0);
-        apply_erase(&params, &statics, &mut split, 10.0);
+        erase(&params, &statics, &mut split, 10.0);
+        erase(&params, &statics, &mut split, 10.0);
 
         let mut whole = state0;
-        apply_erase(&params, &statics, &mut whole, 20.0);
+        erase(&params, &statics, &mut whole, 20.0);
 
         // vth path is piecewise linear in elapsed time, so splitting the pulse
         // must land within the wear-induced slope drift (tiny for 10 µs).
@@ -460,7 +418,7 @@ mod tests {
         let params = PhysicsParams::msp430_like();
         let (statics, mut state) = programmed_cell(&params, 9, 5);
         let w0 = state.wear_cycles;
-        apply_erase(&params, &statics, &mut state, 1e4);
+        erase(&params, &statics, &mut state, 1e4);
         assert!(state.wear_cycles > w0);
         assert!((state.wear_cycles - w0 - params.wear.erase).abs() < 1e-9);
     }
@@ -470,7 +428,7 @@ mod tests {
         let params = PhysicsParams::msp430_like();
         let statics = CellStatics::derive(&params, 9, 6);
         let mut state = CellState::fresh(&statics);
-        apply_erase(&params, &statics, &mut state, 1e4);
+        erase(&params, &statics, &mut state, 1e4);
         assert!(state.wear_cycles <= params.wear.erase_only + 1e-12);
     }
 
@@ -486,8 +444,8 @@ mod tests {
             activation_kcycles: 30.0,
             factor: 0.5,
         });
-        let before = t_cross_us(&params, &statics, 29_000.0);
-        let after = t_cross_us(&params, &statics, 31_000.0);
+        let before = t_cross(&params, &statics, 29_000.0);
+        let after = t_cross(&params, &statics, 31_000.0);
         // Wear alone increases t_cross slightly; the trap halves it.
         assert!(after < before * 0.6, "before {before} after {after}");
     }
@@ -500,7 +458,7 @@ mod tests {
         base.early = None;
         let mut strag = base;
         strag.straggler_extra = Some(0.3);
-        assert!(t_cross_us(&params, &strag, 0.0) > t_cross_us(&params, &base, 0.0));
+        assert!(t_cross(&params, &strag, 0.0) > t_cross(&params, &base, 0.0));
     }
 
     #[test]
@@ -517,7 +475,10 @@ mod tests {
         );
         let mut no_temp = params.clone();
         no_temp.erase_activation_energy_ev = 0.0;
-        assert_eq!(erase_temp_factor(&no_temp, 125.0), 1.0);
+        assert_eq!(
+            erase_temp_factor(&no_temp, 125.0).to_bits(),
+            1.0_f64.to_bits()
+        );
     }
 
     #[test]
@@ -534,52 +495,15 @@ mod tests {
             let lo = (centre - 0.49 * grid_cycles).max(0.0);
             let hi = centre + 0.49 * grid_cycles;
             assert_eq!(
-                t_cross_us(&params, &statics, lo).to_bits(),
-                t_cross_us(&params, &statics, hi).to_bits(),
+                t_cross(&params, &statics, lo).to_bits(),
+                t_cross(&params, &statics, hi).to_bits(),
                 "bucket {bucket} not flat"
             );
             let next = centre + 1.01 * grid_cycles;
             assert!(
-                t_cross_us(&params, &statics, next) > t_cross_us(&params, &statics, centre),
+                t_cross(&params, &statics, next) > t_cross(&params, &statics, centre),
                 "bucket {bucket} boundary has no step"
             );
         }
-    }
-
-    #[test]
-    fn cached_paths_are_bit_identical_to_uncached() {
-        let params = PhysicsParams::msp430_like();
-        let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
-        for i in 0..512u64 {
-            let (statics, state) = programmed_cell(&params, 0xCACE, i);
-            // Mix of shared (0, 40k) and per-cell-unique wear keys so both
-            // hit and miss paths are exercised.
-            for w in [0.0, 40_000.0, 40_000.0 + i as f64] {
-                assert_eq!(
-                    t_cross_us(&params, &statics, w).to_bits(),
-                    t_cross_us_cached(&params, &statics, w, &mut cache).to_bits()
-                );
-            }
-            assert_eq!(
-                t_full_us(&params, &statics, &state).to_bits(),
-                t_full_us_cached(&params, &statics, &state, &mut cache).to_bits()
-            );
-            let mut plain = state;
-            let mut cached = state;
-            let out_plain = apply_erase(&params, &statics, &mut plain, 12.5);
-            let out_cached = apply_erase_cached(&params, &statics, &mut cached, 12.5, &mut cache);
-            assert_eq!(out_plain, out_cached);
-            assert_eq!(plain.vth.to_bits(), cached.vth.to_bits());
-            assert_eq!(plain.wear_cycles.to_bits(), cached.wear_cycles.to_bits());
-        }
-    }
-
-    #[test]
-    fn all_erased_estimate_matches_paper_scale() {
-        let params = PhysicsParams::msp430_like();
-        let fresh = all_erased_estimate_us(&params, 0.0, 4096);
-        assert!((25.0..=45.0).contains(&fresh), "fresh estimate {fresh}");
-        let worn = all_erased_estimate_us(&params, 100_000.0, 4096);
-        assert!((600.0..=1250.0).contains(&worn), "100K estimate {worn}");
     }
 }

@@ -36,8 +36,9 @@
 //! // Fresh cell: program it, then a full erase brings it back.
 //! flashmark_physics::program::apply_program(&params, &statics, &mut cell, &mut rng);
 //! assert!(!flashmark_physics::cell::sense(&params, &cell, &mut rng)); // reads 0
-//! let t = flashmark_physics::erase::t_cross_us(&params, &statics, cell.wear_cycles);
-//! flashmark_physics::erase::apply_erase(&params, &statics, &mut cell, t * 2.0);
+//! let mut cache = flashmark_physics::EraseDistCache::new(params.erase_dist_grid_kcycles);
+//! let t = flashmark_physics::erase::t_cross_us_cached(&params, &statics, cell.wear_cycles, &mut cache);
+//! flashmark_physics::erase::apply_erase_cached(&params, &statics, &mut cell, t * 2.0, &mut cache);
 //! assert!(flashmark_physics::cell::sense(&params, &cell, &mut rng)); // reads 1
 //! ```
 

@@ -44,15 +44,6 @@ impl PulseNoise {
         }
     }
 
-    /// A noise-free pulse (useful for deterministic analysis and tests).
-    #[must_use]
-    pub fn none() -> Self {
-        Self {
-            common_factor: 1.0,
-            seed: 0,
-        }
-    }
-
     /// Effective duration experienced by cell `cell_index` for a pulse of
     /// nominal duration `nominal_us`.
     ///
@@ -77,13 +68,6 @@ mod tests {
     use crate::params::PhysicsParams;
 
     #[test]
-    fn none_is_identity() {
-        let params = PhysicsParams::msp430_like();
-        let pn = PulseNoise::none();
-        assert_eq!(pn.effective_us(&params, 5, 20.0), 20.0);
-    }
-
-    #[test]
     fn common_factor_applies_to_all_cells() {
         let params = PhysicsParams::msp430_like();
         let mut rng = SplitMix64::new(77);
@@ -104,8 +88,8 @@ mod tests {
         let mut rng = SplitMix64::new(78);
         let pn = PulseNoise::draw(&params, &mut rng);
         assert_eq!(
-            pn.effective_us(&params, 9, 50.0),
-            pn.effective_us(&params, 9, 50.0)
+            pn.effective_us(&params, 9, 50.0).to_bits(),
+            pn.effective_us(&params, 9, 50.0).to_bits()
         );
     }
 
@@ -116,8 +100,8 @@ mod tests {
         let a = PulseNoise::draw(&params, &mut rng);
         let b = PulseNoise::draw(&params, &mut rng);
         assert_ne!(
-            a.effective_us(&params, 3, 10.0),
-            b.effective_us(&params, 3, 10.0)
+            a.effective_us(&params, 3, 10.0).to_bits(),
+            b.effective_us(&params, 3, 10.0).to_bits()
         );
     }
 

@@ -189,13 +189,6 @@ impl PhysicsParams {
         }
     }
 
-    /// Threshold-voltage level that separates the erased and programmed
-    /// states' nominal means — useful for diagnostics.
-    #[must_use]
-    pub fn vth_midpoint(&self) -> Volts {
-        Volts::new(0.5 * (self.vth_erased.mean + self.vth_programmed.mean))
-    }
-
     /// Sanity-checks internal consistency.
     ///
     /// # Errors
@@ -386,8 +379,8 @@ mod tests {
             .endurance_kcycles(42.0)
             .build()
             .unwrap();
-        assert_eq!(p.read_noise_sigma, 0.01);
-        assert_eq!(p.endurance_kcycles, 42.0);
+        assert_eq!(p.read_noise_sigma.to_bits(), 0.01_f64.to_bits());
+        assert_eq!(p.endurance_kcycles.to_bits(), 42.0_f64.to_bits());
     }
 
     #[test]
@@ -430,12 +423,5 @@ mod tests {
         let w = WearWeights::default();
         assert!((w.program + w.erase - 1.0).abs() < 1e-12);
         assert!(w.erase_only < w.erase);
-    }
-
-    #[test]
-    fn midpoint_between_states() {
-        let p = PhysicsParams::msp430_like();
-        let m = p.vth_midpoint().get();
-        assert!(p.vth_erased.mean < m && m < p.vth_programmed.mean);
     }
 }

@@ -107,7 +107,7 @@ mod tests {
         let (params, statics, mut state) = programmed(2);
         let w0 = state.wear_cycles;
         apply_bake(&params, &statics, &mut state, 1e6, 125.0);
-        assert_eq!(state.wear_cycles, w0);
+        assert_eq!(state.wear_cycles.to_bits(), w0.to_bits());
     }
 
     #[test]
@@ -117,7 +117,7 @@ mod tests {
         let mut state = CellState::fresh(&statics);
         let v0 = state.vth;
         apply_bake(&params, &statics, &mut state, 1e5, 85.0);
-        assert_eq!(state.vth, v0);
+        assert_eq!(state.vth.to_bits(), v0.to_bits());
     }
 
     #[test]

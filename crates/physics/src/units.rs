@@ -165,12 +165,6 @@ impl Micros {
     pub fn from_millis(ms: f64) -> Self {
         Self(ms * 1e3)
     }
-
-    /// Returns the duration in milliseconds.
-    #[must_use]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e-3
-    }
 }
 
 impl Seconds {
@@ -184,12 +178,6 @@ impl Seconds {
     #[must_use]
     pub fn from_millis(ms: f64) -> Self {
         Self(ms * 1e-3)
-    }
-
-    /// Returns the duration in milliseconds.
-    #[must_use]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
     }
 }
 
@@ -213,12 +201,12 @@ mod tests {
     fn volts_arithmetic() {
         let a = Volts::new(3.0);
         let b = Volts::new(1.5);
-        assert_eq!((a + b).get(), 4.5);
-        assert_eq!((a - b).get(), 1.5);
-        assert_eq!((a * 2.0).get(), 6.0);
-        assert_eq!((a / 2.0).get(), 1.5);
-        assert_eq!(a / b, 2.0);
-        assert_eq!((-a).get(), -3.0);
+        assert_eq!((a + b).get().to_bits(), 4.5_f64.to_bits());
+        assert_eq!((a - b).get().to_bits(), 1.5_f64.to_bits());
+        assert_eq!((a * 2.0).get().to_bits(), 6.0_f64.to_bits());
+        assert_eq!((a / 2.0).get().to_bits(), 1.5_f64.to_bits());
+        assert_eq!((a / b).to_bits(), 2.0_f64.to_bits());
+        assert_eq!((-a).get().to_bits(), (-3.0_f64).to_bits());
     }
 
     #[test]
@@ -234,9 +222,7 @@ mod tests {
     #[test]
     fn millis_helpers() {
         assert_eq!(Micros::from_millis(25.0), Micros::new(25_000.0));
-        assert!((Micros::new(25_000.0).as_millis() - 25.0).abs() < 1e-12);
         assert!((Seconds::from_millis(170.0).get() - 0.17).abs() < 1e-12);
-        assert!((Seconds::new(0.17).as_millis() - 170.0).abs() < 1e-12);
     }
 
     #[test]

@@ -43,23 +43,10 @@ pub fn bulk_pe_stress(
     };
 }
 
-/// Fraction of rated endurance consumed (1.0 = at the endurance limit).
-#[must_use]
-pub fn endurance_fraction(params: &PhysicsParams, state: &CellState) -> f64 {
-    state.wear_kcycles() / params.endurance_kcycles
-}
-
-/// Whether the cell is past its rated endurance (may still function, but no
-/// longer reliably — matching the paper's description).
-#[must_use]
-pub fn is_beyond_endurance(params: &PhysicsParams, state: &CellState) -> bool {
-    endurance_fraction(params, state) > 1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::erase::{apply_erase, t_full_us};
+    use crate::erase::{apply_erase_cached, t_full_us_cached, EraseDistCache};
     use crate::program::apply_program;
     use crate::rng::SplitMix64;
 
@@ -70,11 +57,12 @@ mod tests {
 
         let mut looped = CellState::fresh(&statics);
         let mut rng = SplitMix64::new(0);
+        let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
         let n = 40;
         for _ in 0..n {
             // erase (from programmed, except the very first iteration)...
-            let t = t_full_us(&params, &statics, &looped) * 1.2;
-            apply_erase(&params, &statics, &mut looped, t);
+            let t = t_full_us_cached(&params, &statics, &looped, &mut cache) * 1.2;
+            apply_erase_cached(&params, &statics, &mut looped, t, &mut cache);
             // ...then program.
             apply_program(&params, &statics, &mut looped, &mut rng);
         }
@@ -97,19 +85,6 @@ mod tests {
         bulk_pe_stress(&params, &statics, &mut cell, 10_000.0, false, false);
         assert!((cell.wear_cycles - 10_000.0 * params.wear.erase_only).abs() < 1e-6);
         assert!(cell.ideal_bit(&params), "must end erased");
-    }
-
-    #[test]
-    fn endurance_fraction_scales() {
-        let params = PhysicsParams::msp430_like();
-        let statics = CellStatics::derive(&params, 4, 6);
-        let mut cell = CellState::fresh(&statics);
-        assert_eq!(endurance_fraction(&params, &cell), 0.0);
-        bulk_pe_stress(&params, &statics, &mut cell, 50_000.0, true, true);
-        assert!((endurance_fraction(&params, &cell) - 0.5).abs() < 0.01);
-        assert!(!is_beyond_endurance(&params, &cell));
-        bulk_pe_stress(&params, &statics, &mut cell, 60_000.0, true, true);
-        assert!(is_beyond_endurance(&params, &cell));
     }
 
     #[test]

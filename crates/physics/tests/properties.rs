@@ -4,7 +4,9 @@ use proptest::prelude::*;
 
 use flashmark_physics::arena::{reference, CellArena};
 use flashmark_physics::cell::{CellState, CellStatics};
-use flashmark_physics::erase::{apply_erase, t_cross_us, t_full_us, EraseDistCache};
+use flashmark_physics::erase::{
+    apply_erase_cached, t_cross_us_cached, t_full_us_cached, EraseDistCache,
+};
 use flashmark_physics::program::apply_program;
 use flashmark_physics::retention::apply_bake;
 use flashmark_physics::rng::{CounterStream, SplitMix64};
@@ -24,6 +26,11 @@ fn cache(p: &PhysicsParams) -> EraseDistCache {
     EraseDistCache::new(p.erase_dist_grid_kcycles)
 }
 
+/// Crossing time through a fresh table.
+fn t_cross(p: &PhysicsParams, s: &CellStatics, wear_cycles: f64) -> f64 {
+    t_cross_us_cached(p, s, wear_cycles, &mut cache(p))
+}
+
 proptest! {
     /// Erase time never decreases as wear accumulates, *except* across an
     /// early-eraser trap activation (the deliberate discontinuity behind
@@ -41,7 +48,7 @@ proptest! {
             let same_side = (lo * s.susceptibility < activation) == (hi * s.susceptibility < activation);
             prop_assume!(same_side);
         }
-        prop_assert!(t_cross_us(&p, &s, lo) <= t_cross_us(&p, &s, hi) + 1e-9);
+        prop_assert!(t_cross(&p, &s, lo) <= t_cross(&p, &s, hi) + 1e-9);
     }
 
     /// Even across a trap activation, the erase time never falls below the
@@ -52,9 +59,9 @@ proptest! {
     fn early_trap_bounds_the_speedup(seed in any::<u64>(), idx in 0u64..100_000, w in 0.0f64..120_000.0) {
         let p = params();
         let s = CellStatics::derive(&p, seed, idx);
-        let t = t_cross_us(&p, &s, w);
+        let t = t_cross(&p, &s, w);
         let factor = s.early.map_or(1.0, |e| e.factor);
-        let floor = t_cross_us(&p, &s, 0.0) * factor;
+        let floor = t_cross(&p, &s, 0.0) * factor;
         prop_assert!(t >= floor - 1e-9, "t {t} below floor {floor}");
     }
 
@@ -66,7 +73,7 @@ proptest! {
         let mut cell = CellState::fresh(&s);
         cell.wear_cycles = wear;
         cell.vth = cell.vth_prog_now(&p, &s);
-        prop_assert!(t_full_us(&p, &s, &cell) >= t_cross_us(&p, &s, wear) - 1e-9);
+        prop_assert!(t_full_us_cached(&p, &s, &cell, &mut cache(&p)) >= t_cross(&p, &s, wear) - 1e-9);
     }
 
     /// Erase pulses only move the threshold voltage down (never re-charge).
@@ -78,7 +85,7 @@ proptest! {
         let mut rng = SplitMix64::new(seed ^ 1);
         apply_program(&p, &s, &mut cell, &mut rng);
         let v0 = cell.vth;
-        apply_erase(&p, &s, &mut cell, pulse);
+        apply_erase_cached(&p, &s, &mut cell, pulse, &mut cache(&p));
         prop_assert!(cell.vth <= v0 + 1e-12);
     }
 
@@ -93,7 +100,7 @@ proptest! {
         for op in ops {
             match op {
                 0 => apply_program(&p, &s, &mut cell, &mut rng),
-                1 => { apply_erase(&p, &s, &mut cell, rng.range_f64(0.0, 100.0)); }
+                1 => { apply_erase_cached(&p, &s, &mut cell, rng.range_f64(0.0, 100.0), &mut cache(&p)); }
                 _ => apply_bake(&p, &s, &mut cell, rng.range_f64(0.0, 1e5), 85.0),
             }
             prop_assert!(cell.wear_cycles >= prev - 1e-12, "wear decreased");
@@ -126,7 +133,7 @@ proptest! {
         let w0 = cell.wear_cycles;
         let v0 = cell.vth;
         apply_bake(&p, &s, &mut cell, hours, temp);
-        prop_assert_eq!(cell.wear_cycles, w0);
+        prop_assert_eq!(cell.wear_cycles.to_bits(), w0.to_bits());
         prop_assert!(cell.vth <= v0 + 1e-12);
     }
 

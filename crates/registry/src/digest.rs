@@ -38,12 +38,6 @@ impl Digest64 {
         Self(state)
     }
 
-    /// The raw 64-bit value.
-    #[must_use]
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-
     /// The 16-digit lowercase hex form used in canonical record lines.
     #[must_use]
     pub fn to_hex(self) -> String {
@@ -81,9 +75,9 @@ mod tests {
     #[test]
     fn known_fnv_vectors() {
         // Published FNV-1a test vectors.
-        assert_eq!(Digest64::of(b"").as_u64(), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(Digest64::of(b"a").as_u64(), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(Digest64::of(b"foobar").as_u64(), 0x85944171f73967e8);
+        assert_eq!(Digest64::of(b"").to_hex(), "cbf29ce484222325");
+        assert_eq!(Digest64::of(b"a").to_hex(), "af63dc4c8601ec8c");
+        assert_eq!(Digest64::of(b"foobar").to_hex(), "85944171f73967e8");
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl ReramWordAdapter {
     pub fn chip_mut(&mut self) -> &mut ReramChip {
         &mut self.chip
     }
-
-    /// Unwraps the adapter.
-    #[must_use]
-    pub fn into_chip(self) -> ReramChip {
-        self.chip
-    }
 }
 
 impl FlashInterface for ReramWordAdapter {
@@ -126,15 +120,6 @@ mod tests {
         assert!(a.read_block(seg).unwrap().iter().all(|&w| w == 0));
         a.erase_segment(seg).unwrap();
         assert!(a.read_block(seg).unwrap().iter().all(|&w| w == 0xFFFF));
-    }
-
-    #[test]
-    fn unwrapping_returns_the_driven_chip() {
-        let mut a = adapter();
-        a.program_all_zero(SegmentAddr::new(0)).unwrap();
-        let mut chip = a.into_chip();
-        let words = chip.read_block(SegmentAddr::new(0)).unwrap();
-        assert!(words.iter().all(|&w| w == 0));
     }
 
     #[test]

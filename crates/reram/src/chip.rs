@@ -184,7 +184,7 @@ impl ReramChip {
     ///
     /// Returns [`ReramError::Array`] for a bad address.
     pub fn set_word(&mut self, word: WordAddr, value: u16) -> Result<(), ReramError> {
-        self.array.program_word(word, value, false)?;
+        self.array.program_word(word, value)?;
         self.clock.advance(self.timings.set_word);
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::ProgramWord,
@@ -207,7 +207,7 @@ impl ReramChip {
                 expected: n,
             });
         }
-        self.array.program_segment_words(seg, values, false)?;
+        self.array.program_segment_words(seg, values)?;
         self.clock.advance(self.timings.block_set(n));
         obs::emit(ObsEvent::FlashOp {
             kind: FlashOpKind::ProgramBlock,

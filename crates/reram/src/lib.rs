@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use flashmark_core::config::FlashmarkConfig;
-//! use flashmark_core::pipeline::roundtrip;
+//! use flashmark_core::pipeline::{inspect, provision};
 //! use flashmark_core::verify::Verdict;
 //! use flashmark_core::watermark::{TestStatus, WatermarkRecord};
 //! use flashmark_nor::{FlashGeometry, SegmentAddr};
@@ -43,7 +43,8 @@
 //!         year_week: 2033,
 //!     },
 //! };
-//! let (_enrollment, cost, verification) = roundtrip(&ReramScheme, &mut chip, &params).unwrap();
+//! let (enrollment, cost) = provision(&ReramScheme, &mut chip, &params).unwrap();
+//! let verification = inspect(&ReramScheme, &mut chip, &params, &enrollment).unwrap();
 //! assert_eq!(verification.verdict, Verdict::Genuine);
 //! assert!(cost.elapsed.get() < 1.0); // one forming pass, not a wear loop
 //! ```

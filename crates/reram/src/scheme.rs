@@ -122,7 +122,7 @@ impl WatermarkScheme for ReramScheme {
 mod tests {
     use super::*;
     use crate::chip::ReramChip;
-    use flashmark_core::pipeline::{inspect, provision, roundtrip};
+    use flashmark_core::pipeline::{inspect, provision};
     use flashmark_core::verify::{CounterfeitReason, Verdict};
     use flashmark_core::watermark::TestStatus;
     use flashmark_nor::FlashGeometry;
@@ -157,7 +157,8 @@ mod tests {
         let scheme = ReramScheme;
         let p = params(0x3003, TestStatus::Accept);
         let mut c = chip(101);
-        let (_enrollment, cost, v) = roundtrip(&scheme, &mut c, &p).unwrap();
+        let (enrollment, cost) = provision(&scheme, &mut c, &p).unwrap();
+        let v = inspect(&scheme, &mut c, &p, &enrollment).unwrap();
         assert_eq!(v.verdict, Verdict::Genuine, "resolution {}", v.resolution);
         assert_eq!(cost.cycles, 60_000);
         // Forming is a single millisecond-class pass, not a wear loop.

@@ -34,7 +34,6 @@ pub mod chip;
 pub mod counterfeiter;
 pub mod integrator;
 pub mod manufacturer;
-pub mod puf_baseline;
 pub mod report;
 pub mod scenario;
 pub mod usage;
@@ -43,7 +42,6 @@ pub use chip::{Chip, Provenance};
 pub use counterfeiter::{Attack, AttackKind};
 pub use integrator::{ChipAssessment, InspectionPolicy, SystemIntegrator};
 pub use manufacturer::Manufacturer;
-pub use puf_baseline::{extract_fingerprint, PufDatabase, PufFingerprint};
 pub use report::DetectionStats;
 pub use scenario::{ScenarioConfig, SupplyChainScenario};
 pub use usage::{live_first_life, sampled_probe_segments, UsageProfile};

@@ -124,14 +124,14 @@ mod tests {
         assert_eq!(s.false_positives(), 0);
         assert_eq!(s.false_negatives(), 1);
         assert!((s.detection_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.false_positive_rate(), 0.0);
+        assert_eq!(s.false_positive_rate().to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
     fn empty_population_is_benign() {
         let s = DetectionStats::new();
-        assert_eq!(s.detection_rate(), 1.0);
-        assert_eq!(s.false_positive_rate(), 0.0);
+        assert_eq!(s.detection_rate().to_bits(), 1.0_f64.to_bits());
+        assert_eq!(s.false_positive_rate().to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

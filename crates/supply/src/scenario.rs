@@ -189,7 +189,7 @@ mod tests {
             0,
             "all counterfeits must be caught\n{stats}"
         );
-        assert_eq!(stats.detection_rate(), 1.0);
+        assert_eq!(stats.detection_rate().to_bits(), 1.0_f64.to_bits());
     }
 
     #[test]

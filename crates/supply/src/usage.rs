@@ -76,12 +76,6 @@ impl UsageProfile {
             }
         }
     }
-
-    /// The heaviest per-segment wear this profile causes.
-    #[must_use]
-    pub fn peak_cycles(&self) -> u64 {
-        self.wear_map().iter().map(|&(_, c)| c).max().unwrap_or(0)
-    }
 }
 
 /// Applies a first life to a chip (wear accumulates; data is wiped at
@@ -122,6 +116,16 @@ mod tests {
     use crate::chip::Provenance;
     use flashmark_msp430::Msp430Variant;
 
+    /// The heaviest per-segment wear a profile causes.
+    fn peak_cycles(profile: &UsageProfile) -> u64 {
+        profile
+            .wear_map()
+            .iter()
+            .map(|&(_, c)| c)
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn wear_maps_cover_expected_segments() {
         let logger = UsageProfile::DataLogger {
@@ -130,20 +134,20 @@ mod tests {
             cycles: 40_000,
         };
         assert_eq!(logger.wear_map().len(), 3);
-        assert_eq!(logger.peak_cycles(), 40_000);
+        assert_eq!(peak_cycles(&logger), 40_000);
 
         let fw = UsageProfile::FirmwareUpdates {
             code_segments: 8,
             updates: 20,
         };
-        assert_eq!(fw.peak_cycles(), 20);
+        assert_eq!(peak_cycles(&fw), 20);
 
         let ring = UsageProfile::CircularBuffer {
             ring_start: 0,
             ring_segments: 4,
             total_erases: 40_000,
         };
-        assert_eq!(ring.peak_cycles(), 10_000);
+        assert_eq!(peak_cycles(&ring), 10_000);
     }
 
     #[test]

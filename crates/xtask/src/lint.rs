@@ -47,24 +47,25 @@ pub(crate) const BASELINE_PATH: &str = "lint_baseline.json";
 /// Relative path of the machine-readable report.
 pub(crate) const REPORT_PATH: &str = "results/lint_report.json";
 
-/// Directories under a crate that contain Rust sources worth indexing.
-/// Everything feeds the pub-liveness reference index; only `src/` files
-/// are classified for linting by the engine itself.
+/// Directories under a package that hold Rust sources. The engine lints
+/// only the workspace crates' `src/` files; every other file, like every
+/// bin, belongs to a non-library target whose items are the pub-liveness
+/// roots.
 const CRATE_SUBDIRS: [&str; 4] = ["src", "tests", "examples", "benches"];
 
-/// Walks the workspace and returns every Rust source as a [`SourceFile`]
-/// with a workspace-relative, `/`-separated path. Returns `Err` with the
+/// Walks the workspace, plus the `benchmark/` package that builds against
+/// it, and returns every Rust source as a [`SourceFile`] with a
+/// workspace-relative, `/`-separated path. Returns `Err` with the
 /// offending path on a read failure.
 pub(crate) fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
-    let mut paths = Vec::new();
-    for sub in CRATE_SUBDIRS {
-        collect_rs_files(&root.join(sub), &mut paths);
-    }
+    let mut packages = vec![root.to_path_buf(), root.join("benchmark")];
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
-        for entry in entries.flatten() {
-            for sub in CRATE_SUBDIRS {
-                collect_rs_files(&entry.path().join(sub), &mut paths);
-            }
+        packages.extend(entries.flatten().map(|entry| entry.path()));
+    }
+    let mut paths = Vec::new();
+    for package in &packages {
+        for sub in CRATE_SUBDIRS {
+            collect_rs_files(&package.join(sub), &mut paths);
         }
     }
     paths.sort();
@@ -122,7 +123,7 @@ fn write_report(root: &Path, report: &Report) -> Result<(), String> {
 }
 
 /// Runs the full lint pass against the workspace at `root`.
-pub(crate) fn run(root: &Path, options: &Options) -> Outcome {
+pub(crate) fn run(root: &Path, options: Options) -> Outcome {
     let files = match collect_sources(root) {
         Ok(files) => files,
         Err(e) => {
@@ -224,9 +225,10 @@ mod tests {
         let has = |p: &str| files.iter().any(|f| f.path == p);
         assert!(has("src/lib.rs"), "root facade collected");
         assert!(has("crates/physics/src/rng.rs"), "crate sources collected");
+        assert!(has("crates/xtask/src/lint.rs"), "tooling collected");
         assert!(
-            has("crates/xtask/src/lint.rs"),
-            "tooling collected for the reference index"
+            has("benchmark/src/main.rs") && has("benchmark/tests/cli.rs"),
+            "the benchmark package is collected: its items are roots"
         );
         assert!(
             files.iter().all(|f| !f.path.contains("/fixtures/")),

@@ -26,7 +26,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => match parse_lint_options(&args[1..]) {
-            Ok(options) => match lint::run(&workspace_root(), &options) {
+            Ok(options) => match lint::run(&workspace_root(), options) {
                 lint::Outcome::Clean => ExitCode::SUCCESS,
                 lint::Outcome::Dirty => ExitCode::FAILURE,
                 lint::Outcome::Error => ExitCode::from(2),

@@ -109,9 +109,8 @@ pub use flashmark_core::WatermarkScheme;
 /// ```
 pub mod prelude {
     pub use flashmark_core::{
-        inspect, provision, roundtrip, CounterfeitReason, ImprintCost, InconclusiveReason,
-        NorEnrollment, NorTpew, NorTpewParams, SchemeError, SchemeVerification, Verdict,
-        WatermarkScheme,
+        inspect, provision, CounterfeitReason, ImprintCost, InconclusiveReason, NorEnrollment,
+        NorTpew, NorTpewParams, SchemeError, SchemeVerification, Verdict, WatermarkScheme,
     };
     pub use flashmark_nand::{NandPuf, NandPufConfig, NandPufParams};
     pub use flashmark_reram::{ReramParams, ReramScheme, ReramWordAdapter};
