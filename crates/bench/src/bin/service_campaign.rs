@@ -23,7 +23,6 @@
 //! ```
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use flashmark_bench::output::{results_dir, write_json, Table};
 use flashmark_bench::service_campaign::{run_service_campaign, ServiceCampaignOptions};
@@ -46,6 +45,10 @@ fn reject_other_args() -> Result<(), String> {
     Ok(())
 }
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "throughput goes to stdout only, never into an artifact"
+)]
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     reject_other_args()?;
     let threads = threads_from_env_args()?;
@@ -55,7 +58,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         opts.requests, opts.seed, threads
     );
 
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let mut last_pct = 0u64;
     let run = run_service_campaign(&opts, |done| {
         let pct = done * 100 / opts.requests;

@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 use flashmark_bench::output::{results_dir, write_json_in};
 use flashmark_bench::trend::{report_data, TREND_LOG_NAME, TREND_REPORT_NAME};
-use flashmark_trend::{compute_drift, DriftOptions, TrendLog};
+use flashmark_trend::{compute_drift, TrendLog};
 
 fn main() -> ExitCode {
     let mut log_path: Option<PathBuf> = None;
@@ -43,7 +43,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let report = compute_drift(&log, &DriftOptions::default());
+    let report = compute_drift(&log);
 
     let dir = log_path.parent().map_or_else(results_dir, PathBuf::from);
     match write_json_in(&dir, TREND_REPORT_NAME, &report_data(&report)) {

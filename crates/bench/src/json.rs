@@ -7,6 +7,8 @@
 
 use std::fmt::Write as _;
 
+use flashmark_registry::json_string;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -61,7 +63,7 @@ impl Json {
             Self::Int(n) => {
                 let _ = write!(out, "{n}");
             }
-            Self::Str(s) => write_escaped(out, s),
+            Self::Str(s) => out.push_str(&json_string(s)),
             Self::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -92,7 +94,7 @@ impl Json {
                     }
                     out.push('\n');
                     push_indent(out, indent + 1);
-                    write_escaped(out, k);
+                    out.push_str(&json_string(k));
                     out.push_str(": ");
                     v.write(out, indent + 1);
                 }
@@ -108,24 +110,6 @@ fn push_indent(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Conversion into a [`Json`] value (the serialization half of `Serialize`).

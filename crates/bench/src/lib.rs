@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Experiment harness regenerating every quantitative figure and table of
 //! the Flashmark paper.
 //!

@@ -13,6 +13,10 @@
 //! `service_timings.json`, never in the experiment JSONs, so the
 //! determinism guarantee covers every other `*.json` artifact (including
 //! `obs_report.json`).
+#![allow(
+    clippy::disallowed_types,
+    reason = "quarantined timing module: step wall times land only in the timing artifacts"
+)]
 
 use std::fmt::Write as _;
 use std::fs;
@@ -217,7 +221,10 @@ fn params_report() -> ParamsReport {
 
 type StepResult = Result<(), Box<dyn std::error::Error>>;
 
-#[allow(clippy::needless_pass_by_value)] // callers hand over freshly formatted strings
+#[allow(
+    clippy::needless_pass_by_value,
+    reason = "callers hand over freshly formatted strings"
+)]
 fn row(md: &mut String, artifact: &str, metric: &str, paper: String, measured: String) {
     let _ = writeln!(md, "| {artifact} | {metric} | {paper} | {measured} |");
 }
@@ -264,7 +271,10 @@ fn step<F>(
 /// # Errors
 ///
 /// I/O errors writing the report files.
-#[allow(clippy::too_many_lines)]
+#[allow(
+    clippy::too_many_lines,
+    reason = "one flat list of suite steps, in artifact order"
+)]
 pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
     let dir = &opts.results_dir;
     fs::create_dir_all(dir)?;

@@ -22,8 +22,7 @@ use std::path::Path;
 
 use flashmark_registry::Digest64;
 use flashmark_trend::{
-    append_to_log, compute_drift, DriftOptions, DriftReport, TrendLog, TrendRecord,
-    TREND_FORMAT_VERSION,
+    append_to_log, compute_drift, DriftReport, TrendLog, TrendRecord, TREND_FORMAT_VERSION,
 };
 
 use crate::backend_campaign::{BackendCampaignData, BackendSchemeSummary};
@@ -223,13 +222,14 @@ pub fn report_data(report: &DriftReport) -> TrendReportData {
 ///
 /// # Errors
 ///
-/// I/O errors, or `InvalidData` when the existing log fails chain
-/// verification — a corrupt log is never extended.
+/// I/O errors, `InvalidData` when the existing log fails chain
+/// verification — a corrupt log is never extended — or `InvalidInput`
+/// for a record the log's reader could not read back.
 pub fn append_and_report(dir: &Path, record: TrendRecord) -> io::Result<DriftReport> {
     let log_path = dir.join(TREND_LOG_NAME);
     append_to_log(&log_path, record)?;
     let log = TrendLog::load(&log_path)?;
-    let report = compute_drift(&log, &DriftOptions::default());
+    let report = compute_drift(&log);
     write_json_in(dir, TREND_REPORT_NAME, &report_data(&report))?;
     Ok(report)
 }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! The Flashmark technique (DAC 2020): watermarking NOR flash memories for
 //! counterfeit detection.
 //!

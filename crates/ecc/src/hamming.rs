@@ -39,7 +39,10 @@ impl Hamming {
     /// Encodes one 11-bit block into 15 (or 16) channel bits.
     /// Channel bit positions are 1-based Hamming positions 1..=15; powers of
     /// two are parity bits.
-    #[allow(clippy::needless_range_loop)] // 1-based Hamming positions read clearest as indices
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "1-based Hamming positions read clearest as indices"
+    )]
     fn encode_block(self, data: &[bool]) -> Vec<bool> {
         debug_assert_eq!(data.len(), DATA_BITS);
         let mut code = [false; CODE_BITS + 1]; // 1-based

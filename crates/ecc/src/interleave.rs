@@ -118,7 +118,7 @@ mod tests {
         channel[2] = true;
         let back = il.deinterleave(&channel).unwrap();
         let width = 4;
-        let rows_hit: std::collections::HashSet<usize> = back
+        let rows_hit: std::collections::BTreeSet<usize> = back
             .iter()
             .enumerate()
             .filter(|(_, &b)| b)

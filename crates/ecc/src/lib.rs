@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Error-correction and integrity codes for flash watermarks.
 //!
 //! The paper hardens watermark extraction with **data replication plus

@@ -32,7 +32,7 @@ proptest! {
         let mut next = move || { state = state.wrapping_mul(6364136223846793005).wrapping_add(1); state };
         for i in 0..data.len() {
             let flips = (next() % (k as u64).div_ceil(2)) as usize;
-            let mut chosen = std::collections::HashSet::new();
+            let mut chosen = std::collections::BTreeSet::new();
             while chosen.len() < flips {
                 chosen.insert((next() % k as u64) as usize);
             }

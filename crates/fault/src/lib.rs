@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Deterministic fault injection for the Flashmark flash emulation.
 //!
 //! The paper's robustness story (Figs. 9–11: replication + majority voting

@@ -21,24 +21,14 @@ pub enum Rule {
     PanicFree,
     /// No exact f64 equality on physics quantities.
     FloatEq,
-    /// No wall-clock / OS randomness outside sanctioned modules.
-    Nondeterminism,
-    /// Every public item documented.
-    MissingDocs,
-    /// No raw thread spawning outside `crates/par`.
-    ThreadDiscipline,
     /// No direct printing from library crates.
     PrintDiscipline,
     /// RNG/stream constructions must derive from a seed parameter.
     SeedDataflow,
-    /// No `HashMap`/`HashSet` where iteration order can reach artifacts.
-    MapOrder,
-    /// No wall-clock reads outside the quarantined timing modules.
-    WallClock,
     /// No ad-hoc float accumulation in cross-trial merge code.
     MergeCommutativity,
-    /// `unsafe` / unchecked-access inventory and `forbid(unsafe_code)`.
-    UnsafeAudit,
+    /// Wrapping-arithmetic inventory in numeric simulation code.
+    WrappingAudit,
     /// Unreferenced `pub` items across the workspace.
     PubLiveness,
     /// Malformed or unjustified `flashmark-lint: allow(...)` comments.
@@ -53,15 +43,10 @@ impl Rule {
         match self {
             Self::PanicFree => "panic-free",
             Self::FloatEq => "float-eq",
-            Self::Nondeterminism => "nondeterminism",
-            Self::MissingDocs => "missing-docs",
-            Self::ThreadDiscipline => "thread-discipline",
             Self::PrintDiscipline => "print-discipline",
             Self::SeedDataflow => "seed-dataflow",
-            Self::MapOrder => "map-order",
-            Self::WallClock => "wall-clock",
             Self::MergeCommutativity => "merge-commutativity",
-            Self::UnsafeAudit => "unsafe-audit",
+            Self::WrappingAudit => "wrapping-audit",
             Self::PubLiveness => "pub-liveness",
             Self::Suppression => "suppression",
         }
@@ -75,18 +60,13 @@ impl Rule {
 }
 
 /// Every rule, in report order.
-pub const ALL_RULES: [Rule; 13] = [
+pub const ALL_RULES: [Rule; 8] = [
     Rule::PanicFree,
     Rule::FloatEq,
-    Rule::Nondeterminism,
-    Rule::MissingDocs,
-    Rule::ThreadDiscipline,
     Rule::PrintDiscipline,
     Rule::SeedDataflow,
-    Rule::MapOrder,
-    Rule::WallClock,
     Rule::MergeCommutativity,
-    Rule::UnsafeAudit,
+    Rule::WrappingAudit,
     Rule::PubLiveness,
     Rule::Suppression,
 ];
@@ -601,7 +581,7 @@ mod tests {
     fn report_json_is_deterministic_and_sorted() {
         let mut r = Report {
             findings: vec![
-                finding("b.rs", 9, Rule::MapOrder, "z"),
+                finding("b.rs", 9, Rule::FloatEq, "z"),
                 finding("a.rs", 3, Rule::PanicFree, "y"),
                 finding("a.rs", 1, Rule::PanicFree, "x"),
             ],
@@ -645,16 +625,16 @@ mod tests {
     fn baseline_matching_is_a_multiset() {
         let mut r = Report {
             findings: vec![
-                finding("a.rs", 1, Rule::MapOrder, "m"),
-                finding("a.rs", 5, Rule::MapOrder, "m"),
-                finding("a.rs", 9, Rule::MapOrder, "m"),
+                finding("a.rs", 1, Rule::FloatEq, "m"),
+                finding("a.rs", 5, Rule::FloatEq, "m"),
+                finding("a.rs", 9, Rule::FloatEq, "m"),
             ],
             files_checked: 1,
             ..Report::default()
         };
         let baseline = vec![
             BaselineEntry {
-                rule: "map-order".to_string(),
+                rule: "float-eq".to_string(),
                 file: "a.rs".to_string(),
                 message: "m".to_string(),
             };

@@ -2,9 +2,8 @@
 //!
 //! Produces a flat token stream with 1-based line numbers. Comments and
 //! string literals are kept as *tokens* (so the suppression parser can read
-//! `// flashmark-lint: ...` comments and the missing-docs rule can see
-//! `///` docs) but rule passes that scan for code patterns simply skip
-//! non-code token kinds — which is what makes the engine immune to
+//! `// flashmark-lint: ...` comments) but rule passes that scan for code
+//! patterns simply skip non-code token kinds — which is what makes the engine immune to
 //! `.unwrap()` appearing inside a raw string or a comment.
 //!
 //! Handled: line and nested block comments, doc comments (`///`, `//!`,

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Token-aware static analysis for the Flashmark workspace.
 //!
 //! Every guarantee this reproduction ships — byte-identical artifacts at
@@ -12,10 +11,12 @@
 //! * [`scope`] — file classification (which rule families apply where)
 //!   and a lightweight item/scope parser (`#[cfg(test)]` regions,
 //!   `macro_rules!` bodies, per-function scopes);
-//! * [`rules`] — the six rule families ported from the old scanner plus
-//!   the families a text pass cannot express: seed-dataflow, map-order
-//!   determinism, merge-commutativity, the unsafe/unchecked audit, and
-//!   workspace pub-API liveness;
+//! * [`rules`] — the rules no rustc or clippy lint matches: panic-free hot
+//!   paths, exact float equality (clippy's `float_cmp` skips `x == 0.0`),
+//!   library printing, seed-dataflow, merge-commutativity, the wrapping
+//!   arithmetic inventory, and workspace pub-API liveness. Missing docs and
+//!   `unsafe` are rustc's workspace lints; hash-ordered containers, the
+//!   wall clock, OS randomness and raw threads are banned in `clippy.toml`;
 //! * [`suppress`] — `// flashmark-lint: allow(<rule>) -- <justification>`
 //!   comments (justification mandatory);
 //! * [`finding`] — findings, the deterministic JSON report
@@ -187,11 +188,11 @@ mod tests {
         let files = vec![
             file(
                 "crates/nor/src/a.rs",
-                "pub fn undocumented_thing() { x.unwrap(); }\n",
+                "pub fn unreached_thing() { x.unwrap(); }\n",
             ),
             file(
                 "crates/core/src/b.rs",
-                "fn f() { let m = HashMap::new(); }\n",
+                "fn f(x: f64) -> bool { x == 0.5 }\n",
             ),
         ];
         let a = analyze(&files).to_json();

@@ -1,7 +1,7 @@
-//! The six rule families ported from the original line-oriented scanner,
-//! re-expressed over the token stream. Comments, strings (raw strings
-//! included), test regions, and macro templates can no longer produce
-//! false positives — the tokens simply are not code.
+//! The token-pattern rules: panic-free hot paths, exact float equality,
+//! library printing and the wrapping-arithmetic inventory. Comments,
+//! strings (raw strings included), test regions, and macro templates
+//! cannot produce false positives — the tokens simply are not code.
 
 use crate::finding::{Finding, Rule};
 use crate::lexer::{Token, TokenKind};
@@ -149,181 +149,6 @@ pub fn float_eq(file: &str, tokens: &[Token], structure: &Structure, findings: &
     }
 }
 
-/// Wall clock or OS randomness in simulation code.
-pub fn nondeterminism(
-    file: &str,
-    tokens: &[Token],
-    structure: &Structure,
-    findings: &mut Vec<Finding>,
-) {
-    for i in live_code(tokens, structure) {
-        let t = &tokens[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let next_colons = tokens.get(i + 1).is_some_and(|n| n.is_punct("::"));
-        let flagged = match t.text.as_str() {
-            "SystemTime" | "Instant" | "thread_rng" => true,
-            "rand" if next_colons => true,
-            "std" if next_colons && tokens.get(i + 2).is_some_and(|n| n.is_ident("time")) => true,
-            _ => false,
-        };
-        if flagged {
-            push(
-                findings,
-                file,
-                t.line,
-                Rule::Nondeterminism,
-                format!(
-                    "`{}` in a simulation crate: all entropy must flow through crates/physics/src/rng.rs and all timing through the bench layer",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-/// Keywords introducing public items that must carry a doc comment.
-const DOC_KEYWORDS: [&str; 9] = [
-    "fn", "struct", "enum", "trait", "mod", "const", "static", "type", "union",
-];
-
-/// Undocumented `pub` items; attributes between the docs and the item are
-/// transparent, and `#[doc...]` attributes count as documentation.
-pub fn missing_docs(
-    file: &str,
-    tokens: &[Token],
-    structure: &Structure,
-    findings: &mut Vec<Finding>,
-) {
-    for i in live_code(tokens, structure) {
-        if !tokens[i].is_ident("pub") {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` items are not public API.
-        let Some(kw_idx) = next_code(tokens, i) else {
-            continue;
-        };
-        let kw = &tokens[kw_idx];
-        if kw.kind != TokenKind::Ident || !DOC_KEYWORDS.contains(&kw.text.as_str()) {
-            continue;
-        }
-        let name = next_code(tokens, kw_idx)
-            .map(|j| tokens[j].text.clone())
-            .unwrap_or_default();
-        // `pub mod foo;` documents itself with `//!` inner docs inside the
-        // module file, which rustc's `missing_docs` covers.
-        if kw.text == "mod"
-            && next_code(tokens, kw_idx)
-                .and_then(|j| next_code(tokens, j))
-                .is_some_and(|j| tokens[j].is_punct(";"))
-        {
-            continue;
-        }
-        if !has_doc_above(tokens, i) {
-            push(
-                findings,
-                file,
-                tokens[i].line,
-                Rule::MissingDocs,
-                format!(
-                    "public item without a doc comment: `pub {} {name}`",
-                    kw.text
-                ),
-            );
-        }
-    }
-}
-
-/// Index of the next code token after `i`.
-fn next_code(tokens: &[Token], i: usize) -> Option<usize> {
-    ((i + 1)..tokens.len()).find(|&j| tokens[j].is_code())
-}
-
-/// Walks upward from a `pub` token over attributes looking for docs.
-fn has_doc_above(tokens: &[Token], pub_idx: usize) -> bool {
-    let mut k = pub_idx;
-    while k > 0 {
-        k -= 1;
-        let t = &tokens[k];
-        match t.kind {
-            TokenKind::DocComment => {
-                // Inner docs (`//!`, `/*!`) document the enclosing module,
-                // not the item below them.
-                if !t.text.starts_with("//!") && !t.text.starts_with("/*!") {
-                    return true;
-                }
-            }
-            TokenKind::LineComment | TokenKind::BlockComment => {
-                if t.text.starts_with("/**") {
-                    return true;
-                }
-            }
-            TokenKind::Punct if t.text == "]" => {
-                // Walk back over one attribute; `#[doc = "..."]` counts.
-                let mut depth = 1usize;
-                let mut saw_doc = false;
-                while k > 0 && depth > 0 {
-                    k -= 1;
-                    if tokens[k].is_punct("]") {
-                        depth += 1;
-                    } else if tokens[k].is_punct("[") {
-                        depth -= 1;
-                    } else if tokens[k].is_ident("doc") {
-                        saw_doc = true;
-                    }
-                }
-                if saw_doc {
-                    return true;
-                }
-                // Step over the leading `#` (and `!` for inner attrs).
-                while k > 0 && (tokens[k - 1].is_punct("#") || tokens[k - 1].is_punct("!")) {
-                    k -= 1;
-                }
-            }
-            _ => return false,
-        }
-    }
-    false
-}
-
-/// Raw thread spawning outside `crates/par`.
-pub fn thread_discipline(
-    file: &str,
-    tokens: &[Token],
-    structure: &Structure,
-    findings: &mut Vec<Finding>,
-) {
-    for i in live_code(tokens, structure) {
-        let t = &tokens[i];
-        if !t.is_ident("thread") {
-            continue;
-        }
-        let Some(j) = next_code(tokens, i) else {
-            continue;
-        };
-        if !tokens[j].is_punct("::") {
-            continue;
-        }
-        let Some(k) = next_code(tokens, j) else {
-            continue;
-        };
-        let target = &tokens[k];
-        if target.is_ident("spawn") || target.is_ident("Builder") || target.is_ident("scope") {
-            push(
-                findings,
-                file,
-                t.line,
-                Rule::ThreadDiscipline,
-                format!(
-                    "`thread::{}` outside crates/par: fan work out through `flashmark_par::TrialRunner` so parallel runs stay bit-identical to serial ones",
-                    target.text
-                ),
-            );
-        }
-    }
-}
-
 /// `println!` / `eprintln!` from library code.
 pub fn print_discipline(
     file: &str,
@@ -346,6 +171,30 @@ pub fn print_discipline(
                 Rule::PrintDiscipline,
                 format!(
                     "`{}!` in a library crate: report through typed results or emit a `flashmark_obs` event; only binary targets own stdout",
+                    t.text
+                ),
+            );
+        }
+    }
+}
+
+/// Wrapping-arithmetic inventory for numeric simulation code.
+pub fn wrapping_audit(
+    file: &str,
+    tokens: &[Token],
+    structure: &Structure,
+    findings: &mut Vec<Finding>,
+) {
+    for i in live_code(tokens, structure) {
+        let t = &tokens[i];
+        if t.kind == TokenKind::Ident && t.text.starts_with("wrapping_") {
+            push(
+                findings,
+                file,
+                t.line,
+                Rule::WrappingAudit,
+                format!(
+                    "`{}` in numeric simulation code: silent wraparound corrupts physics — use checked/saturating arithmetic or suppress with a justification",
                     t.text
                 ),
             );
@@ -408,58 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn nondeterminism_detection() {
-        let f = run(
-            nondeterminism,
-            "fn f() { let t = std::time::Instant::now(); let r = rand::random(); }",
-        );
-        assert!(f.len() >= 2);
-        assert!(run(nondeterminism, "fn f() { let standard = 1; }").is_empty());
-    }
-
-    #[test]
-    fn missing_docs_through_attributes() {
-        let f = run(
-            missing_docs,
-            "#[derive(Debug)]\npub struct S;\n\n/// Documented.\n#[derive(Debug)]\npub struct T;\n\npub use other::Thing;\n",
-        );
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn missing_docs_exemptions() {
-        assert!(run(
-            missing_docs,
-            "/// Doc'd.\npub mod inline { }\npub mod file;"
-        )
-        .is_empty());
-        assert!(run(missing_docs, "pub(crate) fn internal() {}").is_empty());
-        assert!(
-            run(missing_docs, "#[doc = \"macro docs\"]\npub fn f() {}").is_empty(),
-            "#[doc] attributes count as documentation"
-        );
-        assert!(
-            run(
-                missing_docs,
-                "macro_rules! m { () => { pub fn gen() {} }; }"
-            )
-            .is_empty(),
-            "macro templates are not items"
-        );
-    }
-
-    #[test]
-    fn thread_discipline_detection() {
-        let f = run(
-            thread_discipline,
-            "fn f() { std::thread::spawn(|| {}); let b = thread::Builder::new(); }",
-        );
-        assert_eq!(f.len(), 2);
-        assert!(run(thread_discipline, "fn g(r: &TrialRunner) { r.threads(); }").is_empty());
-    }
-
-    #[test]
     fn print_discipline_detection() {
         let f = run(
             print_discipline,
@@ -475,5 +272,15 @@ mod tests {
             run(print_discipline, "/// Call `println!` never.\nfn h() {}").is_empty(),
             "doc comments are not code"
         );
+    }
+
+    #[test]
+    fn wrapping_calls_are_inventoried() {
+        let f = run(
+            wrapping_audit,
+            "fn f(a: u64) -> u64 { a.wrapping_mul(3).saturating_add(1) }",
+        );
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, Rule::WrappingAudit);
     }
 }

@@ -6,12 +6,16 @@
 //! tokens and `#[cfg(test)]` / `macro_rules!` regions through
 //! [`Structure`], which is what the old line-oriented scanner could only
 //! approximate.
+//!
+//! The engine holds only the rules no compiler lint matches: missing docs
+//! and `unsafe` are rustc's (`missing_docs`, `unreachable_pub`,
+//! `unsafe_code`), and hash-ordered containers, wall-clock reads, OS
+//! randomness and raw threads are clippy's `disallowed_types` /
+//! `disallowed_methods` (see `clippy.toml`).
 
 pub mod classic;
-pub mod containers;
 pub mod dataflow;
 pub mod liveness;
-pub mod unsafety;
 
 use crate::finding::Finding;
 use crate::lexer::Token;
@@ -24,24 +28,12 @@ pub struct RuleSet {
     pub panic_free: bool,
     /// No exact f64 equality.
     pub float_eq: bool,
-    /// No wall clock / OS randomness.
-    pub nondeterminism: bool,
-    /// Public items documented.
-    pub missing_docs: bool,
-    /// No raw thread spawning.
-    pub thread_discipline: bool,
     /// No library printing.
     pub print_discipline: bool,
     /// RNG constructions derive from seed parameters.
     pub seed_dataflow: bool,
-    /// No hash-ordered containers.
-    pub map_order: bool,
-    /// No wall-clock reads outside the quarantined timing modules.
-    pub wall_clock: bool,
     /// No ad-hoc float accumulation in merge code.
     pub merge_commutativity: bool,
-    /// `unsafe` / unchecked inventory + `forbid(unsafe_code)` presence.
-    pub unsafe_audit: bool,
     /// Wrapping-arithmetic inventory (physics/core numeric code).
     pub wrapping_audit: bool,
     /// Definitions participate in the workspace pub-liveness pass.
@@ -60,35 +52,17 @@ pub fn run_file(scope: &FileScope, tokens: &[Token], structure: &Structure) -> V
     if r.float_eq {
         classic::float_eq(path, tokens, structure, &mut findings);
     }
-    if r.nondeterminism {
-        classic::nondeterminism(path, tokens, structure, &mut findings);
-    }
-    if r.missing_docs {
-        classic::missing_docs(path, tokens, structure, &mut findings);
-    }
-    if r.thread_discipline {
-        classic::thread_discipline(path, tokens, structure, &mut findings);
-    }
     if r.print_discipline {
         classic::print_discipline(path, tokens, structure, &mut findings);
     }
     if r.seed_dataflow {
         dataflow::seed_dataflow(path, tokens, structure, &mut findings);
     }
-    if r.map_order {
-        containers::map_order(path, tokens, structure, &mut findings);
-    }
-    if r.wall_clock {
-        containers::wall_clock(path, tokens, structure, &mut findings);
-    }
     if r.merge_commutativity {
         dataflow::merge_commutativity(path, tokens, structure, &mut findings);
     }
-    if r.unsafe_audit {
-        unsafety::unsafe_audit(scope, tokens, structure, &mut findings);
-    }
     if r.wrapping_audit {
-        unsafety::wrapping_audit(path, tokens, structure, &mut findings);
+        classic::wrapping_audit(path, tokens, structure, &mut findings);
     }
     findings
 }

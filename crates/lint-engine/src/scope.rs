@@ -6,9 +6,9 @@
 //!   from its workspace-relative path. This is the successor of the old
 //!   `rules_for` in `crates/xtask/src/lint.rs`, with the scoping bug fixed:
 //!   **binary targets** (`src/bin/*.rs`, `src/main.rs`) are classified as
-//!   drivers that own their stdout and wall clock, while **library**
-//!   sources — including the bench crate's library and the root
-//!   `src/lib.rs` facade — carry full library discipline.
+//!   drivers that own their stdout, while **library** sources — including
+//!   the bench crate's library and the root `src/lib.rs` facade — carry
+//!   full library discipline.
 //! * [`Structure::analyze`] — a lightweight item/scope parse over the token
 //!   stream: `#[cfg(test)]` regions (nested mods included), `macro_rules!`
 //!   bodies, and per-function scopes with parameter and body token ranges
@@ -39,15 +39,6 @@ fn is_tooling(crate_name: &str) -> bool {
 /// The one sanctioned entropy-source module.
 const SANCTIONED_RNG: &str = "crates/physics/src/rng.rs";
 
-/// The quarantined timing modules: the only library sources allowed to
-/// read the wall clock, because everything they measure lands in
-/// `service_timings.json`, `BENCH_runtime.json` or the runtime table of
-/// `experiments_report.md`, none of which the determinism tests compare.
-const WALL_CLOCK_QUARANTINE: [&str; 2] = [
-    "crates/bench/src/suite.rs",
-    "crates/bench/src/microbench.rs",
-];
-
 impl FileScope {
     /// Classifies a workspace-relative path; `None` for files the engine
     /// skips entirely (tests, benches, examples, non-Rust files).
@@ -65,9 +56,9 @@ impl FileScope {
             .unwrap_or("")
             .to_string();
         let c = crate_name.as_str();
-        // Binary targets are top-level drivers: they own stdout/stderr, may
-        // read the wall clock to time real executions, and may panic on
-        // startup misconfiguration. Library discipline does not apply.
+        // Binary targets are top-level drivers: they own stdout/stderr and
+        // may panic on startup misconfiguration. Library discipline does
+        // not apply.
         let is_bin = path.contains("/src/bin/") || path.ends_with("src/main.rs");
         let tooling = is_tooling(c);
         let sanctioned_rng = path == SANCTIONED_RNG;
@@ -77,31 +68,14 @@ impl FileScope {
         let rules = RuleSet {
             panic_free: !is_bin && (matches!(c, "nor" | "core" | "reram") || root_lib),
             float_eq: !is_bin && (matches!(c, "physics" | "nor" | "core" | "reram") || root_lib),
-            // Drivers and the bench harness time real executions; the RNG
-            // module is the sanctioned entropy source; the tooling spells
-            // the forbidden patterns.
-            nondeterminism: !is_bin && !tooling && c != "bench" && !sanctioned_rng,
-            missing_docs: true,
-            // `crates/par` is the sanctioned home for worker threads.
-            thread_discipline: c != "par",
             // Only binary targets own stdout; the bench *library* reports
             // through its output/markdown layer (sanctioned prints carry
-            // justified suppressions).
+            // justified suppressions). The tooling prints diagnostics.
             print_discipline: !is_bin && !tooling,
+            // The RNG module is the sanctioned entropy source; the tooling
+            // spells the forbidden patterns.
             seed_dataflow: !is_bin && !tooling && !sanctioned_rng,
-            // Deterministic map order is global: even the tooling's own
-            // report must be byte-stable.
-            map_order: true,
-            // Wall-clock reads are quarantined harder than general
-            // nondeterminism: even the bench *library* (where the broad
-            // rule is off so it can time kernels) may only touch the
-            // clock inside the two timing modules whose output lands in
-            // the wall-clock artifacts the determinism tests exempt.
-            // Drivers own their wall clock; the tooling spells the type
-            // names.
-            wall_clock: !is_bin && !tooling && !WALL_CLOCK_QUARANTINE.contains(&path.as_str()),
             merge_commutativity: !is_bin && !tooling,
-            unsafe_audit: true,
             // Wrapping-arithmetic inventory only where silent wraparound
             // could corrupt simulated physics, not in checksum/hash code.
             wrapping_audit: !sanctioned_rng && matches!(c, "physics" | "core"),
@@ -388,12 +362,7 @@ mod tests {
         let bin = FileScope::classify("crates/bench/src/bin/run_all.rs").unwrap();
         assert!(bin.is_bin);
         assert!(!bin.rules.print_discipline, "bins own their stdout");
-        assert!(!bin.rules.nondeterminism, "bins time real executions");
-        assert!(!bin.rules.wall_clock, "bins own their wall clock");
         assert!(!bin.rules.panic_free);
-        assert!(bin.rules.missing_docs);
-        assert!(bin.rules.thread_discipline);
-        assert!(bin.rules.map_order);
     }
 
     #[test]
@@ -401,7 +370,7 @@ mod tests {
         let root = FileScope::classify("src/lib.rs").unwrap();
         assert!(!root.is_bin);
         assert!(root.rules.panic_free && root.rules.float_eq);
-        assert!(root.rules.print_discipline && root.rules.nondeterminism);
+        assert!(root.rules.print_discipline);
         assert!(root.rules.seed_dataflow);
     }
 
@@ -412,49 +381,18 @@ mod tests {
             lib.rules.print_discipline,
             "the bench library reports through its output layer; only bins own stdout"
         );
-        assert!(!lib.rules.nondeterminism, "the bench library times kernels");
-    }
-
-    #[test]
-    fn wall_clock_quarantine_scope() {
-        for quarantined in WALL_CLOCK_QUARANTINE {
-            let scope = FileScope::classify(quarantined).unwrap();
-            assert!(
-                !scope.rules.wall_clock,
-                "{quarantined} is a quarantined timing module"
-            );
-        }
-        for banned in [
-            "crates/bench/src/service_campaign.rs",
-            "crates/serve/src/service.rs",
-            "crates/obs/src/metrics.rs",
-            "src/lib.rs",
-        ] {
-            let scope = FileScope::classify(banned).unwrap();
-            assert!(
-                scope.rules.wall_clock,
-                "{banned} must not read the wall clock"
-            );
-        }
-        let tooling = FileScope::classify("crates/lint-engine/src/rules/containers.rs").unwrap();
-        assert!(
-            !tooling.rules.wall_clock,
-            "the engine spells the banned type names as data"
-        );
     }
 
     #[test]
     fn sanctioned_scopes() {
         let rng = FileScope::classify("crates/physics/src/rng.rs").unwrap();
-        assert!(!rng.rules.nondeterminism && !rng.rules.seed_dataflow);
+        assert!(!rng.rules.seed_dataflow);
         assert!(!rng.rules.wrapping_audit, "the mixer is wrapping by design");
-        let par = FileScope::classify("crates/par/src/lib.rs").unwrap();
-        assert!(!par.rules.thread_discipline);
         let xtask = FileScope::classify("crates/xtask/src/main.rs").unwrap();
         assert!(xtask.is_bin);
         assert!(!xtask.rules.print_discipline);
         let engine = FileScope::classify("crates/lint-engine/src/lexer.rs").unwrap();
-        assert!(!engine.rules.seed_dataflow && engine.rules.map_order);
+        assert!(!engine.rules.seed_dataflow && !engine.rules.print_discipline);
     }
 
     #[test]
@@ -463,7 +401,6 @@ mod tests {
         assert!(chip.rules.panic_free, "reram is a simulation backend");
         assert!(chip.rules.float_eq, "reram carries analog physics");
         assert!(chip.rules.pub_liveness && chip.rules.seed_dataflow);
-        assert!(chip.rules.nondeterminism && chip.rules.wall_clock);
     }
 
     #[test]

@@ -136,15 +136,15 @@ mod tests {
 
     #[test]
     fn justified_suppression_parses_and_covers() {
-        let src = "// flashmark-lint: allow(map-order) -- lookup table, never iterated\nlet m = HashMap::new();";
+        let src = "// flashmark-lint: allow(float-eq) -- sentinel carried through unchanged\nif x == 0.0 {}";
         let (sups, probs) = parse("x.rs", &lex(src));
         assert!(probs.is_empty());
         assert_eq!(sups.len(), 1);
-        assert_eq!(sups[0].rules, vec![Rule::MapOrder]);
-        assert_eq!(sups[0].justification, "lookup table, never iterated");
-        assert!(sups[0].covers(Rule::MapOrder, 1));
-        assert!(sups[0].covers(Rule::MapOrder, 2));
-        assert!(!sups[0].covers(Rule::MapOrder, 3));
+        assert_eq!(sups[0].rules, vec![Rule::FloatEq]);
+        assert_eq!(sups[0].justification, "sentinel carried through unchanged");
+        assert!(sups[0].covers(Rule::FloatEq, 1));
+        assert!(sups[0].covers(Rule::FloatEq, 2));
+        assert!(!sups[0].covers(Rule::FloatEq, 3));
         assert!(!sups[0].covers(Rule::PanicFree, 2));
     }
 
@@ -173,22 +173,22 @@ mod tests {
 
     #[test]
     fn multiple_rules_in_one_allow() {
-        let src = "// flashmark-lint: allow(map-order, print-discipline) -- harness output path";
+        let src = "// flashmark-lint: allow(float-eq, print-discipline) -- harness output path";
         let (sups, _) = parse("x.rs", &lex(src));
-        assert_eq!(sups[0].rules, vec![Rule::MapOrder, Rule::PrintDiscipline]);
+        assert_eq!(sups[0].rules, vec![Rule::FloatEq, Rule::PrintDiscipline]);
     }
 
     #[test]
     fn apply_silences_only_covered_findings() {
         let sups = vec![Suppression {
-            rules: vec![Rule::MapOrder],
+            rules: vec![Rule::FloatEq],
             line: 4,
             justification: "j".to_string(),
         }];
         let findings = vec![
-            finding(4, Rule::MapOrder),
-            finding(5, Rule::MapOrder),
-            finding(6, Rule::MapOrder),
+            finding(4, Rule::FloatEq),
+            finding(5, Rule::FloatEq),
+            finding(6, Rule::FloatEq),
             finding(5, Rule::PanicFree),
         ];
         let (kept, silenced) = apply(findings, &sups);

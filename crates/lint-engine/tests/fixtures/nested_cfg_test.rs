@@ -17,7 +17,7 @@ mod tests {
     mod nested {
         #[test]
         fn inner() {
-            // Test-only panics, prints, and hash maps are all allowed.
+            // Test-only panics and prints are allowed.
             let mut m = std::collections::HashMap::new();
             m.insert(1u32, 2u32);
             println!("{:?}", m.get(&1).unwrap());

@@ -19,7 +19,7 @@ pub fn unknown_rule(v: Option<u32>) -> u32 {
 }
 
 /// Multi-rule suppression covering the next line.
-pub fn multi() -> u32 {
-    // flashmark-lint: allow(panic-free, map-order) -- fixture: both findings on the next line are intended
-    std::collections::HashMap::<u32, u32>::new().get(&0).copied().unwrap()
+pub fn multi(v: Option<f64>) -> bool {
+    // flashmark-lint: allow(panic-free, float-eq) -- fixture: both findings on the next line are intended
+    v.unwrap() == 0.5
 }

@@ -33,16 +33,7 @@ fn raw_strings_and_comments_never_fire() {
         "crates/nor/src/fixture.rs",
         include_str!("fixtures/clean_raw_string.rs"),
     );
-    for rule in [
-        Rule::PanicFree,
-        Rule::PrintDiscipline,
-        Rule::MapOrder,
-        Rule::WallClock,
-        Rule::Nondeterminism,
-        Rule::ThreadDiscipline,
-        Rule::UnsafeAudit,
-        Rule::FloatEq,
-    ] {
+    for rule in [Rule::PanicFree, Rule::PrintDiscipline, Rule::FloatEq] {
         assert_eq!(of(&r, rule), 0, "{} fired inside string data", rule.name());
     }
 }
@@ -113,77 +104,14 @@ fn integer_merges_are_clean() {
 }
 
 #[test]
-fn hash_containers_are_flagged_everywhere() {
-    let r = analyze_at(
-        "crates/nor/src/fixture.rs",
-        include_str!("fixtures/bad_map_order.rs"),
-    );
-    assert_eq!(
-        of(&r, Rule::MapOrder),
-        5,
-        "two imports, two signatures, one constructor"
-    );
-}
-
-#[test]
-fn wall_clock_reads_are_flagged_outside_quarantine() {
-    // The bench *library* is where the rule earns its keep: the broad
-    // nondeterminism family is off there (the bench layer times kernels),
-    // so only wall-clock catches a clock read leaking into artifact code.
-    let r = analyze_at(
-        "crates/bench/src/fixture.rs",
-        include_str!("fixtures/bad_wall_clock.rs"),
-    );
-    assert_eq!(
-        of(&r, Rule::WallClock),
-        3,
-        "import, Instant::now read, SystemTime read"
-    );
-    assert_eq!(
-        of(&r, Rule::Nondeterminism),
-        0,
-        "the bench library is exempt from the broad family — wall-clock is the only gate"
-    );
-}
-
-#[test]
-fn quarantined_timing_modules_may_read_the_clock() {
-    let r = analyze_at(
-        "crates/bench/src/microbench.rs",
-        include_str!("fixtures/bad_wall_clock.rs"),
-    );
-    assert_eq!(
-        of(&r, Rule::WallClock),
-        0,
-        "the quarantined timing module owns the wall clock: {:?}",
-        r.findings
-    );
-}
-
-#[test]
-fn unsafe_and_unchecked_are_inventoried() {
-    let r = analyze_at(
-        "crates/nor/src/fixture.rs",
-        include_str!("fixtures/bad_unsafe.rs"),
-    );
-    assert_eq!(
-        of(&r, Rule::UnsafeAudit),
-        4,
-        "two unsafe blocks, get_unchecked, unwrap_unchecked"
-    );
-}
-
-#[test]
 fn classic_families_each_fire() {
     let r = analyze_at(
         "crates/core/src/fixture.rs",
         include_str!("fixtures/bad_classic.rs"),
     );
-    assert_eq!(of(&r, Rule::MissingDocs), 1, "undocumented_helper");
     assert_eq!(of(&r, Rule::FloatEq), 1, "a == 0.5");
-    assert!(of(&r, Rule::Nondeterminism) >= 1, "Instant::now");
-    assert_eq!(of(&r, Rule::ThreadDiscipline), 1, "thread::spawn");
     assert_eq!(of(&r, Rule::PrintDiscipline), 2, "println + eprintln");
+    assert_eq!(of(&r, Rule::WrappingAudit), 1, "wrapping_mul");
 }
 
 #[test]
@@ -198,5 +126,5 @@ fn suppression_semantics_end_to_end() {
     assert_eq!(of(&r, Rule::Suppression), 2, "{:?}", r.findings);
     // Silenced: the justified unwrap plus the multi-rule line (2 findings).
     assert_eq!(r.suppressed, 3);
-    assert_eq!(of(&r, Rule::MapOrder), 0, "multi-rule allow covers HashMap");
+    assert_eq!(of(&r, Rule::FloatEq), 0, "multi-rule allow covers `==`");
 }

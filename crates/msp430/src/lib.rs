@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! MSP430F5438 / MSP430F5529 device models.
 //!
 //! The Flashmark paper demonstrates the technique on these two TI ultra-low

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! SLC NAND flash emulation and the Flashmark-on-NAND adapter.
 //!
 //! The paper demonstrates Flashmark on embedded NOR but concludes that "the

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! NOR flash memory emulation: array, controller, and digital interface.
 //!
 //! This crate is the *digital* substrate of the Flashmark reproduction. It

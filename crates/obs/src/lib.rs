@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Deterministic observability for the Flashmark stack.
 //!
 //! The paper's premise is making invisible physical state (oxide wear)
@@ -10,7 +9,7 @@
 //! at any `--threads` count.
 //!
 //! Determinism quarantine rule: nothing in this crate touches wall-clock
-//! time (`std::time` is banned here by `cargo xtask lint`). Timings are a
+//! time (`clippy.toml` bans the `std::time` types here). Timings are a
 //! bench-layer concern and live only in the suite's runtime report.
 //!
 //! # Example

@@ -1,10 +1,10 @@
 //! Service-telemetry registry: typed gauges, counters, and power-of-two
 //! histograms whose snapshots merge commutatively.
 //!
-//! [`Snapshot`] is the service-layer sibling of
-//! [`Metrics`](crate::Metrics): where `Metrics` aggregates one trial's
-//! event stream, a `Snapshot` aggregates *operational* telemetry — queue
-//! depths, batch occupancy, per-request virtual latency — across shards.
+//! [`Snapshot`] is the service-layer sibling of [`Metrics`]: where
+//! `Metrics` aggregates one trial's event stream, a `Snapshot` aggregates
+//! *operational* telemetry — queue depths, batch occupancy, per-request
+//! virtual latency — across shards.
 //! Every series is keyed `(metric name, shard)` in a `BTreeMap`, and
 //! [`Snapshot::merge`] is commutative and associative (maximum for gauges,
 //! pointwise addition for counters and histograms), so a snapshot built

@@ -291,7 +291,7 @@ impl CellArena {
     ///   calibration's construction) — is monotone in susceptibility;
     /// * a cell whose wear-independent offset (`sigma·z + ln straggler +
     ///   trap`) is provably below that of a higher-susceptibility candidate
-    ///   by more than [`PRUNE_MARGIN`] is therefore strictly below it at
+    ///   by more than a 1e-9 pruning margin is therefore strictly below it at
     ///   every wear, and can never be the maximum.
     ///
     /// The bounds use the global sigma range of the filled table and the

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Floating-gate NOR flash cell physics models.
 //!
 //! This crate is the lowest substrate of the Flashmark reproduction. It models

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! A minimal, dependency-free, deterministic stand-in for the `proptest`
 //! crate.
 //!
@@ -10,7 +9,7 @@
 //! * [`proptest!`] — the test-generating macro, including an optional
 //!   `#![proptest_config(...)]` header;
 //! * [`any`] — an [`Arbitrary`]-driven full-range strategy;
-//! * integer and float [`Range`](core::ops::Range) strategies;
+//! * integer and float [`Range`] strategies;
 //! * [`collection::vec`] — vectors of a strategy with a length range;
 //! * [`prop_assert!`], [`prop_assert_eq!`], [`prop_assert_ne!`],
 //!   [`prop_assume!`].
@@ -109,7 +108,6 @@ pub trait Arbitrary: Sized {
 macro_rules! arbitrary_int {
     ($($t:ty),*) => {$(
         impl Arbitrary for $t {
-            #[allow(clippy::cast_possible_truncation)]
             fn arbitrary(g: &mut Gen) -> Self {
                 g.next_u64() as $t
             }
@@ -147,7 +145,6 @@ macro_rules! range_strategy_int {
         impl Strategy for Range<$t> {
             type Value = $t;
 
-            #[allow(clippy::cast_possible_truncation)]
             fn sample(&self, g: &mut Gen) -> $t {
                 assert!(self.start < self.end, "empty strategy range");
                 let span = (self.end - self.start) as u64;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Append-only provenance registry for chip verifications.
 //!
 //! The paper frames Flashmark as an incoming-inspection tool; related work

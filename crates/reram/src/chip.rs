@@ -6,8 +6,7 @@
 //! high-resistance state, reads 1), and **forming** (the one-time
 //! filament-creation stress that carries the watermark). The cell
 //! population itself is the shared SoA arena from `flashmark-physics`,
-//! instantiated with the [`reram_like`](crate::params::reram_like)
-//! parameter preset.
+//! instantiated with the [`reram_like`] parameter preset.
 
 use flashmark_nor::timing::SimClock;
 use flashmark_nor::{FlashArray, FlashGeometry, SegmentAddr, WearStats, WordAddr};

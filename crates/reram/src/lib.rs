@@ -49,8 +49,6 @@
 //! assert!(cost.elapsed.get() < 1.0); // one forming pass, not a wear loop
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod adapter;
 pub mod chip;
 pub mod error;

@@ -185,8 +185,8 @@ impl<I: FlashInterface> SanitizedFlash<I> {
         std::mem::take(&mut self.violations)
     }
 
-    /// Violations discarded after the report filled up ([`MAX_VIOLATIONS`]
-    /// retained).
+    /// Violations discarded after the report filled up (the first 1024
+    /// are retained).
     pub fn violations_dropped(&self) -> u64 {
         self.violations_dropped
     }
@@ -253,7 +253,7 @@ impl<I: FlashInterface> SanitizedFlash<I> {
         };
         match self.policy {
             Policy::Panic => panic!("flash-protocol violation: {violation}"),
-            Policy::Log | Policy::Collect => self.collect(violation),
+            Policy::Collect => self.collect(violation),
         }
     }
 

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Runtime flash-protocol sanitizer for the Flashmark stack.
 //!
 //! [`SanitizedFlash`] wraps any [`FlashInterface`](flashmark_nor::FlashInterface)

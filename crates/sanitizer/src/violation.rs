@@ -6,19 +6,19 @@ use flashmark_nor::{SegmentAddr, WordAddr};
 use flashmark_physics::{Micros, Seconds};
 
 /// What the sanitizer does when it detects a violation.
+///
+/// Under either policy the violation is first emitted as a
+/// `SanitizerViolation` observability event as it happens. Library code
+/// never prints; attach an obs collector to see violations live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Policy {
     /// Panic immediately with the violation report. Use in tests where any
     /// protocol violation is a bug.
     Panic,
-    /// Record the violation silently; inspect via
+    /// Record the violation; inspect via
     /// [`SanitizedFlash::violations`](crate::SanitizedFlash::violations).
     #[default]
     Collect,
-    /// Record the violation and also emit it eagerly (as an observability
-    /// event) as it happens. Library code never prints; attach an obs
-    /// collector to see violations live.
-    Log,
 }
 
 /// The sanitizer's shadow model of one segment's logical state.

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Fleet-scale chip-verification service over the provenance registry.
 //!
 //! The paper positions Flashmark as an incoming-inspection check a system

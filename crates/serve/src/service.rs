@@ -397,7 +397,10 @@ impl ShardCtx<'_> {
     }
 
     /// Assembles the registry record for one served request.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one parameter per record field the request outcome fills"
+    )]
     fn draft(
         &self,
         req: VerifyRequest,

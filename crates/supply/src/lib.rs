@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Supply-chain and counterfeiter simulation.
 //!
 //! The paper motivates Flashmark with three counterfeiting pathways:

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Cross-run trend registry: an append-only, digest-chained log of
 //! campaign outcomes and the drift gates computed over it.
 //!
@@ -9,9 +8,9 @@
 //! [`TrendRecord`] — build tag, seed, params digest, verdict mix per
 //! provenance class, fault-campaign flip count, obs op count, kernel
 //! throughputs — to `results/trend_log.jsonl` as a canonical single-line
-//! JSON, chained record-to-record with the same FNV-1a
-//! [`Digest64`](flashmark_registry::Digest64) the provenance registry
-//! uses, so a tampered or truncated log is detected on load.
+//! JSON, chained record-to-record with the same FNV-1a [`Digest64`] the
+//! provenance registry uses, so a tampered or truncated log is detected
+//! on load.
 //!
 //! [`compute_drift`] turns a verified log into a [`DriftReport`]:
 //!
@@ -343,12 +342,22 @@ impl TrendLog {
 ///
 /// # Errors
 ///
-/// I/O errors, or `InvalidData` when the existing log fails verification
-/// — a corrupt log is never extended.
+/// I/O errors, `InvalidData` when the existing log fails verification — a
+/// corrupt log is never extended — or `InvalidInput`, with the file
+/// untouched, when the record's framed line does not parse back to an
+/// equal record (a `"` in a string field, a `/` in a class name), so the
+/// log never holds a line its own reader rejects or misreads.
 pub fn append_to_log(path: &Path, record: TrendRecord) -> std::io::Result<u64> {
     let mut log = TrendLog::load(path)?;
     let seq = log.append(record);
-    let line = framed_line(seq, log.root(), &log.records()[seq as usize]);
+    let record = &log.records()[seq as usize];
+    let line = framed_line(seq, log.root(), record);
+    if parse_line(&line).map(|(_, _, back)| back).as_ref() != Ok(record) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("trend record does not survive its own framing: {line}"),
+        ));
+    }
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -527,23 +536,10 @@ fn parse_line(line: &str) -> Result<(u64, Digest64, TrendRecord), String> {
 
 // -------------------------------------------------------- drift gates ----
 
-/// Drift-gate knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftOptions {
-    /// How many predecessor runs the perf median is taken over.
-    pub window: usize,
-    /// Warn when the latest `trials/s` falls below `median / perf_ratio`.
-    pub perf_ratio: f64,
-}
-
-impl Default for DriftOptions {
-    fn default() -> Self {
-        Self {
-            window: 8,
-            perf_ratio: 2.0,
-        }
-    }
-}
+/// How many predecessor runs the perf median is taken over.
+const PERF_WINDOW: usize = 8;
+/// Warn when the latest `trials/s` falls below `median / PERF_RATIO`.
+const PERF_RATIO: f64 = 2.0;
 
 /// One comparable-run group's latest drift evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -583,9 +579,9 @@ impl DriftReport {
 /// Evaluates the drift gates over a verified log: within each
 /// `(kind, params, seed)` group, the latest record is compared against
 /// its immediate predecessor for detection drift and against the median
-/// of the previous [`DriftOptions::window`] runs for perf drift.
+/// of the previous 8 runs for perf drift (a warning below half of it).
 #[must_use]
-pub fn compute_drift(log: &TrendLog, opts: &DriftOptions) -> DriftReport {
+pub fn compute_drift(log: &TrendLog) -> DriftReport {
     let mut groups: BTreeMap<(&str, &str, u64), Vec<&TrendRecord>> = BTreeMap::new();
     for record in log.records() {
         groups
@@ -630,7 +626,7 @@ pub fn compute_drift(log: &TrendLog, opts: &DriftOptions) -> DriftReport {
             let mut history: Vec<f64> = runs[..runs.len() - 1]
                 .iter()
                 .rev()
-                .take(opts.window)
+                .take(PERF_WINDOW)
                 .filter_map(|r| r.perf.get(name).copied())
                 .collect();
             if history.is_empty() {
@@ -638,11 +634,10 @@ pub fn compute_drift(log: &TrendLog, opts: &DriftOptions) -> DriftReport {
             }
             history.sort_by(f64::total_cmp);
             let median = history[history.len() / 2];
-            if median > 0.0 && current < median / opts.perf_ratio {
+            if median > 0.0 && current < median / PERF_RATIO {
                 report.warnings.push(format!(
                     "{kind}@{params}: {name} at {current:.1} trials/s, \
-                     below median {median:.1} / {}",
-                    opts.perf_ratio
+                     below median {median:.1} / {PERF_RATIO}"
                 ));
             }
         }
@@ -787,6 +782,33 @@ mod tests {
     }
 
     #[test]
+    fn append_to_log_refuses_records_its_reader_would_reject_or_misread() {
+        let dir =
+            std::env::temp_dir().join(format!("flashmark_trend_frame_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trend_log.jsonl");
+        std::fs::remove_file(&path).ok();
+        append_to_log(&path, record("suite", 1, &[("genuine", "accept", 5)])).unwrap();
+        let before = std::fs::read_to_string(&path).unwrap();
+
+        // A `"` would end the build string early: the reader rejects the
+        // line, and every later append would fail on it.
+        let mut quoted = record("suite", 1, &[("genuine", "accept", 5)]);
+        quoted.build = "flashmark \"dirty\"".to_string();
+        // A `/` in a class would read back as ("a", "b/accept"), so the
+        // drift gate would count its accepts as another class's rejects.
+        let slashed = record("suite", 1, &[("a/b", "accept", 5)]);
+        for bad in [quoted, slashed] {
+            let err = append_to_log(&path, bad).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
+        }
+        let seq = append_to_log(&path, record("suite", 1, &[("genuine", "accept", 5)])).unwrap();
+        assert_eq!(seq, 1, "the log still extends");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn missing_file_loads_as_empty() {
         let path = std::env::temp_dir().join("flashmark_trend_never_written.jsonl");
         std::fs::remove_file(&path).ok();
@@ -803,7 +825,7 @@ mod tests {
         );
         log.append(r.clone());
         log.append(r);
-        let report = compute_drift(&log, &DriftOptions::default());
+        let report = compute_drift(&log);
         assert!(report.passed(), "{:?}", report.failures);
         assert_eq!(report.checks.len(), 1);
         assert_eq!(report.checks[0].runs, 2);
@@ -826,7 +848,7 @@ mod tests {
                 ("genuine", "accept", 10),
             ],
         ));
-        let report = compute_drift(&log, &DriftOptions::default());
+        let report = compute_drift(&log);
         assert!(!report.passed());
         assert!(
             report.failures[0].contains("clone"),
@@ -849,7 +871,7 @@ mod tests {
             7,
             &[("recycled", "accept", 2), ("recycled", "reject", 4)],
         ));
-        assert!(compute_drift(&log, &DriftOptions::default()).passed());
+        assert!(compute_drift(&log).passed());
     }
 
     #[test]
@@ -858,7 +880,7 @@ mod tests {
         let mut r = record("fault", 3, &[]);
         r.flips = Some(2);
         log.append(r);
-        let report = compute_drift(&log, &DriftOptions::default());
+        let report = compute_drift(&log);
         assert!(!report.passed());
         assert!(report.failures[0].contains("fault flips"));
     }
@@ -874,7 +896,7 @@ mod tests {
         let mut slow = record("perf", 1, &[]);
         slow.perf.insert("kernel/bulk_stress_5k".into(), 1_000.0);
         log.append(slow);
-        let report = compute_drift(&log, &DriftOptions::default());
+        let report = compute_drift(&log);
         assert!(report.passed(), "perf drift must not gate");
         assert_eq!(report.warnings.len(), 1);
         assert!(report.warnings[0].contains("bulk_stress_5k"));
@@ -887,7 +909,7 @@ mod tests {
         // Same kind, different seed: a fresh group, so the "drift" toward
         // acceptance is not comparable and must not fail.
         log.append(record("service", 2, &[("clone", "accept", 5)]));
-        let report = compute_drift(&log, &DriftOptions::default());
+        let report = compute_drift(&log);
         assert!(report.passed());
         assert_eq!(report.checks.len(), 2);
     }

@@ -240,6 +240,34 @@ mod tests {
         );
     }
 
+    /// rustc's `missing_docs`, `unreachable_pub` and `unsafe_code`, and the
+    /// `[workspace.lints.clippy]` settings, reach a crate only through its
+    /// `[lints]` table.
+    #[test]
+    fn every_manifest_inherits_the_workspace_lints() {
+        let root = workspace_root();
+        let mut manifests = vec![root.join("Cargo.toml")];
+        let crates = std::fs::read_dir(root.join("crates")).unwrap();
+        manifests.extend(
+            crates
+                .flatten()
+                .map(|entry| entry.path().join("Cargo.toml")),
+        );
+        assert!(manifests.len() > 10, "{manifests:?}");
+        for manifest in &manifests {
+            let text = std::fs::read_to_string(manifest).unwrap();
+            let inherits = text
+                .split("\n[")
+                .find(|table| table.starts_with("lints]"))
+                .is_some_and(|table| table.lines().any(|l| l.trim() == "workspace = true"));
+            assert!(
+                inherits,
+                "{} lacks `[lints] workspace = true`",
+                manifest.display()
+            );
+        }
+    }
+
     #[test]
     fn workspace_is_clean_against_committed_baseline() {
         let root = workspace_root();

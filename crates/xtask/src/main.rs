@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Workspace automation tasks (`cargo xtask <task>`).
 //!
 //! Currently one task: `lint`, the static analysis gate backed by

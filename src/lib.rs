@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # Flashmark
 //!
 //! Umbrella crate for the Flashmark reproduction (DAC 2020): watermarking of
