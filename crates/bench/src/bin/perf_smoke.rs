@@ -1,7 +1,8 @@
 //! CI perf gate: re-times the segment kernels and fails (exit 1) if any
 //! `kernel/*` entry regresses more than 2× against the committed
-//! `results/BENCH_runtime.json` baseline, or if a baseline kernel is
-//! missing from the current run entirely.
+//! `results/BENCH_runtime.json` baseline, if a baseline kernel is missing
+//! from the current run entirely, or if the baseline itself is missing,
+//! unreadable or holds no `kernel/*` entry.
 //!
 //! Experiment wall times in the baseline are informational only — they
 //! depend on trial counts and machine, so only the kernel entries gate.
@@ -45,21 +46,24 @@ fn main() -> ExitCode {
         }
     }
 
+    // No baseline, no gate: a missing, empty or kernel-less one fails. The
+    // Full `run_all` suite writes it.
     let baseline_path = results_dir().join("BENCH_runtime.json");
     let baseline = match RuntimeReport::load(&baseline_path) {
         Ok(b) => b,
         Err(e) => {
-            eprintln!(
-                "no usable baseline at {} ({e}); writing fresh report without gating",
-                baseline_path.display()
-            );
-            if let Err(e) = current.write(&baseline_path) {
-                eprintln!("failed to write {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-            return ExitCode::SUCCESS;
+            eprintln!("no usable baseline at {} ({e})", baseline_path.display());
+            return ExitCode::FAILURE;
         }
     };
+    if !baseline
+        .entries
+        .iter()
+        .any(|e| e.name.starts_with("kernel/"))
+    {
+        eprintln!("baseline {} has no kernel/ row", baseline_path.display());
+        return ExitCode::FAILURE;
+    }
 
     // Keep the baseline's experiment/* entries; replace kernel timings
     // with this machine's measurements for the uploaded artifact.

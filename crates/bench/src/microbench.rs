@@ -203,7 +203,8 @@ impl RuntimeReport {
     ///
     /// # Errors
     ///
-    /// I/O errors, or `InvalidData` for a malformed file.
+    /// I/O errors, or `InvalidData` for a malformed file or one with no
+    /// entries (an empty baseline would gate nothing).
     pub fn load(path: &Path) -> std::io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
         let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
@@ -239,6 +240,9 @@ impl RuntimeReport {
                     trials_per_s,
                 });
             }
+        }
+        if entries.is_empty() {
+            return Err(bad("no entries"));
         }
         Ok(Self { entries })
     }
@@ -561,6 +565,17 @@ mod tests {
             regs[0]
         );
         assert!(loaded.regressions(&current, 4.0, "kernel/").is_empty());
+    }
+
+    #[test]
+    fn empty_report_does_not_load() {
+        let dir = std::env::temp_dir().join("flashmark_runtime_report");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("empty_{}.json", std::process::id()));
+        std::fs::write(&path, "{\"entries\": []}").unwrap();
+        let loaded = RuntimeReport::load(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use flashmark_core::{characterize_sample, fuse_windows, ReplicaLayout, SweepSpec
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_par::TrialRunner;
 use flashmark_physics::{Micros, PhysicsParams};
-use flashmark_supply::{ScenarioConfig, SupplyChainScenario};
 
 use crate::backend_campaign::{
     run_backend_campaign, BackendCampaignData, BackendCampaignOptions, Scenario as BackendScenario,
@@ -950,26 +949,6 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
             Ok(())
         },
     );
-
-    // Supply-chain scenario.
-    step(&mut outcomes, &mut md, "scenario", 1, |md| {
-        let stats = SupplyChainScenario::new(ScenarioConfig::small(0x5CA1E)).run()?;
-        row(
-            md,
-            "scenario",
-            "counterfeit detection rate (%)",
-            "100 (design goal)".into(),
-            format!("{:.0}", stats.detection_rate() * 100.0),
-        );
-        row(
-            md,
-            "scenario",
-            "genuine false-positive rate (%)",
-            "0 (design goal)".into(),
-            format!("{:.0}", stats.false_positive_rate() * 100.0),
-        );
-        Ok(())
-    });
 
     // Per-experiment wall times. These are environment-dependent and
     // deliberately confined to the Markdown report — the JSON artifacts

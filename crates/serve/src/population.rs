@@ -15,6 +15,10 @@ use flashmark_physics::rng::mix2;
 use flashmark_supply::counterfeiter::{simulate_field_use, Attack, CloneData, MetadataForge};
 use flashmark_supply::{Chip, Manufacturer, Provenance};
 
+/// Dies (the first draw plus its re-spins) die-sort screening tries before
+/// it gives up on a recipe under which no record decodes.
+const MAX_SCREENED_DIES: u64 = 64;
+
 /// Stable provenance-class labels used in registry records.
 pub mod class {
     /// Genuine accepted part.
@@ -108,7 +112,8 @@ impl PopulationSpec {
     ///
     /// # Errors
     ///
-    /// Imprint/flash errors from manufacturing or tampering.
+    /// Imprint/flash errors from manufacturing or tampering, and
+    /// [`CoreError::Config`] when no screened die's record decodes.
     pub fn build(
         &self,
         config: &FlashmarkConfig,
@@ -126,18 +131,20 @@ impl PopulationSpec {
         // so enrollment does the same — verify a throwaway copy (screening
         // must not wear the enrolled state) and re-spin the die seed until
         // the record decodes. One screening pass only: dies that decode
-        // once but stay borderline ship, exactly like marginal silicon.
+        // once but stay borderline ship, exactly like marginal silicon. A
+        // recipe under which no die decodes is a configuration error.
         let screened = |m: &mut Manufacturer, seed: u64, status: TestStatus| {
-            let mut chip = m.produce(seed, status)?;
-            for attempt in 1u64.. {
+            let mut die_seed = seed;
+            for attempt in 1..=MAX_SCREENED_DIES {
+                let chip = m.produce(die_seed, status)?;
                 let mut copy = chip.flash.clone();
                 let seg = copy.watermark_segment();
                 if verifier.verify(&mut copy, seg)?.record.is_some() {
-                    break;
+                    return Ok(chip);
                 }
-                chip = m.produce(mix2(seed, attempt), status)?;
+                die_seed = mix2(seed, attempt);
             }
-            Ok::<Chip, CoreError>(chip)
+            Err(CoreError::Config("no die's record decodes in screening"))
         };
 
         for _ in 0..self.genuine {
@@ -282,6 +289,27 @@ mod tests {
         for (i, c) in pop.chips().iter().enumerate() {
             assert_eq!(c.chip_id, i as u64);
         }
+    }
+
+    #[test]
+    fn screening_gives_up_when_no_record_decodes() {
+        // Too few imprint cycles for one read to resolve the mark.
+        let weak = FlashmarkConfig::builder()
+            .n_pe(1_000)
+            .replicas(5)
+            .reads(1)
+            .build()
+            .unwrap();
+        let spec = PopulationSpec {
+            genuine: 1,
+            fallout: 0,
+            recycled: 0,
+            clones: 0,
+            rebranded: 0,
+            ..PopulationSpec::tiny(0x5C12)
+        };
+        let built = spec.build(&weak, 0x7C01);
+        assert!(matches!(built, Err(CoreError::Config(_))));
     }
 
     #[test]

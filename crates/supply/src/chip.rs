@@ -4,8 +4,8 @@ use core::fmt;
 
 use flashmark_msp430::{Msp430Flash, Msp430Variant};
 
-/// Ground-truth origin of a chip (hidden from the integrator; used only to
-/// score detection results).
+/// Ground-truth origin of a chip (hidden from the inspector, which sees only
+/// the device; kept so verdicts can be scored against it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Provenance {
     /// Passed die sort at the trusted manufacturer; sold new.
@@ -22,14 +22,6 @@ pub enum Provenance {
     /// An inferior part re-branded with the trusted manufacturer's marking
     /// (no Flashmark watermark at all).
     Rebranded,
-}
-
-impl Provenance {
-    /// Whether an ideal inspection should flag this chip.
-    #[must_use]
-    pub fn is_counterfeit(&self) -> bool {
-        !matches!(self, Self::GenuineAccept)
-    }
 }
 
 impl fmt::Display for Provenance {
@@ -71,18 +63,6 @@ impl Chip {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counterfeit_classification() {
-        assert!(!Provenance::GenuineAccept.is_counterfeit());
-        assert!(Provenance::GenuineReject.is_counterfeit());
-        assert!(Provenance::Recycled {
-            prior_cycles: 10_000
-        }
-        .is_counterfeit());
-        assert!(Provenance::Clone.is_counterfeit());
-        assert!(Provenance::Rebranded.is_counterfeit());
-    }
 
     #[test]
     fn display_strings() {

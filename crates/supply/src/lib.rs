@@ -3,7 +3,7 @@
 //! The paper motivates Flashmark with three counterfeiting pathways:
 //! recycled chips resold as new, rejected (fall-out) dies re-entering the
 //! chain, and inferior parts re-branded as premium ones. This crate models
-//! that world end to end:
+//! the parts that reach an inspector:
 //!
 //! * [`Manufacturer`] runs die-sort: writes the (forgeable) TLV metadata
 //!   *and* imprints the Flashmark record into the reserved segment;
@@ -12,35 +12,18 @@
 //!   perform with full digital access to the part — erase/reprogram,
 //!   metadata forgery, cloning a genuine chip's bits onto fresh silicon,
 //!   additional stressing, recycling;
-//! * [`SystemIntegrator`] runs the incoming-inspection workflow (verify the
-//!   watermark, optionally stress-check user segments for recycling);
-//! * [`scenario`] assembles mixed populations and reports detection
-//!   statistics per provenance class.
+//! * [`usage`] models a recycled chip's first life and samples the
+//!   segments an inspector probes for its wear.
 //!
-//! # Example
-//!
-//! ```
-//! use flashmark_supply::scenario::{ScenarioConfig, SupplyChainScenario};
-//!
-//! let mut scenario = SupplyChainScenario::new(ScenarioConfig::small(0xACE));
-//! let stats = scenario.run().expect("simulation runs");
-//! // Every honest chip passes, every counterfeit pathway is caught.
-//! assert_eq!(stats.false_positives(), 0);
-//! assert_eq!(stats.false_negatives(), 0);
-//! ```
+//! Incoming inspection itself is `flashmark_serve`'s verification service,
+//! which enrolls populations built from these parts.
 
 pub mod chip;
 pub mod counterfeiter;
-pub mod integrator;
 pub mod manufacturer;
-pub mod report;
-pub mod scenario;
 pub mod usage;
 
 pub use chip::{Chip, Provenance};
 pub use counterfeiter::{Attack, AttackKind};
-pub use integrator::{ChipAssessment, InspectionPolicy, SystemIntegrator};
 pub use manufacturer::Manufacturer;
-pub use report::DetectionStats;
-pub use scenario::{ScenarioConfig, SupplyChainScenario};
 pub use usage::{live_first_life, sampled_probe_segments, UsageProfile};

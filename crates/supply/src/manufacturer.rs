@@ -10,7 +10,7 @@ use crate::chip::{Chip, Provenance};
 ///
 /// Produces chips carrying both the *current practice* (TLV metadata in
 /// info memory — trivially forgeable) and the Flashmark wear watermark, so
-/// scenarios can contrast the two.
+/// attacks and inspections can contrast the two.
 #[derive(Debug, Clone)]
 pub struct Manufacturer {
     id: u16,

@@ -97,9 +97,9 @@ pub fn live_first_life(chip: &mut Chip, profile: &UsageProfile) -> Result<(), Co
     Ok(())
 }
 
-/// Picks `count` distinct probe segments spread over the device — the
-/// integrator does not know where the first life concentrated its wear, so
-/// it samples.
+/// Picks `count` distinct probe segments among the first `total_segments`
+/// — the inspector does not know where the first life concentrated its
+/// wear, so it samples.
 #[must_use]
 pub fn sampled_probe_segments(total_segments: u32, count: usize, seed: u64) -> Vec<SegmentAddr> {
     let mut rng = SplitMix64::new(seed);

@@ -16,7 +16,7 @@
 //!   verify — and the cross-technology [`WatermarkScheme`] facade
 //!   every backend implements.
 //! * [`ecc`] — replication/majority voting, Hamming codes, CRC signatures.
-//! * [`supply`] — supply-chain scenarios and counterfeiter attack models.
+//! * [`supply`] — chip provenance, die sort and counterfeiter attack models.
 //! * [`sanitizer`] — flash-protocol runtime sanitizer: wraps any flash
 //!   interface and reports invariant violations with event backtraces.
 //! * [`fault`] — deterministic fault injection: wraps any flash interface

@@ -3,7 +3,6 @@
 use flashmark::core::{Extractor, FlashmarkConfig, Imprinter, Watermark};
 use flashmark::msp430::Msp430Flash;
 use flashmark::nor::SegmentAddr;
-use flashmark::supply::{ScenarioConfig, SupplyChainScenario};
 
 fn pipeline(seed: u64) -> Vec<bool> {
     let mut chip = Msp430Flash::f5438(seed);
@@ -35,17 +34,6 @@ fn different_seed_different_raw_channel_noise() {
     let a = pipeline(0xD2);
     let b = pipeline(0xD3);
     assert_ne!(a, b, "two chips should differ somewhere in the raw channel");
-}
-
-#[test]
-fn scenario_statistics_are_reproducible() {
-    let s1 = SupplyChainScenario::new(ScenarioConfig::small(0x5EED))
-        .run()
-        .unwrap();
-    let s2 = SupplyChainScenario::new(ScenarioConfig::small(0x5EED))
-        .run()
-        .unwrap();
-    assert_eq!(format!("{s1}"), format!("{s2}"));
 }
 
 /// The committed `results/` files that the Smoke suite does not write,

@@ -1,5 +1,5 @@
 //! Cross-crate integration: the full Flashmark pipeline from physics to
-//! supply chain.
+//! incoming inspection.
 
 use flashmark::core::{
     Extractor, FlashmarkConfig, Imprinter, TestStatus, Verdict, Verifier, Watermark,
@@ -9,7 +9,9 @@ use flashmark::msp430::{Msp430Flash, Msp430Variant};
 use flashmark::nor::interface::FlashInterface;
 use flashmark::nor::SegmentAddr;
 use flashmark::physics::Micros;
-use flashmark::supply::{Manufacturer, ScenarioConfig, SupplyChainScenario, SystemIntegrator};
+use flashmark::registry::RecordVerdict;
+use flashmark::serve::{class, PopulationSpec, ServiceConfig, VerificationService, VerifyRequest};
+use flashmark::supply::Manufacturer;
 
 fn config() -> FlashmarkConfig {
     FlashmarkConfig::builder()
@@ -118,26 +120,36 @@ fn extraction_does_not_need_the_content() {
 }
 
 #[test]
-fn integrator_accepts_genuine_across_seeds() {
+fn genuine_lot_passes_probed_inspection() {
+    // Eight genuine dies, each inspected eight times with a recycled-wear
+    // probe on every request: no probe placement may reject a fresh part.
     let cfg = config();
-    let mut fab = Manufacturer::new(0x7C01, Msp430Variant::F5438, cfg.clone());
-    let integrator = SystemIntegrator::new(cfg, 0x7C01).unwrap();
-    for seed in 0..8u64 {
-        let mut chip = fab.produce(0xA000 + seed, TestStatus::Accept).unwrap();
-        let a = integrator.inspect(&mut chip).unwrap();
-        assert!(a.accepted, "genuine chip {seed} was flagged: {a:?}");
-    }
-}
-
-#[test]
-fn scenario_outcomes_are_stable_across_seeds() {
-    for seed in [0x11u64, 0x22, 0x33, 0x44] {
-        let stats = SupplyChainScenario::new(ScenarioConfig::small(seed))
-            .run()
-            .unwrap();
-        assert_eq!(stats.false_negatives(), 0, "seed {seed:#x}: {stats}");
-        assert_eq!(stats.false_positives(), 0, "seed {seed:#x}: {stats}");
-    }
+    let spec = PopulationSpec {
+        genuine: 8,
+        fallout: 0,
+        recycled: 0,
+        clones: 0,
+        rebranded: 0,
+        ..PopulationSpec::tiny(0xA000)
+    };
+    let population = spec.build(&cfg, 0x7C01).unwrap();
+    let mut service =
+        VerificationService::new(population, ServiceConfig::new(cfg, 0x7C01, 0xA000)).unwrap();
+    let batch: Vec<VerifyRequest> = (0..64u64)
+        .map(|i| VerifyRequest {
+            request_id: i,
+            chip_id: i % 8,
+            probe: true,
+        })
+        .collect();
+    let stats = service.process_batch(&batch, 1).unwrap().stats;
+    let accepted = stats.verdicts(class::GENUINE, RecordVerdict::Accept);
+    assert_eq!(
+        accepted,
+        64,
+        "{:?}",
+        stats.verdict_mix().collect::<Vec<_>>()
+    );
 }
 
 #[test]
