@@ -15,10 +15,9 @@
 //!   wear probe runs inside the faulted stack and must never record a
 //!   [`ViolationKind::WearDecrease`].
 //!
-//! The trials run once, each under its own obs
-//! [`Collector`](flashmark_obs::Collector), so the same run also yields the
-//! instrumented aggregate behind `results/obs_report.json`
-//! ([`ObsCampaignData`]).
+//! The trials run once, each under its own obs [`Collector`], so the same
+//! run also yields the instrumented aggregate behind
+//! `results/obs_report.json` ([`ObsCampaignData`]).
 //!
 //! Everything is a pure function of `(campaign seed, trial index)`, so both
 //! artifacts are byte-identical at any `--threads` count.
@@ -29,7 +28,7 @@ use flashmark_core::{
 };
 use flashmark_fault::{FaultPlan, FaultyFlash};
 use flashmark_nor::{FlashController, SegmentAddr};
-use flashmark_obs::{run_instrumented, DEFAULT_EVENT_CAPACITY};
+use flashmark_obs::{collect, Collector, DEFAULT_EVENT_CAPACITY};
 use flashmark_par::TrialRunner;
 use flashmark_physics::rng::mix2;
 use flashmark_physics::Micros;
@@ -388,12 +387,16 @@ pub fn fault_campaign(
     let reps = trials_per_cell(profile);
     let cells = SCENARIOS.len() * grid.len();
 
-    let run = run_instrumented(runner, cells * reps, DEFAULT_EVENT_CAPACITY, |trial| {
-        let (scenario, class) = cell_of(&grid, trial.index / reps);
-        run_trial(trial.seed, scenario, class)
-    });
-    let obs = ObsCampaignData::from_report(runner.experiment_seed(), profile, &run.report());
-    let outcomes = run.outputs.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let (outcomes, collectors): (Vec<_>, Vec<_>) = runner
+        .run(cells * reps, |trial| {
+            let collector = Collector::with_capacity(trial.index as u64, DEFAULT_EVENT_CAPACITY);
+            let (scenario, class) = cell_of(&grid, trial.index / reps);
+            collect(collector, || run_trial(trial.seed, scenario, class))
+        })
+        .into_iter()
+        .unzip();
+    let obs = ObsCampaignData::from_collectors(runner.experiment_seed(), profile, &collectors);
+    let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     let mut rows = Vec::with_capacity(cells);
     for (cell, chunk) in outcomes.chunks(reps).enumerate() {

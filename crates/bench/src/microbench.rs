@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 
 use flashmark_nor::interface::{BulkStress, FlashInterface, ImprintTiming};
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
+use flashmark_obs::{collect, Collector};
 use flashmark_physics::{Micros, PhysicsParams};
 
 use crate::impl_to_json;
@@ -470,14 +471,10 @@ pub fn kernel_suite() -> RuntimeReport {
 /// group the batched kernels increment per chunk. Falls back to the raw
 /// obs event count for operations that touch no cells.
 fn traced_ops<S, R>(mut setup: impl FnMut() -> S, mut f: impl FnMut(S) -> R) -> u64 {
-    use flashmark_obs::Collector;
     let input = setup();
-    let prev = flashmark_obs::install(Collector::with_capacity(0, 0));
-    std::hint::black_box(f(input));
-    let collector = flashmark_obs::take().unwrap_or_else(|| Collector::with_capacity(0, 0));
-    if let Some(p) = prev {
-        flashmark_obs::install(p);
-    }
+    let ((), collector) = collect(Collector::with_capacity(0, 0), || {
+        std::hint::black_box(f(input));
+    });
     let cells = collector.metrics().group_total("cells");
     if cells > 0 {
         cells

@@ -2,21 +2,21 @@
 //! tool.
 //!
 //! [`crate::fault_campaign::fault_campaign`] runs every trial of the
-//! fault-injection grid under a per-trial
-//! [`Collector`](flashmark_obs::Collector) and merges the collectors **in
-//! trial order** into [`ObsCampaignData`]: counters, histograms, and
-//! per-trial summaries that are byte-identical at any `--threads` count.
-//! Wall-clock timings never enter the aggregate; the suite reports the
-//! step's wall time in its runtime table only.
+//! fault-injection grid under a per-trial [`Collector`] and merges the
+//! collectors **in trial order** into [`ObsCampaignData`]: counters,
+//! histograms, and per-trial summaries that are byte-identical at any
+//! `--threads` count. Wall-clock timings never enter the aggregate; the
+//! suite reports the step's wall time in its runtime table only.
 //!
-//! [`dump_trial`] replays a single trial of the same campaign serially
-//! with a large event ring and renders its op-ordered event timeline —
-//! flash operations, retry decisions, ladder rungs, fault firings, and the
-//! final verdict, exactly as the instrumented stack emitted them.
+//! [`dump_trial`] replays a single trial of the same campaign, seeded as in
+//! the campaign, with a large event ring and renders its op-ordered event
+//! timeline — flash operations, retry decisions, ladder rungs, fault
+//! firings, and the final verdict, exactly as the instrumented stack
+//! emitted them.
 
 use std::fmt::Write as _;
 
-use flashmark_obs::{run_instrumented, ObsReport};
+use flashmark_obs::{collect, Collector, Metrics};
 use flashmark_par::TrialRunner;
 
 use crate::fault_campaign::{
@@ -124,16 +124,20 @@ impl ObsCampaignData {
             .sum()
     }
 
-    /// The artifact form of a merged report from the seed-`seed` campaign.
-    pub(crate) fn from_report(seed: u64, profile: Profile, report: &ObsReport) -> Self {
+    /// The aggregate of the seed-`seed` campaign's per-trial collectors,
+    /// given in trial order.
+    pub(crate) fn from_collectors(seed: u64, profile: Profile, collectors: &[Collector]) -> Self {
+        let mut metrics = Metrics::new();
+        for c in collectors {
+            metrics.absorb(c.metrics());
+        }
         Self {
             seed,
             profile: profile.name(),
-            trials: report.trials(),
-            total_ops: report.total_ops(),
-            events_dropped: report.events_dropped(),
-            counters: report
-                .metrics()
+            trials: collectors.len() as u64,
+            total_ops: collectors.iter().map(Collector::ops).sum(),
+            events_dropped: collectors.iter().map(Collector::dropped).sum(),
+            counters: metrics
                 .counters()
                 .map(|(group, name, count)| ObsCounterRow {
                     group: group.to_string(),
@@ -141,8 +145,7 @@ impl ObsCampaignData {
                     count,
                 })
                 .collect(),
-            histograms: report
-                .metrics()
+            histograms: metrics
                 .histograms()
                 .map(|(metric, bucket, count)| ObsHistogramRow {
                     metric: metric.to_string(),
@@ -150,14 +153,13 @@ impl ObsCampaignData {
                     count,
                 })
                 .collect(),
-            per_trial: report
-                .per_trial()
+            per_trial: collectors
                 .iter()
-                .map(|t| ObsTrialRow {
-                    trial_index: t.trial_index,
-                    ops: t.ops,
-                    events_retained: t.events_retained,
-                    dropped: t.dropped,
+                .map(|c| ObsTrialRow {
+                    trial_index: c.trial_index(),
+                    ops: c.ops(),
+                    events_retained: c.events().count() as u64,
+                    dropped: c.dropped(),
                 })
                 .collect(),
         }
@@ -181,12 +183,11 @@ pub fn truncation_note(dropped: u64) -> Option<String> {
     })
 }
 
-/// Replays one trial of the seed-`seed` campaign serially and renders its
-/// event timeline, one `op_index  description` line per retained event.
+/// Replays one trial of the seed-`seed` campaign and renders its event
+/// timeline, one `op_index  description` line per retained event.
 ///
-/// Only the requested trial's body runs (all other trials return
-/// immediately), so the replay is cheap while the trial seed derivation
-/// matches the full campaign exactly.
+/// Only the requested trial runs, with the seed the campaign's
+/// [`TrialRunner`] gives it, so its timeline is the campaign trial's own.
 ///
 /// # Errors
 ///
@@ -209,20 +210,11 @@ pub fn dump_trial(
         .into());
     }
 
-    let runner = TrialRunner::with_threads(seed, 1);
-    let run = run_instrumented(&runner, n, DUMP_CAPACITY, |trial| {
-        if trial.index != trial_index {
-            return Ok(None);
-        }
-        let (scenario, class) = cell_of(&grid, trial.index / reps);
-        run_trial(trial.seed, scenario, class).map(Some)
-    });
-    if let Some(err) = run.outputs.iter().find_map(|o| o.as_ref().err()) {
-        return Err(err.clone().into());
-    }
-
+    let trial = TrialRunner::with_threads(seed, 1).trial(trial_index);
     let (scenario, class) = cell_of(&grid, trial_index / reps);
-    let collector = &run.collectors[trial_index];
+    let collector = Collector::with_capacity(trial_index as u64, DUMP_CAPACITY);
+    let (outcome, collector) = collect(collector, || run_trial(trial.seed, scenario, class));
+    outcome?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -287,6 +279,21 @@ mod tests {
             .collect();
         assert!(ops.len() > 10, "timeline too short: {text}");
         assert!(ops.windows(2).all(|w| w[0] < w[1]), "ops not in order");
+    }
+
+    #[test]
+    fn dumped_trials_replay_the_campaigns_own_trials() {
+        let runner = TrialRunner::with_threads(42, 2);
+        let obs = fault_campaign(&runner, Profile::Smoke).unwrap().obs;
+        let n = fault_campaign_trials(Profile::Smoke);
+        for i in [0, n / 2, n - 1] {
+            let text = dump_trial(42, i, Profile::Smoke).unwrap();
+            let ops = obs.per_trial[i].ops;
+            assert!(
+                text.contains(&format!("{ops} events emitted,")),
+                "trial {i}: campaign emitted {ops} events\n{text}"
+            );
+        }
     }
 
     #[test]

@@ -241,9 +241,9 @@ mod tests {
         let seg = SegmentAddr::new(3);
         let mut f = flash(4);
         let cfg = config(5, true);
-        obs::install(obs::Collector::new(0));
-        let result = Imprinter::new(&cfg).imprint_via_cycles(&mut f, seg, &wm);
-        let collector = obs::take().expect("collector installed");
+        let (result, collector) = obs::collect(obs::Collector::new(0), || {
+            Imprinter::new(&cfg).imprint_via_cycles(&mut f, seg, &wm)
+        });
         result.unwrap();
         let ops = |kind| collector.metrics().counter("flash", kind);
         assert_eq!(ops("erase_until_clean"), 5);

@@ -890,9 +890,10 @@ mod tests {
             ops: 0,
         };
         let v = Verifier::new(config(), MFG);
-        flashmark_obs::install(flashmark_obs::Collector::new(0));
-        let report = v.verify_resilient(&mut flaky, SegmentAddr::new(0)).unwrap();
-        let collector = flashmark_obs::take().unwrap();
+        let (report, collector) = flashmark_obs::collect(flashmark_obs::Collector::new(0), || {
+            v.verify_resilient(&mut flaky, SegmentAddr::new(0))
+        });
+        let report = report.unwrap();
         assert_eq!(report.verdict, Verdict::Genuine);
         // The nominal rung wins once the transient NAKs clear.
         assert_eq!(report.resolution, Resolution::Ladder { offset_us: 0.0 });
@@ -953,9 +954,10 @@ mod tests {
             Verdict::Genuine,
             "a fully-drifted ladder must not decode directly"
         );
-        flashmark_obs::install(flashmark_obs::Collector::new(0));
-        let report = drifted.verify_resilient(&mut f, seg).unwrap();
-        let collector = flashmark_obs::take().unwrap();
+        let (report, collector) = flashmark_obs::collect(flashmark_obs::Collector::new(0), || {
+            drifted.verify_resilient(&mut f, seg)
+        });
+        let report = report.unwrap();
         assert_eq!(
             report.verdict,
             Verdict::Genuine,

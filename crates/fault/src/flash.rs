@@ -25,80 +25,17 @@
 
 use flashmark_nor::interface::{BulkStress, FlashInterface, ImprintTiming, PartialProgram};
 use flashmark_nor::{FlashGeometry, FlashTimings, NorError, SegmentAddr, WordAddr};
+use flashmark_obs::ObsEvent;
 use flashmark_physics::{Micros, Seconds};
 
 use crate::plan::FaultPlan;
 
-/// Upper bound on the retained fault log; campaigns with aggressive rates
-/// would otherwise grow it without bound.
-const MAX_EVENTS: usize = 1024;
-
-/// One injected fault, recorded for post-mortem inspection.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultEvent {
-    /// The interface NAK'ed operation `op`.
-    TransientNak {
-        /// Operation index that was refused.
-        op: u64,
-    },
-    /// Power dropped during operation `op`.
-    PowerLoss {
-        /// Operation index that was interrupted.
-        op: u64,
-        /// Fraction of tErase delivered before the drop, when the
-        /// interrupted operation was a segment erase.
-        erase_fraction: Option<f64>,
-    },
-    /// Random read noise flipped bits of a read result.
-    ReadFlips {
-        /// Operation index of the read.
-        op: u64,
-        /// Number of flipped bits.
-        bits: u32,
-    },
-    /// Read disturb dragged bits toward the programmed state.
-    ReadDisturb {
-        /// Operation index of the read.
-        op: u64,
-        /// Number of disturbed bits.
-        bits: u32,
-    },
-    /// A partial-erase pulse was lengthened or shortened.
-    TpewJitter {
-        /// Operation index of the partial erase.
-        op: u64,
-        /// Signed pulse-length change in microseconds.
-        delta_us: f64,
-    },
-}
-
-impl FaultEvent {
-    /// Stable channel label (also the obs event payload).
-    #[must_use]
-    pub fn channel(&self) -> &'static str {
-        match self {
-            Self::TransientNak { .. } => "transient_nak",
-            Self::PowerLoss { .. } => "power_loss",
-            Self::ReadFlips { .. } => "read_flips",
-            Self::ReadDisturb { .. } => "read_disturb",
-            Self::TpewJitter { .. } => "tpew_jitter",
-        }
-    }
-
-    /// The injector operation index at which the fault fired.
-    #[must_use]
-    pub fn op(&self) -> u64 {
-        match self {
-            Self::TransientNak { op }
-            | Self::PowerLoss { op, .. }
-            | Self::ReadFlips { op, .. }
-            | Self::ReadDisturb { op, .. }
-            | Self::TpewJitter { op, .. } => *op,
-        }
-    }
-}
-
 /// A fault-injecting wrapper around any [`FlashInterface`].
+///
+/// Every injected fault is emitted as one [`ObsEvent::FaultFired`] (the
+/// channel label and the operation index) and counted in
+/// [`FaultyFlash::injected`]; a trial that wants the fault timeline scopes
+/// a collector around its operations with [`flashmark_obs::collect`].
 ///
 /// Stacks freely with the sanitizer: `FaultyFlash<SanitizedFlash<_>>` lets
 /// the sanitizer observe the *faulted* command stream, which is how the
@@ -112,8 +49,7 @@ pub struct FaultyFlash<F> {
     op_index: u64,
     consecutive_naks: u32,
     reads_since_erase: Vec<u64>,
-    events: Vec<FaultEvent>,
-    events_dropped: usize,
+    injected: usize,
 }
 
 impl<F: FlashInterface> FaultyFlash<F> {
@@ -128,39 +64,14 @@ impl<F: FlashInterface> FaultyFlash<F> {
             op_index: 0,
             consecutive_naks: 0,
             reads_since_erase: vec![0; segments],
-            events: Vec::new(),
-            events_dropped: 0,
+            injected: 0,
         }
     }
 
-    /// The plan driving the schedule.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The next operation index to be assigned.
-    #[must_use]
-    pub fn op_index(&self) -> u64 {
-        self.op_index
-    }
-
-    /// Faults injected so far (oldest first, capped at an internal bound).
-    #[must_use]
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Number of fault events dropped once the log cap was reached.
-    #[must_use]
-    pub fn events_dropped(&self) -> usize {
-        self.events_dropped
-    }
-
-    /// Total number of faults injected (including dropped log entries).
+    /// Total number of faults injected so far.
     #[must_use]
     pub fn injected(&self) -> usize {
-        self.events.len() + self.events_dropped
+        self.injected
     }
 
     /// Shared access to the wrapped interface.
@@ -181,17 +92,10 @@ impl<F: FlashInterface> FaultyFlash<F> {
         self.inner
     }
 
-    fn push(&mut self, event: FaultEvent) {
-        // Every firing reaches the obs layer, even once the local log caps.
-        flashmark_obs::emit(flashmark_obs::ObsEvent::FaultFired {
-            channel: event.channel(),
-            op: event.op(),
-        });
-        if self.events.len() < MAX_EVENTS {
-            self.events.push(event);
-        } else {
-            self.events_dropped += 1;
-        }
+    /// Records one injected fault on `channel` at operation `op`.
+    fn fire(&mut self, channel: &'static str, op: u64) {
+        self.injected += 1;
+        flashmark_obs::emit(ObsEvent::FaultFired { channel, op });
     }
 
     fn next_op(&mut self) -> u64 {
@@ -204,7 +108,7 @@ impl<F: FlashInterface> FaultyFlash<F> {
     fn nak_gate(&mut self, op: u64) -> Result<(), NorError> {
         if self.plan.transient_at(op, self.consecutive_naks) {
             self.consecutive_naks += 1;
-            self.push(FaultEvent::TransientNak { op });
+            self.fire("transient_nak", op);
             return Err(NorError::TransientNak);
         }
         self.consecutive_naks = 0;
@@ -215,10 +119,7 @@ impl<F: FlashInterface> FaultyFlash<F> {
     /// command never reaches the device.
     fn power_gate(&mut self, op: u64) -> Result<(), NorError> {
         if self.plan.power_loss_at(op).is_some() {
-            self.push(FaultEvent::PowerLoss {
-                op,
-                erase_fraction: None,
-            });
+            self.fire("power_loss", op);
             return Err(NorError::PowerLoss);
         }
         Ok(())
@@ -265,10 +166,7 @@ impl<F: FlashInterface> FaultyFlash<F> {
         seg: SegmentAddr,
         fraction: f64,
     ) -> Result<(), NorError> {
-        self.push(FaultEvent::PowerLoss {
-            op,
-            erase_fraction: Some(fraction),
-        });
+        self.fire("power_loss", op);
         let t = self.t_erase.get() * fraction;
         if t > 0.0 {
             self.inner.partial_erase(seg, Micros::new(t))?;
@@ -293,13 +191,10 @@ impl<F: FlashInterface> FlashInterface for FaultyFlash<F> {
         let reads = self.reads_of(seg);
         let (value, disturbed, flipped) = self.corrupt_word(op, offset, reads, raw);
         if disturbed > 0 {
-            self.push(FaultEvent::ReadDisturb {
-                op,
-                bits: disturbed,
-            });
+            self.fire("read_disturb", op);
         }
         if flipped > 0 {
-            self.push(FaultEvent::ReadFlips { op, bits: flipped });
+            self.fire("read_flips", op);
         }
         self.bump_reads(seg);
         Ok(value)
@@ -320,13 +215,10 @@ impl<F: FlashInterface> FlashInterface for FaultyFlash<F> {
             flipped += f;
         }
         if disturbed > 0 {
-            self.push(FaultEvent::ReadDisturb {
-                op,
-                bits: disturbed,
-            });
+            self.fire("read_disturb", op);
         }
         if flipped > 0 {
-            self.push(FaultEvent::ReadFlips { op, bits: flipped });
+            self.fire("read_flips", op);
         }
         self.bump_reads(seg);
         Ok(words)
@@ -363,10 +255,7 @@ impl<F: FlashInterface> FlashInterface for FaultyFlash<F> {
         self.nak_gate(op)?;
         let delta = self.plan.jitter_at(op);
         if delta.abs() > 0.0 {
-            self.push(FaultEvent::TpewJitter {
-                op,
-                delta_us: delta,
-            });
+            self.fire("tpew_jitter", op);
         }
         let t = Micros::new((t_pe.get() + delta).max(0.1));
         self.inner.partial_erase(seg, t)
@@ -420,6 +309,7 @@ mod tests {
     use super::*;
     use flashmark_nor::interface::FlashInterfaceExt;
     use flashmark_nor::FlashController;
+    use flashmark_obs::{collect, Collector};
     use flashmark_physics::PhysicsParams;
 
     fn chip(seed: u64) -> FlashController {
@@ -450,19 +340,19 @@ mod tests {
         let plan = FaultPlan::new(21)
             .with_read_flips(0.01)
             .with_transients(0.2, 2);
-        let run = |plan: FaultPlan| -> (Vec<Vec<u16>>, Vec<FaultEvent>) {
-            let mut f = FaultyFlash::new(chip(5), plan);
-            let seg = SegmentAddr::new(1);
-            let mut reads = Vec::new();
-            for _ in 0..10 {
-                if let Ok(words) = f.read_block(seg) {
-                    reads.push(words);
-                }
-            }
-            let events = f.events().to_vec();
-            (reads, events)
+        let run = |plan: FaultPlan| -> (Vec<Vec<u16>>, Vec<ObsEvent>) {
+            let (reads, timeline) = collect(Collector::new(0), || {
+                let mut f = FaultyFlash::new(chip(5), plan);
+                let seg = SegmentAddr::new(1);
+                (0..10).filter_map(|_| f.read_block(seg).ok()).collect()
+            });
+            (reads, timeline.events().map(|(_, e)| *e).collect())
         };
-        assert_eq!(run(plan.clone()), run(plan));
+        let (reads, events) = run(plan.clone());
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, ObsEvent::FaultFired { .. })));
+        assert_eq!((reads, events), run(plan));
     }
 
     #[test]
@@ -546,12 +436,27 @@ mod tests {
     #[test]
     fn jitter_perturbs_partial_erase_only() {
         let seg = SegmentAddr::new(0);
-        let mut f = FaultyFlash::new(chip(14), FaultPlan::new(15).with_t_pew_jitter(3.0));
-        f.program_all_zero(seg).unwrap();
-        f.partial_erase(seg, Micros::new(30.0)).unwrap();
-        assert!(matches!(
-            f.events().first(),
-            Some(FaultEvent::TpewJitter { .. })
-        ));
+        let plan = FaultPlan::new(15).with_t_pew_jitter(3.0);
+        let mut f = FaultyFlash::new(chip(14), plan.clone());
+        f.program_all_zero(seg).unwrap(); // op 0: no jitter channel
+        let (result, timeline) = collect(Collector::new(0), || {
+            f.partial_erase(seg, Micros::new(30.0)) // op 1
+        });
+        result.unwrap();
+        let events: Vec<ObsEvent> = timeline.events().map(|(_, e)| *e).collect();
+        assert_eq!(f.injected(), 1);
+        assert_eq!(
+            events[0],
+            ObsEvent::FaultFired {
+                channel: "tpew_jitter",
+                op: 1
+            }
+        );
+        match events[1] {
+            ObsEvent::PartialErase { t_pe_us, .. } => {
+                assert_eq!(t_pe_us.to_bits(), (30.0 + plan.jitter_at(1)).to_bits());
+            }
+            other => panic!("expected the jittered pulse, got {other:?}"),
+        }
     }
 }

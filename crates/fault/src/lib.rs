@@ -38,5 +38,5 @@
 pub mod flash;
 pub mod plan;
 
-pub use flash::{FaultEvent, FaultyFlash};
+pub use flash::FaultyFlash;
 pub use plan::FaultPlan;

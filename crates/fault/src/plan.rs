@@ -111,12 +111,6 @@ impl FaultPlan {
         self
     }
 
-    /// The plan's seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The independent decision stream for `(op, channel)`.
     fn stream(&self, op: u64, channel: FaultChannel) -> SplitMix64 {
         SplitMix64::new(mix2(mix2(self.seed, op), channel as u64))

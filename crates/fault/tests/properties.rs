@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use flashmark_core::{FlashmarkConfig, Imprinter, TestStatus, Verdict, Verifier, WatermarkRecord};
 use flashmark_fault::{FaultPlan, FaultyFlash};
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
+use flashmark_obs::{collect, Collector};
 use flashmark_par::TrialRunner;
 use flashmark_physics::PhysicsParams;
 
@@ -153,17 +154,18 @@ proptest! {
     }
 
     /// Replaying the same (chip seed, plan) pair is byte-identical: same
-    /// verdict, same injected-event log — the whole faulted verification is
-    /// a pure function of its seeds.
+    /// verdict, same obs timeline (fault firings included) — the whole
+    /// faulted verification is a pure function of its seeds.
     #[test]
     fn faulted_verification_replays_identically(chip_seed in any::<u64>(), plan_seed in any::<u64>()) {
         let run = || {
             let chip = imprinted_chip(chip_seed, TestStatus::Accept);
             let mut faulty = FaultyFlash::new(chip, full_plan(plan_seed));
-            let report = Verifier::new(config(), MFG)
-                .verify_resilient(&mut faulty, SEG)
-                .unwrap();
-            (report.verdict, format!("{:?}", faulty.events()))
+            let (report, timeline) = collect(Collector::new(0), || {
+                Verifier::new(config(), MFG).verify_resilient(&mut faulty, SEG)
+            });
+            let events: Vec<_> = timeline.events().collect();
+            (report.unwrap().verdict, timeline.ops(), format!("{events:?}"))
         };
         prop_assert_eq!(run(), run());
     }

@@ -546,9 +546,7 @@ mod tests {
         ];
         for (kind, op) in ops {
             let mut ctl = controller();
-            obs::install(obs::Collector::new(0));
-            let result = op(&mut ctl);
-            let collector = obs::take().expect("collector installed");
+            let (result, collector) = obs::collect(obs::Collector::new(0), || op(&mut ctl));
             result.unwrap();
             let metrics = collector.metrics();
             assert_eq!(metrics.counter("flash", kind), 1, "{kind}");

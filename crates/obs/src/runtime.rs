@@ -2,11 +2,9 @@
 //!
 //! Instrumented crates call [`emit`] unconditionally; it costs one
 //! thread-local flag read and a predictable branch when no collector is
-//! installed (the same armed-flag pattern the NOR controller's trace
-//! buffer uses). Installing a [`Collector`] arms the current thread only —
-//! the `TrialRunner` integration installs one per trial on whichever
-//! worker runs it, so parallel trials never share a collector and no
-//! locking is involved.
+//! installed. Installing a [`Collector`] arms the current thread only —
+//! [`collect`] scopes one around a trial on whichever worker runs it, so
+//! parallel trials never share a collector and no locking is involved.
 
 use std::cell::{Cell, RefCell};
 
@@ -53,6 +51,23 @@ pub fn take() -> Option<Collector> {
     let taken = CURRENT.with(|c| c.borrow_mut().take());
     ARMED.with(|a| a.set(false));
     taken
+}
+
+/// Runs `f` with `collector` installed on this thread and returns `f`'s
+/// result together with the collector, then reinstalls whatever collector
+/// was installed before — so scopes nest.
+///
+/// A body that took the collector itself hands back an empty,
+/// metrics-only collector with the same trial index.
+pub fn collect<T>(collector: Collector, f: impl FnOnce() -> T) -> (T, Collector) {
+    let index = collector.trial_index();
+    let prev = install(collector);
+    let out = f();
+    let collector = take().unwrap_or_else(|| Collector::with_capacity(index, 0));
+    if let Some(p) = prev {
+        install(p);
+    }
+    (out, collector)
 }
 
 /// An RAII phase marker: emits [`ObsEvent::SpanEnter`] on creation and
@@ -130,5 +145,38 @@ mod tests {
         assert_eq!(prev.metrics().counter("flash", "erase_segment"), 1);
         let c = take().expect("second collector present");
         assert_eq!(c.trial_index(), 2);
+    }
+
+    #[test]
+    fn collect_restores_the_enclosing_collector() {
+        let ((), outer) = collect(Collector::new(1), || {
+            emit(erase());
+            let ((), inner) = collect(Collector::new(2), || {
+                emit(erase());
+                emit(erase());
+            });
+            assert_eq!(inner.trial_index(), 2);
+            assert_eq!(inner.metrics().counter("flash", "erase_segment"), 2);
+            emit(erase());
+        });
+        assert!(
+            take().is_none(),
+            "nothing was installed before the outer scope"
+        );
+        assert_eq!(outer.trial_index(), 1);
+        assert_eq!(outer.ops(), 2);
+        assert_eq!(outer.metrics().counter("flash", "erase_segment"), 2);
+    }
+
+    #[test]
+    fn collect_hands_back_an_empty_collector_when_the_body_took_it() {
+        let (stolen, c) = collect(Collector::new(4), || {
+            emit(erase());
+            take()
+        });
+        assert_eq!(stolen.map(|s| s.ops()), Some(1));
+        assert_eq!(c.trial_index(), 4);
+        assert_eq!(c.ops(), 0);
+        assert!(c.metrics().is_empty());
     }
 }

@@ -160,31 +160,6 @@ impl TrialRunner {
             .map(|slot| slot.expect("every trial index was claimed exactly once"))
             .collect()
     }
-
-    /// Runs `n` trials of `f` and feeds each result, **in trial order**, to
-    /// the single-threaded `observe` hook as `(trial_index, result)`.
-    ///
-    /// This is the instrumented-runner hook: campaign layers (the obs
-    /// aggregator, service telemetry) fold per-trial artifacts into
-    /// order-sensitive accumulators without re-implementing the merge — the
-    /// hook always sees trial 0, 1, 2, … regardless of which worker ran
-    /// which trial, so any fold it performs is deterministic at every
-    /// `--threads` count.
-    ///
-    /// # Panics
-    ///
-    /// A panic inside `f` is propagated to the caller (after the remaining
-    /// workers finish), exactly as in [`TrialRunner::run`].
-    pub fn run_observed<T, F, O>(&self, n: usize, f: F, mut observe: O)
-    where
-        T: Send,
-        F: Fn(Trial) -> T + Sync,
-        O: FnMut(usize, T),
-    {
-        for (index, value) in self.run(n, f).into_iter().enumerate() {
-            observe(index, value);
-        }
-    }
 }
 
 /// The machine's available parallelism (≥ 1).
@@ -303,20 +278,6 @@ mod tests {
         });
         assert_eq!(out.len(), 257);
         assert_eq!(count.load(Ordering::Relaxed), 257);
-    }
-
-    #[test]
-    fn observed_runs_feed_the_hook_in_trial_order() {
-        for threads in [1, 4] {
-            let mut seen = Vec::new();
-            TrialRunner::with_threads(0xB0B, threads).run_observed(
-                37,
-                |t| t.seed,
-                |index, seed| seen.push((index, seed)),
-            );
-            let expected: Vec<(usize, u64)> = (0..37).map(|i| (i, mix2(0xB0B, i as u64))).collect();
-            assert_eq!(seen, expected, "threads = {threads}");
-        }
     }
 
     #[test]

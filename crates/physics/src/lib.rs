@@ -59,7 +59,7 @@ pub use calibration::{EraseCalibration, SusceptibilityTable, WearAnchor};
 pub use cell::{CellState, CellStatics, EarlyTrap};
 pub use erase::{EraseDistCache, EraseOutcome};
 pub use noise::PulseNoise;
-pub use params::{PhysicsParams, PhysicsParamsBuilder, TailParams, WearWeights};
+pub use params::{PhysicsParams, TailParams, WearWeights};
 pub use retention::RetentionParams;
 pub use rng::CounterStream;
 pub use units::{Micros, Seconds, Volts};

@@ -79,7 +79,7 @@ pub const DEFAULT_ERASE_DIST_GRID_KCYCLES: f64 = 0.25;
 /// Full physical parameter set of a flash cell population.
 ///
 /// Construct with a preset ([`PhysicsParams::msp430_like`] is the paper's
-/// device) or via [`PhysicsParams::builder`].
+/// device) and edit its fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicsParams {
     /// Read reference voltage: a cell senses `1` (erased) when its threshold
@@ -181,14 +181,6 @@ impl PhysicsParams {
         p
     }
 
-    /// Starts building a custom parameter set from the MSP430 preset.
-    #[must_use]
-    pub fn builder() -> PhysicsParamsBuilder {
-        PhysicsParamsBuilder {
-            params: Self::msp430_like(),
-        }
-    }
-
     /// Sanity-checks internal consistency.
     ///
     /// # Errors
@@ -235,127 +227,6 @@ impl Default for PhysicsParams {
     }
 }
 
-/// Builder for [`PhysicsParams`].
-///
-/// # Example
-///
-/// ```
-/// use flashmark_physics::PhysicsParams;
-/// let p = PhysicsParams::builder()
-///     .read_noise_sigma(0.02)
-///     .endurance_kcycles(50.0)
-///     .build()
-///     .expect("valid parameters");
-/// assert_eq!(p.endurance_kcycles, 50.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PhysicsParamsBuilder {
-    params: PhysicsParams,
-}
-
-impl PhysicsParamsBuilder {
-    /// Sets the read reference voltage.
-    #[must_use]
-    pub fn vref(mut self, v: Volts) -> Self {
-        self.params.vref = v;
-        self
-    }
-
-    /// Sets the fresh erased-state VTH distribution.
-    #[must_use]
-    pub fn vth_erased(mut self, d: Normal) -> Self {
-        self.params.vth_erased = d;
-        self
-    }
-
-    /// Sets the programmed-state VTH distribution.
-    #[must_use]
-    pub fn vth_programmed(mut self, d: Normal) -> Self {
-        self.params.vth_programmed = d;
-        self
-    }
-
-    /// Sets the per-read sensing-noise sigma (volts).
-    #[must_use]
-    pub fn read_noise_sigma(mut self, sigma: f64) -> Self {
-        self.params.read_noise_sigma = sigma;
-        self
-    }
-
-    /// Sets the per-cell per-pulse jitter sigma.
-    #[must_use]
-    pub fn op_jitter_sigma(mut self, sigma: f64) -> Self {
-        self.params.op_jitter_sigma = sigma;
-        self
-    }
-
-    /// Sets the common-mode per-pulse jitter sigma.
-    #[must_use]
-    pub fn common_jitter_sigma(mut self, sigma: f64) -> Self {
-        self.params.common_jitter_sigma = sigma;
-        self
-    }
-
-    /// Sets the wear weights.
-    #[must_use]
-    pub fn wear(mut self, w: WearWeights) -> Self {
-        self.params.wear = w;
-        self
-    }
-
-    /// Sets the rated endurance.
-    #[must_use]
-    pub fn endurance_kcycles(mut self, k: f64) -> Self {
-        self.params.endurance_kcycles = k;
-        self
-    }
-
-    /// Sets the erase calibration table.
-    #[must_use]
-    pub fn erase_cal(mut self, cal: EraseCalibration) -> Self {
-        self.params.erase_cal = cal;
-        self
-    }
-
-    /// Sets the erase-distribution quantization grid (kcycles).
-    #[must_use]
-    pub fn erase_dist_grid_kcycles(mut self, grid: f64) -> Self {
-        self.params.erase_dist_grid_kcycles = grid;
-        self
-    }
-
-    /// Sets the wear-susceptibility distribution.
-    #[must_use]
-    pub fn susceptibility(mut self, table: SusceptibilityTable) -> Self {
-        self.params.susceptibility = table;
-        self
-    }
-
-    /// Sets the tail parameters.
-    #[must_use]
-    pub fn tails(mut self, t: TailParams) -> Self {
-        self.params.tails = t;
-        self
-    }
-
-    /// Sets the retention parameters.
-    #[must_use]
-    pub fn retention(mut self, r: RetentionParams) -> Self {
-        self.params.retention = r;
-        self
-    }
-
-    /// Finishes building.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant (see [`PhysicsParams::validate`]).
-    pub fn build(self) -> Result<PhysicsParams, String> {
-        self.params.validate()?;
-        Ok(self.params)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,42 +244,27 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_fields() {
-        let p = PhysicsParams::builder()
-            .read_noise_sigma(0.01)
-            .endurance_kcycles(42.0)
-            .build()
-            .unwrap();
-        assert_eq!(p.read_noise_sigma.to_bits(), 0.01_f64.to_bits());
-        assert_eq!(p.endurance_kcycles.to_bits(), 42.0_f64.to_bits());
-    }
-
-    #[test]
-    fn builder_rejects_inconsistent_vref() {
-        let err = PhysicsParams::builder()
-            .vref(Volts::new(1.0))
-            .build()
-            .unwrap_err();
+    fn validate_rejects_inconsistent_vref() {
+        let mut p = PhysicsParams::msp430_like();
+        p.vref = Volts::new(1.0);
+        let err = p.validate().unwrap_err();
         assert!(err.contains("vref"), "unexpected message: {err}");
     }
 
     #[test]
-    fn builder_rejects_excessive_erased_shift() {
+    fn validate_rejects_excessive_erased_shift() {
         let mut p = PhysicsParams::msp430_like();
         p.erased_vth_shift_per_kcycle = 0.05;
         assert!(p.validate().is_err());
     }
 
     #[test]
-    fn builder_rejects_bad_grid() {
-        assert!(PhysicsParams::builder()
-            .erase_dist_grid_kcycles(0.0)
-            .build()
-            .is_err());
-        assert!(PhysicsParams::builder()
-            .erase_dist_grid_kcycles(f64::INFINITY)
-            .build()
-            .is_err());
+    fn validate_rejects_bad_grid() {
+        for grid in [0.0, f64::INFINITY] {
+            let mut p = PhysicsParams::msp430_like();
+            p.erase_dist_grid_kcycles = grid;
+            assert!(p.validate().is_err(), "grid {grid}");
+        }
     }
 
     #[test]

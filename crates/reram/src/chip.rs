@@ -385,9 +385,7 @@ mod tests {
         ];
         for (kind, op) in ops {
             let mut c = chip();
-            obs::install(obs::Collector::new(0));
-            let result = op(&mut c);
-            let collector = obs::take().expect("collector installed");
+            let (result, collector) = obs::collect(obs::Collector::new(0), || op(&mut c));
             result.unwrap();
             let metrics = collector.metrics();
             assert_eq!(metrics.counter("flash", kind), 1, "{kind}");

@@ -20,7 +20,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 
 use flashmark_core::CoreError;
 use flashmark_core::{FlashmarkConfig, SegmentCondition, StressDetector, Verdict, Verifier};
-use flashmark_obs::{install, take, virtual_latency_of, Collector, Metrics, Snapshot, GLOBAL};
+use flashmark_obs::{collect, virtual_latency_of, Collector, Metrics, Snapshot, GLOBAL};
 use flashmark_par::TrialRunner;
 use flashmark_physics::rng::mix2;
 use flashmark_physics::Micros;
@@ -236,7 +236,8 @@ impl VerificationService {
     ///
     /// # Errors
     ///
-    /// Flash/layout errors from verification.
+    /// Flash/layout errors from verification. A batch that fails records
+    /// nothing and leaves [`Self::telemetry`] as it was.
     pub fn process_batch(
         &mut self,
         batch: &[VerifyRequest],
@@ -259,16 +260,18 @@ impl VerificationService {
             params: &self.params,
         };
         let runner = TrialRunner::with_threads(self.cfg.seed, threads);
-        let shard_results: Vec<ShardYield> = runner.run(shards, |trial| {
-            ctx.run_shard(trial.index, &per_shard[trial.index])
-        });
+        let shard_results = runner
+            .run(shards, |trial| {
+                ctx.run_shard(trial.index, &per_shard[trial.index])
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
 
         self.telemetry
             .gauge_max("service_batch_occupancy", GLOBAL, batch.len() as u64);
         let mut stats = ServiceStats::new();
         let mut drafts: Vec<Draft> = Vec::with_capacity(batch.len());
-        for shard in shard_results {
-            let (shard_drafts, shard_stats, shard_telemetry) = shard?;
+        for (shard_drafts, shard_stats, shard_telemetry) in shard_results {
             stats.absorb(&shard_stats);
             self.telemetry.merge(&shard_telemetry);
             drafts.extend(shard_drafts);
@@ -354,8 +357,8 @@ impl ShardCtx<'_> {
         let mut flash = enrolled.chip.flash.clone();
         let seg = flash.watermark_segment();
 
-        let prev = install(Collector::with_capacity(req.request_id, 0));
-        let served = (|| -> Result<(RecordVerdict, &'static str), CoreError> {
+        let collector = Collector::with_capacity(req.request_id, 0);
+        let (served, collector) = collect(collector, || {
             let report = self.verifier.verify(&mut flash, seg)?;
             let (mut verdict, mut reason) = map_verdict(report.verdict);
             if req.probe && verdict == RecordVerdict::Accept {
@@ -370,12 +373,8 @@ impl ShardCtx<'_> {
                     reason = "recycled_wear";
                 }
             }
-            Ok((verdict, reason))
-        })();
-        let collector = take().unwrap_or_else(|| Collector::with_capacity(req.request_id, 0));
-        if let Some(p) = prev {
-            install(p);
-        }
+            Ok::<_, CoreError>((verdict, reason))
+        });
         let (verdict, reason) = served?;
 
         let metrics = collector.metrics();
@@ -502,6 +501,32 @@ mod tests {
                 probe: false,
             })
             .collect()
+    }
+
+    #[test]
+    fn a_failed_batch_leaves_the_service_unchanged() {
+        // 33 replicas of the 128-bit record need 4224 cells; a segment has
+        // 4096, so every verify fails with a layout error.
+        let pop = PopulationSpec::tiny(0xBEEF)
+            .build(&cheap_config(), 0x7C01)
+            .unwrap();
+        let wide = FlashmarkConfig::builder()
+            .n_pe(60_000)
+            .replicas(33)
+            .reads(1)
+            .build()
+            .unwrap();
+        let mut svc = VerificationService::new(pop, ServiceConfig::new(wide, 0x7C01, 1)).unwrap();
+        let batch = requests(&svc);
+        assert!(matches!(
+            svc.process_batch(&batch, 2),
+            Err(CoreError::TooLarge {
+                needed: 4224,
+                available: 4096
+            })
+        ));
+        assert!(svc.registry().is_empty());
+        assert!(svc.telemetry().is_empty(), "{}", svc.telemetry().expose());
     }
 
     #[test]
