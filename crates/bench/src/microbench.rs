@@ -357,6 +357,15 @@ pub fn kernel_suite() -> RuntimeReport {
         bench.bench_with_setup("program_segment", touched, program),
         traced_ops(touched, program),
     );
+    // `erase_segment` emits no `cells` counter (one would change the obs
+    // artifacts), so its cell visits are passed explicitly: one segment.
+    let cells_per_segment = FlashGeometry::single_bank(2).cells_per_segment() as u64;
+    let erase = |mut c: FlashController| c.erase_segment(seg).expect("erase");
+    add(
+        "erase_segment",
+        bench.bench_with_setup("erase_segment", programmed, erase),
+        cells_per_segment,
+    );
     let partial = |mut c: FlashController| c.partial_erase(seg, Micros::new(30.0)).expect("erase");
     add(
         "partial_erase",

@@ -16,7 +16,6 @@
 use std::collections::BTreeMap;
 
 use flashmark_physics::arena::CellArena;
-use flashmark_physics::cell::CellState;
 use flashmark_physics::erase::erase_temp_factor;
 use flashmark_physics::noise::PulseNoise;
 use flashmark_physics::program::apply_partial_program;
@@ -28,32 +27,6 @@ use flashmark_physics::{Micros, PhysicsParams};
 use crate::addr::{SegmentAddr, WordAddr};
 use crate::error::NorError;
 use crate::geometry::{FlashGeometry, WORD_BITS};
-
-/// Cells of one segment, stored as a structure-of-arrays arena.
-#[derive(Debug, Clone)]
-pub struct SegmentCells {
-    arena: CellArena,
-}
-
-impl SegmentCells {
-    fn materialize(params: &PhysicsParams, chip_seed: u64, base_cell: u64, n: usize) -> Self {
-        Self {
-            arena: CellArena::derive(params, chip_seed, base_cell, n),
-        }
-    }
-
-    /// The structure-of-arrays cell storage.
-    #[must_use]
-    pub fn arena(&self) -> &CellArena {
-        &self.arena
-    }
-
-    /// The dynamic state of cell `i` (reconstructed from the lanes).
-    #[must_use]
-    pub fn state_at(&self, i: usize) -> CellState {
-        self.arena.state_at(i)
-    }
-}
 
 /// Wear statistics of one segment.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -72,7 +45,7 @@ pub struct FlashArray {
     params: PhysicsParams,
     geometry: FlashGeometry,
     chip_seed: u64,
-    segments: BTreeMap<u32, SegmentCells>,
+    segments: BTreeMap<u32, CellArena>,
     /// Seed coordinate of every per-operation [`CounterStream`].
     op_seed: u64,
     /// Monotone operation counter — the third stream coordinate. Advances
@@ -123,19 +96,9 @@ impl FlashArray {
         self.chip_seed
     }
 
-    fn segment_cells(&mut self, seg: SegmentAddr) -> &mut SegmentCells {
-        let n = self.geometry.cells_per_segment();
-        let base_cell = seg.index() as u64 * n as u64;
-        let params = &self.params;
-        let chip_seed = self.chip_seed;
-        self.segments
-            .entry(seg.index())
-            .or_insert_with(|| SegmentCells::materialize(params, chip_seed, base_cell, n))
-    }
-
     /// Read-only view of a segment's cells (materializing it if needed).
-    pub fn segment(&mut self, seg: SegmentAddr) -> &SegmentCells {
-        self.segment_cells(seg)
+    pub fn segment(&mut self, seg: SegmentAddr) -> &CellArena {
+        self.op_context(seg).1
     }
 
     /// Splits the borrow of `self` into the disjoint parts an operation
@@ -148,7 +111,7 @@ impl FlashArray {
         seg: SegmentAddr,
     ) -> (
         &PhysicsParams,
-        &mut SegmentCells,
+        &mut CellArena,
         &mut u64,
         &mut EraseDistCache,
     ) {
@@ -164,7 +127,7 @@ impl FlashArray {
         } = self;
         let cells = segments
             .entry(seg.index())
-            .or_insert_with(|| SegmentCells::materialize(params, *chip_seed, base_cell, n));
+            .or_insert_with(|| CellArena::derive(params, *chip_seed, base_cell, n));
         (params, cells, op_counter, dist_cache)
     }
 
@@ -193,7 +156,7 @@ impl FlashArray {
         let (params, cells, op_counter, _) = self.op_context(seg);
         let stream = CounterStream::new(op_seed, u64::from(word.index()), *op_counter);
         *op_counter += 1;
-        Ok(cells.arena.sense_word(params, offset, &stream))
+        Ok(cells.sense_word(params, offset, &stream))
     }
 
     /// Senses every word of a segment in one sweep (the bulk-read kernel).
@@ -217,7 +180,7 @@ impl FlashArray {
             let word_index = u64::from(base.offset(w as u32).index());
             let stream = CounterStream::new(op_seed, word_index, *op_counter);
             *op_counter += 1;
-            out.push(cells.arena.sense_word(params, w * WORD_BITS, &stream));
+            out.push(cells.sense_word(params, w * WORD_BITS, &stream));
         }
         Ok(out)
     }
@@ -227,7 +190,7 @@ impl FlashArray {
     pub fn ideal_bits(&mut self, seg: SegmentAddr) -> Vec<bool> {
         let (params, cells, _, _) = self.op_context(seg);
         let vref = params.vref.get();
-        cells.arena.vth().iter().map(|&vth| vth < vref).collect()
+        cells.vth().iter().map(|&vth| vth < vref).collect()
     }
 
     /// Programs the 0-bits of `value` into a word (flash semantics: a
@@ -246,7 +209,7 @@ impl FlashArray {
         let stream =
             CounterStream::new(op_seed, 0x9806_0000 ^ u64::from(word.index()), *op_counter);
         *op_counter += 1;
-        cells.arena.program_word(params, offset, value, &stream);
+        cells.program_word(params, offset, value, &stream);
         Ok(())
     }
 
@@ -280,9 +243,7 @@ impl FlashArray {
             let stream =
                 CounterStream::new(op_seed, 0x9806_0000 ^ u64::from(word_index), *op_counter);
             *op_counter += 1;
-            cells
-                .arena
-                .program_word(params, w * WORD_BITS, value, &stream);
+            cells.program_word(params, w * WORD_BITS, value, &stream);
         }
         Ok(())
     }
@@ -305,11 +266,11 @@ impl FlashArray {
         // noise from the shared sweep stream), so it stays a scalar loop
         // seeded from the counter stream's key.
         let mut rng = SplitMix64::new(stream.key());
-        for i in 0..cells.arena.len() {
-            let statics = cells.arena.statics_at(i);
-            let mut state = cells.arena.state_at(i);
+        for i in 0..cells.len() {
+            let statics = cells.statics_at(i);
+            let mut state = cells.state_at(i);
             apply_partial_program(params, &statics, &mut state, t_pp.get(), &mut rng);
-            cells.arena.set_state(i, state);
+            cells.set_state(i, state);
         }
         Ok(())
     }
@@ -332,9 +293,7 @@ impl FlashArray {
         let stream = CounterStream::new(op_seed, 0xE7A5 ^ u64::from(seg.index()), *op_counter);
         *op_counter += 1;
         let pulse = PulseNoise::from_stream(params, &stream);
-        Ok(cells
-            .arena
-            .erase_pulse(params, dist_cache, base_cell, &pulse, t_pe.get(), temp))
+        Ok(cells.erase_pulse(params, dist_cache, base_cell, &pulse, t_pe.get(), temp))
     }
 
     /// Fully erases a segment (a nominal-duration erase always completes:
@@ -377,7 +336,6 @@ impl FlashArray {
         let (params, cells, _, dist_cache) = self.op_context(seg);
         let mask = Self::stressed_mask(pattern);
         Ok(cells
-            .arena
             .max_ln_t_cross_multi(params, dist_cache, &mask, wear_pairs)
             .into_iter()
             .map(f64::exp)
@@ -415,8 +373,16 @@ impl FlashArray {
         self.check_pattern(seg, pattern)?;
         let (params, cells, _, _) = self.op_context(seg);
         let mask = Self::stressed_mask(pattern);
-        cells.arena.bulk_stress(params, &mask, cycles as f64);
+        cells.bulk_stress(params, &mask, cycles as f64);
         Ok(())
+    }
+
+    /// Fills a segment's crossing-time memo at its current wear (see
+    /// [`CellArena::warm_t_cross`]), so every clone of the chip taken
+    /// afterwards starts its first erase pulse warm.
+    pub(crate) fn warm_erase_memo(&mut self, seg: SegmentAddr) {
+        let (params, cells, _, dist_cache) = self.op_context(seg);
+        cells.warm_t_cross(params, dist_cache);
     }
 
     /// Stores the chip at `temp_c` for `hours` (retention bake).
@@ -428,19 +394,18 @@ impl FlashArray {
             params, segments, ..
         } = self;
         for cells in segments.values_mut() {
-            for i in 0..cells.arena.len() {
-                let statics = cells.arena.statics_at(i);
-                let mut state = cells.arena.state_at(i);
+            for i in 0..cells.len() {
+                let statics = cells.statics_at(i);
+                let mut state = cells.state_at(i);
                 apply_bake(params, &statics, &mut state, hours, temp_c);
-                cells.arena.set_state(i, state);
+                cells.set_state(i, state);
             }
         }
     }
 
     /// Wear statistics of a segment.
     pub fn wear_stats(&mut self, seg: SegmentAddr) -> WearStats {
-        let cells = self.segment_cells(seg);
-        let wear = cells.arena.wear_cycles();
+        let wear = self.segment(seg).wear_cycles();
         let n = wear.len() as f64;
         let mut stats = WearStats {
             min_cycles: f64::INFINITY,
@@ -545,7 +510,7 @@ mod tests {
         let mut pattern = vec![0xFFFFu16; 256];
         pattern[0] = 0x0000; // first word stressed
         a.bulk_stress(seg, &pattern, 20_000).unwrap();
-        let wear = a.segment(seg).arena().wear_cycles();
+        let wear = a.segment(seg).wear_cycles();
         let stressed = wear[5];
         let spared = wear[16 + 5];
         assert!(stressed > 19_000.0, "stressed wear {stressed}");
@@ -690,10 +655,10 @@ mod tests {
         }
         assert_eq!(a.ideal_bits(seg), b.ideal_bits(seg));
         let (sa_vth, sa_wear) = {
-            let cells = a.segment(seg).arena();
+            let cells = a.segment(seg);
             (cells.vth().to_vec(), cells.wear_cycles().to_vec())
         };
-        let cells_b = b.segment(seg).arena();
+        let cells_b = b.segment(seg);
         for i in 0..sa_vth.len() {
             assert_eq!(sa_vth[i].to_bits(), cells_b.vth()[i].to_bits());
             assert_eq!(sa_wear[i].to_bits(), cells_b.wear_cycles()[i].to_bits());

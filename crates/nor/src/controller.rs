@@ -386,6 +386,12 @@ impl BulkStress for FlashController {
             }
         }
         self.array.bulk_stress(seg, pattern, cycles)?;
+        // The crossing-time memo is a pure cache. Filling it at the wear
+        // just written pays its `exp`s once here instead of in the first
+        // partial erase of every clone of the enrolled chip. Not in
+        // `FlashArray::bulk_stress`: ReRAM's forming pass shares that and
+        // never repays the warm.
+        self.array.warm_erase_memo(seg);
         obs::emit(ObsEvent::BulkImprint {
             seg: seg.index(),
             cycles,

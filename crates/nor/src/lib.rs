@@ -57,7 +57,7 @@ pub mod registers;
 pub mod timing;
 
 pub use addr::{SegmentAddr, WordAddr};
-pub use array::{FlashArray, SegmentCells, WearStats};
+pub use array::{FlashArray, WearStats};
 pub use controller::FlashController;
 pub use error::NorError;
 pub use geometry::FlashGeometry;

@@ -18,6 +18,11 @@
 //! | `straggler_extra: Option<f64>` | `ln(1 + extra)` additive term, `0.0` for `None` |
 //! | `early: Option<EarlyTrap>` | activation `+∞` for `None` (never activates), `ln factor` `0.0` |
 //!
+//! The statics lanes are a pure function of `(params, chip_seed,
+//! base_cell)` and never change after [`CellArena::derive`], so they sit
+//! behind an [`Arc`] that every clone of the arena shares; a clone copies
+//! only the per-chip state and memo lanes.
+//!
 //! Kernels process cells in [`LANES`]-wide chunks with a scalar tail. There
 //! is no `unsafe` and no explicit SIMD: the chunk bodies are written so the
 //! autovectorizer can keep each lane independent, and `f64::max` reductions
@@ -28,6 +33,8 @@
 //! ([`CounterStream`]): every deviate is a pure function of
 //! `(seed, cell_index, draw)`, so lanes need no serial generator state and
 //! any subset of cells can be replayed in any order.
+
+use std::sync::Arc;
 
 use crate::cell::{CellState, CellStatics, EarlyTrap};
 use crate::erase::{ln_t_cross, wear_bucket, EraseDistCache};
@@ -48,21 +55,21 @@ pub const LANES: usize = 8;
 /// magnitudes).
 const PRUNE_MARGIN: f64 = 1e-9;
 
+/// Log-domain margin of the crossing-time ceiling behind the closed-form
+/// full erase (see [`CellArena::erase_pulse`]): it keeps the ceiling strictly
+/// above every cell's `t_cross` by far more than the few-ulp error of
+/// `exp`, which IEEE 754 does not pin the way it pins `+`, `*` and `/`.
+const CEILING_MARGIN: f64 = 1e-9;
+
 /// Bits per machine word of the simulated array.
 const WORD_BITS: usize = 16;
 
-/// A structure-of-arrays arena of flash cells.
-///
-/// Statics lanes are immutable after [`CellArena::derive`]; `vth` and
-/// `wear_cycles` are the dynamic state. The arena also carries a per-cell
-/// crossing-time memo (valid because `t_cross` is a pure function of the
-/// quantized wear bucket, the trap activation flag, and the cell statics).
-#[derive(Debug, Clone)]
-pub struct CellArena {
-    // --- statics lanes (fixed at derive) ---
+/// The lanes fixed at [`CellArena::derive`], shared by every clone.
+#[derive(Debug)]
+struct Statics {
     erase_z: Vec<f64>,
     /// Raw `straggler_extra`, `NaN` for `None` (kept only so
-    /// [`Self::statics_at`] can reconstruct the exact `Option`).
+    /// [`CellArena::statics_at`] can reconstruct the exact `Option`).
     straggler_extra: Vec<f64>,
     ln_straggler: Vec<f64>,
     early_activation: Vec<f64>,
@@ -76,22 +83,16 @@ pub struct CellArena {
     /// Cell indices sorted by descending susceptibility (ties by index) —
     /// the scan order of the frontier-pruned max kernels.
     susc_order: Vec<u32>,
+    // --- lane maxima (`-∞` on an empty arena, susceptibility `0`) ---
     max_susceptibility: f64,
-    // --- dynamic state lanes ---
-    vth: Vec<f64>,
-    wear_cycles: Vec<f64>,
-    // --- crossing-time memo: key = (bucket << 1) | trap_active ---
-    t_cross_key: Vec<u64>,
-    t_cross_val: Vec<f64>,
+    max_erase_z: f64,
+    max_ln_straggler: f64,
+    max_ln_early_factor: f64,
 }
 
-impl CellArena {
-    /// Derives `n` fresh cells starting at global index `base_cell` on chip
-    /// `chip_seed`. Statics come from [`CellStatics::derive`] unchanged, so
-    /// the simulated chip is the same chip the scalar API sees.
-    #[must_use]
-    pub fn derive(params: &PhysicsParams, chip_seed: u64, base_cell: u64, n: usize) -> Self {
-        let mut arena = Self {
+impl Statics {
+    fn derive(params: &PhysicsParams, chip_seed: u64, base_cell: u64, n: usize) -> Self {
+        let mut s = Self {
             erase_z: Vec::with_capacity(n),
             straggler_extra: Vec::with_capacity(n),
             ln_straggler: Vec::with_capacity(n),
@@ -105,81 +106,197 @@ impl CellArena {
             susceptibility: Vec::with_capacity(n),
             susc_order: Vec::new(),
             max_susceptibility: 0.0,
-            vth: Vec::with_capacity(n),
-            wear_cycles: Vec::with_capacity(n),
-            t_cross_key: vec![u64::MAX; n],
-            t_cross_val: vec![0.0; n],
+            max_erase_z: f64::NEG_INFINITY,
+            max_ln_straggler: f64::NEG_INFINITY,
+            max_ln_early_factor: f64::NEG_INFINITY,
         };
         for i in 0..n {
             let statics = CellStatics::derive(params, chip_seed, base_cell + i as u64);
-            arena.erase_z.push(statics.erase_z);
-            arena
-                .straggler_extra
+            s.erase_z.push(statics.erase_z);
+            s.straggler_extra
                 .push(statics.straggler_extra.unwrap_or(f64::NAN));
-            arena.ln_straggler.push(statics.ln_straggler());
-            arena
-                .early_activation
-                .push(statics.early_activation_kcycles());
-            arena
-                .early_factor
+            s.ln_straggler.push(statics.ln_straggler());
+            s.early_activation.push(statics.early_activation_kcycles());
+            s.early_factor
                 .push(statics.early.map_or(1.0, |trap| trap.factor));
-            arena.ln_early_factor.push(statics.ln_early_factor());
-            arena.vth_erased0.push(statics.vth_erased0);
-            arena.vth_prog0.push(statics.vth_prog0);
-            arena.prog_time_us.push(statics.prog_time_us);
-            arena.retention_z.push(statics.retention_z);
-            arena.susceptibility.push(statics.susceptibility);
-            arena.vth.push(statics.vth_erased0);
-            arena.wear_cycles.push(0.0);
+            s.ln_early_factor.push(statics.ln_early_factor());
+            s.vth_erased0.push(statics.vth_erased0);
+            s.vth_prog0.push(statics.vth_prog0);
+            s.prog_time_us.push(statics.prog_time_us);
+            s.retention_z.push(statics.retention_z);
+            s.susceptibility.push(statics.susceptibility);
         }
-        arena.max_susceptibility = arena
-            .susceptibility
-            .iter()
-            .fold(0.0f64, |acc, &s| acc.max(s));
-        arena.susc_order = (0..n as u32).collect();
-        arena.susc_order.sort_unstable_by(|&a, &b| {
-            arena.susceptibility[b as usize]
-                .total_cmp(&arena.susceptibility[a as usize])
+        let lane_max = |lane: &[f64], init: f64| lane.iter().fold(init, |acc, &v| acc.max(v));
+        s.max_susceptibility = lane_max(&s.susceptibility, 0.0);
+        s.max_erase_z = lane_max(&s.erase_z, f64::NEG_INFINITY);
+        s.max_ln_straggler = lane_max(&s.ln_straggler, f64::NEG_INFINITY);
+        s.max_ln_early_factor = lane_max(&s.ln_early_factor, f64::NEG_INFINITY);
+        s.susc_order = (0..n as u32).collect();
+        s.susc_order.sort_unstable_by(|&a, &b| {
+            s.susceptibility[b as usize]
+                .total_cmp(&s.susceptibility[a as usize])
                 .then(a.cmp(&b))
         });
-        arena
+        s
+    }
+
+    /// A ceiling on every cell's crossing time this pulse: each term of
+    /// [`ln_t_cross`] replaced by its maximum over the cells and over the
+    /// buckets `0..=max_bucket` they can reach, plus [`CEILING_MARGIN`].
+    /// Table sigmas are never negative (the calibration clamps them at 0),
+    /// so `sigma·z ≤ max sigma · max(max z, 0)`, and the trap term is either
+    /// `0` or the cell's `ln factor`; IEEE `+` and `*` are monotone, so the
+    /// bound holds bit for bit.
+    fn t_cross_ceiling(&self, pass: &ErasePass<'_>, max_bucket: usize) -> f64 {
+        let lane_max = |lane: &[f64]| lane.iter().fold(f64::NEG_INFINITY, |acc, &v| acc.max(v));
+        let ln_median_hi = lane_max(&pass.ln_median[..=max_bucket]);
+        let sigma_hi = lane_max(&pass.sigma[..=max_bucket]);
+        (ln_median_hi
+            + sigma_hi * self.max_erase_z.max(0.0)
+            + self.max_ln_straggler
+            + self.max_ln_early_factor.max(0.0)
+            + CEILING_MARGIN)
+            .exp()
+    }
+}
+
+/// The per-pulse inputs of the erase kernels: the filled distribution
+/// table and the parameters the per-cell step reads.
+struct ErasePass<'a> {
+    ln_median: &'a [f64],
+    sigma: &'a [f64],
+    grid: f64,
+    vref: f64,
+    p_shift: f64,
+    e_shift: f64,
+    wear_erase: f64,
+    wear_erase_only: f64,
+}
+
+impl<'a> ErasePass<'a> {
+    fn new(params: &PhysicsParams, cache: &'a EraseDistCache) -> Self {
+        let (ln_median, sigma) = cache.tables();
+        Self {
+            ln_median,
+            sigma,
+            grid: cache.grid_kcycles(),
+            vref: params.vref.get(),
+            p_shift: params.programmed_vth_shift_per_kcycle,
+            e_shift: params.erased_vth_shift_per_kcycle,
+            wear_erase: params.wear.erase,
+            wear_erase_only: params.wear.erase_only,
+        }
+    }
+
+    /// A crossing time extended to the full erase span, floored at 1 ns.
+    #[inline]
+    fn t_full(&self, t_cross: f64, vth_prog: f64, vth_end: f64) -> f64 {
+        let span_to_ref = vth_prog - self.vref;
+        let span_total = vth_prog - vth_end;
+        let t_full = if span_to_ref <= 0.0 {
+            t_cross
+        } else {
+            t_cross * (span_total / span_to_ref)
+        };
+        t_full.max(1e-9)
+    }
+
+    /// Wear weight of a full erase of a cell at `vth`: a programmed cell
+    /// tunnels its whole charge, an erased one only sees the field.
+    #[inline]
+    fn weight(&self, vth: f64) -> f64 {
+        if vth >= self.vref {
+            self.wear_erase
+        } else {
+            self.wear_erase_only
+        }
+    }
+}
+
+/// A structure-of-arrays arena of flash cells.
+///
+/// The statics lanes are immutable after [`CellArena::derive`] and shared
+/// (behind an [`Arc`]) by every clone. The arena owns only the per-chip
+/// lanes: `vth` and `wear_cycles`, the dynamic state, and a crossing-time
+/// memo.
+#[derive(Debug, Clone)]
+pub struct CellArena {
+    statics: Arc<Statics>,
+    state: State,
+}
+
+/// The lanes one chip owns: `vth` and `wear_cycles`, the dynamic state, and
+/// a per-cell crossing-time memo (valid because `t_cross` is a pure function
+/// of the quantized wear bucket, the trap activation flag, and the cell
+/// statics).
+///
+/// The kernels that write these lanes are methods here that take the
+/// shared [`Statics`] as an argument: two distinct reference arguments tell
+/// the compiler a write to the state cannot move the statics lanes, so it
+/// keeps their bounds in registers instead of reloading them per cell.
+#[derive(Debug, Clone)]
+struct State {
+    vth: Vec<f64>,
+    wear_cycles: Vec<f64>,
+    // --- crossing-time memo: key = (bucket << 1) | trap_active ---
+    t_cross_key: Vec<u64>,
+    t_cross_val: Vec<f64>,
+}
+
+impl CellArena {
+    /// Derives `n` fresh cells starting at global index `base_cell` on chip
+    /// `chip_seed`. Statics come from [`CellStatics::derive`] unchanged, so
+    /// the simulated chip is the same chip the scalar API sees.
+    #[must_use]
+    pub fn derive(params: &PhysicsParams, chip_seed: u64, base_cell: u64, n: usize) -> Self {
+        let statics = Statics::derive(params, chip_seed, base_cell, n);
+        Self {
+            state: State {
+                vth: statics.vth_erased0.clone(),
+                wear_cycles: vec![0.0; n],
+                t_cross_key: vec![u64::MAX; n],
+                t_cross_val: vec![0.0; n],
+            },
+            statics: Arc::new(statics),
+        }
     }
 
     /// Number of cells in the arena.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.vth.len()
+        self.state.vth.len()
     }
 
     /// Whether the arena is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.vth.is_empty()
+        self.state.vth.is_empty()
     }
 
     /// Reconstructs the exact [`CellStatics`] of cell `i` from the lanes.
     #[must_use]
     pub fn statics_at(&self, i: usize) -> CellStatics {
+        let s = &*self.statics;
         CellStatics {
-            erase_z: self.erase_z[i],
-            straggler_extra: if self.straggler_extra[i].is_nan() {
+            erase_z: s.erase_z[i],
+            straggler_extra: if s.straggler_extra[i].is_nan() {
                 None
             } else {
-                Some(self.straggler_extra[i])
+                Some(s.straggler_extra[i])
             },
-            early: if self.early_activation[i].is_finite() {
+            early: if s.early_activation[i].is_finite() {
                 Some(EarlyTrap {
-                    activation_kcycles: self.early_activation[i],
-                    factor: self.early_factor[i],
+                    activation_kcycles: s.early_activation[i],
+                    factor: s.early_factor[i],
                 })
             } else {
                 None
             },
-            vth_erased0: self.vth_erased0[i],
-            vth_prog0: self.vth_prog0[i],
-            prog_time_us: self.prog_time_us[i],
-            retention_z: self.retention_z[i],
-            susceptibility: self.susceptibility[i],
+            vth_erased0: s.vth_erased0[i],
+            vth_prog0: s.vth_prog0[i],
+            prog_time_us: s.prog_time_us[i],
+            retention_z: s.retention_z[i],
+            susceptibility: s.susceptibility[i],
         }
     }
 
@@ -187,37 +304,45 @@ impl CellArena {
     #[must_use]
     pub fn state_at(&self, i: usize) -> CellState {
         CellState {
-            vth: self.vth[i],
-            wear_cycles: self.wear_cycles[i],
+            vth: self.state.vth[i],
+            wear_cycles: self.state.wear_cycles[i],
         }
     }
 
     /// Writes cell `i`'s dynamic state back into the lanes. The crossing-
     /// time memo stays valid: its key re-derives from the wear on every use.
     pub fn set_state(&mut self, i: usize, state: CellState) {
-        self.vth[i] = state.vth;
-        self.wear_cycles[i] = state.wear_cycles;
+        self.state.vth[i] = state.vth;
+        self.state.wear_cycles[i] = state.wear_cycles;
     }
 
     /// The threshold-voltage lane.
     #[must_use]
     pub fn vth(&self) -> &[f64] {
-        &self.vth
+        &self.state.vth
     }
 
     /// The accumulated-wear lane.
     #[must_use]
     pub fn wear_cycles(&self) -> &[f64] {
-        &self.wear_cycles
+        &self.state.wear_cycles
     }
 
     /// Pre-fills `cache` so every bucket any cell of this arena can reach at
     /// wear up to `max_wear` is resident, and the kernel loops are pure
-    /// reads. Uses the arena-wide susceptibility maximum; `fl` monotonicity
-    /// of `*` and `/` guarantees no per-cell bucket exceeds the bound.
-    fn ensure_cache(&self, params: &PhysicsParams, cache: &mut EraseDistCache, max_wear: f64) {
-        let max_k = max_wear * self.max_susceptibility / 1000.0;
-        cache.ensure(&params.erase_cal, wear_bucket(max_k, cache.grid_kcycles()));
+    /// reads; returns that highest bucket. Uses the arena-wide
+    /// susceptibility maximum; `fl` monotonicity of `*` and `/` guarantees
+    /// no per-cell bucket exceeds the bound.
+    fn ensure_cache(
+        &self,
+        params: &PhysicsParams,
+        cache: &mut EraseDistCache,
+        max_wear: f64,
+    ) -> usize {
+        let max_k = max_wear * self.statics.max_susceptibility / 1000.0;
+        let max_bucket = wear_bucket(max_k, cache.grid_kcycles());
+        cache.ensure(&params.erase_cal, max_bucket);
+        max_bucket
     }
 
     /// Chunked-lane maximum of the log-domain reference-crossing time over
@@ -245,21 +370,22 @@ impl CellArena {
         self.ensure_cache(params, cache, stressed_wear.max(spared_wear));
         let (ln_median, sigma) = cache.tables();
         let grid = cache.grid_kcycles();
+        let s = &*self.statics;
         let lane = |i: usize| -> f64 {
             let wear = if stressed[i] {
                 stressed_wear
             } else {
                 spared_wear
             };
-            let k = wear * self.susceptibility[i] / 1000.0;
+            let k = wear * s.susceptibility[i] / 1000.0;
             let bucket = wear_bucket(k, grid);
             ln_t_cross(
                 ln_median[bucket],
                 sigma[bucket],
-                self.erase_z[i],
-                self.ln_straggler[i],
-                self.early_activation[i],
-                self.ln_early_factor[i],
+                s.erase_z[i],
+                s.ln_straggler[i],
+                s.early_activation[i],
+                s.ln_early_factor[i],
                 k,
             )
         };
@@ -332,19 +458,20 @@ impl CellArena {
             });
         let stressed_cands = self.frontier(stressed, true, sig_lo, sig_hi);
         let spared_cands = self.frontier(stressed, false, sig_lo, sig_hi);
+        let s = &*self.statics;
         let eval = |cands: &[u32], wear: f64| -> f64 {
             let mut worst = f64::NEG_INFINITY;
             for &oi in cands {
                 let i = oi as usize;
-                let k = wear * self.susceptibility[i] / 1000.0;
+                let k = wear * s.susceptibility[i] / 1000.0;
                 let bucket = wear_bucket(k, grid);
                 worst = worst.max(ln_t_cross(
                     ln_median[bucket],
                     sigma[bucket],
-                    self.erase_z[i],
-                    self.ln_straggler[i],
-                    self.early_activation[i],
-                    self.ln_early_factor[i],
+                    s.erase_z[i],
+                    s.ln_straggler[i],
+                    s.early_activation[i],
+                    s.ln_early_factor[i],
                     k,
                 ));
             }
@@ -352,7 +479,7 @@ impl CellArena {
         };
         wear_pairs
             .iter()
-            .map(|&(s, p)| eval(&stressed_cands, s).max(eval(&spared_cands, p)))
+            .map(|&(sw, pw)| eval(&stressed_cands, sw).max(eval(&spared_cands, pw)))
             .collect()
     }
 
@@ -364,20 +491,21 @@ impl CellArena {
     /// in floating point, and [`PRUNE_MARGIN`] absorbs the cross-expression
     /// rounding slack.
     fn frontier(&self, stressed: &[bool], want: bool, sig_lo: f64, sig_hi: f64) -> Vec<u32> {
+        let s = &*self.statics;
         let mut cands = Vec::new();
         let mut best_d_lo = f64::NEG_INFINITY;
-        for &oi in &self.susc_order {
+        for &oi in &s.susc_order {
             let i = oi as usize;
             if stressed[i] != want {
                 continue;
             }
-            let z = self.erase_z[i];
-            let straggler = self.ln_straggler[i];
+            let z = s.erase_z[i];
+            let straggler = s.ln_straggler[i];
             let zs_a = sig_lo * z;
             let zs_b = sig_hi * z;
             let d_hi = zs_a.max(zs_b) + straggler;
             // `ln_early_factor` ≤ 0: the trap-active variant is the floor.
-            let d_lo = zs_a.min(zs_b) + straggler + self.ln_early_factor[i];
+            let d_lo = zs_a.min(zs_b) + straggler + s.ln_early_factor[i];
             if best_d_lo >= d_hi + PRUNE_MARGIN {
                 continue;
             }
@@ -398,6 +526,20 @@ impl CellArena {
     /// under the key `(wear bucket, trap active)` — between consecutive
     /// pulses of an erase-until-clean loop the bucket rarely moves, so the
     /// log-normal `exp` is skipped for almost every cell.
+    ///
+    /// A full erase (a nominal `TERASE` that outlasts every cell's erase
+    /// time many times over) takes a closed form. `floor`, the shortest
+    /// duration any cell can draw from this pulse, is compared with
+    /// `t_ub`, a ceiling on every cell's crossing time. When
+    /// `floor ≥ t_ub`, each cell whose full-erase time under the ceiling
+    /// still fits in `floor`, with the slope under the ceiling reaching
+    /// its erased level, is written straight to that level with one
+    /// erase's wear: IEEE `*`, `/` and `-` are monotone, so the exact step
+    /// would land on the same bits (`fraction == 1.0`, `vth == vth_end`).
+    /// Those cells skip the jitter hash, the inverse-CDF normal, the `exp`
+    /// and the memo. Any cell the bound does not settle, and every pulse
+    /// with `floor < t_ub` (partial erases, erase-until-clean polls), takes
+    /// the exact step.
     pub fn erase_pulse(
         &mut self,
         params: &PhysicsParams,
@@ -408,71 +550,41 @@ impl CellArena {
         temp_factor: f64,
     ) -> bool {
         let n = self.len();
-        let max_wear = self.wear_cycles.iter().fold(0.0f64, |acc, &w| acc.max(w));
-        self.ensure_cache(params, cache, max_wear);
-        let (ln_median, sigma) = cache.tables();
-        let grid = cache.grid_kcycles();
-        let vref = params.vref.get();
-        let p_shift = params.programmed_vth_shift_per_kcycle;
-        let e_shift = params.erased_vth_shift_per_kcycle;
-        let wear_erase = params.wear.erase;
-        let wear_erase_only = params.wear.erase_only;
+        let max_bucket = self.ensure_cache(params, cache, self.state.max_wear());
+        let pass = ErasePass::new(params, cache);
+        let floor = pulse.min_effective_us(params, nominal_us) * temp_factor;
+        let Self { statics, state } = self;
+        let s: &Statics = statics;
+        let t_ub = s.t_cross_ceiling(&pass, max_bucket);
         let mut all_done = true;
-        for i in 0..n {
-            let eff = pulse.effective_us(params, base_cell + i as u64, nominal_us) * temp_factor;
-            let wear = self.wear_cycles[i];
-            let susceptibility = self.susceptibility[i];
-            // t_cross (memoized): a pure function of the quantized bucket,
-            // the trap-activation flag, and the cell statics.
-            let k = wear * susceptibility / 1000.0;
-            let bucket = wear_bucket(k, grid);
-            let active = k >= self.early_activation[i];
-            let key = ((bucket as u64) << 1) | u64::from(active);
-            let t_cross = if self.t_cross_key[i] == key {
-                self.t_cross_val[i]
-            } else {
-                let t = ln_t_cross(
-                    ln_median[bucket],
-                    sigma[bucket],
-                    self.erase_z[i],
-                    self.ln_straggler[i],
-                    self.early_activation[i],
-                    self.ln_early_factor[i],
-                    k,
-                )
-                .exp();
-                self.t_cross_key[i] = key;
-                self.t_cross_val[i] = t;
-                t
-            };
-            // t_full: extend the crossing time to the full erase span.
-            let keff = (wear / 1000.0) * susceptibility;
-            let vth_prog = self.vth_prog0[i] + p_shift * keff;
-            let vth_end = self.vth_erased0[i] + e_shift * keff;
-            let span_to_ref = vth_prog - vref;
-            let span_total = vth_prog - vth_end;
-            let t_full = if span_to_ref <= 0.0 {
-                t_cross
-            } else {
-                t_cross * (span_total / span_to_ref)
-            };
-            // Linear descent toward the wear-shifted erased level.
-            let vth = self.vth[i];
-            let was_programmed = vth >= vref;
-            let t_full = t_full.max(1e-9);
-            let slope = (vth_prog - vth_end).max(0.0) / t_full;
-            let new_vth = (vth - slope * eff).max(vth_end);
-            let fraction = (eff / t_full).min(1.0);
-            let weight = if was_programmed {
-                wear_erase
-            } else {
-                wear_erase_only
-            };
-            self.wear_cycles[i] = wear + weight * fraction;
-            self.vth[i] = new_vth;
-            all_done &= new_vth <= vth_end + 1e-12;
+        if floor >= t_ub {
+            for i in 0..n {
+                if !state.erase_cell_closed_form(s, i, floor, t_ub, &pass) {
+                    let eff =
+                        pulse.effective_us(params, base_cell + i as u64, nominal_us) * temp_factor;
+                    all_done &= state.erase_cell(s, i, eff, &pass);
+                }
+            }
+        } else {
+            for i in 0..n {
+                let eff =
+                    pulse.effective_us(params, base_cell + i as u64, nominal_us) * temp_factor;
+                all_done &= state.erase_cell(s, i, eff, &pass);
+            }
         }
         all_done
+    }
+
+    /// Fills every cell's crossing-time memo at its current wear, so the
+    /// next erase pulse finds it warm. The memo is a pure cache: this
+    /// changes no result, only which call pays the `exp`s.
+    pub fn warm_t_cross(&mut self, params: &PhysicsParams, cache: &mut EraseDistCache) {
+        self.ensure_cache(params, cache, self.state.max_wear());
+        let pass = ErasePass::new(params, cache);
+        let Self { statics, state } = self;
+        for i in 0..state.wear_cycles.len() {
+            state.memo_t_cross(statics, i, state.wear_cycles[i], &pass);
+        }
     }
 
     /// Senses one 16-bit word starting at cell offset `offset`; bit `b`
@@ -485,7 +597,7 @@ impl CellArena {
         let mut value = 0u16;
         for bit in 0..WORD_BITS {
             let noise = sigma * stream.normal(bit as u64);
-            if self.vth[offset + bit] + noise < vref {
+            if self.state.vth[offset + bit] + noise < vref {
                 value |= 1 << bit;
             }
         }
@@ -502,25 +614,8 @@ impl CellArena {
         value: u16,
         stream: &CounterStream,
     ) {
-        let p_shift = params.programmed_vth_shift_per_kcycle;
-        let e_shift = params.erased_vth_shift_per_kcycle;
-        let w_prog = params.wear.program;
-        for bit in 0..WORD_BITS {
-            if value & (1 << bit) == 0 {
-                let i = offset + bit;
-                // Lane replication of `apply_program_with_z` — exact formula
-                // parity, including the `(wear / 1000.0) * susceptibility`
-                // grouping of the effective wear.
-                let keff = (self.wear_cycles[i] / 1000.0) * self.susceptibility[i];
-                let vth_prog = self.vth_prog0[i] + p_shift * keff;
-                let vth_erased = self.vth_erased0[i] + e_shift * keff;
-                let target = vth_prog + PROG_OP_NOISE_SIGMA * stream.normal(bit as u64);
-                let span = (vth_prog - vth_erased).max(1e-9);
-                let injected = ((target - self.vth[i]) / span).clamp(0.0, 1.0);
-                self.wear_cycles[i] += w_prog * injected;
-                self.vth[i] = self.vth[i].max(target);
-            }
-        }
+        self.state
+            .program_word(&self.statics, params, offset, value, *stream);
     }
 
     /// Chunked-lane closed-form P/E stress: cells flagged in `stressed` take
@@ -535,9 +630,135 @@ impl CellArena {
     ///
     /// Panics if `stressed.len() != self.len()` or `cycles` is negative.
     pub fn bulk_stress(&mut self, params: &PhysicsParams, stressed: &[bool], cycles: f64) {
-        let n = self.len();
-        assert_eq!(stressed.len(), n, "stress mask length mismatch");
+        assert_eq!(stressed.len(), self.len(), "stress mask length mismatch");
         assert!(cycles >= 0.0, "negative cycle count");
+        self.state
+            .bulk_stress(&self.statics, params, stressed, cycles);
+    }
+}
+
+#[allow(
+    clippy::inline_always,
+    reason = "left to `#[inline]`, the per-cell erase steps stay calls and partial erases run ~8 % slower"
+)]
+impl State {
+    /// The largest wear over the cells (`0` for an empty arena).
+    fn max_wear(&self) -> f64 {
+        self.wear_cycles.iter().fold(0.0f64, |acc, &w| acc.max(w))
+    }
+
+    /// The closed form of a full erase of cell `i`: when the pulse floor
+    /// outlasts the cell's full-erase time under the ceiling `t_ub`, and the
+    /// slope under the ceiling already takes the cell below its erased
+    /// level within the floor, the exact step ends the cell at that level
+    /// with wear fraction 1, so write that. Returns `false`, leaving the
+    /// cell untouched, when the bound does not settle it.
+    #[inline(always)]
+    fn erase_cell_closed_form(
+        &mut self,
+        s: &Statics,
+        i: usize,
+        floor: f64,
+        t_ub: f64,
+        pass: &ErasePass<'_>,
+    ) -> bool {
+        let wear = self.wear_cycles[i];
+        let keff = (wear / 1000.0) * s.susceptibility[i];
+        let vth_prog = s.vth_prog0[i] + pass.p_shift * keff;
+        let vth_end = s.vth_erased0[i] + pass.e_shift * keff;
+        let t_full_ub = pass.t_full(t_ub, vth_prog, vth_end);
+        let slope_lb = (vth_prog - vth_end).max(0.0) / t_full_ub;
+        let vth = self.vth[i];
+        // Strict `<`: `max` then returns `vth_end` itself, even at ±0.
+        if !(floor >= t_full_ub && vth - slope_lb * floor < vth_end) {
+            return false;
+        }
+        self.wear_cycles[i] = wear + pass.weight(vth);
+        self.vth[i] = vth_end;
+        true
+    }
+
+    /// One cell of the exact erase kernel: lane replication of
+    /// [`apply_erase_cached`](crate::erase::apply_erase_cached) for an
+    /// effective pulse of `eff` µs. Returns whether the cell completed.
+    #[inline(always)]
+    fn erase_cell(&mut self, s: &Statics, i: usize, eff: f64, pass: &ErasePass<'_>) -> bool {
+        let wear = self.wear_cycles[i];
+        let t_cross = self.memo_t_cross(s, i, wear, pass);
+        // Linear descent toward the wear-shifted erased level.
+        let keff = (wear / 1000.0) * s.susceptibility[i];
+        let vth_prog = s.vth_prog0[i] + pass.p_shift * keff;
+        let vth_end = s.vth_erased0[i] + pass.e_shift * keff;
+        let t_full = pass.t_full(t_cross, vth_prog, vth_end);
+        let vth = self.vth[i];
+        let slope = (vth_prog - vth_end).max(0.0) / t_full;
+        let new_vth = (vth - slope * eff).max(vth_end);
+        let fraction = (eff / t_full).min(1.0);
+        self.wear_cycles[i] = wear + pass.weight(vth) * fraction;
+        self.vth[i] = new_vth;
+        new_vth <= vth_end + 1e-12
+    }
+
+    /// Cell `i`'s crossing time at `wear`, through the memo: `t_cross` is a
+    /// pure function of the quantized bucket, the trap-activation flag, and
+    /// the cell statics.
+    #[inline(always)]
+    fn memo_t_cross(&mut self, s: &Statics, i: usize, wear: f64, pass: &ErasePass<'_>) -> f64 {
+        let k = wear * s.susceptibility[i] / 1000.0;
+        let bucket = wear_bucket(k, pass.grid);
+        let active = k >= s.early_activation[i];
+        let key = ((bucket as u64) << 1) | u64::from(active);
+        if self.t_cross_key[i] == key {
+            return self.t_cross_val[i];
+        }
+        let t = ln_t_cross(
+            pass.ln_median[bucket],
+            pass.sigma[bucket],
+            s.erase_z[i],
+            s.ln_straggler[i],
+            s.early_activation[i],
+            s.ln_early_factor[i],
+            k,
+        )
+        .exp();
+        self.t_cross_key[i] = key;
+        self.t_cross_val[i] = t;
+        t
+    }
+
+    /// [`CellArena::program_word`] over the state lanes.
+    fn program_word(
+        &mut self,
+        s: &Statics,
+        params: &PhysicsParams,
+        offset: usize,
+        value: u16,
+        stream: CounterStream,
+    ) {
+        let p_shift = params.programmed_vth_shift_per_kcycle;
+        let e_shift = params.erased_vth_shift_per_kcycle;
+        let w_prog = params.wear.program;
+        for bit in 0..WORD_BITS {
+            if value & (1 << bit) == 0 {
+                let i = offset + bit;
+                // Lane replication of `apply_program_with_z` — exact formula
+                // parity, including the `(wear / 1000.0) * susceptibility`
+                // grouping of the effective wear.
+                let keff = (self.wear_cycles[i] / 1000.0) * s.susceptibility[i];
+                let vth_prog = s.vth_prog0[i] + p_shift * keff;
+                let vth_erased = s.vth_erased0[i] + e_shift * keff;
+                let target = vth_prog + PROG_OP_NOISE_SIGMA * stream.normal(bit as u64);
+                let span = (vth_prog - vth_erased).max(1e-9);
+                let injected = ((target - self.vth[i]) / span).clamp(0.0, 1.0);
+                self.wear_cycles[i] += w_prog * injected;
+                self.vth[i] = self.vth[i].max(target);
+            }
+        }
+    }
+
+    /// [`CellArena::bulk_stress`] over the state lanes.
+    fn bulk_stress(&mut self, s: &Statics, params: &PhysicsParams, stressed: &[bool], cycles: f64) {
+        let n = self.vth.len();
         let per_pe = params.wear.program + params.wear.erase;
         let per_erase_only = params.wear.erase_only;
         let p_shift = params.programmed_vth_shift_per_kcycle;
@@ -546,11 +767,11 @@ impl CellArena {
             let per_cycle = if stressed[i] { per_pe } else { per_erase_only };
             let wear = self.wear_cycles[i] + per_cycle * cycles;
             self.wear_cycles[i] = wear;
-            let keff = (wear / 1000.0) * self.susceptibility[i];
+            let keff = (wear / 1000.0) * s.susceptibility[i];
             self.vth[i] = if stressed[i] {
-                self.vth_prog0[i] + p_shift * keff
+                s.vth_prog0[i] + p_shift * keff
             } else {
-                self.vth_erased0[i] + e_shift * keff
+                s.vth_erased0[i] + e_shift * keff
             };
         };
         let chunks = n / LANES;
@@ -807,6 +1028,168 @@ mod tests {
             a.sense_word(&params, 0, &stream1),
             b.sense_word(&params, 0, &stream1)
         );
+    }
+
+    /// Derives a 30 K-stressed arena and a full-erase pulse for it.
+    fn worn(n: usize) -> (PhysicsParams, CellArena, PulseNoise) {
+        let (params, mut arena) = arena(n);
+        arena.bulk_stress(&params, &mask(n), 30_000.0);
+        let pulse = PulseNoise::from_stream(&params, &CounterStream::new(CHIP, 0xE7A5, 0));
+        (params, arena, pulse)
+    }
+
+    fn assert_lanes_bitwise(a: &CellArena, b: &CellArena, what: &str) {
+        for i in 0..a.len() {
+            assert_eq!(
+                a.vth()[i].to_bits(),
+                b.vth()[i].to_bits(),
+                "{what}: vth {i}"
+            );
+            assert_eq!(
+                a.wear_cycles()[i].to_bits(),
+                b.wear_cycles()[i].to_bits(),
+                "{what}: wear {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn full_erase_takes_the_closed_form() {
+        let (params, mut fast, pulse) = worn(300);
+        let mut slow = fast.clone();
+        let grid = params.erase_dist_grid_kcycles;
+        let done = fast.erase_pulse(
+            &params,
+            &mut EraseDistCache::new(grid),
+            64,
+            &pulse,
+            25_000.0,
+            1.0,
+        );
+        let want = reference::erase_pulse(
+            &mut slow,
+            &params,
+            &mut EraseDistCache::new(grid),
+            64,
+            &pulse,
+            25_000.0,
+            1.0,
+        );
+        assert!(done && want);
+        assert_lanes_bitwise(&fast, &slow, "full erase");
+        // No cell needed the exact step, so none touched the memo.
+        assert!(fast.state.t_cross_key.iter().all(|&key| key == u64::MAX));
+    }
+
+    #[test]
+    fn closed_form_leaves_program_overshoot_to_the_exact_step() {
+        // Without per-cell jitter every cell's pulse is exactly the floor. A
+        // lone cell with no straggler or trap and `erase_z > 0` sits right at
+        // the ceiling, so a floor 0.1 % above its full-erase time under the
+        // ceiling passes the time test. Programmed 50 mV above its nominal
+        // level, the cell still needs more than that: only the slope test
+        // keeps it out of the closed form.
+        let mut params = PhysicsParams::msp430_like();
+        params.op_jitter_sigma = 0.0;
+        let mut cell = (0..1000)
+            .map(|chip| CellArena::derive(&params, chip, 0, 1))
+            .find(|a| {
+                let s = a.statics_at(0);
+                s.erase_z > 0.0 && s.straggler_extra.is_none() && s.early.is_none()
+            })
+            .expect("some chip has a plain cell 0");
+        let statics = cell.statics_at(0);
+        let vth_end = statics.vth_erased0;
+        cell.set_state(
+            0,
+            CellState {
+                vth: statics.vth_prog0 + 0.05,
+                wear_cycles: 0.0,
+            },
+        );
+        let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
+        let max_bucket = cell.ensure_cache(&params, &mut cache, 0.0);
+        let pass = ErasePass::new(&params, &cache);
+        let t_full_ub = pass.t_full(
+            cell.statics.t_cross_ceiling(&pass, max_bucket),
+            statics.vth_prog0,
+            vth_end,
+        );
+        let pulse = PulseNoise::from_stream(&params, &CounterStream::new(CHIP, 0xE7A5, 0));
+        let nominal_us = t_full_ub * 1.001 / pulse.common_factor;
+        let mut scalar = cell.clone();
+        let done = cell.erase_pulse(&params, &mut cache, 0, &pulse, nominal_us, 1.0);
+        let want =
+            reference::erase_pulse(&mut scalar, &params, &mut cache, 0, &pulse, nominal_us, 1.0);
+        assert_eq!(done, want);
+        assert_lanes_bitwise(&cell, &scalar, "overshoot");
+        assert!(
+            !done && cell.vth()[0] > vth_end + 0.04,
+            "vth {}",
+            cell.vth()[0]
+        );
+    }
+
+    #[test]
+    fn clones_share_statics_but_not_state() {
+        let (params, original, pulse) = worn(256);
+        let snapshot = original.clone();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.statics, &copy.statics));
+        let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
+        copy.erase_pulse(&params, &mut cache, 64, &pulse, 25_000.0, 1.0);
+        for word in 0..copy.len() / WORD_BITS {
+            let stream = CounterStream::new(CHIP, 0x9806, word as u64);
+            copy.program_word(&params, word * WORD_BITS, 0x0000, &stream);
+        }
+        assert_ne!(copy.wear_cycles(), original.wear_cycles());
+        assert_lanes_bitwise(
+            &original,
+            &snapshot,
+            "original after the copy's erase and program",
+        );
+        for i in 0..original.len() {
+            assert_eq!(original.statics_at(i), copy.statics_at(i), "statics {i}");
+        }
+    }
+
+    #[test]
+    fn warm_memo_is_a_pure_cache() {
+        let (params, mut cold, full) = worn(512);
+        let mut warm = cold.clone();
+        let grid = params.erase_dist_grid_kcycles;
+        let mut warm_cache = EraseDistCache::new(grid);
+        warm.warm_t_cross(&params, &mut warm_cache);
+        assert_ne!(
+            warm.state.t_cross_key, cold.state.t_cross_key,
+            "warming filled the memo"
+        );
+        // One extraction rung: full erase, program every word to 0, a
+        // 23 µs partial erase, then sense every word.
+        let rung = |a: &mut CellArena, cache: &mut EraseDistCache| -> Vec<u16> {
+            a.erase_pulse(&params, cache, 64, &full, 25_000.0, 1.0);
+            let words = a.len() / WORD_BITS;
+            for w in 0..words {
+                let stream = CounterStream::new(CHIP, 0x9806, w as u64);
+                a.program_word(&params, w * WORD_BITS, 0x0000, &stream);
+            }
+            let partial = PulseNoise::from_stream(&params, &CounterStream::new(CHIP, 0xE7A5, 1));
+            a.erase_pulse(&params, cache, 64, &partial, 23.0, 1.0);
+            (0..words)
+                .map(|w| {
+                    let stream = CounterStream::new(CHIP, 0x5E45, w as u64);
+                    a.sense_word(&params, w * WORD_BITS, &stream)
+                })
+                .collect()
+        };
+        let warm_words = rung(&mut warm, &mut warm_cache);
+        let cold_words = rung(&mut cold, &mut EraseDistCache::new(grid));
+        assert_eq!(warm_words, cold_words);
+        assert!(
+            warm_words.iter().any(|&w| w != 0 && w != 0xFFFF),
+            "mid-transition rung"
+        );
+        assert_lanes_bitwise(&warm, &cold, "warm vs cold");
     }
 
     #[test]

@@ -16,6 +16,12 @@ use crate::params::PhysicsParams;
 use crate::rng::{mix2, uniform_from_bits, CounterStream, SplitMix64};
 use crate::variation::inverse_normal_cdf;
 
+/// A floor under every per-cell jitter deviate. `uniform_from_bits` never
+/// returns below 2⁻⁵³ or above 1 − 2⁻⁵³, whose normal quantiles are about
+/// ∓8.2, so every drawn `z` lies inside `(Z_FLOOR, −Z_FLOOR)` with a margin
+/// of ~0.8 (pinned by a unit test).
+const Z_FLOOR: f64 = -9.0;
+
 /// The noise context of one pulse (drawn once per pulse).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PulseNoise {
@@ -60,6 +66,21 @@ impl PulseNoise {
         let cell_factor = (params.op_jitter_sigma * z).exp();
         nominal_us * self.common_factor * cell_factor
     }
+
+    /// A lower bound on [`Self::effective_us`] over every cell: the jitter
+    /// factor at [`Z_FLOOR`], multiplied in the same order. The exponent
+    /// sits 0.8σ below any drawable one, far beyond the rounding error of
+    /// `exp`, and IEEE `*` is monotone, so no cell's duration falls below
+    /// it. Exact when the pulse draws no per-cell jitter (`seed == 0`).
+    pub(crate) fn min_effective_us(&self, params: &PhysicsParams, nominal_us: f64) -> f64 {
+        if self.seed == 0 {
+            return nominal_us * self.common_factor;
+        }
+        // `abs`: a negative sigma (which `validate` rejects) mirrors the
+        // jitter, and the floor then sits at `-Z_FLOOR`.
+        let floor_factor = (params.op_jitter_sigma.abs() * Z_FLOOR).exp();
+        nominal_us * self.common_factor * floor_factor
+    }
 }
 
 #[cfg(test)]
@@ -103,6 +124,95 @@ mod tests {
             a.effective_us(&params, 3, 10.0).to_bits(),
             b.effective_us(&params, 3, 10.0).to_bits()
         );
+    }
+
+    #[test]
+    fn z_floor_lies_below_every_drawable_deviate() {
+        let deepest = inverse_normal_cdf(uniform_from_bits(0));
+        let highest = inverse_normal_cdf(uniform_from_bits(u64::MAX));
+        assert!(Z_FLOOR < deepest - 0.5, "deepest z {deepest}");
+        assert!(-Z_FLOOR > highest + 0.5, "highest z {highest}");
+        for shift in 0..64 {
+            for bits in [1u64 << shift, !(1u64 << shift)] {
+                let z = inverse_normal_cdf(uniform_from_bits(bits));
+                assert!((deepest..=highest).contains(&z), "bits {bits:#x}: z {z}");
+            }
+        }
+    }
+
+    #[test]
+    fn min_effective_us_bounds_every_cell() {
+        let params = PhysicsParams::msp430_like();
+        let mut rng = SplitMix64::new(81);
+        for _ in 0..8 {
+            let pn = PulseNoise::draw(&params, &mut rng);
+            let floor = pn.min_effective_us(&params, 25_000.0);
+            for cell in 0..4096 {
+                assert!(pn.effective_us(&params, cell, 25_000.0) >= floor);
+            }
+        }
+    }
+
+    #[test]
+    fn unjittered_floor_is_exact() {
+        let params = PhysicsParams::msp430_like();
+        let pulse = PulseNoise {
+            common_factor: 0.93,
+            seed: 0,
+        };
+        let floor = pulse.min_effective_us(&params, 25_000.0);
+        for cell in [0, 1, 4095, u64::MAX] {
+            assert_eq!(
+                pulse.effective_us(&params, cell, 25_000.0).to_bits(),
+                floor.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn unjittered_full_erase_matches_reference() {
+        use crate::arena::{reference, CellArena};
+        use crate::erase::EraseDistCache;
+        let params = PhysicsParams::msp430_like();
+        let pulse = PulseNoise {
+            common_factor: 0.93,
+            seed: 0,
+        };
+        let mut lane = CellArena::derive(&params, 0x5EED, 0, 300);
+        let stressed: Vec<bool> = (0..lane.len()).map(|i| i % 2 == 0).collect();
+        lane.bulk_stress(&params, &stressed, 70_000.0);
+        let mut scalar = lane.clone();
+        let grid = params.erase_dist_grid_kcycles;
+        let done = lane.erase_pulse(
+            &params,
+            &mut EraseDistCache::new(grid),
+            0,
+            &pulse,
+            25_000.0,
+            1.2,
+        );
+        let want = reference::erase_pulse(
+            &mut scalar,
+            &params,
+            &mut EraseDistCache::new(grid),
+            0,
+            &pulse,
+            25_000.0,
+            1.2,
+        );
+        assert!(done && want);
+        for i in 0..lane.len() {
+            assert_eq!(
+                lane.vth()[i].to_bits(),
+                scalar.vth()[i].to_bits(),
+                "vth {i}"
+            );
+            assert_eq!(
+                lane.wear_cycles()[i].to_bits(),
+                scalar.wear_cycles()[i].to_bits(),
+                "wear {i}"
+            );
+        }
     }
 
     #[test]

@@ -231,6 +231,48 @@ proptest! {
     }
 }
 
+proptest! {
+    // The bound behind the closed-form full erase only bites when a pulse
+    // floor lands near some cell's full-erase time, so this property runs
+    // more cases than the default.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The full-erase regime — a 1–30 ms nominal pulse (and exactly the
+    /// 25 ms `TERASE` every `erase_segment` and `mass_erase` runs) on a
+    /// cold or hot die, wear past rated endurance, from programmed, partly
+    /// erased and erased cells — leaves every lane bit-identical to the
+    /// scalar per-cell loop.
+    #[test]
+    fn arena_full_erase_matches_scalar(
+        seed in any::<u64>(),
+        n in 1u64..258,
+        nominal_us in prop_oneof![Just(25_000.0), 1_000.0f64..30_000.0],
+        temp_factor in 0.5f64..1.6,
+        stress in 0.0f64..140_000.0,
+        pre_erase_us in 0.0f64..60.0,
+    ) {
+        let p = params();
+        let n = n as usize;
+        let mut lane = CellArena::derive(&p, seed, 128, n);
+        lane.bulk_stress(&p, &lane_mask(n), stress);
+        // A short pulse first leaves the cells programmed, part-way down or
+        // erased, depending on their wear.
+        let pre = PulseNoise::from_stream(&p, &CounterStream::new(seed, 0xE7A5, 1));
+        reference::erase_pulse(&mut lane, &p, &mut cache(&p), 128, &pre, pre_erase_us, temp_factor);
+        let mut scalar = lane.clone();
+        let pulse = PulseNoise::from_stream(&p, &CounterStream::new(seed, 0xE7A5, 2));
+        let done_lane = lane.erase_pulse(&p, &mut cache(&p), 128, &pulse, nominal_us, temp_factor);
+        let done_scalar = reference::erase_pulse(
+            &mut scalar, &p, &mut cache(&p), 128, &pulse, nominal_us, temp_factor,
+        );
+        prop_assert_eq!(done_lane, done_scalar);
+        for i in 0..n {
+            prop_assert_eq!(lane.vth()[i].to_bits(), scalar.vth()[i].to_bits());
+            prop_assert_eq!(lane.wear_cycles()[i].to_bits(), scalar.wear_cycles()[i].to_bits());
+        }
+    }
+}
+
 /// The lane kernel agrees with the scalar reference bit-for-bit at (and
 /// a hair to either side of) **every** quantization bucket boundary of the
 /// erase-distribution LUT up to past rated endurance — the exact wear
@@ -260,6 +302,125 @@ fn lane_kernel_bitwise_at_every_lut_bucket_boundary() {
                 scalar.to_bits(),
                 "bucket {b} eps {eps}: lane {lane} vs scalar {scalar}"
             );
+        }
+    }
+}
+
+/// The full 25 ms erase agrees with the scalar reference bit-for-bit when
+/// the segment's wear sits at (and a hair to either side of) every bucket
+/// boundary of the erase-distribution LUT up to past rated endurance: the
+/// highest reachable bucket bounds the crossing-time ceiling the closed
+/// form relies on.
+#[test]
+fn full_erase_bitwise_at_every_lut_bucket_boundary() {
+    let p = params();
+    let fresh = CellArena::derive(&p, 0x1D5EED, 128, 13);
+    let mask = lane_mask(13);
+    let mut lane_cache = cache(&p);
+    let mut scalar_cache = cache(&p);
+    let grid = p.erase_dist_grid_kcycles;
+    let buckets = (140.0 / grid).ceil() as usize;
+    for b in 0..=buckets {
+        let boundary_k = (b as f64 + 0.5) * grid;
+        for eps in [-1e-6, 0.0, 1e-6] {
+            let wear = ((boundary_k + eps) * 1000.0).max(0.0);
+            let mut lane = fresh.clone();
+            lane.bulk_stress(&p, &mask, wear);
+            let mut scalar = lane.clone();
+            let pulse = PulseNoise::from_stream(&p, &CounterStream::new(b as u64, 0xE7A5, 0));
+            let done = lane.erase_pulse(&p, &mut lane_cache, 128, &pulse, 25_000.0, 1.0);
+            let want = reference::erase_pulse(
+                &mut scalar,
+                &p,
+                &mut scalar_cache,
+                128,
+                &pulse,
+                25_000.0,
+                1.0,
+            );
+            assert_eq!(done, want, "bucket {b} eps {eps}");
+            for i in 0..13 {
+                assert_eq!(
+                    lane.vth()[i].to_bits(),
+                    scalar.vth()[i].to_bits(),
+                    "bucket {b} eps {eps} cell {i} vth"
+                );
+                assert_eq!(
+                    lane.wear_cycles()[i].to_bits(),
+                    scalar.wear_cycles()[i].to_bits(),
+                    "bucket {b} eps {eps} cell {i} wear"
+                );
+            }
+        }
+    }
+}
+
+/// Sweeping the nominal pulse in 1 % steps across the whole span where
+/// cells finish their erase moves the pulse floor past every cell's
+/// full-erase time: the closed form must engage only where it reproduces
+/// the scalar loop bit for bit. Small arenas leave the least slack between
+/// the crossing-time ceiling and their slowest cell. Half the cells are
+/// then programmed word by word, so program noise leaves some above their
+/// nominal programmed level (they need slightly more than their full-erase
+/// time), while erased cells still accrue a wear fraction below 1 from a
+/// pulse shorter than their full-erase time. Two more parameter sets: heavy
+/// stragglers make the straggler term of the ceiling the one that binds,
+/// and without per-cell jitter every cell's pulse equals the floor.
+#[test]
+fn erase_bitwise_across_the_closed_form_threshold() {
+    let mut heavy_stragglers = params();
+    heavy_stragglers.tails.straggler_prob = 0.05;
+    heavy_stragglers.tails.straggler_max_extra = 4.0;
+    let mut no_jitter = params();
+    no_jitter.op_jitter_sigma = 0.0;
+    for p in [params(), heavy_stragglers, no_jitter] {
+        for (k, wear) in [0.0, 30_000.0, 80_000.0, 140_000.0].into_iter().enumerate() {
+            for n in [1, 2, 3, 64] {
+                let chip = 0x7E5E_0000 + (k * 100 + n) as u64;
+                let mut worn = CellArena::derive(&p, chip, 0, n);
+                worn.bulk_stress(&p, &lane_mask(n), wear);
+                for word in 0..n.div_ceil(16) {
+                    let stream = CounterStream::new(chip, 0x9806, word as u64);
+                    let bits = (n - word * 16).min(16);
+                    let pattern: u16 = if k % 2 == 0 { 0xAAAA } else { 0x5555 };
+                    let value = pattern | !((1u32 << bits) - 1) as u16;
+                    worn.program_word(&p, word * 16, value, &stream);
+                }
+                for step in 0..700 {
+                    let nominal_us = 40.0 * 1.01f64.powi(step);
+                    let mut lane = worn.clone();
+                    let mut scalar = worn.clone();
+                    let pulse =
+                        PulseNoise::from_stream(&p, &CounterStream::new(chip, 0xE7A5, step as u64));
+                    let done = lane.erase_pulse(&p, &mut cache(&p), 0, &pulse, nominal_us, 1.0);
+                    let want = reference::erase_pulse(
+                        &mut scalar,
+                        &p,
+                        &mut cache(&p),
+                        0,
+                        &pulse,
+                        nominal_us,
+                        1.0,
+                    );
+                    let at = format!(
+                        "stragglers {} jitter {} wear {wear} cells {n} nominal {nominal_us}",
+                        p.tails.straggler_max_extra, p.op_jitter_sigma
+                    );
+                    assert_eq!(done, want, "{at}");
+                    for i in 0..n {
+                        assert_eq!(
+                            lane.wear_cycles()[i].to_bits(),
+                            scalar.wear_cycles()[i].to_bits(),
+                            "{at} cell {i} wear"
+                        );
+                        assert_eq!(
+                            lane.vth()[i].to_bits(),
+                            scalar.vth()[i].to_bits(),
+                            "{at} cell {i} vth"
+                        );
+                    }
+                }
+            }
         }
     }
 }
