@@ -6,8 +6,10 @@
 //!
 //! Experiment wall times in the baseline are informational only — they
 //! depend on trial counts and machine, so only the kernel entries gate.
-//! The freshly measured report is written next to the baseline so CI can
-//! upload it as an artifact.
+//! This is the one writer of the kernel rows: the freshly measured report
+//! replaces them in the baseline file (so CI can upload it as an
+//! artifact), and a Full `run_all` rewrites only the experiment rows.
+//! Re-time the committed baseline from several standalone runs, not one.
 
 use std::process::ExitCode;
 
@@ -24,10 +26,15 @@ const BUDGET_FACTOR: f64 = 2.0;
 /// - `bulk_stress_5k`: 5× the pre-arena figure of the stress-imprint
 ///   kernel (the SoA/counter-RNG rewrite);
 /// - `erase_segment`: above anything the per-cell jitter path reaches
-///   (~4 300/s at best), so only the closed-form full erase passes.
-const KERNEL_FLOORS: [(&str, f64); 2] = [
+///   (~4 300/s at best), so only the closed-form full erase passes;
+/// - `materialize_segment`: above anything a derive that fills every
+///   statics field and sorts the scan order reaches (909–1 392/s in 12
+///   runs on a shared 2-vCPU host, where the seven-lane fill read
+///   2 122–3 165/s).
+const KERNEL_FLOORS: [(&str, f64); 3] = [
     ("kernel/bulk_stress_5k", 2_032.0),
     ("kernel/erase_segment", 10_000.0),
+    ("kernel/materialize_segment", 1_500.0),
 ];
 
 fn main() -> ExitCode {
@@ -52,8 +59,8 @@ fn main() -> ExitCode {
         }
     }
 
-    // No baseline, no gate: a missing, empty or kernel-less one fails. The
-    // Full `run_all` suite writes it.
+    // No baseline, no gate: a missing, empty or kernel-less one fails. A
+    // fresh results directory starts from a copy of the committed file.
     let baseline_path = results_dir().join("BENCH_runtime.json");
     let baseline = match RuntimeReport::load(&baseline_path) {
         Ok(b) => b,
@@ -96,8 +103,8 @@ fn main() -> ExitCode {
     }
 
     // The reverse direction is informational: a freshly added benchmark has
-    // no baseline row until the Full suite regenerates the artifact, and
-    // that must not block the PR that introduces it.
+    // no baseline row until a report with it is committed, and that must
+    // not block the PR that introduces it.
     for e in &current.entries {
         if e.name.starts_with("kernel/") && baseline.get(&e.name).is_none() {
             eprintln!(

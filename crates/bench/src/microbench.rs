@@ -137,7 +137,8 @@ pub struct RuntimeEntry {
 }
 
 /// The `BENCH_runtime.json` artifact: wall time and throughput per kernel
-/// and per experiment, written by `run_all` and compared by `perf_smoke`.
+/// and per experiment. `perf_smoke` writes the kernel rows and gates on
+/// them; a Full `run_all` writes the experiment rows.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeReport {
     /// All entries, in emission order.
@@ -248,6 +249,27 @@ impl RuntimeReport {
         Ok(Self { entries })
     }
 
+    /// The `kernel/*` rows of the report at `path`, or none when there is
+    /// no file there: what a Full suite run keeps of the baseline whose
+    /// experiment rows it rewrites.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors other than a missing file, and a malformed report.
+    pub fn load_kernel_rows(path: &Path) -> std::io::Result<Self> {
+        match Self::load(path) {
+            Ok(report) => Ok(Self {
+                entries: report
+                    .entries
+                    .into_iter()
+                    .filter(|e| e.name.starts_with("kernel/"))
+                    .collect(),
+            }),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Self::new()),
+            Err(e) => Err(e),
+        }
+    }
+
     /// Entries of `current` whose wall time regressed more than `factor`×
     /// against this baseline, restricted to names starting with `prefix`.
     /// Entries absent from the baseline are new, not regressions.
@@ -299,8 +321,8 @@ impl RuntimeReport {
 }
 
 /// Runs the segment-kernel micro-benchmarks and reports them as
-/// `kernel/*` runtime entries — the perf-smoke half of
-/// `BENCH_runtime.json`.
+/// `kernel/*` runtime entries — the half of `BENCH_runtime.json` that
+/// `perf_smoke` writes.
 ///
 /// # Panics
 ///
@@ -342,7 +364,19 @@ pub fn kernel_suite() -> RuntimeReport {
         c.program_block(seg, &pattern).expect("program");
         c
     };
+    let cells_per_segment = FlashGeometry::single_bank(2).cells_per_segment() as u64;
 
+    // The materialization those setups exclude, timed on its own: a fresh
+    // chip's first touch of a segment fills its statics lanes, as every
+    // probe's throwaway clone does for a segment the enrolled chip never
+    // wrote. It emits no `cells` counter, so its cell visits are passed
+    // explicitly.
+    let materialize = |mut c: FlashController| c.array_mut().segment(seg).len();
+    add(
+        "materialize_segment",
+        bench.bench_with_setup("materialize_segment", chip, materialize),
+        cells_per_segment,
+    );
     let read = |mut c: FlashController| c.read_block(seg).expect("read");
     add(
         "read_segment",
@@ -359,7 +393,6 @@ pub fn kernel_suite() -> RuntimeReport {
     );
     // `erase_segment` emits no `cells` counter (one would change the obs
     // artifacts), so its cell visits are passed explicitly: one segment.
-    let cells_per_segment = FlashGeometry::single_bank(2).cells_per_segment() as u64;
     let erase = |mut c: FlashController| c.erase_segment(seg).expect("erase");
     add(
         "erase_segment",
@@ -571,6 +604,28 @@ mod tests {
             regs[0]
         );
         assert!(loaded.regressions(&current, 4.0, "kernel/").is_empty());
+    }
+
+    #[test]
+    fn kernel_rows_survive_and_experiment_rows_do_not() {
+        let dir = std::env::temp_dir().join("flashmark_runtime_report");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("kept_{}.json", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        assert!(RuntimeReport::load_kernel_rows(&path)
+            .unwrap()
+            .entries
+            .is_empty());
+        let mut base = RuntimeReport::new();
+        base.push_with_ops("kernel/read_segment", 0.010, 1, Some(7));
+        base.push("experiment/fig09", 2.0, 6);
+        base.push("kernel/bulk_stress_5k", 0.020, 1);
+        base.write(&path).unwrap();
+        let kept = RuntimeReport::load_kernel_rows(&path);
+        std::fs::remove_file(&path).ok();
+        let mut want = base.clone();
+        want.entries.remove(1);
+        assert_eq!(kept.unwrap(), want);
     }
 
     #[test]

@@ -267,7 +267,7 @@ impl FlashArray {
         // seeded from the counter stream's key.
         let mut rng = SplitMix64::new(stream.key());
         for i in 0..cells.len() {
-            let statics = cells.statics_at(i);
+            let statics = cells.statics_at(params, i);
             let mut state = cells.state_at(i);
             apply_partial_program(params, &statics, &mut state, t_pp.get(), &mut rng);
             cells.set_state(i, state);
@@ -395,7 +395,7 @@ impl FlashArray {
         } = self;
         for cells in segments.values_mut() {
             for i in 0..cells.len() {
-                let statics = cells.statics_at(i);
+                let statics = cells.statics_at(params, i);
                 let mut state = cells.state_at(i);
                 apply_bake(params, &statics, &mut state, hours, temp_c);
                 cells.set_state(i, state);

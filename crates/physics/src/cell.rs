@@ -1,8 +1,7 @@
 //! Per-cell state: static process variation and dynamic threshold voltage.
 
 use crate::params::PhysicsParams;
-use crate::rng::{cell_normal, cell_uniform, Channel, SplitMix64};
-use crate::variation::Uniform;
+use crate::rng::{cell_normal, Channel, SplitMix64};
 
 /// A wear-activated early-eraser trap.
 ///
@@ -50,55 +49,19 @@ impl CellStatics {
     /// Derives the statics of cell `cell_index` on chip `chip_seed`.
     #[must_use]
     pub fn derive(params: &PhysicsParams, chip_seed: u64, cell_index: u64) -> Self {
-        let straggler_extra = if cell_uniform(chip_seed, cell_index, Channel::StragglerSelect)
-            < params.tails.straggler_prob
-        {
-            Some(
-                params.tails.straggler_max_extra
-                    * cell_uniform(chip_seed, cell_index, Channel::StragglerMagnitude),
-            )
-        } else {
-            None
-        };
-        let early = if cell_uniform(chip_seed, cell_index, Channel::EarlySelect)
-            < params.tails.early_prob_cap
-        {
-            let span = params.tails.early_activation_span_kcycles;
-            let factor = Uniform::new(params.tails.early_factor_lo, params.tails.early_factor_hi)
-                .at(cell_uniform(chip_seed, cell_index, Channel::EarlyMagnitude));
-            Some(EarlyTrap {
-                activation_kcycles: span
-                    * cell_uniform(chip_seed, cell_index, Channel::EarlyActivation),
-                factor,
-            })
-        } else {
-            None
-        };
         Self {
-            erase_z: cell_normal(chip_seed, cell_index, Channel::EraseSpeed),
-            straggler_extra,
-            early,
-            vth_erased0: params.vth_erased.at(cell_normal(
-                chip_seed,
-                cell_index,
-                Channel::VthErased,
-            )),
-            vth_prog0: params.vth_programmed.at(cell_normal(
-                chip_seed,
-                cell_index,
-                Channel::VthProgrammed,
-            )),
+            erase_z: field::erase_z(chip_seed, cell_index),
+            straggler_extra: field::straggler_extra(params, chip_seed, cell_index),
+            early: field::early(params, chip_seed, cell_index),
+            vth_erased0: field::vth_erased0(params, chip_seed, cell_index),
+            vth_prog0: field::vth_prog0(params, chip_seed, cell_index),
             prog_time_us: params.prog_full_time_us.at(cell_normal(
                 chip_seed,
                 cell_index,
                 Channel::ProgTime,
             )),
             retention_z: cell_normal(chip_seed, cell_index, Channel::Retention),
-            susceptibility: params.susceptibility.at(cell_uniform(
-                chip_seed,
-                cell_index,
-                Channel::Susceptibility,
-            )),
+            susceptibility: field::susceptibility(params, chip_seed, cell_index),
         }
     }
 
@@ -107,22 +70,108 @@ impl CellStatics {
     /// adding it in log space is exactly multiplying by `1 + extra`.
     #[must_use]
     pub fn ln_straggler(&self) -> f64 {
-        self.straggler_extra.map_or(0.0, |extra| (1.0 + extra).ln())
+        field::ln_straggler(self.straggler_extra)
     }
 
     /// Early-trap activation threshold in kcycles, or `+∞` for cells without
     /// a trap (an infinite threshold never activates — branch-free lanes).
     #[must_use]
     pub fn early_activation_kcycles(&self) -> f64 {
-        self.early
-            .map_or(f64::INFINITY, |trap| trap.activation_kcycles)
+        field::early_activation_kcycles(self.early)
     }
 
     /// Log-domain early-trap speedup: `ln(factor)`, or `0.0` for cells
     /// without a trap.
     #[must_use]
     pub fn ln_early_factor(&self) -> f64 {
-        self.early.map_or(0.0, |trap| trap.factor.ln())
+        field::ln_early_factor(self.early)
+    }
+}
+
+/// One formula per statics field that a cell kernel reads, and one per
+/// lane encoding. [`CellStatics::derive`] and the arena's lane fill
+/// ([`crate::arena::CellArena::derive`]) both call these, so the channel
+/// logic has a single copy. `#[inline]` keeps the draws inside the fill
+/// loop: marked `#[inline(never)]`, they made it ~1.4× slower.
+pub(crate) mod field {
+    use super::EarlyTrap;
+    use crate::params::PhysicsParams;
+    use crate::rng::{cell_normal, cell_uniform, Channel};
+    use crate::variation::Uniform;
+
+    /// Standard-normal erase-speed deviate.
+    #[inline]
+    pub(crate) fn erase_z(chip_seed: u64, cell: u64) -> f64 {
+        cell_normal(chip_seed, cell, Channel::EraseSpeed)
+    }
+
+    /// Straggler slowdown `extra`, for the selected minority of cells.
+    #[inline]
+    pub(crate) fn straggler_extra(
+        params: &PhysicsParams,
+        chip_seed: u64,
+        cell: u64,
+    ) -> Option<f64> {
+        (cell_uniform(chip_seed, cell, Channel::StragglerSelect) < params.tails.straggler_prob)
+            .then(|| {
+                params.tails.straggler_max_extra
+                    * cell_uniform(chip_seed, cell, Channel::StragglerMagnitude)
+            })
+    }
+
+    /// Early-eraser trap, for the selected minority of cells.
+    #[inline]
+    pub(crate) fn early(params: &PhysicsParams, chip_seed: u64, cell: u64) -> Option<EarlyTrap> {
+        (cell_uniform(chip_seed, cell, Channel::EarlySelect) < params.tails.early_prob_cap).then(
+            || EarlyTrap {
+                activation_kcycles: params.tails.early_activation_span_kcycles
+                    * cell_uniform(chip_seed, cell, Channel::EarlyActivation),
+                factor: Uniform::new(params.tails.early_factor_lo, params.tails.early_factor_hi)
+                    .at(cell_uniform(chip_seed, cell, Channel::EarlyMagnitude)),
+            },
+        )
+    }
+
+    /// Fresh erased-state threshold voltage (V).
+    #[inline]
+    pub(crate) fn vth_erased0(params: &PhysicsParams, chip_seed: u64, cell: u64) -> f64 {
+        params
+            .vth_erased
+            .at(cell_normal(chip_seed, cell, Channel::VthErased))
+    }
+
+    /// Programmed-state threshold voltage (V).
+    #[inline]
+    pub(crate) fn vth_prog0(params: &PhysicsParams, chip_seed: u64, cell: u64) -> f64 {
+        params
+            .vth_programmed
+            .at(cell_normal(chip_seed, cell, Channel::VthProgrammed))
+    }
+
+    #[inline]
+    pub(crate) fn susceptibility(params: &PhysicsParams, chip_seed: u64, cell: u64) -> f64 {
+        params
+            .susceptibility
+            .at(cell_uniform(chip_seed, cell, Channel::Susceptibility))
+    }
+
+    /// Lane encoding of [`CellStatics::ln_straggler`](super::CellStatics::ln_straggler).
+    #[inline]
+    pub(crate) fn ln_straggler(straggler_extra: Option<f64>) -> f64 {
+        straggler_extra.map_or(0.0, |extra| (1.0 + extra).ln())
+    }
+
+    /// Lane encoding of
+    /// [`CellStatics::early_activation_kcycles`](super::CellStatics::early_activation_kcycles).
+    #[inline]
+    pub(crate) fn early_activation_kcycles(early: Option<EarlyTrap>) -> f64 {
+        early.map_or(f64::INFINITY, |trap| trap.activation_kcycles)
+    }
+
+    /// Lane encoding of [`CellStatics::ln_early_factor`](super::CellStatics::ln_early_factor).
+    #[inline]
+    pub(crate) fn ln_early_factor(early: Option<EarlyTrap>) -> f64 {
+        early.map_or(0.0, |trap| trap.factor.ln())
     }
 }
 

@@ -229,6 +229,31 @@ proptest! {
             prop_assert_eq!(lane.wear_cycles()[i].to_bits(), scalar.wear_cycles()[i].to_bits());
         }
     }
+
+    /// The frontier-pruned multi-pair kernel equals the scalar reference
+    /// pair by pair, on arenas up to a full segment, under random stress
+    /// masks (all-stressed and all-spared included) and random schedules
+    /// of 1–17 wear pairs.
+    #[test]
+    fn arena_max_ln_t_cross_multi_matches_scalar(
+        seed in any::<u64>(),
+        n in 1usize..4097,
+        mask_seed in any::<u64>(),
+        stressed_share in prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0],
+        wears in proptest::collection::vec(0.0f64..140_000.0, 2..36),
+    ) {
+        let p = params();
+        let a = CellArena::derive(&p, seed, 128, n);
+        let mut rng = SplitMix64::new(mask_seed);
+        let mask: Vec<bool> = (0..n).map(|_| rng.next_f64() < stressed_share).collect();
+        let pairs: Vec<(f64, f64)> = wears.chunks_exact(2).map(|w| (w[0], w[1])).collect();
+        let multi = a.max_ln_t_cross_multi(&p, &mut cache(&p), &mask, &pairs);
+        prop_assert_eq!(multi.len(), pairs.len());
+        for (&got, &(sw, pw)) in multi.iter().zip(&pairs) {
+            let want = reference::max_ln_t_cross(&a, &p, &mut cache(&p), &mask, sw, pw);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "stressed {} spared {}", sw, pw);
+        }
+    }
 }
 
 proptest! {

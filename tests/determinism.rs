@@ -39,7 +39,7 @@ fn different_seed_different_raw_channel_noise() {
 /// The committed `results/` files that the Smoke suite does not write,
 /// because another writer owns them.
 const OTHER_WRITERS: [&str; 5] = [
-    "BENCH_runtime.json",    // the Full suite and perf_smoke
+    "BENCH_runtime.json",    // perf_smoke; a Full suite adds the experiment rows
     "service_campaign.json", // the service_campaign bin
     "service_metrics.prom",  // the service_campaign bin
     "registry_golden.log",   // the registry golden-schema test
