@@ -2,7 +2,9 @@
 //! `kernel/*` entry regresses more than 2× against the committed
 //! `results/BENCH_runtime.json` baseline, if a baseline kernel is missing
 //! from the current run entirely, or if the baseline itself is missing,
-//! unreadable or holds no `kernel/*` entry.
+//! unreadable or holds no `kernel/*` entry. Each entry is the median of
+//! ten samples, taken round-robin across the kernels, so one burst of
+//! host load cannot fill a kernel's median.
 //!
 //! Experiment wall times in the baseline are informational only — they
 //! depend on trial counts and machine, so only the kernel entries gate.
@@ -30,11 +32,20 @@ const BUDGET_FACTOR: f64 = 2.0;
 /// - `materialize_segment`: above anything a derive that fills every
 ///   statics field and sorts the scan order reaches (909–1 392/s in 12
 ///   runs on a shared 2-vCPU host, where the seven-lane fill read
-///   2 122–3 165/s).
-const KERNEL_FLOORS: [(&str, f64); 3] = [
+///   2 122–3 165/s);
+/// - `read_segment`, `program_segment` and `partial_erase`: above the
+///   best the kernels with an out-of-line inverse-CDF call per draw, a
+///   libm `round` per memo lookup and a draw per read bit reach, and
+///   below the worst of the call-free kernels (14 runs a side, alternated
+///   on a shared 2-vCPU host: 18 044, 11 575 and 3 472/s at best before;
+///   88 558, 14 315 and 3 595/s at worst after).
+const KERNEL_FLOORS: [(&str, f64); 6] = [
     ("kernel/bulk_stress_5k", 2_032.0),
     ("kernel/erase_segment", 10_000.0),
     ("kernel/materialize_segment", 1_500.0),
+    ("kernel/read_segment", 40_000.0),
+    ("kernel/program_segment", 12_500.0),
+    ("kernel/partial_erase", 3_500.0),
 ];
 
 fn main() -> ExitCode {

@@ -3,7 +3,8 @@
 //!
 //! Bench targets keep `harness = false` and drive [`Bench`] from `main`.
 //! The runner warms up, then takes per-iteration wall-clock samples and
-//! reports min/median/mean. Wall-clock use is confined to this module,
+//! reports min/median/mean; [`Bench::round_robin`] takes the samples of
+//! several benchmarks in turn. Wall-clock use is confined to this module,
 //! `suite.rs` and the `service_campaign` bin: `clippy.toml` bans the
 //! `std::time` types everywhere else, where a clock read would corrupt a
 //! deterministic artifact.
@@ -29,6 +30,42 @@ pub struct Bench {
     group: String,
     samples: usize,
     min_iters: u64,
+}
+
+/// The shortest sample of [`Bench::bench_with_setup`].
+const MIN_SAMPLE: Duration = Duration::from_micros(200);
+
+/// The shortest sample of [`Bench::round_robin`]: long enough that a
+/// burst of host load spreads over several benchmarks' samples instead of
+/// filling one benchmark's median.
+const ROUND_ROBIN_SAMPLE: Duration = Duration::from_millis(2);
+
+/// One benchmark of a [`Bench::round_robin`] run, made by [`Bench::case`].
+pub struct Case<'a> {
+    name: String,
+    sample: Box<dyn FnMut(u64, Duration) -> f64 + 'a>,
+}
+
+/// Times iterations of `f`, each after an untimed `setup`, until there are
+/// at least `min_iters` of them and `min_time` has passed; returns seconds
+/// per iteration.
+fn sample<S, R>(
+    setup: &mut impl FnMut() -> S,
+    f: &mut impl FnMut(S) -> R,
+    min_iters: u64,
+    min_time: Duration,
+) -> f64 {
+    let mut elapsed = Duration::ZERO;
+    let mut iters = 0u64;
+    while iters < min_iters || elapsed < min_time {
+        let input = setup();
+        let t0 = Instant::now();
+        let out = f(input);
+        elapsed += t0.elapsed();
+        std::hint::black_box(out);
+        iters += 1;
+    }
+    elapsed.as_secs_f64() / iters as f64
 }
 
 /// Statistics of one benchmark function.
@@ -75,21 +112,53 @@ impl Bench {
         let input = setup();
         let _ = f(input);
 
-        let mut per_iter = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let mut elapsed = Duration::ZERO;
-            let mut iters = 0u64;
-            // Accumulate until the sample is long enough to time reliably.
-            while iters < self.min_iters || elapsed < Duration::from_micros(200) {
-                let input = setup();
-                let t0 = Instant::now();
-                let out = f(input);
-                elapsed += t0.elapsed();
-                std::hint::black_box(out);
-                iters += 1;
-            }
-            per_iter.push(elapsed.as_secs_f64() / iters as f64);
+        // Accumulate each sample until it is long enough to time reliably.
+        let per_iter = (0..self.samples)
+            .map(|_| sample(&mut setup, &mut f, self.min_iters, MIN_SAMPLE))
+            .collect();
+        self.report(name, per_iter)
+    }
+
+    /// A benchmark for [`Self::round_robin`]: `f`, timed with `setup` run
+    /// outside the timed region before every iteration.
+    pub fn case<'a, S, R>(
+        name: &str,
+        mut setup: impl FnMut() -> S + 'a,
+        mut f: impl FnMut(S) -> R + 'a,
+    ) -> Case<'a> {
+        Case {
+            name: name.to_string(),
+            sample: Box::new(move |min_iters, min_time| {
+                sample(&mut setup, &mut f, min_iters, min_time)
+            }),
         }
+    }
+
+    /// Times every case, taking the samples round-robin: one sample of
+    /// each case in turn, then the next round. A burst of host load then
+    /// lands on one sample of several cases, not on every sample of one,
+    /// and each case's median stays put. Each case warms up with one
+    /// untimed iteration first. Returns the statistics in case order.
+    pub fn round_robin(&self, cases: &mut [Case<'_>]) -> Vec<BenchStats> {
+        for case in cases.iter_mut() {
+            (case.sample)(1, Duration::ZERO);
+        }
+        let mut per_iter = vec![Vec::with_capacity(self.samples); cases.len()];
+        for _ in 0..self.samples {
+            for (case, samples) in cases.iter_mut().zip(&mut per_iter) {
+                samples.push((case.sample)(self.min_iters, ROUND_ROBIN_SAMPLE));
+            }
+        }
+        cases
+            .iter()
+            .zip(per_iter)
+            .map(|(case, samples)| self.report(&case.name, samples))
+            .collect()
+    }
+
+    /// The statistics of one benchmark's samples (seconds per iteration),
+    /// printed as one line.
+    fn report(&self, name: &str, mut per_iter: Vec<f64>) -> BenchStats {
         per_iter.sort_by(f64::total_cmp);
         let stats = BenchStats {
             min_s: per_iter[0],
@@ -322,7 +391,8 @@ impl RuntimeReport {
 
 /// Runs the segment-kernel micro-benchmarks and reports them as
 /// `kernel/*` runtime entries — the half of `BENCH_runtime.json` that
-/// `perf_smoke` writes.
+/// `perf_smoke` writes. The kernels are sampled round-robin
+/// ([`Bench::round_robin`]), ten samples of at least 2 ms each.
 ///
 /// # Panics
 ///
@@ -336,7 +406,6 @@ impl RuntimeReport {
 pub fn kernel_suite() -> RuntimeReport {
     const ENQUEUE_REQUESTS: u64 = 4096;
     const DRAIN_REQUESTS: u64 = 32;
-    let bench = Bench::new("kernel").samples(10);
     let seg = SegmentAddr::new(0);
     let chip = || {
         FlashController::new(
@@ -347,10 +416,8 @@ pub fn kernel_suite() -> RuntimeReport {
         )
     };
     let pattern: Vec<u16> = (0..256u32).map(|w| (w as u16).rotate_left(3)).collect();
-    let mut report = RuntimeReport::new();
-    let mut add = |name: &str, stats: BenchStats, ops: u64| {
-        report.push_with_ops(&format!("kernel/{name}"), stats.median_s, 1, Some(ops));
-    };
+    // Each row: its case and its per-iteration cell visits.
+    let mut rows: Vec<(Case<'_>, u64)> = Vec::new();
     // Setups pre-touch the segment: lazily materializing a segment's cell
     // arena is a one-time per-chip derivation, not part of the kernel under
     // test, so it runs in the untimed setup like the rest of the fixture.
@@ -372,54 +439,60 @@ pub fn kernel_suite() -> RuntimeReport {
     // wrote. It emits no `cells` counter, so its cell visits are passed
     // explicitly.
     let materialize = |mut c: FlashController| c.array_mut().segment(seg).len();
-    add(
-        "materialize_segment",
-        bench.bench_with_setup("materialize_segment", chip, materialize),
+    rows.push((
+        Bench::case("materialize_segment", chip, materialize),
         cells_per_segment,
-    );
+    ));
     let read = |mut c: FlashController| c.read_block(seg).expect("read");
-    add(
-        "read_segment",
-        bench.bench_with_setup("read_segment", programmed, read),
+    rows.push((
+        Bench::case("read_segment", programmed, read),
         traced_ops(programmed, read),
-    );
+    ));
+    // A read of a segment caught mid-erase, as every extraction rung and
+    // wear probe reads it: after a 20.5 µs partial erase about half the
+    // cells sit within the read noise of `vref` and take a noise draw,
+    // where a programmed segment's cells take none.
+    let part_erased = || {
+        let mut c = programmed();
+        c.partial_erase(seg, Micros::new(20.5)).expect("erase");
+        c
+    };
+    rows.push((
+        Bench::case("read_partial", part_erased, read),
+        traced_ops(part_erased, read),
+    ));
     let program = |mut c: FlashController| {
         c.program_block(seg, &pattern).expect("program");
     };
-    add(
-        "program_segment",
-        bench.bench_with_setup("program_segment", touched, program),
+    rows.push((
+        Bench::case("program_segment", touched, program),
         traced_ops(touched, program),
-    );
+    ));
     // `erase_segment` emits no `cells` counter (one would change the obs
     // artifacts), so its cell visits are passed explicitly: one segment.
     let erase = |mut c: FlashController| c.erase_segment(seg).expect("erase");
-    add(
-        "erase_segment",
-        bench.bench_with_setup("erase_segment", programmed, erase),
+    rows.push((
+        Bench::case("erase_segment", programmed, erase),
         cells_per_segment,
-    );
+    ));
     let partial = |mut c: FlashController| c.partial_erase(seg, Micros::new(30.0)).expect("erase");
-    add(
-        "partial_erase",
-        bench.bench_with_setup("partial_erase", programmed, partial),
+    rows.push((
+        Bench::case("partial_erase", programmed, partial),
         traced_ops(programmed, partial),
-    );
+    ));
     let until_clean = |mut c: FlashController| c.erase_until_clean(seg).expect("erase");
-    add(
-        "erase_until_clean",
-        bench.bench_with_setup("erase_until_clean", programmed, until_clean),
+    rows.push((
+        Bench::case("erase_until_clean", programmed, until_clean),
         traced_ops(programmed, until_clean),
-    );
+    ));
     let bulk = |mut c: FlashController| {
         c.bulk_imprint(seg, &pattern, 5_000, ImprintTiming::Accelerated)
             .expect("stress")
     };
-    add(
-        "bulk_stress_5k",
-        bench.bench_with_setup("bulk_stress_5k", touched, bulk),
+    rows.push((
+        Bench::case("bulk_stress_5k", touched, bulk),
         traced_ops(touched, bulk),
-    );
+    ));
 
     // ReRAM kernels: the forming-pass imprint (the backend's decisive cost
     // advantage — one pass regardless of stress level) and the partial
@@ -432,11 +505,10 @@ pub fn kernel_suite() -> RuntimeReport {
     let form = |mut c: flashmark_reram::ReramChip| {
         c.form_mark(seg, &pattern, 5_000).expect("form");
     };
-    add(
-        "reram_form_mark_5k",
-        bench.bench_with_setup("reram_form_mark_5k", reram, form),
+    rows.push((
+        Bench::case("reram_form_mark_5k", reram, form),
         traced_ops(reram, form),
-    );
+    ));
     let reram_set = || {
         let mut c = reram();
         c.set_block(seg, &pattern).expect("set");
@@ -445,11 +517,10 @@ pub fn kernel_suite() -> RuntimeReport {
     let reset = |mut c: flashmark_reram::ReramChip| {
         c.partial_reset(seg, Micros::new(30.0)).expect("reset");
     };
-    add(
-        "reram_partial_reset",
-        bench.bench_with_setup("reram_partial_reset", reram_set, reset),
+    rows.push((
+        Bench::case("reram_partial_reset", reram_set, reset),
         traced_ops(reram_set, reset),
-    );
+    ));
 
     // Service-path kernels. Ops are passed explicitly instead of via
     // `traced_ops`: the service installs its own per-request collectors, so
@@ -479,11 +550,10 @@ pub fn kernel_suite() -> RuntimeReport {
         }
         assert_eq!(svc.drain().len() as u64, ENQUEUE_REQUESTS);
     };
-    add(
-        "service_enqueue",
-        bench.bench_with_setup("service_enqueue", service, enqueue),
+    rows.push((
+        Bench::case("service_enqueue", service, enqueue),
         ENQUEUE_REQUESTS,
-    );
+    ));
     let drained = || {
         let svc = service();
         let handle = svc.handle();
@@ -499,11 +569,22 @@ pub fn kernel_suite() -> RuntimeReport {
         let report = svc.serve_drained(1).expect("serve");
         assert_eq!(report.recorded, DRAIN_REQUESTS);
     };
-    add(
-        "service_shard_drain",
-        bench.bench_with_setup("service_shard_drain", drained, drain),
+    rows.push((
+        Bench::case("service_shard_drain", drained, drain),
         DRAIN_REQUESTS,
-    );
+    ));
+
+    let (mut cases, ops): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+    let stats = Bench::new("kernel").samples(10).round_robin(&mut cases);
+    let mut report = RuntimeReport::new();
+    for ((case, stats), ops) in cases.iter().zip(stats).zip(ops) {
+        report.push_with_ops(
+            &format!("kernel/{}", case.name),
+            stats.median_s,
+            1,
+            Some(ops),
+        );
+    }
     report
 }
 
@@ -554,6 +635,29 @@ mod tests {
         assert!(s.min_s > 0.0);
         assert!(s.min_s <= s.median_s);
         assert!(s.median_s <= s.mean_s * 3.0);
+    }
+
+    #[test]
+    fn round_robin_reports_each_case_in_order() {
+        let spin = |n: u64| {
+            move |()| {
+                let mut acc = 0u64;
+                for i in 0..n {
+                    acc = acc.wrapping_add(std::hint::black_box(i));
+                }
+                acc
+            }
+        };
+        let mut cases = [
+            Bench::case("slow", || (), spin(20_000)),
+            Bench::case("fast", || (), spin(200)),
+        ];
+        let stats = Bench::new("test").samples(3).round_robin(&mut cases);
+        assert_eq!(stats.len(), 2);
+        for s in &stats {
+            assert!(s.min_s > 0.0 && s.min_s <= s.median_s);
+        }
+        assert!(stats[0].median_s > stats[1].median_s, "{stats:?}");
     }
 
     #[test]

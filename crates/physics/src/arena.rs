@@ -36,21 +36,34 @@
 //! Randomness inside kernels comes from counter-based streams
 //! ([`CounterStream`]): every deviate is a pure function of
 //! `(seed, cell_index, draw)`, so lanes need no serial generator state and
-//! any subset of cells can be replayed in any order.
+//! any subset of cells can be replayed in any order. The kernels that draw
+//! normals make no call per draw: the exact erase pulse and the statics
+//! fill stack a `CHUNK` of uniforms and turn them into deviates with one
+//! batched inverse CDF, `program_word` does the same for its 16 bits, and
+//! `sense_word` draws only the bits whose cells sit within the read
+//! noise's reach of `vref`. Dropped arenas hand their lanes to a bounded
+//! per-thread free list that the next clone copies into.
 
 use std::sync::Arc;
 
 use crate::cell::{field, CellState, CellStatics};
 use crate::erase::{ln_t_cross, wear_bucket, EraseDistCache};
-use crate::noise::PulseNoise;
+use crate::noise::{PulseNoise, Z_BOUND};
 use crate::params::PhysicsParams;
 use crate::program::PROG_OP_NOISE_SIGMA;
-use crate::rng::CounterStream;
+use crate::rng::{cell_uniform, Channel, CounterStream};
+use crate::variation::inverse_normal_cdf_batch;
 
 /// Lane width of the chunked kernels (8 × `f64` = one 512-bit row, two
 /// AVX2 registers — wide enough to keep the autovectorizer busy, small
 /// enough that the scalar tail stays cheap).
 pub const LANES: usize = 8;
+
+/// Cells per chunk of the kernels that draw normal deviates (the exact
+/// erase pulse and the statics fill): each chunk's uniforms sit in a stack
+/// array, and one [`inverse_normal_cdf_batch`] turns them into deviates.
+/// 64 cells keep every chunk array within 512 bytes.
+pub(crate) const CHUNK: usize = 64;
 
 /// Pruning margin (in log-time units) for the frontier fast path of
 /// [`CellArena::max_ln_t_cross_multi`]: a cell is discarded only when a kept
@@ -93,7 +106,14 @@ struct Statics {
 impl Statics {
     /// Fills the lanes in one pass over the cells, through the same
     /// per-field formulas as [`CellStatics::derive`]; the fields no kernel
-    /// reads (`prog_time_us`, `retention_z`) are never drawn.
+    /// reads (`prog_time_us`, `retention_z`) are never drawn. The pass runs
+    /// a [`CHUNK`] of cells at a time: one loop fills the uniform-drawn
+    /// lanes and stacks the uniforms of the three normal deviates
+    /// (`erase_z`, `vth_erased0`, `vth_prog0`; the channels of
+    /// [`field::erase_z`], [`field::vth_erased0`] and [`field::vth_prog0`]),
+    /// which three [`inverse_normal_cdf_batch`] calls then turn into the
+    /// lanes. Every draw of a cell shares the `mix2(chip_seed, cell)`
+    /// prefix, so the one loop hashes it once.
     fn derive(params: &PhysicsParams, chip_seed: u64, base_cell: u64, n: usize) -> Self {
         let mut erase_z = vec![0.0; n];
         let mut ln_straggler = vec![0.0; n];
@@ -102,16 +122,33 @@ impl Statics {
         let mut vth_erased0 = vec![0.0; n];
         let mut vth_prog0 = vec![0.0; n];
         let mut susceptibility = vec![0.0; n];
-        for i in 0..n {
-            let cell = base_cell + i as u64;
-            let early = field::early(params, chip_seed, cell);
-            erase_z[i] = field::erase_z(chip_seed, cell);
-            ln_straggler[i] = field::ln_straggler(field::straggler_extra(params, chip_seed, cell));
-            early_activation[i] = field::early_activation_kcycles(early);
-            ln_early_factor[i] = field::ln_early_factor(early);
-            vth_erased0[i] = field::vth_erased0(params, chip_seed, cell);
-            vth_prog0[i] = field::vth_prog0(params, chip_seed, cell);
-            susceptibility[i] = field::susceptibility(params, chip_seed, cell);
+        let mut uniforms = [[0.0; CHUNK]; 3];
+        for start in (0..n).step_by(CHUNK) {
+            let len = CHUNK.min(n - start);
+            for (j, i) in (start..start + len).enumerate() {
+                let cell = base_cell + i as u64;
+                let early = field::early(params, chip_seed, cell);
+                uniforms[0][j] = cell_uniform(chip_seed, cell, Channel::EraseSpeed);
+                ln_straggler[i] =
+                    field::ln_straggler(field::straggler_extra(params, chip_seed, cell));
+                early_activation[i] = field::early_activation_kcycles(early);
+                ln_early_factor[i] = field::ln_early_factor(early);
+                uniforms[1][j] = cell_uniform(chip_seed, cell, Channel::VthErased);
+                uniforms[2][j] = cell_uniform(chip_seed, cell, Channel::VthProgrammed);
+                susceptibility[i] = field::susceptibility(params, chip_seed, cell);
+            }
+            let lanes = start..start + len;
+            inverse_normal_cdf_batch(&uniforms[0][..len], &mut erase_z[lanes.clone()]);
+            let vth_erased0 = &mut vth_erased0[lanes.clone()];
+            inverse_normal_cdf_batch(&uniforms[1][..len], vth_erased0);
+            for v in vth_erased0 {
+                *v = field::vth_erased0(params, *v);
+            }
+            let vth_prog0 = &mut vth_prog0[lanes];
+            inverse_normal_cdf_batch(&uniforms[2][..len], vth_prog0);
+            for v in vth_prog0 {
+                *v = field::vth_prog0(params, *v);
+            }
         }
         let lane_max = |lane: &[f64], init: f64| lane.iter().fold(init, |acc, &v| acc.max(v));
         Self {
@@ -148,6 +185,22 @@ impl Statics {
             + self.max_ln_early_factor.max(0.0)
             + CEILING_MARGIN)
             .exp()
+    }
+}
+
+impl Drop for Statics {
+    fn drop(&mut self) {
+        for lane in [
+            &mut self.erase_z,
+            &mut self.ln_straggler,
+            &mut self.early_activation,
+            &mut self.ln_early_factor,
+            &mut self.vth_erased0,
+            &mut self.vth_prog0,
+            &mut self.susceptibility,
+        ] {
+            pool::recycle(std::mem::take(lane));
+        }
     }
 }
 
@@ -225,13 +278,33 @@ pub struct CellArena {
 /// shared [`Statics`] as an argument: two distinct reference arguments tell
 /// the compiler a write to the state cannot move the statics lanes, so it
 /// keeps their bounds in registers instead of reloading them per cell.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct State {
     vth: Vec<f64>,
     wear_cycles: Vec<f64>,
     // --- crossing-time memo: key = (bucket << 1) | trap_active ---
     t_cross_key: Vec<u64>,
     t_cross_val: Vec<f64>,
+}
+
+impl Clone for State {
+    fn clone(&self) -> Self {
+        Self {
+            vth: pool::copied(&self.vth),
+            wear_cycles: pool::copied(&self.wear_cycles),
+            t_cross_key: pool::copied(&self.t_cross_key),
+            t_cross_val: pool::copied(&self.t_cross_val),
+        }
+    }
+}
+
+impl Drop for State {
+    fn drop(&mut self) {
+        pool::recycle(std::mem::take(&mut self.vth));
+        pool::recycle(std::mem::take(&mut self.wear_cycles));
+        pool::recycle(std::mem::take(&mut self.t_cross_key));
+        pool::recycle(std::mem::take(&mut self.t_cross_val));
+    }
 }
 
 impl CellArena {
@@ -536,6 +609,11 @@ impl CellArena {
     /// and the memo. Any cell the bound does not settle, and every pulse
     /// with `floor < t_ub` (partial erases, erase-until-clean polls), takes
     /// the exact step.
+    ///
+    /// The exact pulse runs a `CHUNK` of cells at a time in three passes:
+    /// the jitter (hash, one batched inverse CDF, `exp`, the multiplication
+    /// by `temp_factor`), the memo, then the step over pre-sliced lanes,
+    /// whose divisions vectorize.
     pub fn erase_pulse(
         &mut self,
         params: &PhysicsParams,
@@ -558,14 +636,16 @@ impl CellArena {
                 if !state.erase_cell_closed_form(s, i, floor, t_ub, &pass) {
                     let eff =
                         pulse.effective_us(params, base_cell + i as u64, nominal_us) * temp_factor;
-                    all_done &= state.erase_cell(s, i, eff, &pass);
+                    all_done &= state.erase_chunk(s, i, &[eff], &pass);
                 }
             }
         } else {
-            for i in 0..n {
-                let eff =
-                    pulse.effective_us(params, base_cell + i as u64, nominal_us) * temp_factor;
-                all_done &= state.erase_cell(s, i, eff, &pass);
+            let mut eff = [0.0; CHUNK];
+            for start in (0..n).step_by(CHUNK) {
+                let eff = &mut eff[..CHUNK.min(n - start)];
+                let first_cell = base_cell + start as u64;
+                pulse.effective_us_chunk(params, first_cell, nominal_us, temp_factor, eff);
+                all_done &= state.erase_chunk(s, start, eff, &pass);
             }
         }
         all_done
@@ -586,16 +666,37 @@ impl CellArena {
     /// Senses one 16-bit word starting at cell offset `offset`; bit `b`
     /// reads 1 when cell `offset + b` conducts under a fresh noise draw
     /// (`stream` draw index = bit index).
+    ///
+    /// Bit-identical to drawing every bit (see [`reference::sense_word`]),
+    /// but only the bits in the noise band are drawn. Every deviate lies
+    /// inside `±Z_BOUND` (9), and IEEE `*` and `+` are monotone, so
+    /// `σ·z ∈ [−|σ|·9, |σ|·9]`: a cell with `vth + |σ|·9 < vref` reads 1
+    /// under any draw, and one with `vth − |σ|·9 ≥ vref` reads 0. A NaN
+    /// `vth` or `σ` fails both tests and takes the draw. On a programmed
+    /// segment no bit is in the band.
     #[must_use]
     pub fn sense_word(&self, params: &PhysicsParams, offset: usize, stream: &CounterStream) -> u16 {
         let vref = params.vref.get();
         let sigma = params.read_noise_sigma;
+        let reach = sigma.abs() * Z_BOUND;
+        let vth = &self.state.vth[offset..offset + WORD_BITS];
         let mut value = 0u16;
-        for bit in 0..WORD_BITS {
-            let noise = sigma * stream.normal(bit as u64);
-            if self.state.vth[offset + bit] + noise < vref {
-                value |= 1 << bit;
-            }
+        let mut band = 0u16;
+        for (bit, &v) in vth.iter().enumerate() {
+            let one = v + reach < vref;
+            let zero = v - reach >= vref;
+            value |= u16::from(one) << bit;
+            band |= u16::from(!one && !zero) << bit;
+        }
+        // Walk the in-band bits by their mask. `word_normal` takes each
+        // draw's index salt from a table: hashing the index in the loop
+        // made a read with 92 % of its cells in band ~30 % slower than
+        // drawing every bit.
+        while band != 0 {
+            let bit = band.trailing_zeros();
+            band &= band - 1;
+            let noise = sigma * stream.word_normal(bit);
+            value |= u16::from(vth[bit as usize] + noise < vref) << bit;
         }
         value
     }
@@ -690,25 +791,47 @@ impl State {
         true
     }
 
-    /// One cell of the exact erase kernel: lane replication of
-    /// [`apply_erase_cached`](crate::erase::apply_erase_cached) for an
-    /// effective pulse of `eff` µs. Returns whether the cell completed.
+    /// The exact erase kernel over the cells `start..start + eff.len()`
+    /// (at most [`CHUNK`]) under effective pulses of `eff` µs: lane
+    /// replication of [`apply_erase_cached`](crate::erase::apply_erase_cached).
+    /// The memo pass reads every crossing time first, so the step pass is
+    /// straight-line arithmetic over pre-sliced lanes. Returns whether
+    /// every cell completed.
     #[inline(always)]
-    fn erase_cell(&mut self, s: &Statics, i: usize, eff: f64, pass: &ErasePass<'_>) -> bool {
-        let wear = self.wear_cycles[i];
-        let t_cross = self.memo_t_cross(s, i, wear, pass);
-        // Linear descent toward the wear-shifted erased level.
-        let keff = (wear / 1000.0) * s.susceptibility[i];
-        let vth_prog = s.vth_prog0[i] + pass.p_shift * keff;
-        let vth_end = s.vth_erased0[i] + pass.e_shift * keff;
-        let t_full = pass.t_full(t_cross, vth_prog, vth_end);
-        let vth = self.vth[i];
-        let slope = (vth_prog - vth_end).max(0.0) / t_full;
-        let new_vth = (vth - slope * eff).max(vth_end);
-        let fraction = (eff / t_full).min(1.0);
-        self.wear_cycles[i] = wear + pass.weight(vth) * fraction;
-        self.vth[i] = new_vth;
-        new_vth <= vth_end + 1e-12
+    fn erase_chunk(
+        &mut self,
+        s: &Statics,
+        start: usize,
+        eff: &[f64],
+        pass: &ErasePass<'_>,
+    ) -> bool {
+        let len = eff.len();
+        let mut t_cross = [0.0; CHUNK];
+        let t_cross = &mut t_cross[..len];
+        for (i, t) in (start..).zip(t_cross.iter_mut()) {
+            *t = self.memo_t_cross(s, i, self.wear_cycles[i], pass);
+        }
+        let lanes = start..start + len;
+        let vth = &mut self.vth[lanes.clone()];
+        let wear = &mut self.wear_cycles[lanes.clone()];
+        let susceptibility = &s.susceptibility[lanes.clone()];
+        let vth_prog0 = &s.vth_prog0[lanes.clone()];
+        let vth_erased0 = &s.vth_erased0[lanes];
+        let mut done = true;
+        for j in 0..len {
+            // Linear descent toward the wear-shifted erased level.
+            let keff = (wear[j] / 1000.0) * susceptibility[j];
+            let vth_prog = vth_prog0[j] + pass.p_shift * keff;
+            let vth_end = vth_erased0[j] + pass.e_shift * keff;
+            let t_full = pass.t_full(t_cross[j], vth_prog, vth_end);
+            let slope = (vth_prog - vth_end).max(0.0) / t_full;
+            let new_vth = (vth[j] - slope * eff[j]).max(vth_end);
+            let fraction = (eff[j] / t_full).min(1.0);
+            wear[j] += pass.weight(vth[j]) * fraction;
+            vth[j] = new_vth;
+            done &= new_vth <= vth_end + 1e-12;
+        }
+        done
     }
 
     /// Cell `i`'s crossing time at `wear`, through the memo: `t_cross` is a
@@ -738,7 +861,9 @@ impl State {
         t
     }
 
-    /// [`CellArena::program_word`] over the state lanes.
+    /// [`CellArena::program_word`] over the state lanes. The word's 16
+    /// deviates are drawn in one [`inverse_normal_cdf_batch`] (a deviate
+    /// of a bit left at 1 goes unused), then each 0 bit is programmed.
     fn program_word(
         &mut self,
         s: &Statics,
@@ -750,21 +875,28 @@ impl State {
         let p_shift = params.programmed_vth_shift_per_kcycle;
         let e_shift = params.erased_vth_shift_per_kcycle;
         let w_prog = params.wear.program;
-        for bit in 0..WORD_BITS {
-            if value & (1 << bit) == 0 {
-                let i = offset + bit;
-                // Lane replication of `apply_program_with_z` — exact formula
-                // parity, including the `(wear / 1000.0) * susceptibility`
-                // grouping of the effective wear.
-                let keff = (self.wear_cycles[i] / 1000.0) * s.susceptibility[i];
-                let vth_prog = s.vth_prog0[i] + p_shift * keff;
-                let vth_erased = s.vth_erased0[i] + e_shift * keff;
-                let target = vth_prog + PROG_OP_NOISE_SIGMA * stream.normal(bit as u64);
-                let span = (vth_prog - vth_erased).max(1e-9);
-                let injected = ((target - self.vth[i]) / span).clamp(0.0, 1.0);
-                self.wear_cycles[i] += w_prog * injected;
-                self.vth[i] = self.vth[i].max(target);
-            }
+        let mut uniforms = [0.0; WORD_BITS];
+        for (draw, u) in (0..).zip(uniforms.iter_mut()) {
+            *u = stream.uniform(draw);
+        }
+        let mut z = [0.0; WORD_BITS];
+        inverse_normal_cdf_batch(&uniforms, &mut z);
+        let mut zeros = !value;
+        while zeros != 0 {
+            let bit = zeros.trailing_zeros() as usize;
+            zeros &= zeros - 1;
+            let i = offset + bit;
+            // Lane replication of `apply_program_with_z` — exact formula
+            // parity, including the `(wear / 1000.0) * susceptibility`
+            // grouping of the effective wear.
+            let keff = (self.wear_cycles[i] / 1000.0) * s.susceptibility[i];
+            let vth_prog = s.vth_prog0[i] + p_shift * keff;
+            let vth_erased = s.vth_erased0[i] + e_shift * keff;
+            let target = vth_prog + PROG_OP_NOISE_SIGMA * z[bit];
+            let span = (vth_prog - vth_erased).max(1e-9);
+            let injected = ((target - self.vth[i]) / span).clamp(0.0, 1.0);
+            self.wear_cycles[i] += w_prog * injected;
+            self.vth[i] = self.vth[i].max(target);
         }
     }
 
@@ -799,6 +931,113 @@ impl State {
     }
 }
 
+/// A bounded per-thread free list of lane buffers.
+///
+/// Each request of the verification service clones a chip's state lanes,
+/// and a wear probe also derives a segment's statics; the request then
+/// drops them all, up to ~0.5 MB in 32 KB lanes. Handed back to the
+/// allocator, that much free memory at the heap top is returned to the
+/// OS, and the next request faults the pages back in. Dropped arenas and
+/// statics put their lanes here instead, and the next clone copies into
+/// them. A buffer keeps no values (a clone overwrites the whole lane), so
+/// reuse changes no result.
+///
+/// A derive does not take from the list: its lanes come from the
+/// allocator, which places long-lived lanes more compactly than a LIFO
+/// list, and whose `calloc` leaves a fresh zero lane out of the resident
+/// set until a kernel writes it. Fed to derives too, the list raised the
+/// peak RSS of an inspection run by ~7 MB.
+mod pool {
+    use std::cell::RefCell;
+    use std::mem::size_of;
+
+    /// The most lane bytes one thread keeps: a probe's statics and state
+    /// lanes (11 of 32 KB each) and a clone's state lanes, and then some.
+    pub(super) const MAX_BYTES: usize = 1 << 20;
+
+    /// The kept buffers, by element type, and their total capacity.
+    pub(super) struct Free {
+        f64s: Vec<Vec<f64>>,
+        u64s: Vec<Vec<u64>>,
+        bytes: usize,
+    }
+
+    thread_local! {
+        static FREE: RefCell<Free> = const {
+            RefCell::new(Free {
+                f64s: Vec::new(),
+                u64s: Vec::new(),
+                bytes: 0,
+            })
+        };
+    }
+
+    /// An element type of the lanes.
+    pub(super) trait Lane: Copy + 'static {
+        /// The free list of this element type.
+        fn list(free: &mut Free) -> &mut Vec<Vec<Self>>;
+    }
+
+    impl Lane for f64 {
+        fn list(free: &mut Free) -> &mut Vec<Vec<f64>> {
+            &mut free.f64s
+        }
+    }
+
+    impl Lane for u64 {
+        fn list(free: &mut Free) -> &mut Vec<Vec<u64>> {
+            &mut free.u64s
+        }
+    }
+
+    /// An emptied buffer from the free list, if it holds one (it holds
+    /// none during thread teardown).
+    fn take<T: Lane>() -> Option<Vec<T>> {
+        FREE.try_with(|free| {
+            let free = &mut *free.borrow_mut();
+            let buf = T::list(free).pop()?;
+            free.bytes -= buf.capacity() * size_of::<T>();
+            Some(buf)
+        })
+        .ok()
+        .flatten()
+    }
+
+    /// A lane holding a copy of `src`.
+    pub(super) fn copied<T: Lane>(src: &[T]) -> Vec<T> {
+        match take() {
+            Some(mut lane) => {
+                lane.extend_from_slice(src);
+                lane
+            }
+            None => src.to_vec(),
+        }
+    }
+
+    /// The lane bytes this thread keeps.
+    #[cfg(test)]
+    pub(super) fn kept_bytes() -> usize {
+        FREE.with(|free| free.borrow().bytes)
+    }
+
+    /// Keeps `lane`'s buffer for the next taker while the thread holds
+    /// under [`MAX_BYTES`]; frees it otherwise.
+    pub(super) fn recycle<T: Lane>(mut lane: Vec<T>) {
+        let bytes = lane.capacity() * size_of::<T>();
+        if bytes == 0 {
+            return;
+        }
+        lane.clear();
+        let _ = FREE.try_with(|free| {
+            let free = &mut *free.borrow_mut();
+            if free.bytes + bytes <= MAX_BYTES {
+                free.bytes += bytes;
+                T::list(free).push(lane);
+            }
+        });
+    }
+}
+
 /// Scalar reference loops over the canonical per-cell API.
 ///
 /// Each function here is the specification its [`CellArena`] kernel must
@@ -814,6 +1053,7 @@ pub mod reference {
     use crate::erase::{apply_erase_cached, ln_t_cross_us_cached, EraseDistCache};
     use crate::noise::PulseNoise;
     use crate::params::PhysicsParams;
+    use crate::rng::CounterStream;
     use crate::wear::bulk_pe_stress;
 
     /// Scalar fold of [`ln_t_cross_us_cached`] — the reference for
@@ -860,6 +1100,24 @@ pub mod reference {
             all_done &= outcome.completed;
         }
         all_done
+    }
+
+    /// A draw for every bit, as a read without the noise band takes it —
+    /// the reference for [`CellArena::sense_word`].
+    pub fn sense_word(
+        arena: &CellArena,
+        params: &PhysicsParams,
+        offset: usize,
+        stream: &CounterStream,
+    ) -> u16 {
+        let mut value = 0u16;
+        for bit in 0..16 {
+            let noise = params.read_noise_sigma * stream.normal(bit);
+            if arena.vth()[offset + bit as usize] + noise < params.vref.get() {
+                value |= 1 << bit;
+            }
+        }
+        value
     }
 
     /// Scalar loop of [`bulk_pe_stress`] — the reference for
@@ -1279,6 +1537,138 @@ mod tests {
             "mid-transition rung"
         );
         assert_lanes_bitwise(&warm, &cold, "warm vs cold");
+    }
+
+    /// The banded read equals drawing every bit. Cells sit on both band
+    /// edges `vref ± 9σ` and one ulp either side, at `vref` and its
+    /// neighbours, far outside the band, and — in every other word — just
+    /// past the point where their own draw flips them, which only a band
+    /// no narrower than every drawable deviate reads right. Read noise of
+    /// the preset, zero, negative and NaN.
+    #[test]
+    fn sense_word_matches_the_always_draw_reference() {
+        let (preset, mut word) = arena(WORD_BITS);
+        let sigma0 = preset.read_noise_sigma;
+        for sigma in [sigma0, 0.0, -sigma0, f64::NAN] {
+            let mut params = preset.clone();
+            params.read_noise_sigma = sigma;
+            let vref = params.vref.get();
+            let reach = sigma.abs() * Z_BOUND;
+            let places: Vec<f64> = [vref + reach, vref - reach, vref]
+                .into_iter()
+                .flat_map(|v| [v, v.next_up(), v.next_down()])
+                .chain([vref + 1.0, vref - 1.0])
+                .collect();
+            let mut drawn = 0;
+            for w in 0..4_000u64 {
+                let stream = CounterStream::new(CHIP, 0x5E45, w);
+                for bit in 0..WORD_BITS {
+                    let vth = if w % 2 == 0 {
+                        let z = stream.normal(bit as u64);
+                        drawn += usize::from(z.abs() > 3.0);
+                        vref - sigma * z * (1.0 - 1e-6)
+                    } else {
+                        places[(bit + w as usize) % places.len()]
+                    };
+                    word.set_state(
+                        bit,
+                        CellState {
+                            vth,
+                            wear_cycles: 0.0,
+                        },
+                    );
+                }
+                assert_eq!(
+                    word.sense_word(&params, 0, &stream),
+                    reference::sense_word(&word, &params, 0, &stream),
+                    "sigma {sigma} word {w}"
+                );
+            }
+            assert!(drawn > 50, "only {drawn} deviates beyond 3");
+        }
+    }
+
+    /// The chunked exact pulse equals the scalar loop at every chunk edge
+    /// (empty, one cell, either side of one chunk, a full segment and one
+    /// cell short of it), over mixed wear, through a partial erase, two
+    /// erase-until-clean polls and a full erase on a hot die, from a
+    /// programmed start and again from a half-programmed one.
+    #[test]
+    fn chunked_erase_pulse_matches_the_reference_at_chunk_edges() {
+        for n in [0, 1, 63, 64, 65, 4095, 4096] {
+            let (params, mut fast) = arena(n);
+            fast.bulk_stress(&params, &mask(n), 30_000.0);
+            let every_fifth: Vec<bool> = (0..n).map(|i| i % 5 == 0).collect();
+            fast.bulk_stress(&params, &every_fifth, 55_000.0);
+            let mut slow = fast.clone();
+            let mut grid_caches = (
+                EraseDistCache::new(params.erase_dist_grid_kcycles),
+                EraseDistCache::new(params.erase_dist_grid_kcycles),
+            );
+            for round in 0..2u64 {
+                for (k, nominal_us, temp_factor) in [
+                    (0, 20.5, 1.0),
+                    (1, 25.0, 1.0),
+                    (2, 25.0, 1.0),
+                    (3, 25_000.0, 1.3),
+                ] {
+                    let pulse = PulseNoise::from_stream(
+                        &params,
+                        &CounterStream::new(CHIP, 0xE7A5, round * 4 + k),
+                    );
+                    let (c1, c2) = &mut grid_caches;
+                    let a = fast.erase_pulse(&params, c1, 64, &pulse, nominal_us, temp_factor);
+                    let b = reference::erase_pulse(
+                        &mut slow,
+                        &params,
+                        c2,
+                        64,
+                        &pulse,
+                        nominal_us,
+                        temp_factor,
+                    );
+                    let what = format!("n {n} round {round} pulse {k}");
+                    assert_eq!(a, b, "{what}: completion");
+                    assert_lanes_bitwise(&fast, &slow, &what);
+                }
+                for w in 0..n / WORD_BITS {
+                    let stream = CounterStream::new(CHIP, 0x9806, w as u64);
+                    for a in [&mut fast, &mut slow] {
+                        a.program_word(&params, w * WORD_BITS, 0x00FF, &stream);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A clone built from recycled lanes equals its source, whatever the
+    /// recycled buffers held, and the free list never keeps more than its
+    /// budget.
+    #[test]
+    fn recycled_lanes_carry_no_values() {
+        let (params, original, pulse) = worn(4096);
+        for _ in 0..64 {
+            let (_, mut dropped, _) = worn(4096);
+            dropped.erase_pulse(
+                &params,
+                &mut EraseDistCache::new(params.erase_dist_grid_kcycles),
+                64,
+                &pulse,
+                25_000.0,
+                1.0,
+            );
+            drop(dropped);
+            assert!(pool::kept_bytes() <= pool::MAX_BYTES);
+        }
+        assert!(pool::kept_bytes() > 0, "dropped lanes were kept");
+        let copy = original.clone();
+        assert_lanes_bitwise(&copy, &original, "clone from recycled lanes");
+        assert_eq!(copy.state.t_cross_key, original.state.t_cross_key);
+        let bits = |lane: &[f64]| lane.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&copy.state.t_cross_val),
+            bits(&original.state.t_cross_val)
+        );
     }
 
     #[test]

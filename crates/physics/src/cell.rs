@@ -53,8 +53,14 @@ impl CellStatics {
             erase_z: field::erase_z(chip_seed, cell_index),
             straggler_extra: field::straggler_extra(params, chip_seed, cell_index),
             early: field::early(params, chip_seed, cell_index),
-            vth_erased0: field::vth_erased0(params, chip_seed, cell_index),
-            vth_prog0: field::vth_prog0(params, chip_seed, cell_index),
+            vth_erased0: field::vth_erased0(
+                params,
+                cell_normal(chip_seed, cell_index, Channel::VthErased),
+            ),
+            vth_prog0: field::vth_prog0(
+                params,
+                cell_normal(chip_seed, cell_index, Channel::VthProgrammed),
+            ),
             prog_time_us: params.prog_full_time_us.at(cell_normal(
                 chip_seed,
                 cell_index,
@@ -92,7 +98,9 @@ impl CellStatics {
 /// lane encoding. [`CellStatics::derive`] and the arena's lane fill
 /// ([`crate::arena::CellArena::derive`]) both call these, so the channel
 /// logic has a single copy. `#[inline]` keeps the draws inside the fill
-/// loop: marked `#[inline(never)]`, they made it ~1.4× slower.
+/// loop: marked `#[inline(never)]`, they made it ~1.4× slower. The two
+/// threshold-voltage fields take their deviate, which the lane fill draws
+/// a chunk at a time (`Channel::VthErased` and `Channel::VthProgrammed`).
 pub(crate) mod field {
     use super::EarlyTrap;
     use crate::params::PhysicsParams;
@@ -132,20 +140,18 @@ pub(crate) mod field {
         )
     }
 
-    /// Fresh erased-state threshold voltage (V).
+    /// Fresh erased-state threshold voltage (V) at the cell's
+    /// `Channel::VthErased` deviate `z`.
     #[inline]
-    pub(crate) fn vth_erased0(params: &PhysicsParams, chip_seed: u64, cell: u64) -> f64 {
-        params
-            .vth_erased
-            .at(cell_normal(chip_seed, cell, Channel::VthErased))
+    pub(crate) fn vth_erased0(params: &PhysicsParams, z: f64) -> f64 {
+        params.vth_erased.at(z)
     }
 
-    /// Programmed-state threshold voltage (V).
+    /// Programmed-state threshold voltage (V) at the cell's
+    /// `Channel::VthProgrammed` deviate `z`.
     #[inline]
-    pub(crate) fn vth_prog0(params: &PhysicsParams, chip_seed: u64, cell: u64) -> f64 {
-        params
-            .vth_programmed
-            .at(cell_normal(chip_seed, cell, Channel::VthProgrammed))
+    pub(crate) fn vth_prog0(params: &PhysicsParams, z: f64) -> f64 {
+        params.vth_programmed.at(z)
     }
 
     #[inline]

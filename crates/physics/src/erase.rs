@@ -16,9 +16,19 @@ use crate::params::{PhysicsParams, DEFAULT_ERASE_DIST_GRID_KCYCLES};
 /// `grid_kcycles`: the nearest grid point. Shared by every path that touches
 /// the erase-distribution table, so all of them agree on the quantized key
 /// bit-for-bit.
+///
+/// Equal to `(kcycles / grid_kcycles).round() as usize` for every input,
+/// without the libm call: the saturating cast truncates (NaN and negatives
+/// to 0, `+∞` and values past `usize::MAX` to `usize::MAX`), the fraction
+/// `x − t` of a truncated float is exact, and a fraction of one half or
+/// more rounds up, as `round` does with its ties away from zero. Unlike
+/// `(x + 0.5).floor()`, it keeps `0.49999999999999994` at 0.
+#[inline]
 #[must_use]
 pub fn wear_bucket(kcycles: f64, grid_kcycles: f64) -> usize {
-    (kcycles / grid_kcycles).round() as usize
+    let x = kcycles / grid_kcycles;
+    let t = x as usize;
+    t.saturating_add(usize::from(x - t as f64 >= 0.5))
 }
 
 /// A quantized, wear-keyed lookup table for
@@ -479,6 +489,55 @@ mod tests {
             erase_temp_factor(&no_temp, 125.0).to_bits(),
             1.0_f64.to_bits()
         );
+    }
+
+    /// The inline rounding equals libm `round` cast to `usize` on every
+    /// kind of input: each `n + 0.5` tie up to 2²⁰ and near 2⁵², the
+    /// largest float below one half, the floats either side of 2⁵² and of
+    /// the ties, 2⁶⁴ and beyond, NaN, ±∞, −0.0 and negatives, and real
+    /// wears on the default grid.
+    #[test]
+    fn wear_bucket_rounds_like_libm() {
+        let spec = |k: f64, grid: f64| (k / grid).round() as usize;
+        let two = |e: i32| 2f64.powi(e);
+        let mut xs = vec![
+            0.499_999_999_999_999_94,
+            0.5,
+            two(52) - 1.0,
+            two(52),
+            two(52) + 1.0,
+            two(52) - 0.5,
+            two(51) + 0.5,
+            two(53) + 2.0,
+            two(63),
+            two(64),
+            two(64).next_down(),
+            two(65),
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -0.3,
+            -0.5,
+            -0.7,
+            -1.5,
+            -1e300,
+        ];
+        for n in 0..(1u32 << 20) {
+            let tie = f64::from(n) + 0.5;
+            xs.extend([tie, tie.next_up(), tie.next_down()]);
+        }
+        for x in xs {
+            assert_eq!(wear_bucket(x, 1.0), spec(x, 1.0), "x {x:e}");
+        }
+        let grid = DEFAULT_ERASE_DIST_GRID_KCYCLES;
+        for i in 0..200_000u32 {
+            let k = f64::from(i) * 0.000_7;
+            assert_eq!(wear_bucket(k, grid), spec(k, grid), "k {k}");
+        }
     }
 
     #[test]

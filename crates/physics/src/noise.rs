@@ -12,15 +12,17 @@
 //! Both are log-normal with sigmas from
 //! [`PhysicsParams`].
 
+use crate::arena::CHUNK;
 use crate::params::PhysicsParams;
 use crate::rng::{mix2, uniform_from_bits, CounterStream, SplitMix64};
-use crate::variation::inverse_normal_cdf;
+use crate::variation::{inverse_normal_cdf, inverse_normal_cdf_batch};
 
-/// A floor under every per-cell jitter deviate. `uniform_from_bits` never
-/// returns below 2⁻⁵³ or above 1 − 2⁻⁵³, whose normal quantiles are about
-/// ∓8.2, so every drawn `z` lies inside `(Z_FLOOR, −Z_FLOOR)` with a margin
-/// of ~0.8 (pinned by a unit test).
-const Z_FLOOR: f64 = -9.0;
+/// A bound on every standard-normal deviate the counter streams can draw.
+/// `uniform_from_bits` never returns below 2⁻⁵³ or above 1 − 2⁻⁵³, whose
+/// normal quantiles are about ∓8.2, so every drawn `z` lies inside
+/// `(−Z_BOUND, Z_BOUND)` with a margin of ~0.8 (pinned by a unit test).
+/// The pulse floor and the read kernel's noise band both rest on it.
+pub(crate) const Z_BOUND: f64 = 9.0;
 
 /// The noise context of one pulse (drawn once per pulse).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,8 +69,41 @@ impl PulseNoise {
         nominal_us * self.common_factor * cell_factor
     }
 
+    /// [`Self::effective_us`] of the cells `first_cell..first_cell +
+    /// eff.len()`, each then multiplied by `temp_factor`, written to `eff`
+    /// bit for bit: the same hash, deviate, `exp` and multiplication order
+    /// as the scalar call, with the deviates drawn in one
+    /// [`inverse_normal_cdf_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `eff` holds more than [`CHUNK`] cells.
+    pub(crate) fn effective_us_chunk(
+        &self,
+        params: &PhysicsParams,
+        first_cell: u64,
+        nominal_us: f64,
+        temp_factor: f64,
+        eff: &mut [f64],
+    ) {
+        let common_us = nominal_us * self.common_factor;
+        if self.seed == 0 {
+            eff.fill(common_us * temp_factor);
+            return;
+        }
+        let mut uniforms = [0.0; CHUNK];
+        let uniforms = &mut uniforms[..eff.len()];
+        for (u, cell) in uniforms.iter_mut().zip(first_cell..) {
+            *u = uniform_from_bits(mix2(self.seed, cell));
+        }
+        inverse_normal_cdf_batch(uniforms, eff);
+        for e in eff {
+            *e = common_us * (params.op_jitter_sigma * *e).exp() * temp_factor;
+        }
+    }
+
     /// A lower bound on [`Self::effective_us`] over every cell: the jitter
-    /// factor at [`Z_FLOOR`], multiplied in the same order. The exponent
+    /// factor at `−Z_BOUND`, multiplied in the same order. The exponent
     /// sits 0.8σ below any drawable one, far beyond the rounding error of
     /// `exp`, and IEEE `*` is monotone, so no cell's duration falls below
     /// it. Exact when the pulse draws no per-cell jitter (`seed == 0`).
@@ -77,8 +112,8 @@ impl PulseNoise {
             return nominal_us * self.common_factor;
         }
         // `abs`: a negative sigma (which `validate` rejects) mirrors the
-        // jitter, and the floor then sits at `-Z_FLOOR`.
-        let floor_factor = (params.op_jitter_sigma.abs() * Z_FLOOR).exp();
+        // jitter, and the floor then sits at `+Z_BOUND`.
+        let floor_factor = (params.op_jitter_sigma.abs() * -Z_BOUND).exp();
         nominal_us * self.common_factor * floor_factor
     }
 }
@@ -127,11 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn z_floor_lies_below_every_drawable_deviate() {
+    fn z_bound_encloses_every_drawable_deviate() {
         let deepest = inverse_normal_cdf(uniform_from_bits(0));
         let highest = inverse_normal_cdf(uniform_from_bits(u64::MAX));
-        assert!(Z_FLOOR < deepest - 0.5, "deepest z {deepest}");
-        assert!(-Z_FLOOR > highest + 0.5, "highest z {highest}");
+        assert!(-Z_BOUND < deepest - 0.5, "deepest z {deepest}");
+        assert!(Z_BOUND > highest + 0.5, "highest z {highest}");
         for shift in 0..64 {
             for bits in [1u64 << shift, !(1u64 << shift)] {
                 let z = inverse_normal_cdf(uniform_from_bits(bits));
@@ -169,8 +204,11 @@ mod tests {
         }
     }
 
+    /// A pulse without per-cell jitter gives every cell the same duration:
+    /// the closed-form full erase and the chunked exact kernel (300 cells,
+    /// four full chunks and a tail) both match the scalar loop.
     #[test]
-    fn unjittered_full_erase_matches_reference() {
+    fn unjittered_pulses_match_reference() {
         use crate::arena::{reference, CellArena};
         use crate::erase::EraseDistCache;
         let params = PhysicsParams::msp430_like();
@@ -178,40 +216,42 @@ mod tests {
             common_factor: 0.93,
             seed: 0,
         };
-        let mut lane = CellArena::derive(&params, 0x5EED, 0, 300);
-        let stressed: Vec<bool> = (0..lane.len()).map(|i| i % 2 == 0).collect();
-        lane.bulk_stress(&params, &stressed, 70_000.0);
-        let mut scalar = lane.clone();
         let grid = params.erase_dist_grid_kcycles;
-        let done = lane.erase_pulse(
-            &params,
-            &mut EraseDistCache::new(grid),
-            0,
-            &pulse,
-            25_000.0,
-            1.2,
-        );
-        let want = reference::erase_pulse(
-            &mut scalar,
-            &params,
-            &mut EraseDistCache::new(grid),
-            0,
-            &pulse,
-            25_000.0,
-            1.2,
-        );
-        assert!(done && want);
-        for i in 0..lane.len() {
-            assert_eq!(
-                lane.vth()[i].to_bits(),
-                scalar.vth()[i].to_bits(),
-                "vth {i}"
+        for (nominal_us, completes) in [(25_000.0, true), (22.0, false)] {
+            let mut lane = CellArena::derive(&params, 0x5EED, 0, 300);
+            let stressed: Vec<bool> = (0..lane.len()).map(|i| i % 2 == 0).collect();
+            lane.bulk_stress(&params, &stressed, 70_000.0);
+            let mut scalar = lane.clone();
+            let done = lane.erase_pulse(
+                &params,
+                &mut EraseDistCache::new(grid),
+                0,
+                &pulse,
+                nominal_us,
+                1.2,
             );
-            assert_eq!(
-                lane.wear_cycles()[i].to_bits(),
-                scalar.wear_cycles()[i].to_bits(),
-                "wear {i}"
+            let want = reference::erase_pulse(
+                &mut scalar,
+                &params,
+                &mut EraseDistCache::new(grid),
+                0,
+                &pulse,
+                nominal_us,
+                1.2,
             );
+            assert_eq!((done, want), (completes, completes), "{nominal_us} µs");
+            for i in 0..lane.len() {
+                assert_eq!(
+                    lane.vth()[i].to_bits(),
+                    scalar.vth()[i].to_bits(),
+                    "{nominal_us} µs: vth {i}"
+                );
+                assert_eq!(
+                    lane.wear_cycles()[i].to_bits(),
+                    scalar.wear_cycles()[i].to_bits(),
+                    "{nominal_us} µs: wear {i}"
+                );
+            }
         }
     }
 

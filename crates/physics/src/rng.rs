@@ -110,6 +110,7 @@ pub struct CounterStream {
 impl CounterStream {
     /// Derives the stream for operation `op_counter` of entity `cell_index`
     /// under `trial_seed`.
+    #[inline]
     #[must_use]
     pub const fn new(trial_seed: u64, cell_index: u64, op_counter: u64) -> Self {
         Self {
@@ -124,6 +125,7 @@ impl CounterStream {
     }
 
     /// The `draw`-th 64-bit value of the stream.
+    #[inline]
     #[must_use]
     pub const fn draw_u64(&self, draw: u64) -> u64 {
         mix2(self.key, draw)
@@ -131,6 +133,7 @@ impl CounterStream {
 
     /// The `draw`-th uniform value, strictly inside `(0, 1)` (safe to feed
     /// through an inverse CDF) with 52 bits of precision.
+    #[inline]
     #[must_use]
     pub fn uniform(&self, draw: u64) -> f64 {
         uniform_from_bits(self.draw_u64(draw))
@@ -139,9 +142,29 @@ impl CounterStream {
     /// The `draw`-th standard-normal value, via the inverse normal CDF (one
     /// uniform per normal — no Box–Muller pairing, so lanes stay branch-free
     /// and independent).
+    #[inline]
     #[must_use]
     pub fn normal(&self, draw: u64) -> f64 {
         crate::variation::inverse_normal_cdf(self.uniform(draw))
+    }
+
+    /// [`Self::normal`] of draw `bit < 16`, one per bit of a flash word,
+    /// bit for bit: the half of [`mix2`] that depends on the draw index
+    /// comes from a table built at compile time, so a loop over a word's
+    /// bits in any order hashes each draw once, as an unrolled loop does.
+    #[inline]
+    pub(crate) fn word_normal(self, bit: u32) -> f64 {
+        const SALTS: [u64; 16] = {
+            let mut salts = [0; 16];
+            let mut bit = 0;
+            while bit < 16 {
+                salts[bit] = draw_salt(bit as u64);
+                bit += 1;
+            }
+            salts
+        };
+        let bits = mix64(self.key ^ SALTS[bit as usize]);
+        crate::variation::inverse_normal_cdf(uniform_from_bits(bits))
     }
 }
 
@@ -150,12 +173,14 @@ impl CounterStream {
 /// The top 52 bits are centred on the half-step, so the result is never 0 or
 /// 1 exactly — required by [`crate::variation::inverse_normal_cdf`]. (At 53
 /// bits the largest value would round-to-even up to exactly 1.0.)
+#[inline]
 #[must_use]
 pub fn uniform_from_bits(bits: u64) -> f64 {
     ((bits >> 12) as f64 + 0.5) * (1.0 / (1u64 << 52) as f64)
 }
 
 /// The SplitMix64 finalizer: a high-quality 64-bit avalanche mixer.
+#[inline]
 #[must_use]
 pub const fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -164,9 +189,16 @@ pub const fn mix64(mut z: u64) -> u64 {
 }
 
 /// Combines two 64-bit values into one well-mixed value.
+#[inline]
 #[must_use]
 pub const fn mix2(a: u64, b: u64) -> u64 {
-    mix64(a ^ mix64(b ^ 0x9E37_79B9_7F4A_7C15))
+    mix64(a ^ draw_salt(b))
+}
+
+/// The half of [`mix2`] that depends only on its second argument.
+#[inline]
+const fn draw_salt(b: u64) -> u64 {
+    mix64(b ^ 0x9E37_79B9_7F4A_7C15)
 }
 
 /// Independent draw channels for static per-cell variation.
@@ -325,6 +357,20 @@ mod tests {
             assert_eq!(a.draw_u64(draw), b.draw_u64(draw));
             assert_eq!(a.uniform(draw).to_bits(), b.uniform(draw).to_bits());
             assert_eq!(a.normal(draw).to_bits(), b.normal(draw).to_bits());
+        }
+    }
+
+    #[test]
+    fn word_normal_is_normal_bitwise() {
+        for key in [0, 1, 0xFEED, u64::MAX] {
+            let s = CounterStream::new(key, 0x5E45, key.rotate_left(7));
+            for bit in 0..16 {
+                assert_eq!(
+                    s.word_normal(bit).to_bits(),
+                    s.normal(u64::from(bit)).to_bits(),
+                    "key {key:#x} bit {bit}"
+                );
+            }
         }
     }
 

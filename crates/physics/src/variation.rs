@@ -120,61 +120,112 @@ impl Uniform {
     }
 }
 
+// Coefficients of Acklam's rational approximation.
+const A: [f64; 6] = [
+    -3.969_683_028_665_376e1,
+    2.209_460_984_245_205e2,
+    -2.759_285_104_469_687e2,
+    1.383_577_518_672_69e2,
+    -3.066_479_806_614_716e1,
+    2.506_628_277_459_239,
+];
+const B: [f64; 5] = [
+    -5.447_609_879_822_406e1,
+    1.615_858_368_580_409e2,
+    -1.556_989_798_598_866e2,
+    6.680_131_188_771_972e1,
+    -1.328_068_155_288_572e1,
+];
+const C: [f64; 6] = [
+    -7.784_894_002_430_293e-3,
+    -3.223_964_580_411_365e-1,
+    -2.400_758_277_161_838,
+    -2.549_732_539_343_734,
+    4.374_664_141_464_968,
+    2.938_163_982_698_783,
+];
+const D: [f64; 4] = [
+    7.784_695_709_041_462e-3,
+    3.224_671_290_700_398e-1,
+    2.445_134_137_142_996,
+    3.754_408_661_907_416,
+];
+/// The split between Acklam's central region and its two tails.
+const P_LOW: f64 = 0.02425;
+
 /// Inverse standard-normal CDF (Acklam's rational approximation).
 ///
-/// Accurate to about 1.15e-9 over `(0, 1)`.
+/// Accurate to about 1.15e-9 over `(0, 1)`. The central region
+/// `[P_LOW, 1 − P_LOW]`, where ~95 % of uniform draws land, is inlined;
+/// the two tails take one out-of-line call.
 ///
 /// # Panics
 ///
 /// Panics if `p` is outside `(0, 1)`.
+#[inline]
 #[must_use]
 pub fn inverse_normal_cdf(p: f64) -> f64 {
-    // Coefficients for Acklam's approximation.
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.02425;
+    if is_central(p) {
+        central(p)
+    } else {
+        tail(p)
+    }
+}
 
+/// Whether `p` lies in Acklam's central region (`false` for NaN).
+#[inline]
+fn is_central(p: f64) -> bool {
+    (P_LOW..=1.0 - P_LOW).contains(&p)
+}
+
+/// Acklam's central rational: straight-line arithmetic, so a loop of it
+/// vectorizes, and SIMD lanes perform the same IEEE operations as the
+/// scalar code (Rust never contracts `a * b + c` into a fused multiply-add).
+#[inline]
+fn central(p: f64) -> f64 {
+    let q = p - 0.5;
+    let r = q * q;
+    (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
+        / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+}
+
+/// Acklam's two tails, and the domain check: every `p` outside the
+/// central region comes here, so NaN and values outside `(0, 1)` panic.
+#[cold]
+#[inline(never)]
+fn tail(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "p must be in (0, 1), got {p}");
     if p < P_LOW {
         let q = (-2.0 * p.ln()).sqrt();
         (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
     } else {
         let q = (-2.0 * (1.0 - p).ln()).sqrt();
         -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
+    }
+}
+
+/// [`inverse_normal_cdf`] of every uniform in `p`, written to `z`, bit for
+/// bit. The central rational runs over the whole slice without a branch
+/// (one SIMD loop), then the tail lanes, ~5 % of uniform draws, are
+/// patched through the scalar path. The cell kernels call this on
+/// fixed-size stack chunks of their own counter-stream uniforms.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length, or if any `p` is outside
+/// `(0, 1)`.
+#[inline]
+pub(crate) fn inverse_normal_cdf_batch(p: &[f64], z: &mut [f64]) {
+    assert_eq!(p.len(), z.len(), "uniform and deviate chunks differ");
+    for (z, &p) in z.iter_mut().zip(p) {
+        *z = central(p);
+    }
+    for (z, &p) in z.iter_mut().zip(p) {
+        if !is_central(p) {
+            *z = tail(p);
+        }
     }
 }
 
@@ -251,6 +302,61 @@ mod tests {
     fn inverse_cdf_known_values() {
         assert!(inverse_normal_cdf(0.5).abs() < 1e-9);
         assert!((inverse_normal_cdf(0.975) - 1.959_964).abs() < 1e-4);
+    }
+
+    /// Runs the batch form over `p` and checks it against the scalar spec.
+    fn assert_batch_matches_scalar(p: &[f64]) {
+        let mut z = vec![0.0; p.len()];
+        inverse_normal_cdf_batch(p, &mut z);
+        for (&p, &z) in p.iter().zip(&z) {
+            assert_eq!(z.to_bits(), inverse_normal_cdf(p).to_bits(), "p {p:e}");
+        }
+    }
+
+    /// The batch form equals the scalar spec bit for bit: at both region
+    /// splits and their neighbouring floats, at the extreme uniforms the
+    /// counter streams can draw, on 10⁶ random bit patterns, and at chunk
+    /// lengths either side of one word and of one kernel chunk.
+    #[test]
+    fn batch_matches_scalar_bitwise() {
+        use crate::rng::{mix64, uniform_from_bits};
+        let hi = 1.0 - P_LOW;
+        let edges = [
+            P_LOW,
+            P_LOW.next_up(),
+            P_LOW.next_down(),
+            hi,
+            hi.next_up(),
+            hi.next_down(),
+            uniform_from_bits(0),
+            uniform_from_bits(u64::MAX),
+            0.5,
+        ];
+        assert_batch_matches_scalar(&edges);
+        let random: Vec<f64> = (0..1_000_000u64)
+            .map(|i| uniform_from_bits(mix64(i)))
+            .collect();
+        for chunk in random.chunks(64) {
+            assert_batch_matches_scalar(chunk);
+        }
+        for len in [0, 1, 15, 16, 63, 64, 65] {
+            assert_batch_matches_scalar(&random[..len]);
+            let mixed: Vec<f64> = edges.iter().copied().cycle().take(len).collect();
+            assert_batch_matches_scalar(&mixed);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "p must be in (0, 1)")]
+    fn batch_rejects_a_uniform_outside_the_unit_interval() {
+        let mut z = [0.0; 3];
+        inverse_normal_cdf_batch(&[0.5, 1.0, 0.25], &mut z);
+    }
+
+    #[test]
+    #[should_panic(expected = "p must be in (0, 1)")]
+    fn scalar_rejects_nan() {
+        let _ = inverse_normal_cdf(f64::NAN);
     }
 
     #[test]

@@ -210,6 +210,27 @@ proptest! {
         }
     }
 
+    /// The read kernel, which draws only the bits in its noise band, reads
+    /// every word as the always-draw reference does, with cells anywhere
+    /// from 1 V below `vref` to 1 V above it (bunched near `vref`).
+    #[test]
+    fn arena_sense_word_matches_scalar(
+        seed in any::<u64>(),
+        word in any::<u64>(),
+        offsets in proptest::collection::vec(-1.0f64..1.0, 16..17),
+    ) {
+        let p = params();
+        let mut a = CellArena::derive(&p, seed, 128, 16);
+        for (i, &d) in offsets.iter().enumerate() {
+            a.set_state(i, CellState { vth: p.vref.get() + d * d * d, wear_cycles: 0.0 });
+        }
+        let stream = CounterStream::new(seed, 0x5E45, word);
+        prop_assert_eq!(
+            a.sense_word(&p, 0, &stream),
+            reference::sense_word(&a, &p, 0, &stream)
+        );
+    }
+
     /// The chunked bulk-stress kernel is bit-identical to the scalar loop.
     #[test]
     fn arena_bulk_stress_matches_scalar(
