@@ -24,8 +24,8 @@
 //! whether the verdicts matched ([`BackendRow::legacy_match`]).
 
 use flashmark_core::{
-    inspect, provision, CounterfeitReason, FlashmarkConfig, Imprinter, NorTpew, NorTpewParams,
-    SchemeError, TestStatus, Verdict, Verifier, WatermarkRecord, WatermarkScheme,
+    provision, CounterfeitReason, FlashmarkConfig, Imprinter, SchemeError, TestStatus, TpewParams,
+    Verdict, Verifier, WatermarkRecord, WatermarkScheme, NOR_TPEW,
 };
 use flashmark_nand::{BlockAddr, NandChip, NandGeometry, NandPuf, NandPufConfig, NandPufParams};
 use flashmark_nor::interface::FlashInterface;
@@ -33,7 +33,7 @@ use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, NorError, Segm
 use flashmark_physics::rng::mix2;
 use flashmark_physics::{Micros, PhysicsParams};
 use flashmark_registry::{Record, RecordVerdict, Registry, RegistryOptions};
-use flashmark_reram::{ReramChip, ReramParams, ReramScheme, ReramWordAdapter};
+use flashmark_reram::{ReramChip, ReramWordAdapter, RERAM_FORMING};
 
 use crate::impl_to_json;
 
@@ -341,7 +341,7 @@ where
         Scenario::Genuine | Scenario::RejectedDie => {
             let mut die = mk(0);
             let (enrollment, cost) = provision(scheme, &mut die, params)?;
-            let v = inspect(scheme, &mut die, params, &enrollment)?;
+            let v = scheme.verify(&mut die, params, &enrollment)?;
             Ok(TrialOutcome {
                 verdict: v.verdict,
                 resolution: v.resolution,
@@ -355,7 +355,7 @@ where
             let mut reference = mk(0);
             let enrollment = scheme.enroll(&mut reference, params)?;
             let mut foreign = mk(1);
-            let v = inspect(scheme, &mut foreign, params, &enrollment)?;
+            let v = scheme.verify(&mut foreign, params, &enrollment)?;
             Ok(TrialOutcome {
                 verdict: v.verdict,
                 resolution: v.resolution,
@@ -370,7 +370,7 @@ where
             let (enrollment, _) = provision(scheme, &mut genuine, params)?;
             let mut clone = mk(1);
             clone_data(&mut genuine, &mut clone)?;
-            let v = inspect(scheme, &mut clone, params, &enrollment)?;
+            let v = scheme.verify(&mut clone, params, &enrollment)?;
             Ok(TrialOutcome {
                 verdict: v.verdict,
                 resolution: v.resolution,
@@ -422,7 +422,7 @@ fn nor_chip(seed: u64, salt: u64) -> FlashController {
 /// The legacy (pre-redesign) concrete-NOR verdict for the same scenario on
 /// identically-seeded chips — the no-behavior-drift cross-check.
 fn nor_legacy_verdict(
-    params: &NorTpewParams,
+    params: &TpewParams,
     seed: u64,
     scenario: Scenario,
 ) -> Result<(Verdict, &'static str), SchemeError> {
@@ -457,14 +457,14 @@ fn nor_legacy_verdict(
 }
 
 fn nor_trial(seed: u64, scenario: Scenario) -> Result<(TrialOutcome, Option<bool>), SchemeError> {
-    let params = NorTpewParams {
+    let params = TpewParams {
         config: backend_config(),
         seg: SegmentAddr::new(0),
         manufacturer_id: BACKEND_MANUFACTURER,
         record: backend_record(scenario),
     };
     let out = run_scenario(
-        &NorTpew,
+        &NOR_TPEW,
         &params,
         scenario,
         |salt| nor_chip(seed, salt),
@@ -496,14 +496,14 @@ fn nand_trial(seed: u64, scenario: Scenario) -> Result<(TrialOutcome, Option<boo
 }
 
 fn reram_trial(seed: u64, scenario: Scenario) -> Result<(TrialOutcome, Option<bool>), SchemeError> {
-    let params = ReramParams {
+    let params = TpewParams {
         config: reram_config(),
         seg: SegmentAddr::new(0),
         manufacturer_id: BACKEND_MANUFACTURER,
         record: backend_record(scenario),
     };
     let out = run_scenario(
-        &ReramScheme,
+        &RERAM_FORMING,
         &params,
         scenario,
         |salt| {
@@ -702,9 +702,9 @@ pub fn run_backend_campaign(
         rows.push(r?);
     }
     let imprints = [
-        NorTpew.imprints(),
+        NOR_TPEW.imprints(),
         NandPuf.imprints(),
-        ReramScheme.imprints(),
+        RERAM_FORMING.imprints(),
     ];
     let schemes = BACKEND_SCHEMES
         .iter()
@@ -726,7 +726,6 @@ pub fn run_backend_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashmark_core::Extraction;
 
     #[test]
     fn tiny_campaign_covers_every_scheme_and_scenario() {
@@ -778,19 +777,5 @@ mod tests {
             Scenario::RejectedDie.expects(&Verdict::Counterfeit(CounterfeitReason::RejectedDie))
         );
         assert!(!Scenario::Cloned.expects(&Verdict::Genuine));
-    }
-
-    #[test]
-    fn extraction_type_is_shared_between_wear_backends() {
-        // NOR and ReRAM share the Extraction evidence type: the reuse the
-        // scheme layer is for.
-        fn assert_same<T>(_: fn() -> T, _: fn() -> T) {}
-        fn nor_ev() -> Option<Extraction> {
-            None
-        }
-        fn reram_ev() -> Option<<ReramScheme as WatermarkScheme>::Evidence> {
-            None
-        }
-        assert_same(nor_ev, reram_ev);
     }
 }

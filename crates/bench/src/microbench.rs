@@ -1,13 +1,12 @@
 //! A self-contained micro-benchmark runner replacing `criterion` (offline
 //! builds cannot fetch it).
 //!
-//! Bench targets keep `harness = false` and drive [`Bench`] from `main`.
-//! The runner warms up, then takes per-iteration wall-clock samples and
-//! reports min/median/mean; [`Bench::round_robin`] takes the samples of
-//! several benchmarks in turn. Wall-clock use is confined to this module,
-//! `suite.rs` and the `service_campaign` bin: `clippy.toml` bans the
-//! `std::time` types everywhere else, where a clock read would corrupt a
-//! deterministic artifact.
+//! [`kernel_suite`], which `perf_smoke` runs, drives [`Bench::round_robin`]:
+//! each case warms up, then the runner takes per-iteration wall-clock
+//! samples of every case in turn and reports min/median/mean. Wall-clock
+//! use is confined to this module, `suite.rs` and the `service_campaign`
+//! bin: `clippy.toml` bans the `std::time` types everywhere else, where a
+//! clock read would corrupt a deterministic artifact.
 #![allow(
     clippy::disallowed_types,
     reason = "quarantined timing module: its readings land only in BENCH_runtime.json"
@@ -31,9 +30,6 @@ pub struct Bench {
     samples: usize,
     min_iters: u64,
 }
-
-/// The shortest sample of [`Bench::bench_with_setup`].
-const MIN_SAMPLE: Duration = Duration::from_micros(200);
 
 /// The shortest sample of [`Bench::round_robin`]: long enough that a
 /// burst of host load spreads over several benchmarks' samples instead of
@@ -97,28 +93,6 @@ impl Bench {
         self
     }
 
-    /// Times `f`, with `setup` run outside the timed region before every
-    /// iteration (the `iter_batched` pattern).
-    pub fn bench_with_setup<S, R>(
-        &self,
-        name: &str,
-        mut setup: impl FnMut() -> S,
-        mut f: impl FnMut(S) -> R,
-    ) -> BenchStats
-    where
-        S: Sized,
-    {
-        // Warm-up: one untimed run.
-        let input = setup();
-        let _ = f(input);
-
-        // Accumulate each sample until it is long enough to time reliably.
-        let per_iter = (0..self.samples)
-            .map(|_| sample(&mut setup, &mut f, self.min_iters, MIN_SAMPLE))
-            .collect();
-        self.report(name, per_iter)
-    }
-
     /// A benchmark for [`Self::round_robin`]: `f`, timed with `setup` run
     /// outside the timed region before every iteration.
     pub fn case<'a, S, R>(
@@ -175,11 +149,6 @@ impl Bench {
             fmt_time(stats.mean_s)
         );
         stats
-    }
-
-    /// Times `f` with no per-iteration setup.
-    pub fn bench<R>(&self, name: &str, mut f: impl FnMut() -> R) -> BenchStats {
-        self.bench_with_setup(name, || (), |()| f())
     }
 }
 
@@ -621,21 +590,6 @@ fn fmt_time(seconds: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_are_ordered_and_positive() {
-        let b = Bench::new("test").samples(5);
-        let s = b.bench("spin", || {
-            let mut acc = 0u64;
-            for i in 0..100u64 {
-                acc = acc.wrapping_add(std::hint::black_box(i));
-            }
-            acc
-        });
-        assert!(s.min_s > 0.0);
-        assert!(s.min_s <= s.median_s);
-        assert!(s.median_s <= s.mean_s * 3.0);
-    }
 
     #[test]
     fn round_robin_reports_each_case_in_order() {

@@ -148,27 +148,6 @@ pub struct ProgramTimeDetector {
 }
 
 impl ProgramTimeDetector {
-    /// Creates a detector with pulse `t_pp` and a programmed-fraction
-    /// threshold above which a segment is called stressed.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Config`] for an even read count or a threshold outside
-    /// `(0, 1)`.
-    pub fn new(t_pp: Micros, reads: usize, threshold: f64) -> Result<Self, CoreError> {
-        if reads == 0 || reads.is_multiple_of(2) {
-            return Err(CoreError::Config("read count must be odd"));
-        }
-        if !(0.0 < threshold && threshold < 1.0) {
-            return Err(CoreError::Config("threshold must be in (0, 1)"));
-        }
-        Ok(Self {
-            t_pp,
-            reads,
-            threshold,
-        })
-    }
-
     /// A reasonable default: a pulse of half the nominal program time.
     #[must_use]
     pub fn default_for_msp430() -> Self {
@@ -300,12 +279,6 @@ mod tests {
         );
         assert_eq!(fresh_report.verdict, SegmentCondition::Fresh);
         assert_eq!(worn_report.verdict, SegmentCondition::Stressed);
-    }
-
-    #[test]
-    fn program_time_detector_validates_parameters() {
-        assert!(ProgramTimeDetector::new(Micros::new(20.0), 2, 0.5).is_err());
-        assert!(ProgramTimeDetector::new(Micros::new(20.0), 3, 1.5).is_err());
     }
 
     #[test]

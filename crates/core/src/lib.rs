@@ -77,8 +77,8 @@ pub use extract::{Extraction, Extractor};
 pub use imprint::{ImprintReport, Imprinter};
 pub use layout::{ReplicaLayout, SegmentLayout};
 pub use metrics::ExtractionErrors;
-pub use nor_scheme::{NorEnrollment, NorTpew, NorTpewParams};
-pub use pipeline::{inspect, provision};
+pub use nor_scheme::{TpewEnrollment, TpewParams, TpewScheme, NOR_TPEW};
+pub use pipeline::provision;
 pub use recipe::{characterize_sample, fuse_windows, ExtractionRecipe, FamilyCharacterization};
 pub use sanitized::run_sanitized;
 pub use scheme::{ImprintCost, SchemeError, SchemeVerification, WatermarkScheme};

@@ -51,32 +51,6 @@ impl ExtractionErrors {
     pub fn errors(&self) -> usize {
         self.good_to_bad + self.bad_to_good
     }
-
-    /// Total bits compared.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.good_total + self.bad_total
-    }
-
-    /// Overall bit error rate.
-    #[must_use]
-    pub fn ber(&self) -> f64 {
-        if self.total() == 0 {
-            return 0.0;
-        }
-        self.errors() as f64 / self.total() as f64
-    }
-
-    /// Merges two breakdowns (e.g. across replicas or chips).
-    #[must_use]
-    pub fn merged(self, other: Self) -> Self {
-        Self {
-            good_to_bad: self.good_to_bad + other.good_to_bad,
-            bad_to_good: self.bad_to_good + other.bad_to_good,
-            good_total: self.good_total + other.good_total,
-            bad_total: self.bad_total + other.bad_total,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -93,40 +67,12 @@ mod tests {
         assert_eq!(e.good_total, 3);
         assert_eq!(e.bad_total, 2);
         assert_eq!(e.errors(), 2);
-        assert!((e.ber() - 0.4).abs() < 1e-12);
     }
 
     #[test]
-    fn clean_extraction_has_zero_ber() {
+    fn clean_extraction_has_no_errors() {
         let bits = [true, false, true];
         let e = ExtractionErrors::compare(&bits, &bits);
         assert_eq!(e.errors(), 0);
-        assert!(e.ber().abs() < 1e-12);
-    }
-
-    #[test]
-    fn merged_adds_counts() {
-        let a = ExtractionErrors {
-            good_to_bad: 1,
-            bad_to_good: 2,
-            good_total: 10,
-            bad_total: 10,
-        };
-        let b = ExtractionErrors {
-            good_to_bad: 3,
-            bad_to_good: 0,
-            good_total: 5,
-            bad_total: 15,
-        };
-        let m = a.merged(b);
-        assert_eq!(m.good_to_bad, 4);
-        assert_eq!(m.bad_to_good, 2);
-        assert_eq!(m.total(), 40);
-    }
-
-    #[test]
-    fn empty_is_safe() {
-        let e = ExtractionErrors::default();
-        assert!(e.ber().abs() < 1e-12);
     }
 }

@@ -1,26 +1,35 @@
-//! The paper's NOR tPEW wear watermark as a [`WatermarkScheme`].
+//! The paper's tPEW wear watermark as a [`WatermarkScheme`], on any chip
+//! the Flashmark procedures drive.
 //!
-//! [`NorTpew`] wraps the existing [`Imprinter`]/[`Extractor`]/[`Verifier`]
-//! pipeline unchanged — the scheme layer is pure delegation, so verdicts
-//! produced through the trait are bit-identical to calls made directly
-//! against the concrete NOR API (pinned by the `backend_campaign` legacy
-//! cross-check and the tests below).
+//! Imprint, extract and verify (Figs. 7–8) reach the part only through
+//! program, erase, abort and read, so one implementation, [`TpewScheme`],
+//! serves every technology whose wear shows in the partial-erase time. A
+//! scheme value holds only what differs per technology, its stable name
+//! and its wear readout: [`NOR_TPEW`] runs on the NOR
+//! [`FlashController`], and `flashmark_reram::RERAM_FORMING` on the ReRAM
+//! word adapter.
+//!
+//! The scheme layer is pure delegation to [`Imprinter`] and
+//! [`Verifier::verify_resilient`], so verdicts through the trait are
+//! bit-identical to direct calls (pinned by the `backend_campaign` legacy
+//! cross-check and the workspace `scheme_contract` tests).
 
+use flashmark_nor::interface::BulkStress;
 use flashmark_nor::{FlashController, SegmentAddr};
 
 use crate::config::FlashmarkConfig;
-use crate::extract::{Extraction, Extractor};
 use crate::imprint::Imprinter;
 use crate::scheme::{ImprintCost, SchemeError, SchemeVerification, WatermarkScheme};
 use crate::verify::Verifier;
-use crate::watermark::{Watermark, WatermarkRecord, RECORD_BITS};
+use crate::watermark::{Watermark, WatermarkRecord};
 
-/// Parameters of a NOR tPEW verification campaign: the Flashmark operating
+/// Parameters of a tPEW verification campaign: the Flashmark operating
 /// point, the reserved segment, and the manufacturer identity the inspector
 /// expects.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NorTpewParams {
-    /// Flashmark operating point (`NPE`, `tPEW`, replicas, schedule).
+pub struct TpewParams {
+    /// Flashmark operating point (`NPE`, `tPEW`, replicas, schedule). On
+    /// ReRAM, `NPE` is the equivalent forming stress in P/E cycles.
     pub config: FlashmarkConfig,
     /// The reserved watermark segment.
     pub seg: SegmentAddr,
@@ -30,37 +39,43 @@ pub struct NorTpewParams {
     pub record: WatermarkRecord,
 }
 
-/// NOR enrollment: the signed record and its imprintable bit pattern.
+/// tPEW enrollment: the signed record and its imprintable bit pattern.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NorEnrollment {
+pub struct TpewEnrollment {
     /// The die-sort record (identity, grade, status, CRC-16).
     pub record: WatermarkRecord,
     /// The record as the imprinted watermark pattern.
     pub watermark: Watermark,
 }
 
-/// The existing NOR tPEW scheme behind the [`WatermarkScheme`] facade.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NorTpew;
+/// The tPEW wear watermark on chips of type `C`.
+pub struct TpewScheme<C> {
+    /// Stable scheme name ([`WatermarkScheme::name`]).
+    pub name: &'static str,
+    /// Mean equivalent wear cycles of a segment
+    /// ([`WatermarkScheme::wear_estimate`]).
+    pub wear: fn(&mut C, SegmentAddr) -> f64,
+}
 
-impl WatermarkScheme for NorTpew {
-    type Chip = FlashController;
-    type Params = NorTpewParams;
-    type Enrollment = NorEnrollment;
-    type Evidence = Extraction;
+/// The paper's NOR scheme (`"nor_tpew"`).
+pub const NOR_TPEW: TpewScheme<FlashController> = TpewScheme {
+    name: "nor_tpew",
+    wear: |chip, seg| chip.wear_stats(seg).mean_cycles,
+};
+
+impl<C: BulkStress> WatermarkScheme for TpewScheme<C> {
+    type Chip = C;
+    type Params = TpewParams;
+    type Enrollment = TpewEnrollment;
 
     fn name(&self) -> &'static str {
-        "nor_tpew"
+        self.name
     }
 
-    fn enroll(
-        &self,
-        _chip: &mut FlashController,
-        params: &NorTpewParams,
-    ) -> Result<NorEnrollment, SchemeError> {
+    fn enroll(&self, _chip: &mut C, params: &TpewParams) -> Result<TpewEnrollment, SchemeError> {
         // Enrollment for an imprinting scheme is pure bookkeeping: freeze
         // the signed record and its bit pattern. No chip measurement needed.
-        Ok(NorEnrollment {
+        Ok(TpewEnrollment {
             record: params.record,
             watermark: params.record.to_watermark(),
         })
@@ -68,9 +83,9 @@ impl WatermarkScheme for NorTpew {
 
     fn imprint(
         &self,
-        chip: &mut FlashController,
-        params: &NorTpewParams,
-        enrollment: &NorEnrollment,
+        chip: &mut C,
+        params: &TpewParams,
+        enrollment: &TpewEnrollment,
     ) -> Result<ImprintCost, SchemeError> {
         let report =
             Imprinter::new(&params.config).imprint(chip, params.seg, &enrollment.watermark)?;
@@ -80,24 +95,17 @@ impl WatermarkScheme for NorTpew {
         })
     }
 
-    fn extract(
-        &self,
-        chip: &mut FlashController,
-        params: &NorTpewParams,
-        _enrollment: &NorEnrollment,
-    ) -> Result<Extraction, SchemeError> {
-        Ok(Extractor::new(&params.config).extract(chip, params.seg, RECORD_BITS)?)
-    }
-
     fn verify(
         &self,
-        chip: &mut FlashController,
-        params: &NorTpewParams,
-        enrollment: &NorEnrollment,
+        chip: &mut C,
+        params: &TpewParams,
+        enrollment: &TpewEnrollment,
     ) -> Result<SchemeVerification, SchemeError> {
         let report = Verifier::new(params.config.clone(), params.manufacturer_id)
             .verify_resilient(chip, params.seg)?;
-        let mismatch = self.evidence_mismatch(enrollment, &report.extraction);
+        let evidence = &report.extraction;
+        let mismatch = (evidence.bits().len() == enrollment.watermark.len())
+            .then(|| evidence.ber_against(&enrollment.watermark));
         Ok(SchemeVerification {
             verdict: report.verdict,
             resolution: report.resolution.strategy(),
@@ -105,20 +113,15 @@ impl WatermarkScheme for NorTpew {
         })
     }
 
-    fn evidence_mismatch(&self, enrollment: &NorEnrollment, evidence: &Extraction) -> Option<f64> {
-        (evidence.bits().len() == enrollment.watermark.len())
-            .then(|| evidence.ber_against(&enrollment.watermark))
-    }
-
-    fn wear_estimate(&self, chip: &mut FlashController, params: &NorTpewParams) -> f64 {
-        chip.wear_stats(params.seg).mean_cycles
+    fn wear_estimate(&self, chip: &mut C, params: &TpewParams) -> f64 {
+        (self.wear)(chip, params.seg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{inspect, provision};
+    use crate::pipeline::provision;
     use crate::verify::{CounterfeitReason, Verdict};
     use crate::watermark::TestStatus;
     use flashmark_nor::{FlashGeometry, FlashTimings};
@@ -133,8 +136,8 @@ mod tests {
         )
     }
 
-    fn params(manufacturer_id: u16, status: TestStatus) -> NorTpewParams {
-        NorTpewParams {
+    fn params(manufacturer_id: u16, status: TestStatus) -> TpewParams {
+        TpewParams {
             config: FlashmarkConfig::builder()
                 .n_pe(80_000)
                 .replicas(7)
@@ -155,13 +158,12 @@ mod tests {
 
     #[test]
     fn genuine_roundtrip_through_the_trait() {
-        let scheme = NorTpew;
         let p = params(0x1001, TestStatus::Accept);
         let mut c = chip(11);
-        let (enrollment, cost) = provision(&scheme, &mut c, &p).unwrap();
+        let (enrollment, cost) = provision(&NOR_TPEW, &mut c, &p).unwrap();
         assert_eq!(cost.cycles, 80_000);
         assert!(cost.elapsed.get() > 0.0);
-        let v = inspect(&scheme, &mut c, &p, &enrollment).unwrap();
+        let v = NOR_TPEW.verify(&mut c, &p, &enrollment).unwrap();
         assert_eq!(v.verdict, Verdict::Genuine);
         assert_eq!(v.resolution, "ladder");
         assert!(v.mismatch.unwrap() < 0.05, "ber {:?}", v.mismatch);
@@ -169,11 +171,10 @@ mod tests {
 
     #[test]
     fn blank_chip_rejects() {
-        let scheme = NorTpew;
         let p = params(0x1001, TestStatus::Accept);
         let mut c = chip(12);
-        let enrollment = scheme.enroll(&mut c, &p).unwrap();
-        let v = scheme.verify(&mut c, &p, &enrollment).unwrap();
+        let enrollment = NOR_TPEW.enroll(&mut c, &p).unwrap();
+        let v = NOR_TPEW.verify(&mut c, &p, &enrollment).unwrap();
         assert_eq!(
             v.verdict,
             Verdict::Counterfeit(CounterfeitReason::NoWatermark)
@@ -181,46 +182,21 @@ mod tests {
     }
 
     #[test]
-    fn trait_verdict_matches_direct_verifier() {
-        // The scheme layer is pure delegation: verdict and resolution must
-        // be identical to a direct Verifier call on an identically-seeded
-        // chip (the no-behavior-drift acceptance criterion).
-        for (seed, status) in [(21, TestStatus::Accept), (22, TestStatus::Reject)] {
-            let scheme = NorTpew;
-            let p = params(0x2002, status);
-            let mut via_trait = chip(seed);
-            let (enrollment, _) = provision(&scheme, &mut via_trait, &p).unwrap();
-            let v = scheme.verify(&mut via_trait, &p, &enrollment).unwrap();
-
-            let mut direct = chip(seed);
-            Imprinter::new(&p.config)
-                .imprint(&mut direct, p.seg, &p.record.to_watermark())
-                .unwrap();
-            let report = Verifier::new(p.config.clone(), p.manufacturer_id)
-                .verify_resilient(&mut direct, p.seg)
-                .unwrap();
-            assert_eq!(v.verdict, report.verdict);
-            assert_eq!(v.resolution, report.resolution.strategy());
-        }
-    }
-
-    #[test]
     fn wear_is_monotone_over_the_lifecycle() {
-        let scheme = NorTpew;
         let p = params(0x1001, TestStatus::Accept);
         let mut c = chip(13);
-        let blank_wear = scheme.wear_estimate(&mut c, &p);
-        let enrollment = scheme.enroll(&mut c, &p).unwrap();
-        scheme.imprint(&mut c, &p, &enrollment).unwrap();
-        let imprinted = scheme.wear_estimate(&mut c, &p);
+        let blank_wear = NOR_TPEW.wear_estimate(&mut c, &p);
+        let enrollment = NOR_TPEW.enroll(&mut c, &p).unwrap();
+        NOR_TPEW.imprint(&mut c, &p, &enrollment).unwrap();
+        let imprinted = NOR_TPEW.wear_estimate(&mut c, &p);
         assert!(imprinted > blank_wear);
-        scheme.verify(&mut c, &p, &enrollment).unwrap();
-        assert!(scheme.wear_estimate(&mut c, &p) >= imprinted);
+        NOR_TPEW.verify(&mut c, &p, &enrollment).unwrap();
+        assert!(NOR_TPEW.wear_estimate(&mut c, &p) >= imprinted);
     }
 
     #[test]
     fn scheme_name_and_imprints() {
-        assert_eq!(NorTpew.name(), "nor_tpew");
-        assert!(NorTpew.imprints());
+        assert_eq!(NOR_TPEW.name(), "nor_tpew");
+        assert!(NOR_TPEW.imprints());
     }
 }

@@ -14,7 +14,6 @@ use flashmark_nor::SegmentAddr;
 use flashmark_physics::Micros;
 
 use crate::characterize::{characterize_segment, SweepSpec};
-use crate::config::{FlashmarkConfig, FlashmarkConfigBuilder};
 use crate::error::CoreError;
 use crate::window::{select_t_pew, WindowChoice};
 
@@ -33,19 +32,6 @@ pub struct ExtractionRecipe {
     pub reads: usize,
     /// Stress level the characterization used (kcycles).
     pub reference_stress_kcycles: f64,
-}
-
-impl ExtractionRecipe {
-    /// Builds a [`FlashmarkConfig`] from the recipe (imprint cycles are the
-    /// manufacturer's choice, not part of the public recipe).
-    #[must_use]
-    pub fn config(&self, n_pe: u64) -> FlashmarkConfigBuilder {
-        FlashmarkConfig::builder()
-            .n_pe(n_pe)
-            .t_pew(self.t_pew)
-            .replicas(self.replicas)
-            .reads(self.reads)
-    }
 }
 
 /// Per-chip and family-level characterization results.
@@ -207,10 +193,7 @@ mod tests {
         }
         let r = &fam.recipe;
         assert!(r.window_lo.get() <= r.t_pew.get() && r.t_pew.get() <= r.window_hi.get());
-        // The recipe builds a usable config.
-        let cfg = r.config(60_000).build().unwrap();
-        assert_eq!(cfg.t_pew(), r.t_pew);
-        assert_eq!(cfg.replicas(), 7);
+        assert_eq!(r.replicas, 7);
     }
 
     #[test]

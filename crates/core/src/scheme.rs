@@ -1,11 +1,11 @@
 //! The cross-technology watermark abstraction: [`WatermarkScheme`].
 //!
-//! The Flashmark pipeline (enroll → imprint → extract → verify) is not
-//! NOR-specific: the same irreversible-wear asymmetry exists in ReRAM
-//! forming stress, and intrinsic NAND process variation supports an
-//! enrollment/fuzzy-match fingerprint that needs no imprint step at all.
-//! [`WatermarkScheme`] captures the shared shape so campaign drivers,
-//! services, and tests can be written once and run over every backend:
+//! The Flashmark pipeline (enroll → imprint → verify) is not NOR-specific:
+//! the same irreversible-wear asymmetry exists in ReRAM forming stress,
+//! and intrinsic NAND process variation supports an enrollment/fuzzy-match
+//! fingerprint that needs no imprint step at all. [`WatermarkScheme`]
+//! captures the shared shape so campaigns, services, and tests can be
+//! written once and run over every backend:
 //!
 //! * **enroll** — manufacturer-side: derive the per-chip enrollment data
 //!   (the watermark record for imprinting schemes, the helper data +
@@ -13,10 +13,10 @@
 //! * **imprint** — manufacturer-side: burn the mark into irreversible
 //!   device state. Intrinsic schemes ([`WatermarkScheme::imprints`] =
 //!   `false`) make this a free no-op.
-//! * **extract** — inspector-side: recover the raw evidence through the
-//!   digital interface.
-//! * **verify** — inspector-side: classify the chip with the shared
-//!   [`Verdict`] vocabulary (including `Inconclusive` degradation).
+//! * **verify** — inspector-side: read the evidence back through the
+//!   digital interface and classify the chip with the shared [`Verdict`]
+//!   vocabulary (including `Inconclusive` degradation), reporting the
+//!   evidence's mismatch against the enrollment.
 //!
 //! Backends report failures through the unified [`SchemeError`], which
 //! preserves the transient/persistent distinction
@@ -157,11 +157,13 @@ pub struct SchemeVerification {
 
 /// A watermark/fingerprint scheme over one memory technology.
 ///
-/// Implementations exist for NOR tPEW wear watermarks
-/// ([`NorTpew`](crate::nor_scheme::NorTpew)), ReRAM forming-voltage wear
-/// (`flashmark_reram::ReramScheme`), and intrinsic NAND partial-program
-/// PUFs (`flashmark_nand::puf::NandPuf`). The shared contract (pinned by
-/// the workspace `scheme_contract` proptests):
+/// Two implementations exist: the tPEW wear watermark
+/// ([`TpewScheme`](crate::nor_scheme::TpewScheme)), whose values
+/// [`NOR_TPEW`](crate::nor_scheme::NOR_TPEW) and
+/// `flashmark_reram::RERAM_FORMING` run it on NOR and ReRAM, and the
+/// intrinsic NAND partial-program PUF (`flashmark_nand::puf::NandPuf`).
+/// The shared contract (pinned by the workspace `scheme_contract`
+/// proptests):
 ///
 /// * `verify` after `imprint(enroll(chip))` accepts a genuine chip;
 /// * `verify` against a blank chip rejects (or is inconclusive — never
@@ -178,8 +180,6 @@ pub trait WatermarkScheme {
     /// Per-chip enrollment data: what the manufacturer stores/publishes so
     /// an inspector can later verify the chip.
     type Enrollment;
-    /// Raw extracted evidence (soft information) from one inspection.
-    type Evidence;
 
     /// Stable scheme name — used as the registry/trend `scheme` tag and in
     /// campaign artifacts. Must be a lowercase identifier.
@@ -221,23 +221,12 @@ pub trait WatermarkScheme {
         enrollment: &Self::Enrollment,
     ) -> Result<ImprintCost, SchemeError>;
 
-    /// Inspector-side extraction: recover the raw evidence through the
-    /// digital interface.
-    ///
-    /// # Errors
-    ///
-    /// Backend or parameter errors.
-    fn extract(
-        &self,
-        chip: &mut Self::Chip,
-        params: &Self::Params,
-        enrollment: &Self::Enrollment,
-    ) -> Result<Self::Evidence, SchemeError>;
-
-    /// Inspector-side verification: extract, compare against the
-    /// enrollment, and classify with the shared [`Verdict`] vocabulary.
-    /// Fault conditions degrade to [`Verdict::Inconclusive`]; only
-    /// non-transient infrastructure failures surface as errors.
+    /// Inspector-side verification: extract the evidence through the
+    /// digital interface, compare it against the enrollment
+    /// ([`SchemeVerification::mismatch`]), and classify with the shared
+    /// [`Verdict`] vocabulary. Fault conditions degrade to
+    /// [`Verdict::Inconclusive`]; only non-transient infrastructure
+    /// failures surface as errors.
     ///
     /// # Errors
     ///
@@ -248,14 +237,6 @@ pub trait WatermarkScheme {
         params: &Self::Params,
         enrollment: &Self::Enrollment,
     ) -> Result<SchemeVerification, SchemeError>;
-
-    /// Mismatch of one piece of extracted evidence against the enrollment
-    /// (bit error rate / fuzzy distance), when comparable.
-    fn evidence_mismatch(
-        &self,
-        enrollment: &Self::Enrollment,
-        evidence: &Self::Evidence,
-    ) -> Option<f64>;
 
     /// An estimate of the marked region's wear (mean equivalent cycles) —
     /// the quantity the shared contract requires to be monotone over the

@@ -130,22 +130,6 @@ impl Resolution {
     }
 }
 
-impl fmt::Display for Resolution {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Ladder { offset_us } => {
-                write!(f, "ladder rung at {offset_us:+.1} us")
-            }
-            Self::Recharacterized { t_pew_us } => {
-                write!(f, "re-characterized window at {t_pew_us:.1} us")
-            }
-            Self::RetriesExhausted => write!(f, "transient retry budget exhausted"),
-            Self::CharacterizationFaulted => write!(f, "re-characterization faulted"),
-            Self::NoDecode => write!(f, "no rung decoded"),
-        }
-    }
-}
-
 /// Outcome of a verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
@@ -215,14 +199,6 @@ pub struct VerificationReport {
     pub resolution: Resolution,
 }
 
-impl VerificationReport {
-    /// One human-readable line: the verdict and the strategy that won.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        format!("{} (resolved by {})", self.verdict, self.resolution)
-    }
-}
-
 /// Verifies chips against a manufacturer's public extraction recipe.
 ///
 /// Extraction at a single `tPEW` can leave a handful of cells frozen at the
@@ -248,12 +224,6 @@ impl Verifier {
             retry_offsets_us: vec![0.0, -4.0, 4.0, -8.0, 8.0],
             max_transient_retries: 4,
         }
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &FlashmarkConfig {
-        &self.config
     }
 
     /// Extracts and validates the watermark record in `seg`.
@@ -897,10 +867,6 @@ mod tests {
         assert_eq!(report.verdict, Verdict::Genuine);
         // The nominal rung wins once the transient NAKs clear.
         assert_eq!(report.resolution, Resolution::Ladder { offset_us: 0.0 });
-        assert_eq!(
-            report.summary(),
-            "genuine (resolved by ladder rung at +0.0 us)"
-        );
         // The winning strategy is also surfaced as an obs event.
         assert_eq!(collector.metrics().counter("resolution", "ladder"), 1);
         assert!(collector.metrics().counter("retry", "verify_attempt") >= 1);
@@ -926,13 +892,8 @@ mod tests {
         );
         assert!(report.record.is_none());
         assert_ne!(report.verdict, Verdict::Genuine);
-        // The losing strategy is named in the report and the verdict text.
+        // The losing strategy is named in the report.
         assert_eq!(report.resolution, Resolution::RetriesExhausted);
-        assert_eq!(
-            report.summary(),
-            "inconclusive: transient faults persisted past the retry budget \
-             (resolved by transient retry budget exhausted)"
-        );
     }
 
     #[test]
@@ -969,7 +930,6 @@ mod tests {
             "resolution was {:?}",
             report.resolution
         );
-        assert!(report.summary().contains("re-characterized window"));
         assert_eq!(
             collector.metrics().counter("resolution", "recharacterized"),
             1

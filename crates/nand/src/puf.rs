@@ -125,13 +125,6 @@ pub struct NandPufEnrollment {
     pub reference: Vec<bool>,
 }
 
-/// One fingerprint measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NandPufReading {
-    /// The majority-voted fingerprint bits (one per code channel bit).
-    pub fingerprint: Vec<bool>,
-}
-
 /// The intrinsic NAND PUF behind the [`WatermarkScheme`] facade.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NandPuf;
@@ -193,11 +186,31 @@ fn fingerprint_from_votes(
         .collect()
 }
 
+/// Re-measures the enrolled fingerprint: fresh votes over the block,
+/// condensed through the enrollment's dark-bit mask.
+fn read_fingerprint(
+    chip: &mut NandChip,
+    params: &NandPufParams,
+    enrollment: &NandPufEnrollment,
+) -> Result<Vec<bool>, SchemeError> {
+    let votes = measure_votes(chip, &params.config, params.block)?;
+    if enrollment.mask.iter().any(|&c| c as usize >= votes.len()) {
+        return Err(SchemeError::Config(
+            "helper mask addresses cells outside the fingerprint block",
+        ));
+    }
+    Ok(fingerprint_from_votes(
+        &votes,
+        &enrollment.mask,
+        params.config.cells_per_bit,
+        params.config.reads,
+    ))
+}
+
 impl WatermarkScheme for NandPuf {
     type Chip = NandChip;
     type Params = NandPufParams;
     type Enrollment = NandPufEnrollment;
-    type Evidence = NandPufReading;
 
     fn name(&self) -> &'static str {
         "nand_puf"
@@ -267,45 +280,29 @@ impl WatermarkScheme for NandPuf {
         Ok(ImprintCost::free())
     }
 
-    fn extract(
-        &self,
-        chip: &mut NandChip,
-        params: &NandPufParams,
-        enrollment: &NandPufEnrollment,
-    ) -> Result<NandPufReading, SchemeError> {
-        let votes = measure_votes(chip, &params.config, params.block)?;
-        if enrollment.mask.iter().any(|&c| c as usize >= votes.len()) {
-            return Err(SchemeError::Config(
-                "helper mask addresses cells outside the fingerprint block",
-            ));
-        }
-        Ok(NandPufReading {
-            fingerprint: fingerprint_from_votes(
-                &votes,
-                &enrollment.mask,
-                params.config.cells_per_bit,
-                params.config.reads,
-            ),
-        })
-    }
-
     fn verify(
         &self,
         chip: &mut NandChip,
         params: &NandPufParams,
         enrollment: &NandPufEnrollment,
     ) -> Result<SchemeVerification, SchemeError> {
-        let reading = self.extract(chip, params, enrollment)?;
-        let mismatch = self.evidence_mismatch(enrollment, &reading);
-        if reading.fingerprint.len() != enrollment.helper.len() {
+        let fingerprint = read_fingerprint(chip, params, enrollment)?;
+        let mismatch = (fingerprint.len() == enrollment.reference.len()).then(|| {
+            let differing = fingerprint
+                .iter()
+                .zip(enrollment.reference.iter())
+                .filter(|(a, b)| a != b)
+                .count();
+            differing as f64 / enrollment.reference.len() as f64
+        });
+        if fingerprint.len() != enrollment.helper.len() {
             return Err(SchemeError::Config(
                 "helper data does not match the fingerprint geometry",
             ));
         }
         // Unmask: on the enrolled die this is the enrollment codeword plus
         // a few unstable bits; on any other die it is noise.
-        let received: Vec<bool> = reading
-            .fingerprint
+        let received: Vec<bool> = fingerprint
             .iter()
             .zip(enrollment.helper.iter())
             .map(|(&w, &d)| w ^ d)
@@ -365,22 +362,6 @@ impl WatermarkScheme for NandPuf {
         })
     }
 
-    fn evidence_mismatch(
-        &self,
-        enrollment: &NandPufEnrollment,
-        evidence: &NandPufReading,
-    ) -> Option<f64> {
-        (evidence.fingerprint.len() == enrollment.reference.len()).then(|| {
-            let differing = evidence
-                .fingerprint
-                .iter()
-                .zip(enrollment.reference.iter())
-                .filter(|(a, b)| a != b)
-                .count();
-            differing as f64 / enrollment.reference.len() as f64
-        })
-    }
-
     fn wear_estimate(&self, chip: &mut NandChip, params: &NandPufParams) -> f64 {
         chip.mean_wear(params.block)
     }
@@ -416,8 +397,8 @@ mod tests {
         let p = params(0x4004, TestStatus::Accept);
         let mut c = chip(201);
         let enrollment = scheme.enroll(&mut c, &p).unwrap();
-        let reading = scheme.extract(&mut c, &p, &enrollment).unwrap();
-        let mismatch = scheme.evidence_mismatch(&enrollment, &reading).unwrap();
+        let mismatch = scheme.verify(&mut c, &p, &enrollment).unwrap().mismatch;
+        let mismatch = mismatch.unwrap();
         assert!(mismatch < 0.03, "intra-die mismatch {mismatch}");
     }
 
@@ -426,8 +407,11 @@ mod tests {
         let scheme = NandPuf;
         let p = params(0x4004, TestStatus::Accept);
         let enrollment = scheme.enroll(&mut chip(202), &p).unwrap();
-        let reading = scheme.extract(&mut chip(203), &p, &enrollment).unwrap();
-        let mismatch = scheme.evidence_mismatch(&enrollment, &reading).unwrap();
+        let mismatch = scheme
+            .verify(&mut chip(203), &p, &enrollment)
+            .unwrap()
+            .mismatch;
+        let mismatch = mismatch.unwrap();
         assert!(
             (0.3..=0.7).contains(&mismatch),
             "inter-die mismatch {mismatch}"

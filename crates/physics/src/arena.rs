@@ -30,8 +30,8 @@
 //! Kernels process cells in [`LANES`]-wide chunks with a scalar tail. There
 //! is no `unsafe` and no explicit SIMD: the chunk bodies are written so the
 //! autovectorizer can keep each lane independent, and `f64::max` reductions
-//! are exact (commutative and associative on the NaN-free domain), so the
-//! chunked reduction order cannot change the result bit.
+//! are exact (commutative and associative on the NaN-free domain), so a
+//! kernel may reduce in any cell order without changing the result bit.
 //!
 //! Randomness inside kernels comes from counter-based streams
 //! ([`CounterStream`]): every deviate is a pure function of
@@ -404,72 +404,19 @@ impl CellArena {
         max_bucket
     }
 
-    /// Chunked-lane maximum of the log-domain reference-crossing time over
-    /// all cells, where stressed cells (per `stressed`) sit at
-    /// `stressed_wear` and the rest at `spared_wear`.
+    /// The log-domain reference-crossing time maximized over all cells,
+    /// for each `(stressed_wear, spared_wear)` pair of a schedule: stressed
+    /// cells (per `stressed`) sit at `stressed_wear`, the rest at
+    /// `spared_wear`. Returns `-∞` for an empty arena; the caller takes the
+    /// final `exp`.
     ///
     /// Bit-identical to folding
     /// [`ln_t_cross_us_cached`](crate::erase::ln_t_cross_us_cached) over the
-    /// cells with `f64::max` (see [`reference::max_ln_t_cross`]). Returns
-    /// `-∞` for an empty arena; the caller takes the final `exp`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stressed.len() != self.len()`.
-    pub fn max_ln_t_cross(
-        &self,
-        params: &PhysicsParams,
-        cache: &mut EraseDistCache,
-        stressed: &[bool],
-        stressed_wear: f64,
-        spared_wear: f64,
-    ) -> f64 {
-        let n = self.len();
-        assert_eq!(stressed.len(), n, "stress mask length mismatch");
-        self.ensure_cache(params, cache, stressed_wear.max(spared_wear));
-        let (ln_median, sigma) = cache.tables();
-        let grid = cache.grid_kcycles();
-        let s = &*self.statics;
-        let lane = |i: usize| -> f64 {
-            let wear = if stressed[i] {
-                stressed_wear
-            } else {
-                spared_wear
-            };
-            let k = wear * s.susceptibility[i] / 1000.0;
-            let bucket = wear_bucket(k, grid);
-            ln_t_cross(
-                ln_median[bucket],
-                sigma[bucket],
-                s.erase_z[i],
-                s.ln_straggler[i],
-                s.early_activation[i],
-                s.ln_early_factor[i],
-                k,
-            )
-        };
-        let chunks = n / LANES;
-        let mut acc = [f64::NEG_INFINITY; LANES];
-        for c in 0..chunks {
-            let base = c * LANES;
-            for (j, slot) in acc.iter_mut().enumerate() {
-                *slot = slot.max(lane(base + j));
-            }
-        }
-        let mut worst = acc.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-        for i in chunks * LANES..n {
-            worst = worst.max(lane(i));
-        }
-        worst
-    }
-
-    /// [`Self::max_ln_t_cross`] for a whole schedule of
-    /// `(stressed_wear, spared_wear)` pairs in one call.
-    ///
-    /// Bit-identical to calling [`Self::max_ln_t_cross`] once per pair, but
-    /// instead of scanning all cells per pair it scans each stress class
-    /// **once** in descending-susceptibility order and keeps only the
-    /// Pareto frontier of cells that can attain the maximum at *some* wear:
+    /// cells with `f64::max` once per pair (see
+    /// [`reference::max_ln_t_cross`]), but instead of scanning all cells per
+    /// pair it scans each stress class **once** in descending-susceptibility
+    /// order and keeps only the Pareto frontier of cells that can attain
+    /// the maximum at *some* wear:
     ///
     /// * within a class every cell sees the same wear, so the quantized
     ///   wear bucket — and with it `ln median` (non-decreasing by the
@@ -485,8 +432,8 @@ impl CellArena {
     /// pair. The scan order is sorted on each call (~110 µs for 4096
     /// cells), once per accelerated imprint, rather than at derive, which
     /// every wear probe pays. If a hand-built calibration breaks `ln median`
-    /// monotonicity ([`EraseDistCache::is_monotone`]), the kernel falls back
-    /// to full chunked scans and sorts nothing.
+    /// monotonicity ([`EraseDistCache::is_monotone`]), every cell of a class
+    /// is a candidate and nothing is sorted.
     ///
     /// # Panics
     ///
@@ -504,22 +451,27 @@ impl CellArena {
             .iter()
             .fold(0.0f64, |acc, &(s, p)| acc.max(s).max(p));
         self.ensure_cache(params, cache, max_wear);
-        if !cache.is_monotone() {
-            return wear_pairs
-                .iter()
-                .map(|&(s, p)| self.max_ln_t_cross(params, cache, stressed, s, p))
-                .collect();
-        }
         let (ln_median, sigma) = cache.tables();
         let grid = cache.grid_kcycles();
-        let (sig_lo, sig_hi) = sigma
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
-                (lo.min(s), hi.max(s))
-            });
-        let order = scan_order(&self.statics.susceptibility);
-        let stressed_cands = self.frontier(&order, stressed, true, sig_lo, sig_hi);
-        let spared_cands = self.frontier(&order, stressed, false, sig_lo, sig_hi);
+        let (stressed_cands, spared_cands) = if cache.is_monotone() {
+            let (sig_lo, sig_hi) = sigma
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
+                    (lo.min(s), hi.max(s))
+                });
+            let order = scan_order(&self.statics.susceptibility);
+            (
+                self.frontier(&order, stressed, true, sig_lo, sig_hi),
+                self.frontier(&order, stressed, false, sig_lo, sig_hi),
+            )
+        } else {
+            let class = |want: bool| -> Vec<u32> {
+                (0..n as u32)
+                    .filter(|&i| stressed[i as usize] == want)
+                    .collect()
+            };
+            (class(true), class(false))
+        };
         let s = &*self.statics;
         let eval = |cands: &[u32], wear: f64| -> f64 {
             let mut worst = f64::NEG_INFINITY;
@@ -1056,8 +1008,8 @@ pub mod reference {
     use crate::rng::CounterStream;
     use crate::wear::bulk_pe_stress;
 
-    /// Scalar fold of [`ln_t_cross_us_cached`] — the reference for
-    /// [`CellArena::max_ln_t_cross`].
+    /// Scalar fold of [`ln_t_cross_us_cached`] for one wear pair — the
+    /// reference for each entry of [`CellArena::max_ln_t_cross_multi`].
     pub fn max_ln_t_cross(
         arena: &CellArena,
         params: &PhysicsParams,
@@ -1256,28 +1208,57 @@ mod tests {
         for wear in [0.0, 4_000.0, 40_000.0, 100_000.0] {
             let mut c1 = EraseDistCache::new(params.erase_dist_grid_kcycles);
             let mut c2 = EraseDistCache::new(params.erase_dist_grid_kcycles);
-            let fast = arena.max_ln_t_cross(&params, &mut c1, &stressed, wear, wear * 0.04);
+            let fast =
+                arena.max_ln_t_cross_multi(&params, &mut c1, &stressed, &[(wear, wear * 0.04)]);
             let slow =
                 reference::max_ln_t_cross(&arena, &params, &mut c2, &stressed, wear, wear * 0.04);
-            assert_eq!(fast.to_bits(), slow.to_bits(), "wear {wear}");
+            assert_eq!(fast[0].to_bits(), slow.to_bits(), "wear {wear}");
         }
+    }
+
+    /// A schedule of wear pairs, as one accelerated imprint runs it.
+    fn schedule() -> Vec<(f64, f64)> {
+        (0..=16)
+            .map(|s| {
+                let w = 40_000.0 * f64::from(s) / 16.0;
+                (w, w * 0.017_241)
+            })
+            .collect()
     }
 
     #[test]
     fn multi_kernel_matches_single_calls_bitwise() {
         let (params, arena) = arena(1024);
         let stressed = mask(arena.len());
-        let pairs: Vec<(f64, f64)> = (0..=16)
-            .map(|s| {
-                let w = 40_000.0 * f64::from(s) / 16.0;
-                (w, w * 0.017_241)
-            })
-            .collect();
+        let pairs = schedule();
         let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
         let multi = arena.max_ln_t_cross_multi(&params, &mut cache, &stressed, &pairs);
         for (idx, &(s, p)) in pairs.iter().enumerate() {
-            let single = arena.max_ln_t_cross(&params, &mut cache, &stressed, s, p);
+            let single = reference::max_ln_t_cross(&arena, &params, &mut cache, &stressed, s, p);
             assert_eq!(multi[idx].to_bits(), single.to_bits(), "pair {idx}");
+        }
+    }
+
+    /// On a table marked non-monotone the kernel skips the frontier and
+    /// evaluates every cell of each class, still bit for bit.
+    #[test]
+    fn non_monotone_table_scans_every_cell() {
+        let (params, arena) = arena(1024);
+        let stressed = mask(arena.len());
+        let pairs = schedule();
+        let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
+        let monotone = arena.max_ln_t_cross_multi(&params, &mut cache, &stressed, &pairs);
+        cache.mark_non_monotone();
+        assert!(!cache.is_monotone());
+        let full_scan = arena.max_ln_t_cross_multi(&params, &mut cache, &stressed, &pairs);
+        for (idx, &(s, p)) in pairs.iter().enumerate() {
+            let single = reference::max_ln_t_cross(&arena, &params, &mut cache, &stressed, s, p);
+            assert_eq!(full_scan[idx].to_bits(), single.to_bits(), "pair {idx}");
+            assert_eq!(
+                full_scan[idx].to_bits(),
+                monotone[idx].to_bits(),
+                "pair {idx}"
+            );
         }
     }
 
@@ -1675,7 +1656,7 @@ mod tests {
     fn empty_arena_max_is_neg_infinity() {
         let (params, arena) = arena(0);
         let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
-        let worst = arena.max_ln_t_cross(&params, &mut cache, &[], 10_000.0, 0.0);
+        let worst = arena.max_ln_t_cross_multi(&params, &mut cache, &[], &[(10_000.0, 0.0)])[0];
         assert!(worst.is_infinite() && worst < 0.0);
         assert_eq!(worst.exp().to_bits(), 0.0_f64.to_bits());
     }

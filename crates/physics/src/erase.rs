@@ -123,6 +123,14 @@ impl EraseDistCache {
         self.monotone
     }
 
+    /// Marks the table non-monotone, as a hand-built calibration that
+    /// breaks `ln median` monotonicity would, so tests reach the kernels'
+    /// full-scan branch.
+    #[cfg(test)]
+    pub(crate) fn mark_non_monotone(&mut self) {
+        self.monotone = false;
+    }
+
     /// `(ln median, sigma)` for one bucket, filling the table as needed.
     fn entry(&mut self, cal: &EraseCalibration, bucket: usize) -> (f64, f64) {
         self.ensure(cal, bucket);

@@ -163,9 +163,8 @@ proptest! {
         prop_assert_eq!(CellStatics::derive(&p, seed, idx), CellStatics::derive(&p, seed, idx));
     }
 
-    /// The chunked max-crossing kernel is bit-identical to the retained
-    /// scalar reference for every chunk/tail split (1..=257 covers empty,
-    /// sub-chunk, exact-multiple, and multi-chunk-plus-tail arenas) and
+    /// The max-crossing kernel on a single wear pair is bit-identical to the
+    /// retained scalar reference on small arenas (1..=257 cells) and
     /// arbitrary wear pairs.
     #[test]
     fn arena_max_ln_t_cross_matches_scalar(
@@ -178,9 +177,9 @@ proptest! {
         let n = n as usize;
         let a = CellArena::derive(&p, seed, 128, n);
         let mask = lane_mask(n);
-        let lane = a.max_ln_t_cross(&p, &mut cache(&p), &mask, sw, pw);
+        let lane = a.max_ln_t_cross_multi(&p, &mut cache(&p), &mask, &[(sw, pw)]);
         let scalar = reference::max_ln_t_cross(&a, &p, &mut cache(&p), &mask, sw, pw);
-        prop_assert_eq!(lane.to_bits(), scalar.to_bits());
+        prop_assert_eq!(lane[0].to_bits(), scalar.to_bits());
     }
 
     /// The chunked erase-pulse kernel leaves every lane bit-identical to
@@ -319,15 +318,15 @@ proptest! {
     }
 }
 
-/// The lane kernel agrees with the scalar reference bit-for-bit at (and
-/// a hair to either side of) **every** quantization bucket boundary of the
+/// The max-crossing kernel agrees with the scalar reference bit-for-bit
+/// at (and a hair to either side of) **every** quantization bucket boundary of the
 /// erase-distribution LUT up to past rated endurance — the exact wear
 /// levels where a rounding disagreement between the two paths would land
 /// cells in different buckets.
 #[test]
 fn lane_kernel_bitwise_at_every_lut_bucket_boundary() {
     let p = params();
-    // 13 cells: one full 8-lane chunk plus a 5-cell tail.
+    // 13 cells, both stress classes populated.
     let a = CellArena::derive(&p, 0x1D5EED, 128, 13);
     let mask = lane_mask(13);
     let mut lane_cache = cache(&p);
@@ -340,7 +339,7 @@ fn lane_kernel_bitwise_at_every_lut_bucket_boundary() {
         let boundary_k = (b as f64 + 0.5) * grid;
         for eps in [-1e-6, 0.0, 1e-6] {
             let wear = ((boundary_k + eps) * 1000.0).max(0.0);
-            let lane = a.max_ln_t_cross(&p, &mut lane_cache, &mask, wear, wear * 0.3);
+            let lane = a.max_ln_t_cross_multi(&p, &mut lane_cache, &mask, &[(wear, wear * 0.3)])[0];
             let scalar =
                 reference::max_ln_t_cross(&a, &p, &mut scalar_cache, &mask, wear, wear * 0.3);
             assert_eq!(
@@ -472,7 +471,7 @@ fn erase_bitwise_across_the_closed_form_threshold() {
 }
 
 /// The batched multi-wear kernel (Pareto-frontier pruning) matches the
-/// single-pair kernel bit-for-bit on a schedule that visits every LUT
+/// scalar reference bit-for-bit on a schedule that visits every LUT
 /// bucket up to past rated endurance.
 #[test]
 fn multi_schedule_bitwise_across_every_lut_bucket() {
@@ -491,7 +490,7 @@ fn multi_schedule_bitwise_across_every_lut_bucket() {
     let multi = a.max_ln_t_cross_multi(&p, &mut multi_cache, &mask, &pairs);
     let mut single_cache = cache(&p);
     for (i, &(sw, pw)) in pairs.iter().enumerate() {
-        let single = a.max_ln_t_cross(&p, &mut single_cache, &mask, sw, pw);
+        let single = reference::max_ln_t_cross(&a, &p, &mut single_cache, &mask, sw, pw);
         assert_eq!(
             multi[i].to_bits(),
             single.to_bits(),

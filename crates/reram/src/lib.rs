@@ -14,19 +14,21 @@
 //!   vocabulary, sub-µs switching, ms-class forming pass);
 //! * [`adapter`] — [`ReramWordAdapter`], the `FlashInterface` shim the
 //!   Flashmark procedures drive unchanged;
-//! * [`scheme`] — [`ReramScheme`], the `WatermarkScheme` implementation
-//!   campaigns run (`"reram_forming"`).
+//! * [`scheme`] — [`RERAM_FORMING`], core's one tPEW `WatermarkScheme`
+//!   on the word adapter, as campaigns run it (`"reram_forming"`).
 //!
 //! ```
 //! use flashmark_core::config::FlashmarkConfig;
-//! use flashmark_core::pipeline::{inspect, provision};
+//! use flashmark_core::nor_scheme::TpewParams;
+//! use flashmark_core::pipeline::provision;
+//! use flashmark_core::scheme::WatermarkScheme;
 //! use flashmark_core::verify::Verdict;
 //! use flashmark_core::watermark::{TestStatus, WatermarkRecord};
 //! use flashmark_nor::{FlashGeometry, SegmentAddr};
-//! use flashmark_reram::{ReramChip, ReramParams, ReramScheme, ReramWordAdapter};
+//! use flashmark_reram::{ReramChip, ReramWordAdapter, RERAM_FORMING};
 //!
 //! let mut chip = ReramWordAdapter::new(ReramChip::new(FlashGeometry::single_bank(8), 7));
-//! let params = ReramParams {
+//! let params = TpewParams {
 //!     config: FlashmarkConfig::builder()
 //!         .n_pe(60_000)
 //!         .replicas(7)
@@ -43,8 +45,8 @@
 //!         year_week: 2033,
 //!     },
 //! };
-//! let (enrollment, cost) = provision(&ReramScheme, &mut chip, &params).unwrap();
-//! let verification = inspect(&ReramScheme, &mut chip, &params, &enrollment).unwrap();
+//! let (enrollment, cost) = provision(&RERAM_FORMING, &mut chip, &params).unwrap();
+//! let verification = RERAM_FORMING.verify(&mut chip, &params, &enrollment).unwrap();
 //! assert_eq!(verification.verdict, Verdict::Genuine);
 //! assert!(cost.elapsed.get() < 1.0); // one forming pass, not a wear loop
 //! ```
@@ -59,4 +61,4 @@ pub use adapter::ReramWordAdapter;
 pub use chip::{ReramChip, ReramTimings};
 pub use error::ReramError;
 pub use params::{reram_like, reram_wear_weights, MAX_FORMING_CYCLES};
-pub use scheme::{ReramEnrollment, ReramParams, ReramScheme};
+pub use scheme::RERAM_FORMING;

@@ -34,9 +34,9 @@
 //!
 //! # Quickstart
 //!
-//! The scheme-generic entry points ([`prelude::provision`] /
-//! [`prelude::inspect`]) run the same enroll → imprint → verify story on
-//! any backend; here, the paper's NOR tPEW scheme:
+//! [`prelude::provision`] and [`WatermarkScheme::verify`] run the same
+//! enroll → imprint → verify story on any backend; here, the paper's NOR
+//! tPEW scheme:
 //!
 //! ```
 //! use flashmark::prelude::*;
@@ -58,7 +58,7 @@
 //!     .n_pe(60_000)
 //!     .replicas(7)
 //!     .build()?;
-//! let params = NorTpewParams {
+//! let params = TpewParams {
 //!     config,
 //!     seg: SegmentAddr::new(4),
 //!     manufacturer_id: 0x1A2B,
@@ -70,11 +70,11 @@
 //!         year_week: 2026,
 //!     },
 //! };
-//! let (enrollment, cost) = provision(&NorTpew, &mut chip, &params)?;
+//! let (enrollment, cost) = provision(&NOR_TPEW, &mut chip, &params)?;
 //! assert!(cost.cycles > 0, "wear-based backends pay an imprint cost");
 //!
 //! // Inspector side: verify against the enrollment.
-//! let outcome = inspect(&NorTpew, &mut chip, &params, &enrollment)?;
+//! let outcome = NOR_TPEW.verify(&mut chip, &params, &enrollment)?;
 //! assert_eq!(outcome.verdict, Verdict::Genuine);
 //! # Ok(())
 //! # }
@@ -101,16 +101,18 @@ pub use flashmark_core::WatermarkScheme;
 
 /// The cross-technology watermarking vocabulary in one import: the
 /// [`WatermarkScheme`] trait, its verdict/error types, the scheme-generic
-/// pipeline entry points, and every backend implementation.
+/// [`provision`](prelude::provision) flow, and every backend: the tPEW
+/// scheme on NOR and ReRAM, and the NAND PUF.
 ///
 /// ```
 /// use flashmark::prelude::*;
 /// ```
 pub mod prelude {
     pub use flashmark_core::{
-        inspect, provision, CounterfeitReason, ImprintCost, InconclusiveReason, NorEnrollment,
-        NorTpew, NorTpewParams, SchemeError, SchemeVerification, Verdict, WatermarkScheme,
+        provision, CounterfeitReason, ImprintCost, InconclusiveReason, SchemeError,
+        SchemeVerification, TpewEnrollment, TpewParams, TpewScheme, Verdict, WatermarkScheme,
+        NOR_TPEW,
     };
     pub use flashmark_nand::{NandPuf, NandPufConfig, NandPufParams};
-    pub use flashmark_reram::{ReramParams, ReramScheme, ReramWordAdapter};
+    pub use flashmark_reram::{ReramWordAdapter, RERAM_FORMING};
 }

@@ -1,12 +1,15 @@
 //! The shared `WatermarkScheme` contract, property-tested over every
 //! backend (NOR tPEW, intrinsic NAND PUF, ReRAM forming):
 //!
-//! * provision (enroll + imprint) followed by inspect on the same chip
+//! * provision (enroll + imprint) followed by verify on the same chip
 //!   accepts — the genuine path holds at any chip seed;
 //! * inspecting a blank chip against another die's enrollment rejects —
 //!   the forgery asymmetry holds at any seed pair;
 //! * imprinting never *decreases* the wear estimate, and wear-based
 //!   schemes strictly increase it (the intrinsic NAND PUF is free);
+//! * the one tPEW scheme is pure delegation on both chips it runs on:
+//!   provision + verify lands exactly what a direct `Imprinter::imprint`
+//!   + `Verifier::verify_resilient` lands on an identically seeded chip;
 //! * the differential backend campaign artifact is byte-identical at
 //!   `--threads 1` and `--threads 8` for arbitrary campaign seeds.
 
@@ -15,8 +18,9 @@ use proptest::prelude::*;
 use flashmark::prelude::*;
 use flashmark_bench::backend_campaign::{run_backend_campaign, BackendCampaignOptions};
 use flashmark_bench::json::ToJson as _;
-use flashmark_core::{FlashmarkConfig, TestStatus, WatermarkRecord};
+use flashmark_core::{FlashmarkConfig, Imprinter, TestStatus, Verifier, WatermarkRecord};
 use flashmark_nand::{BlockAddr, NandChip, NandGeometry};
+use flashmark_nor::interface::BulkStress;
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_physics::{Micros, PhysicsParams};
 use flashmark_reram::ReramChip;
@@ -51,12 +55,12 @@ fn nor_chip(seed: u64) -> FlashController {
     )
 }
 
-fn nor_params() -> NorTpewParams {
-    NorTpewParams {
+fn nor_params(status: TestStatus) -> TpewParams {
+    TpewParams {
         config: config(),
         seg: SegmentAddr::new(0),
         manufacturer_id: MANUFACTURER,
-        record: record(TestStatus::Accept),
+        record: record(status),
     }
 }
 
@@ -77,11 +81,11 @@ fn reram_chip(seed: u64) -> ReramWordAdapter {
     ReramWordAdapter::new(ReramChip::new(FlashGeometry::single_bank(8), seed))
 }
 
-fn reram_params() -> ReramParams {
+fn reram_params(status: TestStatus) -> TpewParams {
     // The ReRAM operating point: forming stress is a single pass whatever
     // the level, so the campaign cranks stress and replica count to absorb
     // the wider filament-geometry variation (see `reram_config` in bench).
-    ReramParams {
+    TpewParams {
         config: FlashmarkConfig::builder()
             .n_pe(90_000)
             .replicas(21)
@@ -90,7 +94,7 @@ fn reram_params() -> ReramParams {
             .expect("config"),
         seg: SegmentAddr::new(0),
         manufacturer_id: MANUFACTURER,
-        record: record(TestStatus::Accept),
+        record: record(status),
     }
 }
 
@@ -101,7 +105,7 @@ fn contract<S: WatermarkScheme>(
     mk: impl Fn(u64) -> S::Chip,
     seed: u64,
 ) -> Result<(), String> {
-    // Genuine: provision then inspect the same chip.
+    // Genuine: provision then verify the same chip.
     let mut chip = mk(seed);
     let wear_before = scheme.wear_estimate(&mut chip, params);
     let (enrollment, cost) =
@@ -126,18 +130,62 @@ fn contract<S: WatermarkScheme>(
             ));
         }
     }
-    let genuine = inspect(scheme, &mut chip, params, &enrollment)
-        .map_err(|e| format!("genuine inspect: {e}"))?;
+    let genuine = scheme
+        .verify(&mut chip, params, &enrollment)
+        .map_err(|e| format!("genuine verify: {e}"))?;
     if genuine.verdict != Verdict::Genuine {
         return Err(format!("genuine chip judged {:?}", genuine.verdict));
     }
 
     // Blank: a different die never passes another die's enrollment.
     let mut blank = mk(seed ^ 0x5DEE_CE55_0000_0001);
-    let forged = inspect(scheme, &mut blank, params, &enrollment)
-        .map_err(|e| format!("blank inspect: {e}"))?;
+    let forged = scheme
+        .verify(&mut blank, params, &enrollment)
+        .map_err(|e| format!("blank verify: {e}"))?;
     if !matches!(forged.verdict, Verdict::Counterfeit(_)) {
         return Err(format!("blank chip judged {:?}", forged.verdict));
+    }
+    Ok(())
+}
+
+/// The tPEW scheme against the direct pipeline on an identically seeded
+/// chip: verdict, resolution and mismatch must agree bit for bit.
+fn matches_direct_pipeline<C: BulkStress>(
+    scheme: &TpewScheme<C>,
+    params: &TpewParams,
+    mk: impl Fn(u64) -> C,
+    seed: u64,
+) -> Result<(), String> {
+    let mut via_scheme = mk(seed);
+    let (enrollment, _) =
+        provision(scheme, &mut via_scheme, params).map_err(|e| format!("provision: {e}"))?;
+    let v = scheme
+        .verify(&mut via_scheme, params, &enrollment)
+        .map_err(|e| format!("scheme verify: {e}"))?;
+
+    let mut direct = mk(seed);
+    let watermark = params.record.to_watermark();
+    Imprinter::new(&params.config)
+        .imprint(&mut direct, params.seg, &watermark)
+        .map_err(|e| format!("imprint: {e}"))?;
+    let report = Verifier::new(params.config.clone(), params.manufacturer_id)
+        .verify_resilient(&mut direct, params.seg)
+        .map_err(|e| format!("direct verify: {e}"))?;
+    let mismatch = (report.extraction.bits().len() == watermark.len())
+        .then(|| report.extraction.ber_against(&watermark));
+
+    if v.verdict != report.verdict {
+        return Err(format!("verdict {:?} vs {:?}", v.verdict, report.verdict));
+    }
+    if v.resolution != report.resolution.strategy() {
+        return Err(format!(
+            "resolution {} vs {}",
+            v.resolution,
+            report.resolution.strategy()
+        ));
+    }
+    if v.mismatch.map(f64::to_bits) != mismatch.map(f64::to_bits) {
+        return Err(format!("mismatch {:?} vs {mismatch:?}", v.mismatch));
     }
     Ok(())
 }
@@ -147,7 +195,7 @@ proptest! {
 
     #[test]
     fn nor_tpew_satisfies_the_scheme_contract(seed in 0u64..1u64 << 48) {
-        contract(&NorTpew, &nor_params(), nor_chip, seed).unwrap();
+        contract(&NOR_TPEW, &nor_params(TestStatus::Accept), nor_chip, seed).unwrap();
     }
 
     #[test]
@@ -157,7 +205,14 @@ proptest! {
 
     #[test]
     fn reram_forming_satisfies_the_scheme_contract(seed in 0u64..1u64 << 48) {
-        contract(&ReramScheme, &reram_params(), reram_chip, seed).unwrap();
+        contract(&RERAM_FORMING, &reram_params(TestStatus::Accept), reram_chip, seed).unwrap();
+    }
+
+    #[test]
+    fn tpew_scheme_matches_the_direct_pipeline(seed in 0u64..1u64 << 48, reject in any::<bool>()) {
+        let status = if reject { TestStatus::Reject } else { TestStatus::Accept };
+        matches_direct_pipeline(&NOR_TPEW, &nor_params(status), nor_chip, seed).unwrap();
+        matches_direct_pipeline(&RERAM_FORMING, &reram_params(status), reram_chip, seed).unwrap();
     }
 
     #[test]
