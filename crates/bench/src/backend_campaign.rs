@@ -33,7 +33,7 @@ use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, NorError, Segm
 use flashmark_physics::rng::mix2;
 use flashmark_physics::{Micros, PhysicsParams};
 use flashmark_registry::{Record, RecordVerdict, Registry, RegistryOptions};
-use flashmark_reram::{ReramChip, ReramWordAdapter, RERAM_FORMING};
+use flashmark_reram::{reram_like, reram_timings, RERAM_FORMING};
 
 use crate::impl_to_json;
 
@@ -43,8 +43,8 @@ pub const BACKEND_MANUFACTURER: u16 = 0x7C02;
 /// Commit tag stamped into the per-scheme registry records.
 pub const BACKEND_COMMIT: &str = concat!("flashmark-bench/", env!("CARGO_PKG_VERSION"));
 
-/// The stable scheme names, in campaign order.
-pub const BACKEND_SCHEMES: [&str; 3] = ["nor_tpew", "nand_puf", "reram_forming"];
+/// Number of schemes the campaign runs.
+pub const BACKEND_SCHEMES: usize = 3;
 
 /// The NOR operating point: the paper's 60 K stress with 7-replica
 /// majority voting at the 28 µs extraction window — the point every
@@ -507,14 +507,30 @@ fn reram_trial(seed: u64, scenario: Scenario) -> Result<(TrialOutcome, Option<bo
         &params,
         scenario,
         |salt| {
-            ReramWordAdapter::new(ReramChip::new(
+            FlashController::new(
+                reram_like(),
                 FlashGeometry::single_bank(8),
+                reram_timings(),
                 mix2(seed, salt),
-            ))
+            )
         },
         |src, dst| clone_segment(src, dst, SegmentAddr::new(0)).map_err(Into::into),
     )?;
     Ok((out, None))
+}
+
+/// One trial of one backend: its outcome and, on NOR, the legacy match.
+type BackendTrial = fn(u64, Scenario) -> Result<(TrialOutcome, Option<bool>), SchemeError>;
+
+/// The campaign's schemes in campaign order: name (every row, summary and
+/// registry record takes it from here), whether it imprints, and its
+/// trial.
+fn backends() -> [(&'static str, bool, BackendTrial); BACKEND_SCHEMES] {
+    [
+        (NOR_TPEW.name(), NOR_TPEW.imprints(), nor_trial),
+        (NandPuf.name(), NandPuf.imprints(), nand_trial),
+        (RERAM_FORMING.name(), RERAM_FORMING.imprints(), reram_trial),
+    ]
 }
 
 /// Canonical one-line JSON of one scheme's operating point, embedded
@@ -524,7 +540,7 @@ fn reram_trial(seed: u64, scenario: Scenario) -> Result<(TrialOutcome, Option<bo
 /// stress level to report.
 #[must_use]
 pub fn backend_params_line(scheme: &str, opts: &BackendCampaignOptions) -> String {
-    let point = if scheme == "nand_puf" {
+    let point = if scheme == NandPuf.name() {
         let c = NandPufConfig::default();
         format!(
             "\"t_pp_us\":{},\"reads\":{},\"enroll_rounds\":{},\"cells_per_bit\":{}",
@@ -534,7 +550,7 @@ pub fn backend_params_line(scheme: &str, opts: &BackendCampaignOptions) -> Strin
             c.cells_per_bit
         )
     } else {
-        let c = if scheme == "reram_forming" {
+        let c = if scheme == RERAM_FORMING.name() {
             reram_config()
         } else {
             backend_config()
@@ -669,21 +685,18 @@ pub fn run_backend_campaign(
 ) -> Result<BackendCampaignData, SchemeError> {
     let per = opts.trials.max(1);
     let cell = Scenario::ALL.len() * per;
-    let total = BACKEND_SCHEMES.len() * cell;
+    let total = BACKEND_SCHEMES * cell;
     let runner = flashmark_par::TrialRunner::with_threads(opts.seed, opts.threads);
     let results: Vec<Result<BackendRow, SchemeError>> = runner.run(total, |t| {
         let scheme_idx = t.index / cell;
         let rem = t.index % cell;
         let scenario = Scenario::ALL[rem / per];
         let trial = (rem % per) as u64;
-        let (out, legacy_match) = match scheme_idx {
-            0 => nor_trial(t.seed, scenario)?,
-            1 => nand_trial(t.seed, scenario)?,
-            _ => reram_trial(t.seed, scenario)?,
-        };
+        let (name, _, trial_fn) = backends()[scheme_idx];
+        let (out, legacy_match) = trial_fn(t.seed, scenario)?;
         let (verdict, reason) = verdict_labels(&out.verdict);
         Ok(BackendRow {
-            scheme: BACKEND_SCHEMES[scheme_idx].to_string(),
+            scheme: name.to_string(),
             scenario: scenario.name().to_string(),
             trial,
             verdict: verdict.to_string(),
@@ -701,15 +714,9 @@ pub fn run_backend_campaign(
     for r in results {
         rows.push(r?);
     }
-    let imprints = [
-        NOR_TPEW.imprints(),
-        NandPuf.imprints(),
-        RERAM_FORMING.imprints(),
-    ];
-    let schemes = BACKEND_SCHEMES
-        .iter()
-        .zip(imprints)
-        .map(|(&name, imprints)| {
+    let schemes = backends()
+        .into_iter()
+        .map(|(name, imprints, _)| {
             let scheme_rows: Vec<&BackendRow> = rows.iter().filter(|r| r.scheme == name).collect();
             summarize_scheme(name, imprints, &scheme_rows, opts)
         })

@@ -467,12 +467,18 @@ pub fn kernel_suite() -> RuntimeReport {
     // advantage — one pass regardless of stress level) and the partial
     // reset the extraction ladder leans on.
     let reram = || {
-        let mut c = flashmark_reram::ReramChip::new(FlashGeometry::single_bank(2), 0xBE7C);
+        let mut c = FlashController::new(
+            flashmark_reram::reram_like(),
+            FlashGeometry::single_bank(2),
+            flashmark_reram::reram_timings(),
+            0xBE7C,
+        );
         let _ = c.array_mut().segment(seg);
         c
     };
-    let form = |mut c: flashmark_reram::ReramChip| {
-        c.form_mark(seg, &pattern, 5_000).expect("form");
+    let form = |mut c: FlashController| {
+        c.bulk_imprint(seg, &pattern, 5_000, ImprintTiming::Accelerated)
+            .expect("form");
     };
     rows.push((
         Bench::case("reram_form_mark_5k", reram, form),
@@ -480,11 +486,11 @@ pub fn kernel_suite() -> RuntimeReport {
     ));
     let reram_set = || {
         let mut c = reram();
-        c.set_block(seg, &pattern).expect("set");
+        c.program_block(seg, &pattern).expect("set");
         c
     };
-    let reset = |mut c: flashmark_reram::ReramChip| {
-        c.partial_reset(seg, Micros::new(30.0)).expect("reset");
+    let reset = |mut c: FlashController| {
+        c.partial_erase(seg, Micros::new(30.0)).expect("reset");
     };
     rows.push((
         Bench::case("reram_partial_reset", reram_set, reset),

@@ -23,7 +23,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use flashmark_core::{characterize_sample, fuse_windows, ReplicaLayout, SweepSpec};
+use flashmark_core::{characterize_sample, fuse_windows, ReplicaLayout, SweepSpec, NOR_TPEW};
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_par::TrialRunner;
 use flashmark_physics::{Micros, PhysicsParams};
@@ -895,7 +895,7 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
         &mut outcomes,
         &mut md,
         "backend_campaign",
-        be_opts.trials * BackendScenario::ALL.len() * BACKEND_SCHEMES.len(),
+        be_opts.trials * BackendScenario::ALL.len() * BACKEND_SCHEMES,
         |md| {
             let data = backend_data.insert(run_backend_campaign(&be_opts)?);
             write_json_in(dir, "backend_campaign", data)?;
@@ -929,7 +929,7 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
                     format!("{} cycles / {:.0} s", s.imprint_cycles, s.imprint_sim_s),
                 );
             }
-            if let Some(nor) = data.schemes.iter().find(|s| s.scheme == "nor_tpew") {
+            if let Some(nor) = data.schemes.iter().find(|s| s.scheme == NOR_TPEW.name) {
                 row(
                     md,
                     "backends",

@@ -14,10 +14,6 @@ pub struct ExtractionErrors {
     pub good_to_bad: usize,
     /// Reference 0-bits read back as 1 ("bad" misread as "good").
     pub bad_to_good: usize,
-    /// Reference 1-bits total.
-    pub good_total: usize,
-    /// Reference 0-bits total.
-    pub bad_total: usize,
 }
 
 impl ExtractionErrors {
@@ -31,16 +27,10 @@ impl ExtractionErrors {
         assert_eq!(reference.len(), extracted.len(), "length mismatch");
         let mut e = Self::default();
         for (&r, &x) in reference.iter().zip(extracted) {
-            if r {
-                e.good_total += 1;
-                if !x {
-                    e.good_to_bad += 1;
-                }
-            } else {
-                e.bad_total += 1;
-                if x {
-                    e.bad_to_good += 1;
-                }
+            if r && !x {
+                e.good_to_bad += 1;
+            } else if !r && x {
+                e.bad_to_good += 1;
             }
         }
         e
@@ -64,8 +54,6 @@ mod tests {
         let e = ExtractionErrors::compare(&reference, &extracted);
         assert_eq!(e.good_to_bad, 1);
         assert_eq!(e.bad_to_good, 1);
-        assert_eq!(e.good_total, 3);
-        assert_eq!(e.bad_total, 2);
         assert_eq!(e.errors(), 2);
     }
 

@@ -1,20 +1,18 @@
-//! The paper's tPEW wear watermark as a [`WatermarkScheme`], on any chip
-//! the Flashmark procedures drive.
+//! The paper's tPEW wear watermark as a [`WatermarkScheme`].
 //!
 //! Imprint, extract and verify (Figs. 7–8) reach the part only through
 //! program, erase, abort and read, so one implementation, [`TpewScheme`],
-//! serves every technology whose wear shows in the partial-erase time. A
-//! scheme value holds only what differs per technology, its stable name
-//! and its wear readout: [`NOR_TPEW`] runs on the NOR
-//! [`FlashController`], and `flashmark_reram::RERAM_FORMING` on the ReRAM
-//! word adapter.
+//! serves every technology whose wear shows in the partial-erase time, and
+//! every such part runs on the one [`FlashController`]. A scheme value
+//! holds only its stable name: [`NOR_TPEW`] runs on a NOR part, and
+//! `flashmark_reram::RERAM_FORMING` on a controller built with the ReRAM
+//! physics and timing presets.
 //!
 //! The scheme layer is pure delegation to [`Imprinter`] and
 //! [`Verifier::verify_resilient`], so verdicts through the trait are
 //! bit-identical to direct calls (pinned by the `backend_campaign` legacy
 //! cross-check and the workspace `scheme_contract` tests).
 
-use flashmark_nor::interface::BulkStress;
 use flashmark_nor::{FlashController, SegmentAddr};
 
 use crate::config::FlashmarkConfig;
@@ -48,23 +46,17 @@ pub struct TpewEnrollment {
     pub watermark: Watermark,
 }
 
-/// The tPEW wear watermark on chips of type `C`.
-pub struct TpewScheme<C> {
+/// The tPEW wear watermark.
+pub struct TpewScheme {
     /// Stable scheme name ([`WatermarkScheme::name`]).
     pub name: &'static str,
-    /// Mean equivalent wear cycles of a segment
-    /// ([`WatermarkScheme::wear_estimate`]).
-    pub wear: fn(&mut C, SegmentAddr) -> f64,
 }
 
-/// The paper's NOR scheme (`"nor_tpew"`).
-pub const NOR_TPEW: TpewScheme<FlashController> = TpewScheme {
-    name: "nor_tpew",
-    wear: |chip, seg| chip.wear_stats(seg).mean_cycles,
-};
+/// The paper's NOR scheme.
+pub const NOR_TPEW: TpewScheme = TpewScheme { name: "nor_tpew" };
 
-impl<C: BulkStress> WatermarkScheme for TpewScheme<C> {
-    type Chip = C;
+impl WatermarkScheme for TpewScheme {
+    type Chip = FlashController;
     type Params = TpewParams;
     type Enrollment = TpewEnrollment;
 
@@ -72,7 +64,11 @@ impl<C: BulkStress> WatermarkScheme for TpewScheme<C> {
         self.name
     }
 
-    fn enroll(&self, _chip: &mut C, params: &TpewParams) -> Result<TpewEnrollment, SchemeError> {
+    fn enroll(
+        &self,
+        _chip: &mut FlashController,
+        params: &TpewParams,
+    ) -> Result<TpewEnrollment, SchemeError> {
         // Enrollment for an imprinting scheme is pure bookkeeping: freeze
         // the signed record and its bit pattern. No chip measurement needed.
         Ok(TpewEnrollment {
@@ -83,7 +79,7 @@ impl<C: BulkStress> WatermarkScheme for TpewScheme<C> {
 
     fn imprint(
         &self,
-        chip: &mut C,
+        chip: &mut FlashController,
         params: &TpewParams,
         enrollment: &TpewEnrollment,
     ) -> Result<ImprintCost, SchemeError> {
@@ -97,7 +93,7 @@ impl<C: BulkStress> WatermarkScheme for TpewScheme<C> {
 
     fn verify(
         &self,
-        chip: &mut C,
+        chip: &mut FlashController,
         params: &TpewParams,
         enrollment: &TpewEnrollment,
     ) -> Result<SchemeVerification, SchemeError> {
@@ -113,8 +109,8 @@ impl<C: BulkStress> WatermarkScheme for TpewScheme<C> {
         })
     }
 
-    fn wear_estimate(&self, chip: &mut C, params: &TpewParams) -> f64 {
-        (self.wear)(chip, params.seg)
+    fn wear_estimate(&self, chip: &mut FlashController, params: &TpewParams) -> f64 {
+        chip.wear_stats(params.seg).mean_cycles
     }
 }
 

@@ -397,7 +397,7 @@ mod tests {
 
     #[test]
     fn reram_backend_gets_library_discipline() {
-        let chip = FileScope::classify("crates/reram/src/chip.rs").unwrap();
+        let chip = FileScope::classify("crates/reram/src/params.rs").unwrap();
         assert!(chip.rules.panic_free, "reram is a simulation backend");
         assert!(chip.rules.float_eq, "reram carries analog physics");
         assert!(chip.rules.pub_liveness && chip.rules.seed_dataflow);

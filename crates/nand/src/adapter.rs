@@ -57,12 +57,6 @@ impl NandWordAdapter {
         &self.chip
     }
 
-    /// Mutable access to the wrapped chip.
-    pub fn chip_mut(&mut self) -> &mut NandChip {
-        self.page_register = None;
-        &mut self.chip
-    }
-
     fn words_per_page(&self) -> u32 {
         self.chip.geometry().bytes_per_page() / 2
     }

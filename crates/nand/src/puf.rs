@@ -36,11 +36,14 @@ use flashmark_physics::Micros;
 use crate::chip::{NandChip, NandError};
 use crate::geometry::{BlockAddr, PageAddr};
 
+/// The scheme name ([`WatermarkScheme::name`]), also the tag of its errors.
+const NAME: &str = "nand_puf";
+
 impl From<NandError> for SchemeError {
     fn from(e: NandError) -> Self {
         // NAND chip errors are all persistent (addressing, NOP discipline).
         SchemeError::Backend {
-            scheme: "nand_puf",
+            scheme: NAME,
             message: e.to_string(),
             transient: false,
         }
@@ -213,7 +216,7 @@ impl WatermarkScheme for NandPuf {
     type Enrollment = NandPufEnrollment;
 
     fn name(&self) -> &'static str {
-        "nand_puf"
+        NAME
     }
 
     fn imprints(&self) -> bool {

@@ -2,7 +2,9 @@
 //!
 //! Wraps a [`FlashArray`] with the state machine and wall-clock accounting a
 //! real flash module has. All Flashmark algorithms drive this type through
-//! the [`FlashInterface`] trait.
+//! the [`FlashInterface`] trait. The same controller runs a resistive
+//! (ReRAM) part: program is set, erase is reset, and a bulk imprint with
+//! [`FlashTimings::forming`] set is the one-pass forming imprint.
 
 use flashmark_obs as obs;
 use flashmark_obs::{FlashOpKind, ObsEvent};
@@ -190,6 +192,14 @@ impl FlashController {
     fn emit_cells_touched(kind: &'static str, cells: u64) {
         obs::emit(ObsEvent::CellsTouched { kind, cells });
     }
+
+    fn emit_bulk_imprint(&self, seg: SegmentAddr, cycles: u64) {
+        obs::emit(ObsEvent::BulkImprint {
+            seg: seg.index(),
+            cycles,
+        });
+        Self::emit_cells_touched("bulk_imprint", self.geometry().cells_per_segment() as u64);
+    }
 }
 
 impl FlashInterface for FlashController {
@@ -351,6 +361,22 @@ impl BulkStress for FlashController {
             });
         }
         let start = self.clock.now();
+        if let Some(forming) = self.timings.forming {
+            // One forming pass at the voltage that deposits `cycles`: the
+            // cost is flat in the stress level, and the imprint-timing
+            // schedule (an erase-loop concept) does not apply. No memo
+            // warm: a forming part never repays it.
+            if cycles > forming.max_cycles {
+                return Err(NorError::WearModelRange {
+                    kcycles: cycles as f64 / 1000.0,
+                });
+            }
+            self.array.bulk_stress(seg, pattern, cycles)?;
+            self.clock
+                .advance(self.timings.setup_overhead + forming.pass);
+            self.emit_bulk_imprint(seg, cycles);
+            return Ok(self.clock.now() - start);
+        }
         // Time accounting first (needs pre-stress statics only, but wear is
         // sampled across the whole schedule, so order does not matter).
         let write = self.timings.block_write(n);
@@ -388,15 +414,9 @@ impl BulkStress for FlashController {
         self.array.bulk_stress(seg, pattern, cycles)?;
         // The crossing-time memo is a pure cache. Filling it at the wear
         // just written pays its `exp`s once here instead of in the first
-        // partial erase of every clone of the enrolled chip. Not in
-        // `FlashArray::bulk_stress`: ReRAM's forming pass shares that and
-        // never repays the warm.
+        // partial erase of every clone of the enrolled chip.
         self.array.warm_erase_memo(seg);
-        obs::emit(ObsEvent::BulkImprint {
-            seg: seg.index(),
-            cycles,
-        });
-        Self::emit_cells_touched("bulk_imprint", self.geometry().cells_per_segment() as u64);
+        self.emit_bulk_imprint(seg, cycles);
         Ok(self.clock.now() - start)
     }
 }
@@ -405,12 +425,28 @@ impl BulkStress for FlashController {
 mod tests {
     use super::*;
     use crate::interface::FlashInterfaceExt;
+    use crate::timing::FormingPass;
 
     fn controller() -> FlashController {
         FlashController::new(
             PhysicsParams::msp430_like(),
             FlashGeometry::single_bank(8),
             FlashTimings::msp430(),
+            0xC1A0,
+        )
+    }
+
+    fn forming_controller() -> FlashController {
+        FlashController::new(
+            PhysicsParams::msp430_like(),
+            FlashGeometry::single_bank(8),
+            FlashTimings {
+                forming: Some(FormingPass {
+                    pass: Micros::from_millis(4.0),
+                    max_cycles: 200_000,
+                }),
+                ..FlashTimings::msp430()
+            },
             0xC1A0,
         )
     }
@@ -529,10 +565,47 @@ mod tests {
     }
 
     #[test]
+    fn forming_imprint_costs_one_pass_at_any_stress() {
+        let t = *forming_controller().timings();
+        let pass = (t.setup_overhead + t.forming.unwrap().pass)
+            .to_seconds()
+            .get();
+        for cycles in [1_000, 150_000] {
+            for timing in [ImprintTiming::Baseline, ImprintTiming::Accelerated] {
+                let mut ctl = forming_controller();
+                let seg = SegmentAddr::new(2);
+                let dt = ctl.bulk_imprint(seg, &[0; 256], cycles, timing).unwrap();
+                assert_eq!(dt.get().to_bits(), pass.to_bits(), "{cycles} {timing:?}");
+                assert_eq!(ctl.elapsed().get().to_bits(), pass.to_bits());
+                assert!(ctl.wear_stats(seg).max_cycles > 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn forming_beyond_the_cap_is_refused_without_wear() {
+        let mut ctl = forming_controller();
+        let seg = SegmentAddr::new(2);
+        let err = ctl
+            .bulk_imprint(seg, &[0; 256], 200_001, ImprintTiming::Accelerated)
+            .unwrap_err();
+        assert!(matches!(err, NorError::WearModelRange { .. }), "{err}");
+        assert_eq!(ctl.wear_stats(seg).max_cycles.to_bits(), 0.0f64.to_bits());
+        assert_eq!(ctl.elapsed().get().to_bits(), 0.0f64.to_bits());
+        // The cap itself is inside the calibrated range.
+        ctl.bulk_imprint(seg, &[0; 256], 200_000, ImprintTiming::Accelerated)
+            .unwrap();
+    }
+
+    #[test]
     fn each_operation_emits_one_event_of_its_own_kind() {
         type Op = fn(&mut FlashController) -> Result<(), NorError>;
         const SEG: SegmentAddr = SegmentAddr::new(1);
         const W: WordAddr = WordAddr::new(0);
+        let imprint: Op = |c| {
+            c.bulk_imprint(SEG, &[0; 256], 1_000, ImprintTiming::Baseline)
+                .map(drop)
+        };
         let ops: [(&str, Op); 10] = [
             ("read_word", |c| c.read_word(W).map(drop)),
             ("read_block", |c| c.read_block(SEG).map(drop)),
@@ -545,13 +618,14 @@ mod tests {
             ("partial_program", |c| {
                 c.partial_program(SEG, Micros::new(5.0))
             }),
-            ("bulk_imprint", |c| {
-                c.bulk_imprint(SEG, &[0; 256], 1_000, ImprintTiming::Baseline)
-                    .map(drop)
-            }),
+            ("bulk_imprint", imprint),
         ];
-        for (kind, op) in ops {
-            let mut ctl = controller();
+        let rows = ops
+            .into_iter()
+            .map(|(kind, op)| (kind, controller(), op))
+            // A forming pass is a bulk imprint too.
+            .chain([("bulk_imprint", forming_controller(), imprint)]);
+        for (kind, mut ctl, op) in rows {
             let (result, collector) = obs::collect(obs::Collector::new(0), || op(&mut ctl));
             result.unwrap();
             let metrics = collector.metrics();

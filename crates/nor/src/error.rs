@@ -53,7 +53,8 @@ pub enum NorError {
         segment: u32,
     },
     /// The segment has exceeded the point where the simulator can model it
-    /// (wear far beyond endurance).
+    /// (wear far beyond endurance, or a forming stress beyond the part's
+    /// calibrated cap).
     WearModelRange {
         /// Wear in kcycles.
         kcycles: f64,

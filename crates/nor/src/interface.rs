@@ -202,7 +202,9 @@ pub trait BulkStress: FlashInterface {
     ///
     /// # Errors
     ///
-    /// Address, lock, or pattern-length errors.
+    /// Address, lock, or pattern-length errors, or
+    /// [`NorError::WearModelRange`] for a forming stress beyond the part's
+    /// calibrated cap.
     fn bulk_imprint(
         &mut self,
         seg: SegmentAddr,

@@ -17,6 +17,12 @@
 //! [`FlashInterface`] trait defined here, so they can drive this simulator or
 //! a real part behind the same API.
 //!
+//! The same [`FlashController`] also runs a resistive (ReRAM) part, whose
+//! set, reset and forming map onto program, erase and bulk imprint: with
+//! [`FlashTimings::forming`] set, a bulk imprint is one forming pass whose
+//! cost does not depend on the stress level (`flashmark-reram` holds the
+//! presets).
+//!
 //! # Example
 //!
 //! ```
@@ -63,4 +69,4 @@ pub use error::NorError;
 pub use geometry::FlashGeometry;
 pub use interface::{BulkStress, FlashInterface, ImprintTiming, PartialProgram};
 pub use registers::{Fctl, RegisterFront};
-pub use timing::FlashTimings;
+pub use timing::{FlashTimings, FormingPass};

@@ -5,6 +5,8 @@
 //! (~25 ms) plus one block write (~9.5 ms), giving 1380 s at 40 K cycles —
 //! exactly the paper's number. The accelerated imprint replaces the fixed
 //! erase with an early-exited erase whose duration tracks the wear level.
+//! A forming part (ReRAM) sets [`FlashTimings::forming`] instead, and its
+//! bulk imprint costs one forming pass whatever the stress level.
 
 use flashmark_physics::{Micros, Seconds};
 
@@ -33,6 +35,22 @@ pub struct FlashTimings {
     /// bounds the total before an erase must intervene. Zero disables the
     /// check.
     pub cumulative_program_limit: Micros,
+    /// The forming imprint of a resistive part, or `None` on flash. When
+    /// set, a bulk imprint is one elevated-voltage pass instead of an
+    /// erase/program wear loop.
+    pub forming: Option<FormingPass>,
+}
+
+/// The one-pass forming imprint: the stress level is set by the forming
+/// *voltage*, not by repetition, so the pass costs the same time at any
+/// level up to a calibrated cap.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FormingPass {
+    /// Duration of one forming pass over a segment.
+    pub pass: Micros,
+    /// Largest stress, in equivalent P/E cycles, the forming voltage is
+    /// calibrated for; beyond it filaments are destroyed, not degraded.
+    pub max_cycles: u64,
 }
 
 impl FlashTimings {
@@ -52,6 +70,7 @@ impl FlashTimings {
             abort_latency: Micros::new(10.0),
             setup_overhead: Micros::new(30.0),
             cumulative_program_limit: Micros::from_millis(16.0),
+            forming: None,
         }
     }
 
@@ -59,12 +78,6 @@ impl FlashTimings {
     #[must_use]
     pub fn block_write(&self, words: usize) -> Micros {
         self.block_write_overhead + self.block_write_word * words as f64
-    }
-}
-
-impl Default for FlashTimings {
-    fn default() -> Self {
-        Self::msp430()
     }
 }
 

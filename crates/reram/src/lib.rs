@@ -5,17 +5,17 @@
 //! is deposited as **forming-voltage stress** — filaments formed at an
 //! elevated voltage switch measurably slower forever after — and read
 //! back with the same `tPEW`-aborted reset the paper's NOR scheme uses.
-//! The crate layers:
+//! Set, reset and forming map one-for-one onto program, erase and bulk
+//! imprint, so a ReRAM part runs on the NOR `FlashController` with two
+//! presets. The crate layers:
 //!
-//! * [`params`] — the ReRAM cell-population preset (wide filament
-//!   variation, set/reset endurance asymmetry, steep forming signature)
-//!   over the shared `flashmark-physics` parameterization;
-//! * [`chip`] — [`ReramChip`], the emulated module (set/reset/forming
-//!   vocabulary, sub-µs switching, ms-class forming pass);
-//! * [`adapter`] — [`ReramWordAdapter`], the `FlashInterface` shim the
-//!   Flashmark procedures drive unchanged;
+//! * [`params`] — the cell-population preset [`reram_like`] (wide
+//!   filament variation, set/reset endurance asymmetry, steep forming
+//!   signature) over the shared `flashmark-physics` parameterization, and
+//!   the timing preset [`reram_timings`] (sub-µs switching, ms-class
+//!   forming pass);
 //! * [`scheme`] — [`RERAM_FORMING`], core's one tPEW `WatermarkScheme`
-//!   on the word adapter, as campaigns run it (`"reram_forming"`).
+//!   as campaigns run it on a ReRAM part.
 //!
 //! ```
 //! use flashmark_core::config::FlashmarkConfig;
@@ -24,10 +24,15 @@
 //! use flashmark_core::scheme::WatermarkScheme;
 //! use flashmark_core::verify::Verdict;
 //! use flashmark_core::watermark::{TestStatus, WatermarkRecord};
-//! use flashmark_nor::{FlashGeometry, SegmentAddr};
-//! use flashmark_reram::{ReramChip, ReramWordAdapter, RERAM_FORMING};
+//! use flashmark_nor::{FlashController, FlashGeometry, SegmentAddr};
+//! use flashmark_reram::{reram_like, reram_timings, RERAM_FORMING};
 //!
-//! let mut chip = ReramWordAdapter::new(ReramChip::new(FlashGeometry::single_bank(8), 7));
+//! let mut chip = FlashController::new(
+//!     reram_like(),
+//!     FlashGeometry::single_bank(8),
+//!     reram_timings(),
+//!     7, // chip seed
+//! );
 //! let params = TpewParams {
 //!     config: FlashmarkConfig::builder()
 //!         .n_pe(60_000)
@@ -51,14 +56,8 @@
 //! assert!(cost.elapsed.get() < 1.0); // one forming pass, not a wear loop
 //! ```
 
-pub mod adapter;
-pub mod chip;
-pub mod error;
 pub mod params;
 pub mod scheme;
 
-pub use adapter::ReramWordAdapter;
-pub use chip::{ReramChip, ReramTimings};
-pub use error::ReramError;
-pub use params::{reram_like, reram_wear_weights, MAX_FORMING_CYCLES};
+pub use params::{reram_like, reram_timings, reram_wear_weights, MAX_FORMING_CYCLES};
 pub use scheme::RERAM_FORMING;

@@ -1,4 +1,4 @@
-//! ReRAM cell-population parameter preset.
+//! ReRAM cell-population and timing presets.
 //!
 //! The watermark mechanism on resistive memory ("Watermarked ReRAM",
 //! arXiv 2204.02104) is the same wear asymmetry Flashmark exploits on NOR,
@@ -30,9 +30,17 @@
 //!   reset pulse on an already-reset cell costs twice the NOR figure;
 //! * **lower rated endurance** (60 K cycles) with a steeper per-kcycle
 //!   state shift — forming stress leaves a stronger per-cycle signature.
+//!
+//! A ReRAM part runs on the NOR `FlashController`, whose operations map
+//! one-for-one: program is **set** (to the low-resistance state, reads 0),
+//! erase is **reset** (to the high-resistance state, reads 1), and the
+//! bulk imprint is the one-time **forming** pass that carries the
+//! watermark. [`reram_timings`] holds the part's operation durations in
+//! those flash names.
 
+use flashmark_nor::{FlashTimings, FormingPass};
 use flashmark_physics::variation::{LogNormal, Normal};
-use flashmark_physics::{PhysicsParams, TailParams, Volts, WearWeights};
+use flashmark_physics::{Micros, PhysicsParams, TailParams, Volts, WearWeights};
 
 /// Calibrated maximum forming stress, in equivalent P/E cycles. Forming at
 /// voltages beyond this range destroys filaments outright instead of
@@ -90,9 +98,54 @@ pub fn reram_like() -> PhysicsParams {
     p
 }
 
+/// Operation timings of a HfO₂ filamentary part in flash names:
+/// 100 ns-class set/reset, µs-class driver overheads, and a ms-class
+/// forming pass — orders of magnitude faster than flash erase, which is
+/// what makes the forming watermark physically cheap.
+///
+/// Reset is the segment and mass erase (it must exceed the slowest cell's
+/// switching time at any calibrated wear), set is the word and block
+/// program. ReRAM has no cumulative-program (`tCPT`) budget, so that
+/// limit is 0, and the forming pass is refused above
+/// [`MAX_FORMING_CYCLES`].
+#[must_use]
+pub fn reram_timings() -> FlashTimings {
+    FlashTimings {
+        erase_segment: Micros::from_millis(2.0),
+        mass_erase: Micros::from_millis(2.0),
+        program_word: Micros::new(1.2),
+        block_write_word: Micros::new(0.4),
+        block_write_overhead: Micros::new(20.0),
+        read_word: Micros::new(0.05),
+        abort_latency: Micros::new(1.0),
+        setup_overhead: Micros::new(5.0),
+        cumulative_program_limit: Micros::new(0.0),
+        forming: Some(FormingPass {
+            pass: Micros::from_millis(4.0),
+            max_cycles: MAX_FORMING_CYCLES,
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashmark_nor::interface::FlashInterface;
+    use flashmark_nor::{
+        BulkStress, FlashController, FlashGeometry, ImprintTiming, NorError, SegmentAddr,
+    };
+
+    // The timing schedule is an erase-loop concept a forming pass ignores.
+    const FORM: ImprintTiming = ImprintTiming::Accelerated;
+
+    fn chip() -> FlashController {
+        FlashController::new(
+            reram_like(),
+            FlashGeometry::single_bank(8),
+            reram_timings(),
+            0x2E2A,
+        )
+    }
 
     #[test]
     fn preset_is_valid() {
@@ -122,5 +175,75 @@ mod tests {
         let n = PhysicsParams::msp430_like();
         assert!(r.endurance_kcycles < n.endurance_kcycles);
         assert!(r.erased_vth_shift_per_kcycle > n.erased_vth_shift_per_kcycle);
+    }
+
+    #[test]
+    fn forming_is_a_single_cheap_pass() {
+        let mut c = chip();
+        let dt = c
+            .bulk_imprint(SegmentAddr::new(2), &[0u16; 256], 60_000, FORM)
+            .unwrap();
+        // One pass: milliseconds, not the NOR loop's hundreds of seconds.
+        assert!(dt.get() < 0.05, "forming took {dt}");
+        let wear = c.wear_stats(SegmentAddr::new(2));
+        assert!(wear.max_cycles > 50_000.0, "wear {wear:?}");
+    }
+
+    #[test]
+    fn forming_beyond_calibration_refused() {
+        let mut c = chip();
+        let err = c
+            .bulk_imprint(
+                SegmentAddr::new(0),
+                &[0u16; 256],
+                MAX_FORMING_CYCLES + 1,
+                FORM,
+            )
+            .unwrap_err();
+        assert!(matches!(err, NorError::WearModelRange { .. }));
+    }
+
+    #[test]
+    fn stressed_cells_switch_slower_under_partial_reset() {
+        let mut c = chip();
+        let seg = SegmentAddr::new(3);
+        // Stress the low half of the segment, spare the high half.
+        let mut pattern = vec![0xFFFFu16; 256];
+        for w in pattern.iter_mut().take(128) {
+            *w = 0x0000;
+        }
+        c.bulk_imprint(seg, &pattern, 60_000, FORM).unwrap();
+        c.program_block(seg, &[0u16; 256]).unwrap();
+        c.partial_erase(seg, Micros::new(28.0)).unwrap();
+        let words = c.read_block(seg).unwrap();
+        let zeros = |ws: &[u16]| ws.iter().map(|w| w.count_zeros() as usize).sum::<usize>();
+        let stressed_zeros = zeros(&words[..128]);
+        let spared_zeros = zeros(&words[128..]);
+        assert!(
+            stressed_zeros > spared_zeros + 500,
+            "stressed {stressed_zeros} vs spared {spared_zeros}"
+        );
+        // A full reset outlasts the slowest stressed filament.
+        c.erase_segment(seg).unwrap();
+        assert!(c.read_block(seg).unwrap().iter().all(|&w| w == 0xFFFF));
+    }
+
+    #[test]
+    fn reset_until_clean_tracks_forming_stress() {
+        let mut fresh = chip();
+        let mut formed = chip();
+        let seg = SegmentAddr::new(4);
+        formed
+            .bulk_imprint(seg, &[0u16; 256], 60_000, FORM)
+            .unwrap();
+        for c in [&mut fresh, &mut formed] {
+            c.program_block(seg, &[0u16; 256]).unwrap();
+        }
+        let t_fresh = fresh.erase_until_clean(seg).unwrap();
+        let t_formed = formed.erase_until_clean(seg).unwrap();
+        assert!(
+            t_formed.get() > t_fresh.get(),
+            "formed {t_formed} <= fresh {t_fresh}"
+        );
     }
 }

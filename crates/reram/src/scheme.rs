@@ -1,38 +1,40 @@
-//! The forming-voltage watermark: the tPEW scheme on a ReRAM word adapter.
+//! The forming-voltage watermark: the tPEW scheme on a ReRAM part.
 //!
 //! [`RERAM_FORMING`] runs the *unchanged* Flashmark imprint/extract/verify
 //! procedures, through core's one [`TpewScheme`], against a
-//! [`ReramWordAdapter`]: the watermark is deposited as forming-voltage
-//! stress (one pass, milliseconds) instead of an erase/program wear loop
-//! (hundreds of seconds), and read back with the same `tPEW`-aborted
-//! reset the paper uses on NOR. The scheme name in campaign artifacts and
-//! registry records is `"reram_forming"`.
+//! `FlashController` built with the [`reram_like`](crate::reram_like) and
+//! [`reram_timings`](crate::reram_timings) presets: the watermark is
+//! deposited as forming-voltage stress (one pass, milliseconds) instead of
+//! an erase/program wear loop (hundreds of seconds), and read back with
+//! the same `tPEW`-aborted reset the paper uses on NOR.
 
 use flashmark_core::nor_scheme::TpewScheme;
 
-use crate::adapter::ReramWordAdapter;
-
-/// The forming-voltage ReRAM scheme (`"reram_forming"`).
-pub const RERAM_FORMING: TpewScheme<ReramWordAdapter> = TpewScheme {
+/// The forming-voltage ReRAM scheme.
+pub const RERAM_FORMING: TpewScheme = TpewScheme {
     name: "reram_forming",
-    wear: |chip, seg| chip.chip_mut().wear_stats(seg).mean_cycles,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chip::ReramChip;
+    use crate::{reram_like, reram_timings};
     use flashmark_core::config::FlashmarkConfig;
     use flashmark_core::nor_scheme::TpewParams;
     use flashmark_core::pipeline::provision;
     use flashmark_core::scheme::WatermarkScheme;
     use flashmark_core::verify::{CounterfeitReason, Verdict};
     use flashmark_core::watermark::{TestStatus, WatermarkRecord};
-    use flashmark_nor::{FlashGeometry, SegmentAddr};
+    use flashmark_nor::{FlashController, FlashGeometry, SegmentAddr};
     use flashmark_physics::Micros;
 
-    fn chip(seed: u64) -> ReramWordAdapter {
-        ReramWordAdapter::new(ReramChip::new(FlashGeometry::single_bank(8), seed))
+    fn chip(seed: u64) -> FlashController {
+        FlashController::new(
+            reram_like(),
+            FlashGeometry::single_bank(8),
+            reram_timings(),
+            seed,
+        )
     }
 
     fn params(manufacturer_id: u16, status: TestStatus) -> TpewParams {

@@ -1,15 +1,16 @@
-//! Dynamic-sanitizer check of the ReRAM adapter: the full Flashmark
-//! procedure (forming imprint, extraction, resilient verification) driven
-//! through `SanitizedFlash` must produce zero protocol violations —
-//! the adapter honors the same interface contract the NOR controller does.
+//! Dynamic-sanitizer check of a ReRAM part: the full Flashmark procedure
+//! (forming imprint, extraction, resilient verification) driven through
+//! `SanitizedFlash` must produce zero protocol violations, wear
+//! monotonicity included — the forming part honors the same interface
+//! contract a NOR part does.
 
 use flashmark_core::config::FlashmarkConfig;
 use flashmark_core::verify::{Verdict, Verifier};
 use flashmark_core::watermark::{TestStatus, WatermarkRecord};
 use flashmark_core::Imprinter;
-use flashmark_nor::{FlashGeometry, SegmentAddr};
+use flashmark_nor::{FlashController, FlashGeometry, SegmentAddr};
 use flashmark_physics::Micros;
-use flashmark_reram::{ReramChip, ReramWordAdapter};
+use flashmark_reram::{reram_like, reram_timings};
 use flashmark_sanitizer::SanitizedFlash;
 
 fn config() -> FlashmarkConfig {
@@ -19,6 +20,15 @@ fn config() -> FlashmarkConfig {
         .t_pew(Micros::new(28.0))
         .build()
         .unwrap()
+}
+
+fn sanitized(seed: u64) -> SanitizedFlash<FlashController> {
+    SanitizedFlash::wrap_controller(FlashController::new(
+        reram_like(),
+        FlashGeometry::single_bank(8),
+        reram_timings(),
+        seed,
+    ))
 }
 
 #[test]
@@ -32,8 +42,7 @@ fn full_reram_flow_is_sanitizer_clean() {
         status: TestStatus::Accept,
         year_week: 2033,
     };
-    let adapter = ReramWordAdapter::new(ReramChip::new(FlashGeometry::single_bank(8), 0x5A11));
-    let mut sanitized = SanitizedFlash::new(adapter);
+    let mut sanitized = sanitized(0x5A11);
 
     Imprinter::new(&config)
         .imprint(&mut sanitized, seg, &record.to_watermark())
@@ -52,8 +61,7 @@ fn full_reram_flow_is_sanitizer_clean() {
 
 #[test]
 fn blank_reram_inspection_is_sanitizer_clean() {
-    let adapter = ReramWordAdapter::new(ReramChip::new(FlashGeometry::single_bank(8), 0x5A12));
-    let mut sanitized = SanitizedFlash::new(adapter);
+    let mut sanitized = sanitized(0x5A12);
     let report = Verifier::new(config(), 0x1001)
         .verify_resilient(&mut sanitized, SegmentAddr::new(0))
         .unwrap();

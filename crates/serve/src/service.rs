@@ -43,7 +43,7 @@ pub const COMMIT_TAG: &str = concat!("flashmark-serve/", env!("CARGO_PKG_VERSION
 /// Watermark scheme the serving layer runs (`WatermarkScheme::name`
 /// vocabulary); stamped into every registry record so fleet logs from
 /// different backends stay distinguishable.
-pub const SCHEME: &str = "nor_tpew";
+pub const SCHEME: &str = flashmark_core::NOR_TPEW.name;
 
 /// One incoming-inspection request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

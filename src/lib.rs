@@ -114,5 +114,5 @@ pub mod prelude {
         NOR_TPEW,
     };
     pub use flashmark_nand::{NandPuf, NandPufConfig, NandPufParams};
-    pub use flashmark_reram::{ReramWordAdapter, RERAM_FORMING};
+    pub use flashmark_reram::RERAM_FORMING;
 }

@@ -20,10 +20,9 @@ use flashmark_bench::backend_campaign::{run_backend_campaign, BackendCampaignOpt
 use flashmark_bench::json::ToJson as _;
 use flashmark_core::{FlashmarkConfig, Imprinter, TestStatus, Verifier, WatermarkRecord};
 use flashmark_nand::{BlockAddr, NandChip, NandGeometry};
-use flashmark_nor::interface::BulkStress;
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_physics::{Micros, PhysicsParams};
-use flashmark_reram::ReramChip;
+use flashmark_reram::{reram_like, reram_timings};
 
 const MANUFACTURER: u16 = 0x1A2B;
 
@@ -77,8 +76,13 @@ fn nand_params() -> NandPufParams {
     }
 }
 
-fn reram_chip(seed: u64) -> ReramWordAdapter {
-    ReramWordAdapter::new(ReramChip::new(FlashGeometry::single_bank(8), seed))
+fn reram_chip(seed: u64) -> FlashController {
+    FlashController::new(
+        reram_like(),
+        FlashGeometry::single_bank(8),
+        reram_timings(),
+        seed,
+    )
 }
 
 fn reram_params(status: TestStatus) -> TpewParams {
@@ -150,10 +154,10 @@ fn contract<S: WatermarkScheme>(
 
 /// The tPEW scheme against the direct pipeline on an identically seeded
 /// chip: verdict, resolution and mismatch must agree bit for bit.
-fn matches_direct_pipeline<C: BulkStress>(
-    scheme: &TpewScheme<C>,
+fn matches_direct_pipeline(
+    scheme: &TpewScheme,
     params: &TpewParams,
-    mk: impl Fn(u64) -> C,
+    mk: impl Fn(u64) -> FlashController,
     seed: u64,
 ) -> Result<(), String> {
     let mut via_scheme = mk(seed);
