@@ -27,7 +27,8 @@ use flashmark_core::{
     provision, CounterfeitReason, FlashmarkConfig, Imprinter, SchemeError, TestStatus, TpewParams,
     Verdict, Verifier, WatermarkRecord, WatermarkScheme, NOR_TPEW,
 };
-use flashmark_nand::{BlockAddr, NandChip, NandGeometry, NandPuf, NandPufConfig, NandPufParams};
+use flashmark_nand::puf::{CELLS_PER_BIT, ENROLL_ROUNDS, READS, T_PP};
+use flashmark_nand::{BlockAddr, NandChip, NandGeometry, NandPuf, NandPufParams};
 use flashmark_nor::interface::FlashInterface;
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, NorError, SegmentAddr};
 use flashmark_physics::rng::mix2;
@@ -477,7 +478,6 @@ fn nor_trial(seed: u64, scenario: Scenario) -> Result<(TrialOutcome, Option<bool
 
 fn nand_trial(seed: u64, scenario: Scenario) -> Result<(TrialOutcome, Option<bool>), SchemeError> {
     let params = NandPufParams {
-        config: NandPufConfig::default(),
         block: BlockAddr::new(0),
         manufacturer_id: BACKEND_MANUFACTURER,
         record: backend_record(scenario),
@@ -541,13 +541,12 @@ fn backends() -> [(&'static str, bool, BackendTrial); BACKEND_SCHEMES] {
 #[must_use]
 pub fn backend_params_line(scheme: &str, opts: &BackendCampaignOptions) -> String {
     let point = if scheme == NandPuf.name() {
-        let c = NandPufConfig::default();
         format!(
             "\"t_pp_us\":{},\"reads\":{},\"enroll_rounds\":{},\"cells_per_bit\":{}",
-            c.t_pp.get(),
-            c.reads,
-            c.enroll_rounds,
-            c.cells_per_bit
+            T_PP.get(),
+            READS,
+            ENROLL_ROUNDS,
+            CELLS_PER_BIT
         )
     } else {
         let c = if scheme == RERAM_FORMING.name() {

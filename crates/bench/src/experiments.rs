@@ -9,8 +9,8 @@
 
 use flashmark_core::{
     analyze_segment, characterize_segment, select_t_pew, CoreError, Extractor, FlashmarkConfig,
-    Imprinter, ProgramTimeDetector, ReplicaLayout, SegmentCondition, StressDetector, SweepSpec,
-    TestStatus, Verdict, Verifier, Watermark,
+    Imprinter, ProgramTimeDetector, SegmentCondition, StressDetector, SweepSpec, TestStatus,
+    Verdict, Verifier, Watermark,
 };
 use flashmark_ecc::{Code, Hamming};
 use flashmark_msp430::{Msp430Flash, Msp430Variant};
@@ -369,7 +369,6 @@ pub fn fig11(
     stress_kcycles: &[f64],
     replica_counts: &[usize],
     sweep: &SweepSpec,
-    layout: ReplicaLayout,
 ) -> Result<Fig11Data, CoreError> {
     let seed = runner.experiment_seed();
     // One trial per (stress level, replica count) pair, in row-major order.
@@ -391,7 +390,6 @@ pub fn fig11(
             .n_pe((k * 1000.0) as u64)
             .replicas(reps)
             .reads(1)
-            .layout(layout)
             .build()?;
         Imprinter::new(&cfg).imprint(&mut flash, seg, &wm)?;
 
@@ -405,7 +403,6 @@ pub fn fig11(
                 .replicas(reps)
                 .reads(1)
                 .t_pew(t)
-                .layout(layout)
                 .build()?;
             let e = Extractor::new(&cfg_t).extract(&mut flash, seg, wm.len())?;
             points.push((t.get(), e.ber_against(&wm)));

@@ -23,7 +23,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use flashmark_core::{characterize_sample, fuse_windows, ReplicaLayout, SweepSpec, NOR_TPEW};
+use flashmark_core::{characterize_sample, fuse_windows, SweepSpec, NOR_TPEW};
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_par::TrialRunner;
 use flashmark_physics::{Micros, PhysicsParams};
@@ -415,13 +415,7 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
         } else {
             SweepSpec::new(Micros::new(20.0), Micros::new(56.0), Micros::new(2.0))?
         };
-        let f11 = fig11(
-            &runner(0xF1611),
-            &levels11,
-            &reps11,
-            &sweep11,
-            ReplicaLayout::Contiguous,
-        )?;
+        let f11 = fig11(&runner(0xF1611), &levels11, &reps11, &sweep11)?;
         write_json_in(dir, "fig11", &f11)?;
         for &(r, p) in paper::FIG11_40K_MIN_BER_PCT {
             let m = f11
@@ -690,7 +684,7 @@ pub fn run_suite(opts: &SuiteOptions) -> std::io::Result<SuiteReport> {
                 )
             });
             let windows = windows.into_iter().collect::<Result<Vec<_>, _>>()?;
-            let fam = fuse_windows(windows, 50.0, 7, reads)?;
+            let fam = fuse_windows(windows, 7, reads)?;
             let summary = FamilySummary {
                 per_chip: seeds
                     .iter()

@@ -3,7 +3,6 @@
 use flashmark_physics::Micros;
 
 use crate::error::CoreError;
-use crate::layout::ReplicaLayout;
 
 /// Parameters of the imprint/extract procedures.
 ///
@@ -17,7 +16,6 @@ pub struct FlashmarkConfig {
     replicas: usize,
     reads: usize,
     accelerated: bool,
-    layout: ReplicaLayout,
 }
 
 impl FlashmarkConfig {
@@ -31,7 +29,6 @@ impl FlashmarkConfig {
                 replicas: 7,
                 reads: 3,
                 accelerated: true,
-                layout: ReplicaLayout::Contiguous,
             },
         }
     }
@@ -64,12 +61,6 @@ impl FlashmarkConfig {
     #[must_use]
     pub fn accelerated(&self) -> bool {
         self.accelerated
-    }
-
-    /// Replica placement within the segment.
-    #[must_use]
-    pub fn layout(&self) -> ReplicaLayout {
-        self.layout
     }
 }
 
@@ -139,13 +130,6 @@ impl FlashmarkConfigBuilder {
         self
     }
 
-    /// Chooses the replica layout.
-    #[must_use]
-    pub fn layout(mut self, layout: ReplicaLayout) -> Self {
-        self.config.layout = layout;
-        self
-    }
-
     /// Validates and builds.
     ///
     /// # Errors
@@ -192,7 +176,6 @@ mod tests {
             .replicas(3)
             .reads(5)
             .accelerated(false)
-            .layout(ReplicaLayout::Interleaved)
             .build()
             .unwrap();
         assert_eq!(c.n_pe(), 40_000);
@@ -200,7 +183,6 @@ mod tests {
         assert_eq!(c.replicas(), 3);
         assert_eq!(c.reads(), 5);
         assert!(!c.accelerated());
-        assert_eq!(c.layout(), ReplicaLayout::Interleaved);
     }
 
     #[test]

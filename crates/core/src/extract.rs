@@ -184,7 +184,7 @@ impl<'a> Extractor<'a> {
         data_len: usize,
     ) -> Result<Extraction, CoreError> {
         let _span = obs::span("extract");
-        let layout = SegmentLayout::new(data_len, self.config.replicas(), self.config.layout())?;
+        let layout = SegmentLayout::new(data_len, self.config.replicas())?;
         layout.check_fits(flash.geometry())?;
 
         let start = flash.elapsed();
@@ -319,28 +319,6 @@ mod tests {
             "extract too fast: {}",
             e.elapsed()
         );
-    }
-
-    #[test]
-    fn interleaved_layout_roundtrips_end_to_end() {
-        use crate::layout::ReplicaLayout;
-        let mut f = flash(49);
-        let config = FlashmarkConfig::builder()
-            .n_pe(80_000)
-            .replicas(7)
-            .t_pew(flashmark_physics::Micros::new(28.0))
-            .layout(ReplicaLayout::Interleaved)
-            .build()
-            .unwrap();
-        let wm = Watermark::from_ascii("WEAVE").unwrap();
-        let seg = SegmentAddr::new(6);
-        Imprinter::new(&config).imprint(&mut f, seg, &wm).unwrap();
-        let e = Extractor::new(&config)
-            .extract(&mut f, seg, wm.len())
-            .unwrap();
-        assert_eq!(e.bits(), wm.bits());
-        // Replica views are de-interleaved back to logical order.
-        assert_eq!(e.replica(0).len(), wm.len());
     }
 
     #[test]

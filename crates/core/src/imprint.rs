@@ -43,8 +43,6 @@ pub struct ImprintReport {
     pub elapsed: Seconds,
     /// Whether the accelerated schedule was used.
     pub accelerated: bool,
-    /// The segment program pattern (one word per segment word).
-    pub pattern_words: Vec<u16>,
 }
 
 /// Imprints watermarks into segments according to a [`FlashmarkConfig`].
@@ -61,7 +59,7 @@ impl<'a> Imprinter<'a> {
     }
 
     fn layout_for(self, wm: &Watermark) -> Result<SegmentLayout, CoreError> {
-        SegmentLayout::new(wm.len(), self.config.replicas(), self.config.layout())
+        SegmentLayout::new(wm.len(), self.config.replicas())
     }
 
     /// The segment pattern (replicated, laid out) for a watermark on a
@@ -106,7 +104,6 @@ impl<'a> Imprinter<'a> {
             cycles: self.config.n_pe(),
             elapsed,
             accelerated: self.config.accelerated(),
-            pattern_words: pattern,
         })
     }
 
@@ -139,7 +136,6 @@ impl<'a> Imprinter<'a> {
             cycles: self.config.n_pe(),
             elapsed: flash.elapsed() - start,
             accelerated: self.config.accelerated(),
-            pattern_words: pattern,
         })
     }
 }

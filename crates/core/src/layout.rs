@@ -1,35 +1,19 @@
 //! Replica placement within a flash segment.
 //!
 //! The encoded watermark channel (data × replicas) occupies the first cells
-//! of the segment; the remainder is left erased. Two placements are
-//! provided:
-//!
-//! * [`ReplicaLayout::Contiguous`] — replicas back to back, as the paper's
-//!   Fig. 10 shows them;
-//! * [`ReplicaLayout::Interleaved`] — replicas bit-interleaved, so a
-//!   common-mode partial-erase excursion cannot hit the same logical bit in
-//!   every replica (an ablation DESIGN.md calls out).
+//! of the segment, replicas back to back as the paper's Fig. 10 shows them;
+//! the remainder is left erased.
 
-use flashmark_ecc::{Code, Interleaver, Repetition};
+use flashmark_ecc::{Code, Repetition};
 use flashmark_nor::FlashGeometry;
 
 use crate::error::CoreError;
-
-/// How replicas are placed in the segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReplicaLayout {
-    /// Replicas stored back to back.
-    Contiguous,
-    /// Replicas bit-interleaved across the channel region.
-    Interleaved,
-}
 
 /// Maps watermark data bits onto segment cells and back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentLayout {
     data_len: usize,
     replicas: usize,
-    layout: ReplicaLayout,
 }
 
 impl SegmentLayout {
@@ -39,18 +23,14 @@ impl SegmentLayout {
     ///
     /// [`CoreError::Config`] for a zero/even replica count or zero data
     /// length.
-    pub fn new(data_len: usize, replicas: usize, layout: ReplicaLayout) -> Result<Self, CoreError> {
+    pub fn new(data_len: usize, replicas: usize) -> Result<Self, CoreError> {
         if data_len == 0 {
             return Err(CoreError::Config("data length must be non-zero"));
         }
         if replicas == 0 || replicas.is_multiple_of(2) {
             return Err(CoreError::Config("replica count must be odd"));
         }
-        Ok(Self {
-            data_len,
-            replicas,
-            layout,
-        })
+        Ok(Self { data_len, replicas })
     }
 
     /// Watermark data bits.
@@ -91,8 +71,7 @@ impl SegmentLayout {
         Ok(Repetition::new(self.replicas)?)
     }
 
-    /// Encodes data bits into the channel bit string (replicated, possibly
-    /// interleaved).
+    /// Encodes data bits into the replicated channel bit string.
     ///
     /// # Errors
     ///
@@ -102,14 +81,10 @@ impl SegmentLayout {
         if data.len() != self.data_len {
             return Err(CoreError::Config("layout/data length mismatch"));
         }
-        let channel = self.repetition()?.encode(data);
-        Ok(match self.layout {
-            ReplicaLayout::Contiguous => channel,
-            ReplicaLayout::Interleaved => Interleaver::new(self.replicas)?.interleave(&channel)?,
-        })
+        Ok(self.repetition()?.encode(data))
     }
 
-    /// Recovers the (de-interleaved) channel from extracted segment bits.
+    /// Recovers the channel from extracted segment bits.
     ///
     /// # Errors
     ///
@@ -123,11 +98,7 @@ impl SegmentLayout {
                 available: segment_bits.len(),
             });
         }
-        let raw = &segment_bits[..n];
-        Ok(match self.layout {
-            ReplicaLayout::Contiguous => raw.to_vec(),
-            ReplicaLayout::Interleaved => Interleaver::new(self.replicas)?.deinterleave(raw)?,
-        })
+        Ok(segment_bits[..n].to_vec())
     }
 
     /// Builds the full segment program pattern: channel bits in the leading
@@ -164,7 +135,7 @@ mod tests {
 
     #[test]
     fn channel_roundtrip_contiguous() {
-        let l = SegmentLayout::new(4, 3, ReplicaLayout::Contiguous).unwrap();
+        let l = SegmentLayout::new(4, 3).unwrap();
         let data = bits("1011");
         let channel = l.encode_channel(&data).unwrap();
         assert_eq!(channel.len(), 12);
@@ -174,23 +145,9 @@ mod tests {
     }
 
     #[test]
-    fn channel_roundtrip_interleaved() {
-        let l = SegmentLayout::new(5, 3, ReplicaLayout::Interleaved).unwrap();
-        let data = bits("10110");
-        let channel = l.encode_channel(&data).unwrap();
-        let plain = SegmentLayout::new(5, 3, ReplicaLayout::Contiguous)
-            .unwrap()
-            .encode_channel(&data)
-            .unwrap();
-        assert_ne!(channel, plain, "interleaving must permute");
-        // slice_channel undoes the interleave: we get the contiguous form.
-        assert_eq!(l.slice_channel(&channel).unwrap(), plain);
-    }
-
-    #[test]
     fn pattern_words_place_zeros() {
         let g = FlashGeometry::single_bank(1);
-        let l = SegmentLayout::new(16, 1, ReplicaLayout::Contiguous).unwrap();
+        let l = SegmentLayout::new(16, 1).unwrap();
         // "TC" = 0x5443, LSB-first bits of bytes 0x54, 0x43.
         let data: Vec<bool> = [0x54u8, 0x43]
             .iter()
@@ -205,11 +162,8 @@ mod tests {
     #[test]
     fn fits_checks() {
         let g = FlashGeometry::single_bank(1); // 4096 cells
-        assert!(SegmentLayout::new(128, 7, ReplicaLayout::Contiguous)
-            .unwrap()
-            .check_fits(g)
-            .is_ok()); // 896
-        let too_big = SegmentLayout::new(1000, 5, ReplicaLayout::Contiguous).unwrap();
+        assert!(SegmentLayout::new(128, 7).unwrap().check_fits(g).is_ok()); // 896
+        let too_big = SegmentLayout::new(1000, 5).unwrap();
         assert!(matches!(
             too_big.check_fits(g),
             Err(CoreError::TooLarge { .. })
@@ -218,13 +172,13 @@ mod tests {
 
     #[test]
     fn rejects_bad_parameters() {
-        assert!(SegmentLayout::new(0, 3, ReplicaLayout::Contiguous).is_err());
-        assert!(SegmentLayout::new(8, 2, ReplicaLayout::Contiguous).is_err());
+        assert!(SegmentLayout::new(0, 3).is_err());
+        assert!(SegmentLayout::new(8, 2).is_err());
     }
 
     #[test]
     fn slice_channel_requires_enough_bits() {
-        let l = SegmentLayout::new(8, 3, ReplicaLayout::Contiguous).unwrap();
+        let l = SegmentLayout::new(8, 3).unwrap();
         assert!(l.slice_channel(&[true; 10]).is_err());
     }
 }

@@ -75,7 +75,7 @@ pub use detect::{ProgramTimeDetector, SegmentCondition, StressDetector, StressRe
 pub use error::CoreError;
 pub use extract::{Extraction, Extractor};
 pub use imprint::{ImprintReport, Imprinter};
-pub use layout::{ReplicaLayout, SegmentLayout};
+pub use layout::SegmentLayout;
 pub use metrics::ExtractionErrors;
 pub use nor_scheme::{TpewEnrollment, TpewParams, TpewScheme, NOR_TPEW};
 pub use pipeline::provision;

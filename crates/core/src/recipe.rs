@@ -30,8 +30,6 @@ pub struct ExtractionRecipe {
     pub replicas: usize,
     /// Reads per word during analysis.
     pub reads: usize,
-    /// Stress level the characterization used (kcycles).
-    pub reference_stress_kcycles: f64,
 }
 
 /// Per-chip and family-level characterization results.
@@ -103,7 +101,6 @@ pub fn characterize_sample<F: FlashInterface + BulkStress>(
 /// overlap (an inconsistent family, which must not be papered over).
 pub fn fuse_windows(
     per_chip: Vec<WindowChoice>,
-    reference_stress_kcycles: f64,
     replicas: usize,
     reads: usize,
 ) -> Result<FamilyCharacterization, CoreError> {
@@ -134,7 +131,6 @@ pub fn fuse_windows(
             window_hi: Micros::new(hi),
             replicas,
             reads,
-            reference_stress_kcycles,
         },
         per_chip,
     })
@@ -180,7 +176,7 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let fam = fuse_windows(per_chip, 50.0, 7, 3).unwrap();
+        let fam = fuse_windows(per_chip, 7, 3).unwrap();
         assert_eq!(fam.per_chip.len(), 3);
         // The paper's observed family consistency: optima within a few µs.
         assert!(
@@ -199,7 +195,7 @@ mod tests {
     #[test]
     fn empty_family_rejected() {
         assert!(matches!(
-            fuse_windows(Vec::new(), 50.0, 7, 3),
+            fuse_windows(Vec::new(), 7, 3),
             Err(CoreError::Config(_))
         ));
     }

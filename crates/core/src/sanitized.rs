@@ -2,9 +2,8 @@
 //! flash-protocol sanitizer and get the violation report back with the
 //! result.
 //!
-//! [`run_sanitized`] wraps the flash in a [`SanitizedFlash`] (policy
-//! [`Collect`](flashmark_sanitizer::Policy::Collect)) for the duration of
-//! one closure. The sanitizer never changes behavior, so the value
+//! [`run_sanitized`] wraps the flash in a [`SanitizedFlash`], which
+//! collects violations, for the duration of one closure. The sanitizer never changes behavior, so the value
 //! computed is identical to the unsanitized call — what's added is the
 //! [`Violation`] list. The test suite runs the clean-path algorithm tests
 //! through it to prove the reference flows are protocol-clean.

@@ -36,48 +36,34 @@ use crate::verify::Verdict;
 /// Every backend's native error converts into this ([`From`] impls live
 /// with the backend crates), so scheme-generic code — campaign drivers,
 /// the verification service, the retry ladder in `fault` — handles one
-/// error vocabulary while the transiency classification of the native
-/// error survives the conversion.
+/// error vocabulary while the transiency classification of a flash error
+/// survives the conversion.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SchemeError {
     /// A Flashmark-core procedure failed (layout, config, flash error).
     Core(CoreError),
-    /// A backend-specific failure that has no core equivalent.
+    /// A backend-specific failure that has no core equivalent. Backend
+    /// failures are persistent (addressing, NOP discipline).
     Backend {
         /// Stable scheme name (matches [`WatermarkScheme::name`]).
         scheme: &'static str,
         /// Human-readable failure description.
         message: String,
-        /// Whether a bounded retry of the same operation is the correct
-        /// response (mirrors the backend error's `is_transient`).
-        transient: bool,
     },
     /// Scheme parameters were invalid.
     Config(&'static str),
-    /// The scheme does not support the requested operation (e.g. asking an
-    /// intrinsic PUF scheme for a destructive imprint).
-    Unsupported {
-        /// Stable scheme name.
-        scheme: &'static str,
-        /// The unsupported operation.
-        operation: &'static str,
-    },
 }
 
 impl SchemeError {
-    /// Whether the failure is transient: the operation failed for reasons
-    /// that do not persist (interface NAKs, busy controllers, mid-operation
-    /// power loss), so a bounded retry is the correct response. This is the
-    /// property `fault`'s retry ladder keys on, preserved across every
-    /// backend's error conversion.
+    /// Whether the failure is transient: a flash operation failed for
+    /// reasons that do not persist (interface NAKs, mid-operation power
+    /// loss), so a bounded retry is the correct response. This is the
+    /// property `fault`'s retry ladder keys on; only a flash error can be
+    /// transient.
     #[must_use]
     pub fn is_transient(&self) -> bool {
-        match self {
-            Self::Core(CoreError::Flash(e)) => e.is_transient(),
-            Self::Core(_) | Self::Config(_) | Self::Unsupported { .. } => false,
-            Self::Backend { transient, .. } => *transient,
-        }
+        matches!(self, Self::Core(CoreError::Flash(e)) if e.is_transient())
     }
 }
 
@@ -89,9 +75,6 @@ impl fmt::Display for SchemeError {
                 scheme, message, ..
             } => write!(f, "{scheme} backend error: {message}"),
             Self::Config(why) => write!(f, "invalid scheme parameters: {why}"),
-            Self::Unsupported { scheme, operation } => {
-                write!(f, "scheme {scheme} does not support {operation}")
-            }
         }
     }
 }
@@ -257,16 +240,11 @@ mod tests {
         let c: SchemeError = CoreError::Config("bad").into();
         assert!(!c.is_transient());
         let b = SchemeError::Backend {
-            scheme: "reram",
-            message: "forming pulse nak".into(),
-            transient: true,
-        };
-        assert!(b.is_transient());
-        assert!(!SchemeError::Unsupported {
             scheme: "nand_puf",
-            operation: "imprint",
-        }
-        .is_transient());
+            message: "block out of range".into(),
+        };
+        assert!(!b.is_transient());
+        assert!(!SchemeError::Config("zero replicas").is_transient());
     }
 
     #[test]
@@ -274,15 +252,10 @@ mod tests {
         let samples: Vec<SchemeError> = vec![
             CoreError::Config("x").into(),
             SchemeError::Backend {
-                scheme: "reram",
-                message: "bad forming voltage".into(),
-                transient: false,
+                scheme: "nand_puf",
+                message: "block out of range".into(),
             },
             SchemeError::Config("zero replicas"),
-            SchemeError::Unsupported {
-                scheme: "nand_puf",
-                operation: "imprint",
-            },
         ];
         for e in samples {
             let msg = e.to_string();

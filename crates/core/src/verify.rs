@@ -444,7 +444,6 @@ impl Verifier {
             .replicas(self.config.replicas())
             .reads(self.config.reads())
             .accelerated(self.config.accelerated())
-            .layout(self.config.layout())
             .t_pew(t_pew)
             .build()?;
         let extraction = Extractor::new(&config).extract(flash, seg, RECORD_BITS)?;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use flashmark_core::{ReplicaLayout, SegmentLayout, TestStatus, Watermark, WatermarkRecord};
+use flashmark_core::{SegmentLayout, TestStatus, Watermark, WatermarkRecord};
 use flashmark_nor::FlashGeometry;
 
 fn arb_status() -> impl Strategy<Value = TestStatus> {
@@ -58,19 +58,17 @@ proptest! {
         prop_assert!(WatermarkRecord::from_watermark(&wm).is_err());
     }
 
-    /// Layout channel encode/slice round-trips under both layouts.
+    /// Layout channel encode/slice round-trips.
     #[test]
     fn layout_roundtrip(
         data in proptest::collection::vec(any::<bool>(), 1..300),
         k in 0usize..3,
-        interleaved in any::<bool>(),
     ) {
         let k = 2 * k + 1;
-        let layout = if interleaved { ReplicaLayout::Interleaved } else { ReplicaLayout::Contiguous };
-        let l = SegmentLayout::new(data.len(), k, layout).unwrap();
+        let l = SegmentLayout::new(data.len(), k).unwrap();
         let channel = l.encode_channel(&data).unwrap();
         prop_assert_eq!(channel.len(), data.len() * k);
-        // slice_channel returns the de-interleaved, replica-major channel.
+        // slice_channel returns the replica-major channel.
         let mut segment = channel.clone();
         segment.extend(std::iter::repeat_n(true, 64));
         let sliced = l.slice_channel(&segment).unwrap();
@@ -84,7 +82,7 @@ proptest! {
     fn pattern_zero_count_matches(data in proptest::collection::vec(any::<bool>(), 1..256), k in 0usize..3) {
         let k = 2 * k + 1;
         let g = FlashGeometry::single_bank(1);
-        let l = SegmentLayout::new(data.len(), k, ReplicaLayout::Contiguous).unwrap();
+        let l = SegmentLayout::new(data.len(), k).unwrap();
         prop_assume!(l.check_fits(g).is_ok());
         let words = l.pattern_words(&data, g).unwrap();
         let zeros_in_words: u32 = words.iter().map(|w| w.count_zeros()).sum();

@@ -4,14 +4,12 @@
 //! majority voting** (3/5/7 replicas, Fig. 10–11) and suggests error
 //! correction codes as the alternative at equal overhead. This crate
 //! provides both families behind one [`Code`] trait, plus the CRC signatures
-//! used for tamper detection and a bit interleaver that decorrelates
-//! common-mode extraction noise between replicas:
+//! used for tamper detection:
 //!
 //! * [`Repetition`] — k-way block replication with bitwise majority voting,
 //! * [`Hamming`] — Hamming(15,11), optionally extended with an overall
 //!   parity bit for double-error detection,
-//! * [`crc`] — CRC-8/16/32 signatures,
-//! * [`Interleaver`] — invertible block interleaving.
+//! * [`crc`] — CRC-8/16/32 signatures.
 //!
 //! # Example
 //!
@@ -31,13 +29,11 @@
 pub mod bits;
 pub mod crc;
 pub mod hamming;
-pub mod interleave;
 pub mod majority;
 pub mod repetition;
 
 pub use bits::{bits_from_bytes, bytes_from_bits, hamming_distance};
 pub use hamming::Hamming;
-pub use interleave::Interleaver;
 pub use majority::MajorityVote;
 pub use repetition::Repetition;
 

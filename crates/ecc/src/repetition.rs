@@ -4,8 +4,7 @@
 //! The data block is stored `k` times back to back (replica `r` of bit `i`
 //! is channel bit `r * len + i`), and decoding takes a per-bit majority over
 //! the replicas. Block-wise layout matches how the paper lays replicas into
-//! a segment; combine with [`Interleaver`](crate::interleave::Interleaver)
-//! to decorrelate common-mode pulse noise.
+//! a segment.
 
 use crate::majority::MajorityVote;
 use crate::{Code, CodeError, Decoded};
@@ -30,12 +29,6 @@ impl Repetition {
             ));
         }
         Ok(Self { k })
-    }
-
-    /// The replication factor.
-    #[must_use]
-    pub fn factor(&self) -> usize {
-        self.k
     }
 
     /// Decodes with soft information: per-bit vote tallies.

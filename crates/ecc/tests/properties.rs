@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use flashmark_ecc::crc::{crc16, crc32, crc8};
-use flashmark_ecc::{bits_from_bytes, bytes_from_bits, Code, Hamming, Interleaver, Repetition};
+use flashmark_ecc::{bits_from_bytes, bytes_from_bits, Code, Hamming, Repetition};
 
 proptest! {
     /// Repetition: clean-channel round trip for any data and odd k.
@@ -67,15 +67,6 @@ proptest! {
         let rx = code.decode(&tx).unwrap();
         prop_assert_eq!(&rx.data[..data.len()], &data[..]);
         prop_assert_eq!(rx.corrected, 1);
-    }
-
-    /// Interleaving round-trips for any depth dividing the length.
-    #[test]
-    fn interleave_roundtrip(rows in 1usize..8, width in 1usize..64, seed in any::<u64>()) {
-        let bits: Vec<bool> = (0..rows * width).map(|i| (seed >> (i % 64)) & 1 == 1).collect();
-        let il = Interleaver::new(rows).unwrap();
-        let inter = il.interleave(&bits).unwrap();
-        prop_assert_eq!(il.deinterleave(&inter).unwrap(), bits);
     }
 
     /// Bits/bytes conversions round-trip.

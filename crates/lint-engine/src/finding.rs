@@ -1,14 +1,11 @@
-//! Findings, the machine-readable report, and the committed baseline.
+//! Findings and the machine-readable report.
 //!
 //! The report serializer is deterministic by construction: findings are
 //! sorted by `(file, line, rule, message)`, rule counts live in a
 //! `BTreeMap`, and nothing timestamped ever enters the document — so
 //! `results/lint_report.json` is byte-identical across repeated runs.
-//!
-//! The baseline (`lint_baseline.json` at the workspace root) is a list of
-//! *accepted* findings matched as a multiset on `(rule, file, message)` —
-//! line numbers are deliberately excluded so unrelated edits shifting a
-//! file do not churn the baseline.
+//! There is no baseline of accepted findings: a justified in-place
+//! suppression ([`crate::suppress`]) is the one way to silence one.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -36,8 +33,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Stable kebab-case name used in reports, baselines, and
-    /// suppression comments.
+    /// Stable kebab-case name used in reports and suppression comments.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -109,8 +105,6 @@ pub struct Report {
     pub files_checked: usize,
     /// Findings silenced by a justified suppression comment.
     pub suppressed: usize,
-    /// Findings matched (and removed) by the committed baseline.
-    pub baselined: usize,
 }
 
 impl Report {
@@ -119,43 +113,6 @@ impl Report {
         self.findings.sort_by(|a, b| {
             (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
         });
-    }
-
-    /// Removes findings matched by the baseline (multiset on
-    /// `(rule, file, message)`), counting them in `baselined`. Returns the
-    /// baseline entries that matched nothing (stale entries).
-    pub fn apply_baseline(&mut self, baseline: &[BaselineEntry]) -> Vec<BaselineEntry> {
-        let mut budget: BTreeMap<(String, String, String), usize> = BTreeMap::new();
-        for e in baseline {
-            *budget
-                .entry((e.rule.clone(), e.file.clone(), e.message.clone()))
-                .or_insert(0) += 1;
-        }
-        let mut matched = 0usize;
-        self.findings.retain(|f| {
-            let key = (f.rule.name().to_string(), f.file.clone(), f.message.clone());
-            if let Some(n) = budget.get_mut(&key) {
-                if *n > 0 {
-                    *n -= 1;
-                    matched += 1;
-                    return false;
-                }
-            }
-            true
-        });
-        self.baselined += matched;
-        budget
-            .into_iter()
-            .filter(|(_, n)| *n > 0)
-            .flat_map(|((rule, file, message), n)| {
-                std::iter::repeat_with(move || BaselineEntry {
-                    rule: rule.clone(),
-                    file: file.clone(),
-                    message: message.clone(),
-                })
-                .take(n)
-            })
-            .collect()
     }
 
     /// Serializes the report as deterministic pretty-printed JSON.
@@ -169,7 +126,6 @@ impl Report {
         out.push_str("{\n  \"schema\": \"flashmark-lint/1\",\n");
         let _ = writeln!(out, "  \"files_checked\": {},", self.files_checked);
         let _ = writeln!(out, "  \"suppressed\": {},", self.suppressed);
-        let _ = writeln!(out, "  \"baselined\": {},", self.baselined);
         out.push_str("  \"rule_counts\": {");
         for (i, (rule, n)) in counts.iter().enumerate() {
             if i > 0 {
@@ -202,72 +158,6 @@ impl Report {
     }
 }
 
-/// One accepted finding in the committed baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// Rule name (kebab-case).
-    pub rule: String,
-    /// Workspace-relative path.
-    pub file: String,
-    /// Exact finding message.
-    pub message: String,
-}
-
-/// Serializes a baseline document.
-#[must_use]
-pub fn baseline_to_json(entries: &[BaselineEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"flashmark-lint-baseline/1\",\n  \"entries\": [");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        let _ = write!(out, " \"rule\": {},", json_string(&e.rule));
-        let _ = write!(out, " \"file\": {},", json_string(&e.file));
-        let _ = write!(out, " \"message\": {} }}", json_string(&e.message));
-    }
-    if entries.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
-}
-
-/// Parses a baseline document.
-///
-/// # Errors
-///
-/// A message on malformed input, so the gate fails loudly rather than
-/// silently accepting everything.
-pub fn baseline_from_json(text: &str) -> Result<Vec<BaselineEntry>, String> {
-    let value = json::parse(text)?;
-    let obj = value.as_object().ok_or("baseline root must be an object")?;
-    let entries = obj
-        .iter()
-        .find(|(k, _)| k == "entries")
-        .map(|(_, v)| v)
-        .ok_or("baseline missing `entries`")?;
-    let arr = entries.as_array().ok_or("`entries` must be an array")?;
-    let mut out = Vec::with_capacity(arr.len());
-    for item in arr {
-        let e = item.as_object().ok_or("baseline entry must be an object")?;
-        let get = |key: &str| -> Result<String, String> {
-            e.iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_str().map(str::to_string))
-                .ok_or_else(|| format!("baseline entry missing string `{key}`"))
-        };
-        out.push(BaselineEntry {
-            rule: get("rule")?,
-            file: get("file")?,
-            message: get("message")?,
-        });
-    }
-    Ok(out)
-}
-
 /// Escapes a string into a JSON string literal (quotes included).
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -289,8 +179,8 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// A minimal recursive-descent JSON parser — just enough to read the
-/// baseline document back in an offline build (no serde available).
+/// A minimal, strict recursive-descent JSON parser for offline builds (no
+/// serde available).
 pub mod json {
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -587,7 +477,6 @@ mod tests {
             ],
             files_checked: 2,
             suppressed: 1,
-            baselined: 0,
         };
         r.normalize();
         let one = r.to_json();
@@ -611,52 +500,22 @@ mod tests {
 
     #[test]
     fn json_escaping_round_trips() {
-        let entries = vec![BaselineEntry {
-            rule: "panic-free".to_string(),
-            file: "a \"b\"\\c.rs".to_string(),
-            message: "line1\nline2\ttabbed".to_string(),
-        }];
-        let doc = baseline_to_json(&entries);
-        let back = baseline_from_json(&doc).unwrap();
-        assert_eq!(back, entries);
-    }
-
-    #[test]
-    fn baseline_matching_is_a_multiset() {
-        let mut r = Report {
-            findings: vec![
-                finding("a.rs", 1, Rule::FloatEq, "m"),
-                finding("a.rs", 5, Rule::FloatEq, "m"),
-                finding("a.rs", 9, Rule::FloatEq, "m"),
-            ],
+        let file = "a \"b\"\\c.rs";
+        let message = "line1\nline2\ttabbed \"quoted\" \\ end";
+        let r = Report {
+            findings: vec![finding(file, 4, Rule::PanicFree, message)],
             files_checked: 1,
-            ..Report::default()
+            suppressed: 0,
         };
-        let baseline = vec![
-            BaselineEntry {
-                rule: "float-eq".to_string(),
-                file: "a.rs".to_string(),
-                message: "m".to_string(),
-            };
-            2
-        ];
-        let stale = r.apply_baseline(&baseline);
-        assert!(stale.is_empty());
-        assert_eq!(r.baselined, 2);
-        assert_eq!(r.findings.len(), 1, "third copy is NOT baselined");
-    }
-
-    #[test]
-    fn stale_baseline_entries_are_reported() {
-        let mut r = Report::default();
-        let baseline = vec![BaselineEntry {
-            rule: "float-eq".to_string(),
-            file: "gone.rs".to_string(),
-            message: "old".to_string(),
-        }];
-        let stale = r.apply_baseline(&baseline);
-        assert_eq!(stale.len(), 1);
-        assert_eq!(stale[0].file, "gone.rs");
+        let doc = json::parse(&r.to_json()).unwrap();
+        let field = |v: &json::Value, key: &str| {
+            let obj = v.as_object().unwrap();
+            obj.iter().find(|(k, _)| k == key).unwrap().1.clone()
+        };
+        let only = field(&doc, "findings").as_array().unwrap()[0].clone();
+        assert_eq!(field(&only, "file").as_str(), Some(file));
+        assert_eq!(field(&only, "message").as_str(), Some(message));
+        assert_eq!(field(&only, "rule").as_str(), Some("panic-free"));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   wall clock, OS randomness and raw threads are banned in `clippy.toml`;
 //! * [`suppress`] — `// flashmark-lint: allow(<rule>) -- <justification>`
 //!   comments (justification mandatory);
-//! * [`finding`] — findings, the deterministic JSON report
-//!   (`results/lint_report.json`), and the committed baseline.
+//! * [`finding`] — findings and the deterministic JSON report
+//!   (`results/lint_report.json`).
 //!
 //! The engine is plain `std`, fully offline, and deterministic: the same
 //! sources produce a byte-identical report on every run.
@@ -44,7 +44,7 @@ pub mod rules;
 pub mod scope;
 pub mod suppress;
 
-pub use finding::{baseline_from_json, baseline_to_json, BaselineEntry, Finding, Report, Rule};
+pub use finding::{Finding, Report, Rule};
 pub use scope::FileScope;
 
 /// One workspace source file handed to the engine.
@@ -65,7 +65,7 @@ pub struct SourceFile {
 /// through other library items, is a finding.
 ///
 /// The returned report is normalized (sorted) and carries suppression
-/// accounting; the caller applies the baseline.
+/// accounting.
 #[must_use]
 pub fn analyze(files: &[SourceFile]) -> Report {
     let mut report = Report::default();

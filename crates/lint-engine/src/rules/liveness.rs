@@ -2,20 +2,27 @@
 //!
 //! The roots are every item of a non-library target: binaries,
 //! integration tests, examples, bench targets and the `benchmark/`
-//! package. A reached item reaches every item its identifiers name,
-//! matched by bare name. `use` declarations and comments (doc comments
-//! included) name nothing, and a library's own `#[cfg(test)]` code is
-//! neither a root nor an item, so a `pub` item mentioned only by its
-//! re-export, its `impl` header, its docs or its module's unit tests is
-//! reported. Three refinements keep bare-name matching honest:
+//! package. A reached item reaches what its code *uses*. `use`
+//! declarations and comments (doc comments included) use nothing, and a
+//! library's own `#[cfg(test)]` code is neither a root nor an item, so a
+//! `pub` item mentioned only by its re-export, its `impl` header, its docs
+//! or its module's unit tests is reported. How an item is used depends on
+//! its kind:
 //!
-//! * an inherent method is reached only once its self type is reached
-//!   too, so `pub fn new` on an unused type is reported while every other
-//!   type's `new` stays live;
-//! * the items of a trait impl are reached with its self type, or with
-//!   its trait when the self type is not a library type (blanket impls);
-//! * a trait is reached through its own name or its items' names, since
-//!   callers bring it in with a `use` and then name only its methods.
+//! * a free function, type, const, static, trait or macro: by its bare
+//!   name; a trait also by its items' names, since callers bring it in
+//!   with a `use` and then name only its methods;
+//! * an inherent method or associated item, once its self type is named:
+//!   by a call (`.m(`, `.m::<`) or a path (`Type::m`, `Self::m`), so a
+//!   local or a field that shares its name does not keep it live;
+//! * a `pub` field of a `pub struct`, once its owner is named: by a read
+//!   (`.f` followed by neither `(` nor a plain `=`), by a struct pattern
+//!   (`Owner { f, .. }`, or braces followed by `=>`, `=`, `|`, `if` or
+//!   `in`), or by a macro call's arguments;
+//! * a variant of a `pub enum`: by a construction, the path `Owner::V` or
+//!   `Self::V` outside a pattern; a `#[default]` variant with its enum;
+//! * the items of a trait impl: with its self type, or with its trait
+//!   when the self type is not a library type (blanket impls).
 //!
 //! Module-level macro calls (`impl_to_json!(…)`) are references: they
 //! expand to items nothing else names, so they count as roots.
@@ -34,19 +41,37 @@ enum Gate {
     /// Once a reached item says one of these names (a trait's item names
     /// follow its own).
     Names(Vec<String>),
-    /// An inherent method: once both its name and its self type are named.
+    /// An inherent method: once its self type is named and it is called
+    /// or named by path.
     Method { name: String, self_ty: String },
+    /// A `pub` field: once its owner is named and the field is read.
+    Field { owner: String, name: String },
+    /// A variant, as `Owner::V`: once it is constructed.
+    Variant(String),
     /// A trait impl: with its self type, or with its trait when the self
     /// type is no library type.
     TraitImpl { self_ty: String, trait_name: String },
+}
+
+/// What a stretch of code uses, by kind of use.
+#[derive(Debug, Default)]
+struct Uses {
+    /// Every identifier.
+    names: BTreeSet<String>,
+    /// Method calls (`.m(`, `.m::<`) and path segments (`X::m`).
+    calls: BTreeSet<String>,
+    /// Field reads: `.f`, struct-pattern fields and macro arguments.
+    reads: BTreeSet<String>,
+    /// Constructed variants as `Owner::V`, `Self` resolved.
+    builds: BTreeSet<String>,
 }
 
 /// One node of the reachability graph.
 #[derive(Debug)]
 struct Item {
     gate: Gate,
-    /// The identifiers the item's code names.
-    refs: Vec<String>,
+    /// What the item's code uses.
+    uses: Uses,
     /// `(file, line, keyword, name)` of a `pub` library item, which is a
     /// finding if nothing reaches it.
     report: Option<(String, u32, String, String)>,
@@ -68,11 +93,124 @@ struct Cx<'a> {
     self_ty: Option<&'a str>,
 }
 
+/// The text of `t[k]`, or `""` past either end.
+fn word(t: &[Token], k: usize) -> &str {
+    t.get(k).map_or("", |tok| tok.text.as_str())
+}
+
+/// The index of the bracket that closes the one opened at `t[open]`, or
+/// `t.len()` if it is never closed.
+fn close(t: &[Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (k, tok) in t.iter().enumerate().skip(open) {
+        match tok.text.as_str() {
+            "(" | "[" | "{" if tok.kind == TokenKind::Punct => depth += 1,
+            ")" | "]" | "}" if tok.kind == TokenKind::Punct => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return k;
+                }
+            }
+            _ => {}
+        }
+    }
+    t.len()
+}
+
+/// Whether the tokens from `t[j]` on, after any `)`, continue a pattern.
+fn pattern_follows(t: &[Token], mut j: usize) -> bool {
+    while word(t, j) == ")" {
+        j += 1;
+    }
+    matches!(word(t, j), "=>" | "|" | "=" | "if" | "in")
+}
+
+impl Uses {
+    /// Collects what `t[start..stop]` uses, skipping `use` declarations;
+    /// `self_ty` stands for `Self`.
+    fn scan(t: &[Token], start: usize, stop: usize, self_ty: Option<&str>) -> Self {
+        let mut uses = Self::default();
+        // Ends (exclusive) of the macro-call arguments and the
+        // `matches!(…)` arguments the scan is inside.
+        let (mut in_macro, mut in_matches) = (start, start);
+        let mut k = start;
+        while k < stop {
+            if t[k].is_ident("use") {
+                k = item_end(t, k);
+                continue;
+            }
+            if t[k].kind == TokenKind::Ident {
+                let name = t[k].text.as_str();
+                let before = if k > start { word(t, k - 1) } else { "" };
+                let next = word(t, k + 1);
+                uses.names.insert(name.to_string());
+                if next == "!" && matches!(word(t, k + 2), "(" | "[" | "{") {
+                    let end = close(t, k + 2);
+                    in_macro = in_macro.max(end);
+                    if name == "matches" {
+                        in_matches = in_matches.max(end);
+                    }
+                } else if before == "." {
+                    if next == "(" || (next == "::" && word(t, k + 2) == "<") {
+                        uses.calls.insert(name.to_string());
+                    } else if next != "=" {
+                        uses.reads.insert(name.to_string());
+                    }
+                } else if before == "::" {
+                    uses.calls.insert(name.to_string());
+                    let payload_end = match next {
+                        "(" | "{" => close(t, k + 1) + 1,
+                        _ => k + 1,
+                    };
+                    if k >= in_matches && !pattern_follows(t, payload_end) {
+                        let owner = match word(t, k.saturating_sub(2)) {
+                            "Self" => self_ty.unwrap_or("Self"),
+                            owner => owner,
+                        };
+                        uses.builds.insert(format!("{owner}::{name}"));
+                    }
+                }
+                if next == "{" && name.starts_with(|c: char| c.is_ascii_uppercase()) {
+                    uses.pattern_fields(t, k + 1, k < in_macro);
+                }
+            }
+            k += 1;
+        }
+        uses
+    }
+
+    /// Reads the fields named in the braces that open at `t[open]` after
+    /// an `Owner` path, if they are a struct pattern (ending in `..`, or
+    /// followed by a pattern's continuation) or sit in a macro call's
+    /// arguments (`impl_to_json!(Owner { f, g })`). A struct literal
+    /// reads nothing.
+    fn pattern_fields(&mut self, t: &[Token], open: usize, in_macro: bool) {
+        let end = close(t, open);
+        if !in_macro && word(t, end - 1) != ".." && !pattern_follows(t, end + 1) {
+            return;
+        }
+        let mut depth = 0usize;
+        for k in open + 1..end {
+            match word(t, k) {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            if depth == 0
+                && t[k].kind == TokenKind::Ident
+                && matches!(word(t, k + 1), "," | "}" | ":")
+            {
+                self.reads.insert(t[k].text.clone());
+            }
+        }
+    }
+}
+
 impl Graph {
     /// Adds a file of a non-library target: the whole file is one root.
     pub fn add_root(&mut self, tokens: &[Token]) {
         let code = code_tokens(tokens);
-        self.push(&code, 0, code.len(), Gate::Root, None);
+        self.push(&code, 0, code.len(), Gate::Root, None, None);
     }
 
     /// Adds a linted library file: its items, `pub` ones reportable.
@@ -106,7 +244,7 @@ impl Graph {
 
     /// Records the item in `t[start..stop]` (attributes already skipped).
     fn item(&mut self, t: &[Token], start: usize, stop: usize, cx: Cx<'_>) {
-        let word = |k: usize| t.get(k).map_or("", |tok| tok.text.as_str());
+        let word = |k: usize| word(t, k);
         let mut i = start;
         let is_pub = word(i) == "pub" && word(i + 1) != "(";
         if word(i) == "pub" {
@@ -133,13 +271,8 @@ impl Graph {
             "mod" if word(i + 2) == "{" => self.walk(t, i + 3, stop.saturating_sub(1), cx),
             "impl" => self.impl_block(t, i, stop, cx),
             "macro_rules" => {
-                self.push(
-                    t,
-                    start,
-                    stop,
-                    Gate::Names(vec![word(i + 2).to_string()]),
-                    None,
-                );
+                let gate = Gate::Names(vec![word(i + 2).to_string()]);
+                self.push(t, start, stop, gate, None, cx.self_ty);
             }
             "fn" | "struct" | "enum" | "union" | "trait" | "type" | "const" | "static" => {
                 let name_at = if word(i + 1) == "mut" { i + 2 } else { i + 1 };
@@ -165,14 +298,77 @@ impl Graph {
                     }
                     Gate::Names(names)
                 };
-                let report = (is_pub && name != "main" && !name.starts_with('_'))
-                    .then(|| (cx.file.to_string(), t[start].line, kw.to_string(), name));
-                self.push(t, start, stop, gate, report);
+                let report = (is_pub && name != "main" && !name.starts_with('_')).then(|| {
+                    (
+                        cx.file.to_string(),
+                        t[start].line,
+                        kw.to_string(),
+                        name.clone(),
+                    )
+                });
+                self.push(t, start, stop, gate, report, cx.self_ty);
+                if is_pub && matches!(kw, "struct" | "enum") {
+                    if let Some(open) = (name_at..stop).find(|&k| word(k) == "{") {
+                        self.members(t, open, kw, &name, cx.file);
+                    }
+                }
             }
             _ if word(i + 1) == "!" && t[i].kind == TokenKind::Ident => {
-                self.push(t, start, stop, Gate::Root, None);
+                self.push(t, start, stop, Gate::Root, None, cx.self_ty);
             }
             _ => {}
+        }
+    }
+
+    /// Records the `pub` fields of a `pub struct`, or the variants of a
+    /// `pub enum`, whose body opens at `t[open]`.
+    fn members(&mut self, t: &[Token], open: usize, kw: &str, owner: &str, file: &str) {
+        let end = close(t, open);
+        let mut k = open + 1;
+        while k < end {
+            let (mut test, mut default) = (false, false);
+            while let Some(after) = attr_end(t, k) {
+                test |= attr_is_cfg_test(t, k, after);
+                default |= after == k + 4 && word(t, k + 2) == "default";
+                k = after;
+            }
+            let (at, gate, label) = if kw == "struct" {
+                let name = word(t, k + 1);
+                let field = word(t, k) == "pub" && word(t, k + 2) == ":";
+                let gate = Gate::Field {
+                    owner: owner.to_string(),
+                    name: name.to_string(),
+                };
+                (field.then_some(k), gate, format!("{owner}.{name}"))
+            } else {
+                let path = format!("{owner}::{}", word(t, k));
+                let variant = t.get(k).is_some_and(|tok| tok.kind == TokenKind::Ident);
+                let gate = if default {
+                    Gate::Names(vec![owner.to_string()])
+                } else {
+                    Gate::Variant(path.clone())
+                };
+                (variant.then_some(k), gate, path)
+            };
+            if let (false, Some(at)) = (test, at) {
+                let kind = if kw == "struct" { "field" } else { "variant" };
+                self.items.push(Item {
+                    gate,
+                    uses: Uses::default(),
+                    report: Some((file.to_string(), t[at].line, kind.to_string(), label)),
+                });
+            }
+            // On to the next member, past the `,` that ends this one.
+            let mut depth = 0usize;
+            while k < end && !(depth == 0 && word(t, k) == ",") {
+                match word(t, k) {
+                    "(" | "[" | "{" => depth += 1,
+                    ")" | "]" | "}" => depth = depth.saturating_sub(1),
+                    _ => {}
+                }
+                k += 1;
+            }
+            k += 1;
         }
     }
 
@@ -209,7 +405,7 @@ impl Graph {
                 self_ty: second.to_string(),
                 trait_name: first.to_string(),
             };
-            self.push(t, i, stop, gate, None);
+            self.push(t, i, stop, gate, None, Some(second));
         } else {
             let inner = Cx {
                 self_ty: Some(first),
@@ -219,7 +415,8 @@ impl Graph {
         }
     }
 
-    /// Adds an item whose code is `t[start..stop]`, minus `use` declarations.
+    /// Adds an item whose code is `t[start..stop]`; `self_ty` stands for
+    /// `Self` in it.
     fn push(
         &mut self,
         t: &[Token],
@@ -227,22 +424,11 @@ impl Graph {
         stop: usize,
         gate: Gate,
         report: Option<(String, u32, String, String)>,
+        self_ty: Option<&str>,
     ) {
-        let mut refs = BTreeSet::new();
-        let mut k = start;
-        while k < stop {
-            if t[k].is_ident("use") {
-                k = item_end(t, k);
-            } else {
-                if t[k].kind == TokenKind::Ident {
-                    refs.insert(t[k].text.clone());
-                }
-                k += 1;
-            }
-        }
         self.items.push(Item {
             gate,
-            refs: refs.into_iter().collect(),
+            uses: Uses::scan(t, start, stop, self_ty),
             report,
         });
     }
@@ -250,17 +436,22 @@ impl Graph {
     /// Propagates reach from the roots to a fixpoint and reports every
     /// `pub` library item left unreached.
     pub fn check(&self, findings: &mut Vec<Finding>) {
-        let mut names: BTreeSet<&str> = BTreeSet::new();
+        let mut seen = Uses::default();
         let mut reached = vec![false; self.items.len()];
         let mut changed = true;
         while changed {
             changed = false;
             for (item, done) in self.items.iter().zip(&mut reached) {
-                let said = |n: &String| names.contains(n.as_str());
+                if *done {
+                    continue;
+                }
+                let said = |n: &String| seen.names.contains(n);
                 let open = match &item.gate {
                     Gate::Root => true,
                     Gate::Names(own) => own.iter().any(said),
-                    Gate::Method { name, self_ty } => said(name) && said(self_ty),
+                    Gate::Method { name, self_ty } => said(self_ty) && seen.calls.contains(name),
+                    Gate::Field { owner, name } => said(owner) && seen.reads.contains(name),
+                    Gate::Variant(path) => seen.builds.contains(path),
                     Gate::TraitImpl {
                         self_ty,
                         trait_name,
@@ -272,10 +463,14 @@ impl Graph {
                         }
                     }
                 };
-                if open && !*done {
+                if open {
                     *done = true;
                     changed = true;
-                    names.extend(item.refs.iter().map(String::as_str));
+                    let uses = &item.uses;
+                    seen.names.extend(uses.names.iter().cloned());
+                    seen.calls.extend(uses.calls.iter().cloned());
+                    seen.reads.extend(uses.reads.iter().cloned());
+                    seen.builds.extend(uses.builds.iter().cloned());
                 }
             }
         }
@@ -298,7 +493,6 @@ impl Graph {
 fn code_tokens(tokens: &[Token]) -> Vec<Token> {
     tokens.iter().filter(|t| t.is_code()).cloned().collect()
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,6 +590,37 @@ mod tests {
         assert_eq!(
             reported(&[("crates/nor/src/a.rs", lib), ("src/main.rs", bin)]),
             ["special_entry"]
+        );
+    }
+
+    #[test]
+    fn methods_are_reached_by_calls_and_paths_not_by_name() {
+        let lib = "pub struct Meter;\nimpl Meter {\n    pub fn new() -> Self { Self }\n    pub fn gauge(&self) -> u32 { 1 }\n    pub fn read(&self) -> u32 { 2 }\n    pub fn reset(&self) {}\n}\npub struct Panel {\n    pub gauge: u32,\n}\n";
+        // `gauge` is only a local, a struct-literal key and a field here.
+        let bin = "fn main() {\n    let m = Meter::new();\n    let gauge = m.read();\n    let p = Panel { gauge };\n    let _ = p.gauge;\n    Meter::reset(&m);\n}\n";
+        assert_eq!(
+            reported(&[("crates/nor/src/a.rs", lib), ("src/main.rs", bin)]),
+            ["gauge"]
+        );
+    }
+
+    #[test]
+    fn fields_are_reached_by_reads_patterns_and_macro_listings() {
+        let lib = "pub struct Report {\n    pub written: u32,\n    pub read: u32,\n    pub destructured: u32,\n    pub listed: u32,\n}\nimpl_to_json!(Report { listed });\npub fn make() -> Report {\n    Report { written: 0, read: 1, destructured: 2, listed: 3 }\n}\n";
+        let bin = "fn main() {\n    let mut r = make();\n    r.written = 5;\n    let _ = r.read;\n    let Report { destructured, .. } = r;\n}\n";
+        assert_eq!(
+            reported(&[("crates/bench/src/a.rs", lib), ("src/main.rs", bin)]),
+            ["Report.written"]
+        );
+    }
+
+    #[test]
+    fn variants_are_reached_by_construction_not_by_patterns() {
+        let lib = "#[derive(Default)]\npub enum Mode {\n    Matched,\n    Built,\n    #[default]\n    Fallback,\n}\npub fn classify(m: &Mode) -> u32 {\n    match m { Mode::Matched => 1, _ => 0 }\n}\npub fn is_matched(m: &Mode) -> bool { matches!(m, Mode::Matched) }\npub fn check(m: Mode) -> Result<(), Mode> {\n    if let Mode::Matched = m { return Ok(()); }\n    Err(Mode::Built)\n}\n";
+        let bin = "fn main() {\n    let m = Mode::default();\n    classify(&m);\n    is_matched(&m);\n    let _ = check(m);\n}\n";
+        assert_eq!(
+            reported(&[("crates/nor/src/a.rs", lib), ("src/main.rs", bin)]),
+            ["Mode::Matched"]
         );
     }
 

@@ -22,10 +22,6 @@ use crate::rules::RuleSet;
 pub struct FileScope {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// The crate directory under `crates/` (empty for the root package).
-    pub crate_name: String,
-    /// Whether this is a binary target (`src/bin/*.rs` or `src/main.rs`).
-    pub is_bin: bool,
     /// The rule families that apply.
     pub rules: RuleSet,
 }
@@ -50,12 +46,11 @@ impl FileScope {
         if !in_src || std::path::Path::new(&path).extension() != Some("rs".as_ref()) {
             return None;
         }
-        let crate_name = path
+        // The crate directory under `crates/` (empty for the root package).
+        let c = path
             .strip_prefix("crates/")
             .and_then(|p| p.split('/').next())
-            .unwrap_or("")
-            .to_string();
-        let c = crate_name.as_str();
+            .unwrap_or("");
         // Binary targets are top-level drivers: they own stdout/stderr and
         // may panic on startup misconfiguration. Library discipline does
         // not apply.
@@ -81,12 +76,7 @@ impl FileScope {
             wrapping_audit: !sanctioned_rng && matches!(c, "physics" | "core"),
             pub_liveness: !is_bin,
         };
-        Some(Self {
-            path,
-            crate_name,
-            is_bin,
-            rules,
-        })
+        Some(Self { path, rules })
     }
 }
 
@@ -360,7 +350,7 @@ mod tests {
     #[test]
     fn bin_targets_are_drivers() {
         let bin = FileScope::classify("crates/bench/src/bin/run_all.rs").unwrap();
-        assert!(bin.is_bin);
+        assert!(!bin.rules.pub_liveness, "a bin's items are liveness roots");
         assert!(!bin.rules.print_discipline, "bins own their stdout");
         assert!(!bin.rules.panic_free);
     }
@@ -368,7 +358,7 @@ mod tests {
     #[test]
     fn root_facade_gets_full_library_discipline() {
         let root = FileScope::classify("src/lib.rs").unwrap();
-        assert!(!root.is_bin);
+        assert!(root.rules.pub_liveness);
         assert!(root.rules.panic_free && root.rules.float_eq);
         assert!(root.rules.print_discipline);
         assert!(root.rules.seed_dataflow);
@@ -389,7 +379,7 @@ mod tests {
         assert!(!rng.rules.seed_dataflow);
         assert!(!rng.rules.wrapping_audit, "the mixer is wrapping by design");
         let xtask = FileScope::classify("crates/xtask/src/main.rs").unwrap();
-        assert!(xtask.is_bin);
+        assert!(!xtask.rules.pub_liveness);
         assert!(!xtask.rules.print_discipline);
         let engine = FileScope::classify("crates/lint-engine/src/lexer.rs").unwrap();
         assert!(!engine.rules.seed_dataflow && !engine.rules.print_discipline);

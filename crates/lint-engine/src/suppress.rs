@@ -21,8 +21,6 @@ pub struct Suppression {
     pub rules: Vec<Rule>,
     /// The 1-based line the comment sits on (it also covers `line + 1`).
     pub line: u32,
-    /// The justification text (guaranteed non-empty).
-    pub justification: String,
 }
 
 impl Suppression {
@@ -48,10 +46,9 @@ pub fn parse(file: &str, tokens: &[Token]) -> (Vec<Suppression>, Vec<Finding>) {
             continue;
         };
         match parse_body(rest.trim()) {
-            Ok((rules, justification)) => suppressions.push(Suppression {
+            Ok(rules) => suppressions.push(Suppression {
                 rules,
                 line: token.line,
-                justification,
             }),
             Err(problem) => findings.push(Finding {
                 file: file.to_string(),
@@ -64,9 +61,9 @@ pub fn parse(file: &str, tokens: &[Token]) -> (Vec<Suppression>, Vec<Finding>) {
     (suppressions, findings)
 }
 
-/// Parses `allow(rule, ...) -- justification`, returning the rules and the
-/// justification or a description of what is wrong.
-fn parse_body(body: &str) -> Result<(Vec<Rule>, String), String> {
+/// Parses `allow(rule, ...) -- justification`, returning the rules, or a
+/// description of what is wrong (an empty justification included).
+fn parse_body(body: &str) -> Result<Vec<Rule>, String> {
     let Some(rest) = body.strip_prefix("allow(") else {
         return Err(format!(
             "malformed suppression: expected `{MARKER} allow(<rule>, ...) -- <justification>`"
@@ -95,13 +92,12 @@ fn parse_body(body: &str) -> Result<(Vec<Rule>, String), String> {
             "suppression without justification: append `-- <why this is sound>`".to_string(),
         );
     };
-    let justification = justification.trim();
-    if justification.is_empty() {
+    if justification.trim().is_empty() {
         return Err(
             "suppression without justification: append `-- <why this is sound>`".to_string(),
         );
     }
-    Ok((rules, justification.to_string()))
+    Ok(rules)
 }
 
 /// Applies suppressions to a finding list, returning the surviving
@@ -141,7 +137,6 @@ mod tests {
         assert!(probs.is_empty());
         assert_eq!(sups.len(), 1);
         assert_eq!(sups[0].rules, vec![Rule::FloatEq]);
-        assert_eq!(sups[0].justification, "sentinel carried through unchanged");
         assert!(sups[0].covers(Rule::FloatEq, 1));
         assert!(sups[0].covers(Rule::FloatEq, 2));
         assert!(!sups[0].covers(Rule::FloatEq, 3));
@@ -183,7 +178,6 @@ mod tests {
         let sups = vec![Suppression {
             rules: vec![Rule::FloatEq],
             line: 4,
-            justification: "j".to_string(),
         }];
         let findings = vec![
             finding(4, Rule::FloatEq),
@@ -201,7 +195,6 @@ mod tests {
         let sups = vec![Suppression {
             rules: vec![Rule::Suppression],
             line: 1,
-            justification: "nice try".to_string(),
         }];
         let findings = vec![finding(1, Rule::Suppression)];
         let (kept, silenced) = apply(findings, &sups);

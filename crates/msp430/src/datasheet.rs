@@ -7,9 +7,6 @@
 
 use flashmark_nor::FlashTimings;
 
-/// Rated program/erase endurance used by the paper's experiments (cycles).
-pub const ENDURANCE_CYCLES: u64 = 100_000;
-
 /// The timing set used by the device models (within datasheet bounds).
 #[must_use]
 pub fn timings() -> FlashTimings {

@@ -30,18 +30,14 @@ impl Msp430Variant {
                 name: "MSP430F5438",
                 main_geometry: FlashGeometry::new(4, 128, 512).expect("valid"),
                 info_geometry: FlashGeometry::new(1, 4, 128).expect("valid"),
-                ram_bytes: 16 * 1024,
                 timings: datasheet::timings(),
-                endurance_cycles: datasheet::ENDURANCE_CYCLES,
             },
             Self::F5529 => DeviceSpec {
                 variant: self,
                 name: "MSP430F5529",
                 main_geometry: FlashGeometry::new(4, 64, 512).expect("valid"),
                 info_geometry: FlashGeometry::new(1, 4, 128).expect("valid"),
-                ram_bytes: 8 * 1024,
                 timings: datasheet::timings(),
-                endurance_cycles: datasheet::ENDURANCE_CYCLES,
             },
         }
     }
@@ -71,12 +67,8 @@ pub struct DeviceSpec {
     pub main_geometry: FlashGeometry,
     /// Info memory geometry (segments D..A).
     pub info_geometry: FlashGeometry,
-    /// RAM size (for completeness of the memory map).
-    pub ram_bytes: u32,
     /// Flash operation timings.
     pub timings: FlashTimings,
-    /// Rated endurance in P/E cycles.
-    pub endurance_cycles: u64,
 }
 
 #[cfg(test)]
@@ -96,7 +88,6 @@ mod tests {
     fn f5529_memory_map() {
         let s = Msp430Variant::F5529.spec();
         assert_eq!(s.main_geometry.total_words() * 2, 128 * 1024);
-        assert_eq!(s.ram_bytes, 8 * 1024);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::device::{DeviceSpec, Msp430Variant};
 /// own controller, sharing the chip identity (seed).
 ///
 /// Implements [`FlashInterface`] over the **main** flash; the info memory is
-/// reached through [`Msp430Flash::info`] / [`Msp430Flash::info_mut`].
+/// reached through [`Msp430Flash::info_mut`].
 #[derive(Debug, Clone)]
 pub struct Msp430Flash {
     spec: DeviceSpec,
@@ -66,12 +66,6 @@ impl Msp430Flash {
     /// Mutable main-flash controller.
     pub fn main_mut(&mut self) -> &mut FlashController {
         &mut self.main
-    }
-
-    /// The info-memory controller.
-    #[must_use]
-    pub fn info(&self) -> &FlashController {
-        &self.info
     }
 
     /// Mutable info-memory controller.
@@ -182,7 +176,7 @@ mod tests {
     #[test]
     fn info_memory_shape() {
         let chip = Msp430Flash::f5438(9);
-        let g = chip.info().geometry();
+        let g = chip.info.geometry();
         assert_eq!(g.total_segments(), 4);
         assert_eq!(g.bytes_per_segment(), 128);
         assert_eq!(g.words_per_segment(), 64);

@@ -51,12 +51,6 @@ impl NandWordAdapter {
         }
     }
 
-    /// The wrapped chip.
-    #[must_use]
-    pub fn chip(&self) -> &NandChip {
-        &self.chip
-    }
-
     fn words_per_page(&self) -> u32 {
         self.chip.geometry().bytes_per_page() / 2
     }

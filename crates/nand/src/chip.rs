@@ -289,7 +289,7 @@ impl NandChip {
             .enumerate()
         {
             let eff = pulse.effective_us(&params, base + i as u64, t.get());
-            done &= apply_erase_cached(&params, st, state, eff, &mut cache).completed;
+            done &= apply_erase_cached(&params, st, state, eff, &mut cache);
         }
         cells.nop_counts.fill(0);
         self.dist_cache = cache;

@@ -112,15 +112,6 @@ impl NandGeometry {
     pub const fn cells_per_block(&self) -> usize {
         self.cells_per_page() * self.pages_per_block as usize
     }
-
-    /// Global cell index of bit `bit` of `page`.
-    #[must_use]
-    pub fn cell_index(&self, page: PageAddr, bit: usize) -> u64 {
-        debug_assert!(bit < self.cells_per_page());
-        (page.block.index() as u64 * self.pages_per_block as u64 + page.page as u64)
-            * self.cells_per_page() as u64
-            + bit as u64
-    }
 }
 
 impl fmt::Display for NandGeometry {
@@ -149,16 +140,6 @@ mod tests {
         let g = NandGeometry::tiny();
         assert_eq!(g.blocks(), 4);
         assert_eq!(g.cells_per_block(), 16_384);
-    }
-
-    #[test]
-    fn cell_indices_are_disjoint_across_pages() {
-        let g = NandGeometry::tiny();
-        let a = g.cell_index(PageAddr::new(BlockAddr::new(0), 0), 4095);
-        let b = g.cell_index(PageAddr::new(BlockAddr::new(0), 1), 0);
-        assert_eq!(b, a + 1);
-        let c = g.cell_index(PageAddr::new(BlockAddr::new(1), 0), 0);
-        assert_eq!(c, g.cells_per_block() as u64);
     }
 
     #[test]

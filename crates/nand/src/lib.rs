@@ -40,5 +40,5 @@ pub mod timing;
 pub use adapter::NandWordAdapter;
 pub use chip::{NandChip, NandError};
 pub use geometry::{BlockAddr, NandGeometry, PageAddr};
-pub use puf::{NandPuf, NandPufConfig, NandPufEnrollment, NandPufParams};
+pub use puf::{NandPuf, NandPufEnrollment, NandPufParams};
 pub use timing::NandTimings;

@@ -41,69 +41,48 @@ const NAME: &str = "nand_puf";
 
 impl From<NandError> for SchemeError {
     fn from(e: NandError) -> Self {
-        // NAND chip errors are all persistent (addressing, NOP discipline).
         SchemeError::Backend {
             scheme: NAME,
             message: e.to_string(),
-            transient: false,
         }
     }
 }
 
-/// Operating point of the intrinsic PUF.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NandPufConfig {
-    /// Partial-program pulse duration. Around `0.37 ×` the nominal
-    /// program time (the fraction of the threshold span below the read
-    /// reference), so roughly half the cells cross — maximum-entropy
-    /// fingerprint.
-    pub t_pp: Micros,
-    /// Page reads per measurement; each fingerprint cell is the majority
-    /// over this many senses (odd; suppresses read noise). Enrollment
-    /// keeps only cells whose senses are *unanimous* (dark-bit masking).
-    pub reads: u32,
-    /// Independent erase/partial-program rounds at enrollment. Read noise
-    /// varies within a round, but cycle-to-cycle *program* noise only
-    /// shows between rounds: a cell whose intrinsic speed sits near the
-    /// pulse boundary reads unanimously in one round and flips in the
-    /// next. Masking over several rounds excludes those cells too.
-    pub enroll_rounds: u32,
-    /// Selected cells per fingerprint bit (odd; a second majority over
-    /// disjoint cells suppresses residual near-threshold instability).
-    pub cells_per_bit: u32,
-    /// Accept when at most this fraction of code blocks carries more
-    /// errors than the code corrects (uncorrectable blocks would corrupt
-    /// the decoded record, so the default allows none).
-    pub accept_frac: f64,
-    /// Reject when at least this fraction of code blocks shows *any*
-    /// channel error (corrected or uncorrectable). On the enrolled die
-    /// nearly every block decodes untouched; on a foreign die the
-    /// unmasked word is noise and ~31/32 of blocks are touched, so the
-    /// two populations are far apart even for short records. More
-    /// uncorrectable blocks than `accept_frac` but fewer touched blocks
-    /// than this is marginal (inconclusive).
-    pub reject_frac: f64,
-}
+// The PUF's one operating point.
 
-impl Default for NandPufConfig {
-    fn default() -> Self {
-        Self {
-            t_pp: Micros::new(16.5),
-            reads: 7,
-            enroll_rounds: 3,
-            cells_per_bit: 3,
-            accept_frac: 0.05,
-            reject_frac: 0.5,
-        }
-    }
-}
+/// Partial-program pulse duration. Around `0.37 ×` the nominal program
+/// time (the fraction of the threshold span below the read reference), so
+/// roughly half the cells cross — maximum-entropy fingerprint.
+pub const T_PP: Micros = Micros::new(16.5);
+/// Page reads per measurement; each fingerprint cell is the majority over
+/// this many senses (odd; suppresses read noise). Enrollment keeps only
+/// cells whose senses are *unanimous* (dark-bit masking).
+pub const READS: u32 = 7;
+/// Independent erase/partial-program rounds at enrollment. Read noise
+/// varies within a round, but cycle-to-cycle *program* noise only shows
+/// between rounds: a cell whose intrinsic speed sits near the pulse
+/// boundary reads unanimously in one round and flips in the next. Masking
+/// over several rounds excludes those cells too.
+pub const ENROLL_ROUNDS: u32 = 3;
+/// Selected cells per fingerprint bit (odd; a second majority over
+/// disjoint cells suppresses residual near-threshold instability).
+pub const CELLS_PER_BIT: u32 = 3;
+/// Accept when at most this fraction of code blocks carries more errors
+/// than the code corrects (uncorrectable blocks would corrupt the decoded
+/// record, so this allows none in a record-sized helper).
+const ACCEPT_FRAC: f64 = 0.05;
+/// Reject when at least this fraction of code blocks shows *any* channel
+/// error (corrected or uncorrectable). On the enrolled die nearly every
+/// block decodes untouched; on a foreign die the unmasked word is noise
+/// and ~31/32 of blocks are touched, so the two populations are far apart
+/// even for short records. More uncorrectable blocks than [`ACCEPT_FRAC`]
+/// but fewer touched blocks than this is marginal (inconclusive).
+const REJECT_FRAC: f64 = 0.5;
 
-/// Parameters of a NAND PUF campaign: the operating point, the fingerprint
-/// block, and the identity the inspector expects.
+/// Parameters of a NAND PUF campaign: the fingerprint block, and the
+/// identity the inspector expects.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NandPufParams {
-    /// PUF operating point.
-    pub config: NandPufConfig,
     /// The block whose process variation is the fingerprint.
     pub block: BlockAddr,
     /// Manufacturer ID the inspector expects in the record.
@@ -136,22 +115,18 @@ fn code() -> Hamming {
     Hamming::extended()
 }
 
-/// Per-cell zero-vote counts over `reads` senses of a freshly
+/// Per-cell zero-vote counts over [`READS`] senses of a freshly
 /// partial-programmed block (erase, one pulse, repeated page reads,
 /// cleanup erase). Deterministic given the chip state — all noise flows
 /// from the chip's op RNG.
-fn measure_votes(
-    chip: &mut NandChip,
-    config: &NandPufConfig,
-    block: BlockAddr,
-) -> Result<Vec<u32>, NandError> {
+fn measure_votes(chip: &mut NandChip, block: BlockAddr) -> Result<Vec<u32>, NandError> {
     chip.erase_block(block)?;
-    chip.partial_program_block(block, config.t_pp)?;
+    chip.partial_program_block(block, T_PP)?;
     let geometry = chip.geometry();
     let cells_per_page = geometry.cells_per_page();
     let pages = geometry.pages_per_block() as usize;
     let mut zero_votes = vec![0u32; geometry.cells_per_block()];
-    for _ in 0..config.reads {
+    for _ in 0..READS {
         for p in 0..pages {
             let data = chip.read_page(PageAddr::new(block, p as u32))?;
             for (i, byte) in data.iter().enumerate() {
@@ -168,15 +143,10 @@ fn measure_votes(
 }
 
 /// Condenses masked cell votes into fingerprint bits: majority of
-/// `senses` votes per cell, then majority over each `cells_per_bit`
+/// `senses` votes per cell, then majority over each [`CELLS_PER_BIT`]
 /// group.
-fn fingerprint_from_votes(
-    votes: &[u32],
-    mask: &[u32],
-    cells_per_bit: u32,
-    senses: u32,
-) -> Vec<bool> {
-    let group = cells_per_bit as usize;
+fn fingerprint_from_votes(votes: &[u32], mask: &[u32], senses: u32) -> Vec<bool> {
+    let group = CELLS_PER_BIT as usize;
     let cell_threshold = senses / 2;
     mask.chunks(group)
         .map(|cells| {
@@ -196,18 +166,13 @@ fn read_fingerprint(
     params: &NandPufParams,
     enrollment: &NandPufEnrollment,
 ) -> Result<Vec<bool>, SchemeError> {
-    let votes = measure_votes(chip, &params.config, params.block)?;
+    let votes = measure_votes(chip, params.block)?;
     if enrollment.mask.iter().any(|&c| c as usize >= votes.len()) {
         return Err(SchemeError::Config(
             "helper mask addresses cells outside the fingerprint block",
         ));
     }
-    Ok(fingerprint_from_votes(
-        &votes,
-        &enrollment.mask,
-        params.config.cells_per_bit,
-        params.config.reads,
-    ))
+    Ok(fingerprint_from_votes(&votes, &enrollment.mask, READS))
 }
 
 impl WatermarkScheme for NandPuf {
@@ -228,23 +193,21 @@ impl WatermarkScheme for NandPuf {
         chip: &mut NandChip,
         params: &NandPufParams,
     ) -> Result<NandPufEnrollment, SchemeError> {
-        let config = &params.config;
         // Dark-bit masking over several independent erase/program rounds:
         // only cells whose senses were unanimous across *every* round
         // carry fingerprint bits. A single round filters read noise;
         // extra rounds also filter cells that cycle-to-cycle program
         // noise lands on opposite sides of the read reference.
-        let rounds = config.enroll_rounds.max(1);
-        let mut votes = measure_votes(chip, config, params.block)?;
-        for _ in 1..rounds {
-            let round = measure_votes(chip, config, params.block)?;
+        let mut votes = measure_votes(chip, params.block)?;
+        for _ in 1..ENROLL_ROUNDS {
+            let round = measure_votes(chip, params.block)?;
             for (total, v) in votes.iter_mut().zip(round) {
                 *total += v;
             }
         }
-        let senses = config.reads * rounds;
+        let senses = READS * ENROLL_ROUNDS;
         let channel_bits = code().encoded_len(RECORD_BITS);
-        let cells_needed = channel_bits * config.cells_per_bit as usize;
+        let cells_needed = channel_bits * CELLS_PER_BIT as usize;
         let mask: Vec<u32> = votes
             .iter()
             .enumerate()
@@ -257,7 +220,7 @@ impl WatermarkScheme for NandPuf {
                 "not enough read-stable cells in the block for the fingerprint",
             ));
         }
-        let reference = fingerprint_from_votes(&votes, &mask, config.cells_per_bit, senses);
+        let reference = fingerprint_from_votes(&votes, &mask, senses);
         let codeword = code().encode(params.record.to_watermark().bits());
         debug_assert_eq!(codeword.len(), reference.len());
         let helper = codeword
@@ -337,10 +300,10 @@ impl WatermarkScheme for NandPuf {
         let blocks = (received.len() / block_bits) as f64;
         let frac_bad = bad_blocks as f64 / blocks;
         let frac_touched = touched_blocks as f64 / blocks;
-        let verdict = if frac_touched >= params.config.reject_frac {
+        let verdict = if frac_touched >= REJECT_FRAC {
             // The unmasked word is noise: this is not the enrolled die.
             Verdict::Counterfeit(CounterfeitReason::NoWatermark)
-        } else if frac_bad > params.config.accept_frac {
+        } else if frac_bad > ACCEPT_FRAC {
             Verdict::Inconclusive(InconclusiveReason::FuzzyMatchMarginal)
         } else {
             data.truncate(RECORD_BITS);
@@ -381,7 +344,6 @@ mod tests {
 
     fn params(manufacturer_id: u16, status: TestStatus) -> NandPufParams {
         NandPufParams {
-            config: NandPufConfig::default(),
             block: BlockAddr::new(0),
             manufacturer_id,
             record: WatermarkRecord {

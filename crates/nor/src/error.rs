@@ -24,10 +24,6 @@ pub enum NorError {
     },
     /// The controller is locked (`LOCK` bit set); the operation was refused.
     Locked,
-    /// The controller is mid-operation and cannot accept the command.
-    Busy,
-    /// An abort was issued with no erase in flight.
-    NoEraseInProgress,
     /// A register write used a wrong password key (sets `KEYV` on real
     /// parts).
     KeyViolation,
@@ -74,11 +70,11 @@ impl Eq for NorError {}
 
 impl NorError {
     /// Whether the error is transient: the command failed for reasons that
-    /// do not persist (NAK, busy controller, mid-operation power loss), so
-    /// a bounded retry of the same operation is the correct response.
+    /// do not persist (NAK, mid-operation power loss), so a bounded retry
+    /// of the same operation is the correct response.
     #[must_use]
     pub fn is_transient(&self) -> bool {
-        matches!(self, Self::TransientNak | Self::PowerLoss | Self::Busy)
+        matches!(self, Self::TransientNak | Self::PowerLoss)
     }
 }
 
@@ -96,8 +92,6 @@ impl fmt::Display for NorError {
                 write!(f, "word {word} out of range (device has {total} words)")
             }
             Self::Locked => write!(f, "flash controller is locked"),
-            Self::Busy => write!(f, "flash controller is busy"),
-            Self::NoEraseInProgress => write!(f, "no erase operation in progress to abort"),
             Self::KeyViolation => write!(f, "register write with invalid password key"),
             Self::AccessViolation { word } => {
                 write!(
@@ -145,8 +139,6 @@ mod tests {
                 total: 4096,
             },
             NorError::Locked,
-            NorError::Busy,
-            NorError::NoEraseInProgress,
             NorError::KeyViolation,
             NorError::BlockLengthMismatch {
                 got: 3,
@@ -172,14 +164,13 @@ mod tests {
     #[test]
     fn equality() {
         assert_eq!(NorError::Locked, NorError::Locked);
-        assert_ne!(NorError::Locked, NorError::Busy);
+        assert_ne!(NorError::Locked, NorError::KeyViolation);
     }
 
     #[test]
     fn transient_classification() {
         assert!(NorError::TransientNak.is_transient());
         assert!(NorError::PowerLoss.is_transient());
-        assert!(NorError::Busy.is_transient());
         assert!(!NorError::Locked.is_transient());
         assert!(!NorError::KeyViolation.is_transient());
     }

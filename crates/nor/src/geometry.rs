@@ -62,18 +62,6 @@ impl FlashGeometry {
         }
     }
 
-    /// Number of banks.
-    #[must_use]
-    pub const fn banks(&self) -> u16 {
-        self.banks
-    }
-
-    /// Segments in each bank.
-    #[must_use]
-    pub const fn segments_per_bank(&self) -> u32 {
-        self.segments_per_bank
-    }
-
     /// Bytes in each segment.
     #[must_use]
     pub const fn bytes_per_segment(&self) -> u32 {
@@ -120,13 +108,6 @@ impl FlashGeometry {
     #[must_use]
     pub fn word_offset_in_segment(&self, word: WordAddr) -> usize {
         (word.index() as usize) % self.words_per_segment()
-    }
-
-    /// Global cell index of bit `bit` of word `word`.
-    #[must_use]
-    pub fn cell_index(&self, word: WordAddr, bit: usize) -> u64 {
-        debug_assert!(bit < WORD_BITS);
-        word.index() as u64 * WORD_BITS as u64 + bit as u64
     }
 
     /// Checks that a segment address is on the device.
@@ -201,14 +182,6 @@ mod tests {
         assert_eq!(g.segment_of(w.offset(255)), seg);
         assert_eq!(g.segment_of(w.offset(256)), SegmentAddr::new(4));
         assert_eq!(g.word_offset_in_segment(w.offset(10)), 10);
-    }
-
-    #[test]
-    fn cell_index_is_contiguous() {
-        let g = FlashGeometry::single_bank(2);
-        let w = WordAddr::new(5);
-        assert_eq!(g.cell_index(w, 0), 80);
-        assert_eq!(g.cell_index(w, 15), 95);
     }
 
     #[test]

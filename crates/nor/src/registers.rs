@@ -71,12 +71,6 @@ impl RegisterFront {
         }
     }
 
-    /// The wrapped controller.
-    #[must_use]
-    pub fn controller(&self) -> &FlashController {
-        &self.ctl
-    }
-
     /// Reads a control register (high byte reads back as `FRKEY`).
     #[cfg(test)]
     fn read_register(&self, reg: Fctl) -> u16 {
@@ -279,7 +273,7 @@ mod tests {
         unlock(&mut f);
         // Program the segment fully, then partially erase 20 µs.
         f.write_register(Fctl::Fctl1, FWKEY | WRT).unwrap();
-        for w in f.controller().geometry().segment_words(SegmentAddr::new(0)) {
+        for w in f.ctl.geometry().segment_words(SegmentAddr::new(0)) {
             f.write_word(w, 0x0000).unwrap();
         }
         f.write_register(Fctl::Fctl1, FWKEY | ERASE).unwrap();

@@ -70,12 +70,6 @@ impl TrialRunner {
         }
     }
 
-    /// The worker count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The experiment-level seed all trial seeds derive from.
     #[must_use]
     pub fn experiment_seed(&self) -> u64 {
@@ -292,7 +286,7 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        assert_eq!(TrialRunner::with_threads(1, 0).threads(), 1);
+        assert_eq!(TrialRunner::with_threads(1, 0).threads, 1);
     }
 
     #[test]

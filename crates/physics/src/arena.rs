@@ -1047,9 +1047,9 @@ pub mod reference {
             let statics = arena.statics_at(params, i);
             let mut state = arena.state_at(i);
             let eff = pulse.effective_us(params, base_cell + i as u64, nominal_us) * temp_factor;
-            let outcome = apply_erase_cached(params, &statics, &mut state, eff, cache);
+            let completed = apply_erase_cached(params, &statics, &mut state, eff, cache);
             arena.set_state(i, state);
-            all_done &= outcome.completed;
+            all_done &= completed;
         }
         all_done
     }

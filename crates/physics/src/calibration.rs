@@ -270,12 +270,6 @@ impl EraseCalibration {
         }
     }
 
-    /// The anchor table.
-    #[must_use]
-    pub fn anchors(&self) -> &[WearAnchor] {
-        &self.anchors
-    }
-
     /// Median time-to-erase (µs) at `kcycles` of wear.
     #[must_use]
     pub fn median_us(&self, kcycles: f64) -> f64 {

@@ -138,17 +138,6 @@ impl EraseDistCache {
     }
 }
 
-/// Result of applying an erase pulse to one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EraseOutcome {
-    /// The cell's threshold voltage ended below the read reference
-    /// (it now reads 1).
-    pub crossed: bool,
-    /// The cell reached its fully-erased level (further pulse time would not
-    /// change its state).
-    pub completed: bool,
-}
-
 /// Log-domain crossing time: the canonical erase-time formula shared by the
 /// scalar accessors and the chunked lane kernels in [`crate::arena`].
 ///
@@ -259,13 +248,15 @@ pub fn t_full_us_cached(
 /// [`t_cross_us_cached`]. Cells that start partially erased finish
 /// proportionally sooner. Wear is accrued in proportion to the tunneling
 /// activity actually performed (see [`crate::params::WearWeights`]).
+/// Returns whether the cell reached its fully-erased level (further pulse
+/// time would not change its state).
 pub fn apply_erase_cached(
     params: &PhysicsParams,
     statics: &CellStatics,
     state: &mut CellState,
     effective_us: f64,
     cache: &mut EraseDistCache,
-) -> EraseOutcome {
+) -> bool {
     debug_assert!(effective_us >= 0.0, "negative pulse duration");
     let t_full = t_full_us_cached(params, statics, state, cache).max(1e-9);
     let was_programmed = !state.ideal_bit(params);
@@ -285,11 +276,7 @@ pub fn apply_erase_cached(
     };
     state.wear_cycles += weight * fraction;
     state.vth = new_vth;
-
-    EraseOutcome {
-        crossed: new_vth < params.vref.get(),
-        completed: new_vth <= vth_end + 1e-12,
-    }
+    new_vth <= vth_end + 1e-12
 }
 
 /// Erase-rate acceleration factor at die temperature `temp_c` relative to
@@ -338,7 +325,7 @@ mod tests {
         statics: &CellStatics,
         state: &mut CellState,
         effective_us: f64,
-    ) -> EraseOutcome {
+    ) -> bool {
         apply_erase_cached(params, statics, state, effective_us, &mut cache(params))
     }
 
@@ -375,8 +362,7 @@ mod tests {
         let params = PhysicsParams::msp430_like();
         let (statics, mut state) = programmed_cell(&params, 9, 1);
         let t_full = t_full_us_cached(&params, &statics, &state, &mut cache(&params));
-        let out = erase(&params, &statics, &mut state, t_full * 1.01);
-        assert!(out.crossed && out.completed);
+        assert!(erase(&params, &statics, &mut state, t_full * 1.01));
         assert!(state.ideal_bit(&params));
     }
 
@@ -385,8 +371,7 @@ mod tests {
         let params = PhysicsParams::msp430_like();
         let (statics, mut state) = programmed_cell(&params, 9, 2);
         let t_cross = t_cross(&params, &statics, state.wear_cycles);
-        let out = erase(&params, &statics, &mut state, t_cross * 0.5);
-        assert!(!out.crossed);
+        assert!(!erase(&params, &statics, &mut state, t_cross * 0.5));
         assert!(!state.ideal_bit(&params));
     }
 

@@ -57,7 +57,7 @@ pub mod wear;
 pub use arena::CellArena;
 pub use calibration::{EraseCalibration, SusceptibilityTable, WearAnchor};
 pub use cell::{CellState, CellStatics, EarlyTrap};
-pub use erase::{EraseDistCache, EraseOutcome};
+pub use erase::EraseDistCache;
 pub use noise::PulseNoise;
 pub use params::{PhysicsParams, TailParams, WearWeights};
 pub use retention::RetentionParams;

@@ -8,7 +8,7 @@ use flashmark_nor::{
 };
 use flashmark_physics::{Micros, Seconds};
 
-use crate::violation::{FlashEvent, Policy, SegState, Violation, ViolationKind};
+use crate::violation::{FlashEvent, SegState, Violation, ViolationKind};
 
 /// Words per 128-byte `tCPT` row (the datasheet's cumulative-program-time
 /// accounting granule), matching the controller's accounting.
@@ -18,8 +18,8 @@ const WORDS_PER_ROW: usize = 64;
 /// report without bound. Excess violations are counted, not stored.
 const MAX_VIOLATIONS: usize = 1024;
 
-/// Default number of trailing events kept for violation backtraces.
-const DEFAULT_BACKTRACE_CAPACITY: usize = 64;
+/// Number of trailing events kept for violation backtraces.
+const BACKTRACE_CAPACITY: usize = 64;
 
 /// Shadow bookkeeping for one segment.
 #[derive(Debug, Clone)]
@@ -81,10 +81,8 @@ pub struct SanitizedFlash<I> {
     inner: I,
     geom: FlashGeometry,
     timings: FlashTimings,
-    policy: Policy,
     shadows: Vec<SegShadow>,
     ring: VecDeque<(Seconds, FlashEvent)>,
-    ring_capacity: usize,
     record_reads: bool,
     violations: Vec<Violation>,
     violations_dropped: u64,
@@ -93,52 +91,30 @@ pub struct SanitizedFlash<I> {
 }
 
 impl<I: FlashInterface> SanitizedFlash<I> {
-    /// Wraps a flash interface with default settings: MSP430 `tCPT`
-    /// timings, [`Policy::Collect`], a 64-event backtrace, reads not
-    /// recorded, and no wear probe.
+    /// Wraps a flash interface: [`FlashTimings::msp430`] for the shadow
+    /// `tCPT` accounting (a generic part has no timings to read), a
+    /// 64-event backtrace, reads not recorded, and no wear probe.
     pub fn new(inner: I) -> Self {
+        Self::wrap(inner, FlashTimings::msp430())
+    }
+
+    /// Wraps `inner`, holding it to the `tCPT` budget of `timings`.
+    fn wrap(inner: I, timings: FlashTimings) -> Self {
         let geom = inner.geometry();
         let words = geom.words_per_segment();
         let segs = geom.total_segments() as usize;
         Self {
             inner,
             geom,
-            timings: FlashTimings::msp430(),
-            policy: Policy::default(),
+            timings,
             shadows: (0..segs).map(|_| SegShadow::new(words)).collect(),
-            ring: VecDeque::with_capacity(DEFAULT_BACKTRACE_CAPACITY.min(1024)),
-            ring_capacity: DEFAULT_BACKTRACE_CAPACITY,
+            ring: VecDeque::with_capacity(BACKTRACE_CAPACITY),
             record_reads: false,
             violations: Vec::new(),
             violations_dropped: 0,
             wear_probe: None,
             wear_seen: vec![None; segs],
         }
-    }
-
-    /// Uses `timings` for the shadow `tCPT` accounting (defaults to
-    /// [`FlashTimings::msp430`]).
-    #[must_use]
-    pub fn with_timings(mut self, timings: FlashTimings) -> Self {
-        self.timings = timings;
-        self
-    }
-
-    /// Sets the violation [`Policy`].
-    #[must_use]
-    pub fn with_policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets how many trailing events each violation backtrace keeps.
-    #[must_use]
-    pub fn backtrace_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
-        while self.ring.len() > capacity {
-            self.ring.pop_front();
-        }
-        self
     }
 
     /// Also records individual reads in backtraces (noisy; off by default).
@@ -174,8 +150,7 @@ impl<I: FlashInterface> SanitizedFlash<I> {
         self.inner
     }
 
-    /// Violations collected so far (empty under [`Policy::Panic`], which
-    /// never returns from the first one).
+    /// Violations collected so far.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
@@ -183,12 +158,6 @@ impl<I: FlashInterface> SanitizedFlash<I> {
     /// Drains and returns the collected violations.
     pub fn take_violations(&mut self) -> Vec<Violation> {
         std::mem::take(&mut self.violations)
-    }
-
-    /// Violations discarded after the report filled up (the first 1024
-    /// are retained).
-    pub fn violations_dropped(&self) -> u64 {
-        self.violations_dropped
     }
 
     /// Whether no violation has been detected.
@@ -229,37 +198,27 @@ impl<I: FlashInterface> SanitizedFlash<I> {
     }
 
     fn push_event(&mut self, event: FlashEvent) {
-        if self.ring_capacity == 0 {
-            return;
-        }
-        if self.ring.len() >= self.ring_capacity {
+        if self.ring.len() >= BACKTRACE_CAPACITY {
             self.ring.pop_front();
         }
         self.ring.push_back((self.inner.elapsed(), event));
     }
 
+    /// Records a violation, after re-emitting it as an obs event so an
+    /// instrumented trial sees it as it happens. Library code never
+    /// prints; [`assert_clean`](Self::assert_clean) panics on a report.
     fn report(&mut self, op: &'static str, kind: ViolationKind) {
-        // Violations are re-emitted as obs events under every policy, so an
-        // instrumented trial sees them even when the local log is the sink.
         flashmark_obs::emit(flashmark_obs::ObsEvent::SanitizerViolation {
             kind: kind.name(),
             op,
         });
-        let violation = Violation {
-            kind,
-            op,
-            at: self.inner.elapsed(),
-            backtrace: self.ring.iter().copied().collect(),
-        };
-        match self.policy {
-            Policy::Panic => panic!("flash-protocol violation: {violation}"),
-            Policy::Collect => self.collect(violation),
-        }
-    }
-
-    fn collect(&mut self, violation: Violation) {
         if self.violations.len() < MAX_VIOLATIONS {
-            self.violations.push(violation);
+            self.violations.push(Violation {
+                kind,
+                op,
+                at: self.inner.elapsed(),
+                backtrace: self.ring.iter().copied().collect(),
+            });
         } else {
             self.violations_dropped += 1;
         }
@@ -368,10 +327,13 @@ impl<I: FlashInterface> SanitizedFlash<I> {
 }
 
 impl SanitizedFlash<FlashController> {
-    /// Wraps a [`FlashController`] with the wear-monotonicity probe
-    /// installed (reading [`FlashController::wear_stats`]).
+    /// Wraps a [`FlashController`], holding it to the `tCPT` budget of its
+    /// own [`timings`](FlashController::timings), with the
+    /// wear-monotonicity probe installed (reading
+    /// [`FlashController::wear_stats`]).
     pub fn wrap_controller(ctl: FlashController) -> Self {
-        Self::new(ctl).with_wear_probe(|c, seg| Some(c.wear_stats(seg).mean_cycles))
+        let timings = *ctl.timings();
+        Self::wrap(ctl, timings).with_wear_probe(|c, seg| Some(c.wear_stats(seg).mean_cycles))
     }
 }
 

@@ -8,10 +8,13 @@
 //! procedure (Fig. 8), and wear monotonicity.
 //!
 //! The sanitizer never changes behavior: every operation is forwarded and
-//! its result returned unchanged. Detected violations are reported as
-//! structured [`Violation`] values carrying a bounded backtrace of the
-//! trailing [`FlashEvent`]s, taken from the sanitizer's own event ring,
-//! under a configurable [`Policy`] (panic / collect / log).
+//! its result returned unchanged. Detected violations are collected as
+//! structured [`Violation`] values carrying a backtrace of the last 64
+//! [`FlashEvent`]s, taken from the sanitizer's own event ring, and are
+//! also emitted as obs events as they happen;
+//! [`SanitizedFlash::assert_clean`] panics with the report.
+//! [`SanitizedFlash::wrap_controller`] holds a controller to its own
+//! `tCPT` budget.
 //!
 //! ```
 //! use flashmark_nor::{FlashController, FlashGeometry, FlashInterface, FlashTimings, SegmentAddr};
@@ -39,4 +42,4 @@ pub mod flash;
 pub mod violation;
 
 pub use flash::{SanitizedFlash, WearProbe};
-pub use violation::{FlashEvent, Policy, SegState, Violation, ViolationKind};
+pub use violation::{FlashEvent, SegState, Violation, ViolationKind};

@@ -5,22 +5,6 @@ use core::fmt;
 use flashmark_nor::{SegmentAddr, WordAddr};
 use flashmark_physics::{Micros, Seconds};
 
-/// What the sanitizer does when it detects a violation.
-///
-/// Under either policy the violation is first emitted as a
-/// `SanitizerViolation` observability event as it happens. Library code
-/// never prints; attach an obs collector to see violations live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Policy {
-    /// Panic immediately with the violation report. Use in tests where any
-    /// protocol violation is a bug.
-    Panic,
-    /// Record the violation; inspect via
-    /// [`SanitizedFlash::violations`](crate::SanitizedFlash::violations).
-    #[default]
-    Collect,
-}
-
 /// The sanitizer's shadow model of one segment's logical state.
 ///
 /// Driven by the operations the sanitizer observes; used to check the

@@ -7,7 +7,7 @@ use flashmark_nor::{
     FlashController, FlashGeometry, FlashInterface, FlashTimings, NorError, SegmentAddr, WordAddr,
 };
 use flashmark_physics::{Micros, PhysicsParams, Seconds};
-use flashmark_sanitizer::{FlashEvent, Policy, SanitizedFlash, SegState, Violation, ViolationKind};
+use flashmark_sanitizer::{FlashEvent, SanitizedFlash, SegState, Violation, ViolationKind};
 
 fn controller(seed: u64) -> FlashController {
     FlashController::new(
@@ -75,25 +75,36 @@ fn program_after_erase_is_clean() {
 
 // --- invariant 2: cumulative program time (tCPT) -----------------------------
 
-/// Timings whose shadow `tCPT` budget fits a single word program, so a
-/// second program to the same row overruns it (the wrapped controller keeps
-/// the permissive datasheet default and still accepts the operation).
-fn tight_tcpt() -> FlashTimings {
-    FlashTimings {
+/// A controller whose `tCPT` budget fits a single word program, so a
+/// second program to the same row overruns it. The sanitizer takes the
+/// budget from the controller it wraps.
+fn tight_tcpt_controller(seed: u64) -> FlashController {
+    let timings = FlashTimings {
         cumulative_program_limit: Micros::new(100.0),
         ..FlashTimings::msp430()
-    }
+    };
+    FlashController::new(
+        PhysicsParams::msp430_like(),
+        FlashGeometry::single_bank(4),
+        timings,
+        seed,
+    )
 }
 
 #[test]
 fn tcpt_overrun_is_flagged_once_with_backtrace() {
-    let mut f = SanitizedFlash::new(controller(3)).with_timings(tight_tcpt());
+    let mut f = SanitizedFlash::wrap_controller(tight_tcpt_controller(3));
     let seg = SegmentAddr::new(0);
     f.erase_segment(seg).unwrap();
     // Three programs to distinct words of row 0, 75 us each against a
     // 100 us budget: the second crosses the limit, the third is past it.
-    for i in 0..3 {
-        f.program_word(WordAddr::new(i), 0).unwrap();
+    // The controller refuses both; the sanitizer reports the crossing.
+    f.program_word(WordAddr::new(0), 0).unwrap();
+    for i in 1..3 {
+        assert!(matches!(
+            f.program_word(WordAddr::new(i), 0),
+            Err(NorError::CumulativeProgramTime { .. })
+        ));
     }
 
     let violations = f.violations();
@@ -124,7 +135,7 @@ fn tcpt_overrun_is_flagged_once_with_backtrace() {
 
 #[test]
 fn tcpt_budget_resets_on_erase() {
-    let mut f = SanitizedFlash::new(controller(4)).with_timings(tight_tcpt());
+    let mut f = SanitizedFlash::wrap_controller(tight_tcpt_controller(4));
     let seg = SegmentAddr::new(0);
     for i in 0..3 {
         f.erase_segment(seg).unwrap();
@@ -349,21 +360,21 @@ fn monotone_wear_is_clean() {
     f.assert_clean();
 }
 
-// --- backtrace configuration and policy --------------------------------------
+// --- backtrace configuration ------------------------------------------------
 
 #[test]
-fn backtrace_capacity_bounds_the_window() {
-    let mut f = SanitizedFlash::new(controller(15)).backtrace_capacity(2);
+fn backtrace_window_is_bounded() {
+    let mut f = sanitized(15);
     let seg = SegmentAddr::new(0);
-    for _ in 0..5 {
+    for _ in 0..70 {
         f.erase_segment(seg).unwrap();
     }
     f.partial_erase(seg, Micros::new(10.0)).unwrap(); // injected ordering fault
 
     let violations = f.violations();
     assert_eq!(violations.len(), 1);
-    // Capped at 2 trailing events, but never empty.
-    assert_eq!(violations[0].backtrace.len(), 2);
+    // Capped at the 64 trailing events.
+    assert_eq!(violations[0].backtrace.len(), 64);
 }
 
 #[test]
@@ -394,11 +405,12 @@ fn wrap_controller_records_events_in_its_ring() {
 }
 
 #[test]
-#[should_panic(expected = "flash-protocol violation")]
-fn panic_policy_aborts_on_first_violation() {
-    let mut f = SanitizedFlash::new(controller(18)).with_policy(Policy::Panic);
+#[should_panic(expected = "flash-protocol violations detected (1 collected, 0 dropped)")]
+fn assert_clean_panics_with_the_report() {
+    let mut f = sanitized(18);
     let w = WordAddr::new(0);
     f.erase_segment(SegmentAddr::new(0)).unwrap();
     f.program_word(w, 0).unwrap();
-    f.program_word(w, 0).unwrap(); // overprogram -> panic
+    f.program_word(w, 0).unwrap(); // overprogram
+    f.assert_clean();
 }

@@ -437,19 +437,15 @@ fn map_verdict(verdict: Verdict) -> (RecordVerdict, &'static str) {
 }
 
 /// Canonical recipe-parameter JSON (fixed field order; part of the record
-/// schema).
+/// schema). Replicas are always stored back to back, so `layout` is the
+/// literal `"contiguous"`.
 fn canonical_params(config: &FlashmarkConfig) -> String {
-    let layout = match config.layout() {
-        flashmark_core::ReplicaLayout::Contiguous => "contiguous",
-        flashmark_core::ReplicaLayout::Interleaved => "interleaved",
-    };
     format!(
-        "{{\"n_pe\":{},\"t_pew_us\":{},\"replicas\":{},\"reads\":{},\"layout\":{},\"accelerated\":{}}}",
+        "{{\"n_pe\":{},\"t_pew_us\":{},\"replicas\":{},\"reads\":{},\"layout\":\"contiguous\",\"accelerated\":{}}}",
         config.n_pe(),
         config.t_pew().get(),
         config.replicas(),
         config.reads(),
-        json_string(layout),
         config.accelerated()
     )
 }

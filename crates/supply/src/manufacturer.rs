@@ -39,12 +39,6 @@ impl Manufacturer {
         self.id
     }
 
-    /// The imprint/extract configuration this manufacturer publishes.
-    #[must_use]
-    pub fn config(&self) -> &FlashmarkConfig {
-        &self.config
-    }
-
     /// Runs die sort on a new die: writes metadata, imprints the Flashmark
     /// record with the given status, and ships the chip.
     ///
@@ -110,7 +104,7 @@ mod tests {
     fn produced_chip_verifies_genuine() {
         let mut m = manufacturer();
         let mut chip = m.produce(0x600D, TestStatus::Accept).unwrap();
-        let verifier = Verifier::new(m.config().clone(), m.id());
+        let verifier = Verifier::new(m.config.clone(), m.id());
         let seg = chip.flash.watermark_segment();
         let report = verifier.verify(&mut chip.flash, seg).unwrap();
         assert_eq!(report.verdict, Verdict::Genuine);

@@ -3,7 +3,7 @@
 //! Recycled chips are detected by the stress their prior use left behind
 //! (Section I pathway 1; the recycling probe reuses the Fig. 5 detector).
 //! Real firmware does not wear flash uniformly — logging hammers a few
-//! segments, firmware updates barely touch anything — so the detector's
+//! segments, a wear-leveled ring spreads moderate wear — so the detector's
 //! probe placement matters. These profiles generate realistic wear maps for
 //! that analysis.
 
@@ -25,14 +25,6 @@ pub enum UsageProfile {
         log_segments: u32,
         /// P/E cycles each log segment accumulated.
         cycles: u64,
-    },
-    /// Occasional firmware updates: every code segment erased/rewritten a
-    /// few times.
-    FirmwareUpdates {
-        /// Segments holding the firmware image.
-        code_segments: u32,
-        /// Number of updates over the product's life.
-        updates: u64,
     },
     /// A wear-leveled circular buffer: writes spread over a ring, leaving a
     /// moderate, uniform signature.
@@ -57,12 +49,6 @@ impl UsageProfile {
                 cycles,
             } => (0..log_segments)
                 .map(|i| (SegmentAddr::new(log_start + i), cycles))
-                .collect(),
-            Self::FirmwareUpdates {
-                code_segments,
-                updates,
-            } => (0..code_segments)
-                .map(|i| (SegmentAddr::new(i), updates))
                 .collect(),
             Self::CircularBuffer {
                 ring_start,
@@ -135,12 +121,6 @@ mod tests {
         };
         assert_eq!(logger.wear_map().len(), 3);
         assert_eq!(peak_cycles(&logger), 40_000);
-
-        let fw = UsageProfile::FirmwareUpdates {
-            code_segments: 8,
-            updates: 20,
-        };
-        assert_eq!(peak_cycles(&fw), 20);
 
         let ring = UsageProfile::CircularBuffer {
             ring_start: 0,

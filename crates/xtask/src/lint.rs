@@ -2,16 +2,13 @@
 //!
 //! All lexing, scope analysis, and rule logic lives in
 //! `crates/lint-engine`; this module only does the I/O the engine
-//! deliberately avoids: walking the workspace for sources, loading the
-//! committed baseline (`lint_baseline.json`), writing the deterministic
-//! report (`results/lint_report.json`), and mapping the outcome to an
-//! exit code for CI.
+//! deliberately avoids: walking the workspace for sources, writing the
+//! deterministic report (`results/lint_report.json`), and mapping the
+//! outcome to an exit code for CI.
 
 use std::path::{Path, PathBuf};
 
-use flashmark_lint_engine::{
-    analyze, baseline_from_json, baseline_to_json, BaselineEntry, Report, SourceFile,
-};
+use flashmark_lint_engine::{analyze, Report, SourceFile};
 
 /// Output format for findings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,28 +19,17 @@ pub(crate) enum Format {
     Json,
 }
 
-/// Parsed `cargo xtask lint` options.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Options {
-    /// Findings output format.
-    pub format: Format,
-    /// Rewrite `lint_baseline.json` from the current findings and exit 0.
-    pub update_baseline: bool,
-}
-
 /// Outcome of a lint run, for exit-code mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Outcome {
-    /// No unbaselined findings and no stale baseline entries.
+    /// No unsuppressed findings.
     Clean,
-    /// Unbaselined findings or stale baseline entries remain.
+    /// Unsuppressed findings remain.
     Dirty,
     /// An I/O failure prevented a verdict.
     Error,
 }
 
-/// Relative path of the committed baseline.
-pub(crate) const BASELINE_PATH: &str = "lint_baseline.json";
 /// Relative path of the machine-readable report.
 pub(crate) const REPORT_PATH: &str = "results/lint_report.json";
 
@@ -103,16 +89,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Loads the committed baseline; a missing file is an empty baseline.
-fn load_baseline(root: &Path) -> Result<Vec<BaselineEntry>, String> {
-    let path = root.join(BASELINE_PATH);
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{BASELINE_PATH}: {e}"))?;
-    baseline_from_json(&text).map_err(|e| format!("{BASELINE_PATH}: {e}"))
-}
-
 /// Writes the deterministic report under `results/`.
 fn write_report(root: &Path, report: &Report) -> Result<(), String> {
     let path = root.join(REPORT_PATH);
@@ -123,7 +99,7 @@ fn write_report(root: &Path, report: &Report) -> Result<(), String> {
 }
 
 /// Runs the full lint pass against the workspace at `root`.
-pub(crate) fn run(root: &Path, options: Options) -> Outcome {
+pub(crate) fn run(root: &Path, format: Format) -> Outcome {
     let files = match collect_sources(root) {
         Ok(files) => files,
         Err(e) => {
@@ -131,78 +107,31 @@ pub(crate) fn run(root: &Path, options: Options) -> Outcome {
             return Outcome::Error;
         }
     };
-    let mut report = analyze(&files);
-
-    if options.update_baseline {
-        let entries: Vec<BaselineEntry> = report
-            .findings
-            .iter()
-            .map(|f| BaselineEntry {
-                rule: f.rule.name().to_string(),
-                file: f.file.clone(),
-                message: f.message.clone(),
-            })
-            .collect();
-        let path = root.join(BASELINE_PATH);
-        if let Err(e) = std::fs::write(&path, baseline_to_json(&entries)) {
-            eprintln!("xtask lint: cannot write {BASELINE_PATH}: {e}");
-            return Outcome::Error;
-        }
-        println!(
-            "xtask lint: baseline rewritten with {} entr{}",
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" }
-        );
-    }
-
-    let baseline = match load_baseline(root) {
-        Ok(baseline) => baseline,
-        Err(e) => {
-            eprintln!("xtask lint: {e}");
-            return Outcome::Error;
-        }
-    };
-    let stale = report.apply_baseline(&baseline);
+    let report = analyze(&files);
 
     if let Err(e) = write_report(root, &report) {
         eprintln!("xtask lint: cannot write {e}");
         return Outcome::Error;
     }
 
-    match options.format {
+    match format {
         Format::Json => println!("{}", report.to_json()),
         Format::Human => {
             for f in &report.findings {
                 println!("{}:{}: [{}] {}", f.file, f.line, f.rule.name(), f.message);
             }
-            for s in &stale {
-                println!(
-                    "{}: [stale-baseline] baseline entry for rule `{}` no longer matches any finding: {}",
-                    s.file, s.rule, s.message
-                );
-            }
             println!(
-                "xtask lint: {} files checked, {} finding(s), {} suppressed, {} baselined, {} stale baseline entr{}",
+                "xtask lint: {} files checked, {} finding(s), {} suppressed",
                 report.files_checked,
                 report.findings.len(),
-                report.suppressed,
-                report.baselined,
-                stale.len(),
-                if stale.len() == 1 { "y" } else { "ies" }
+                report.suppressed
             );
         }
     }
 
-    if report.findings.is_empty() && stale.is_empty() {
+    if report.findings.is_empty() {
         Outcome::Clean
     } else {
-        if options.format == Format::Json && !stale.is_empty() {
-            eprintln!(
-                "xtask lint: {} stale baseline entr{} (run with --update-baseline)",
-                stale.len(),
-                if stale.len() == 1 { "y" } else { "ies" }
-            );
-        }
         Outcome::Dirty
     }
 }
@@ -269,12 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn workspace_is_clean_against_committed_baseline() {
-        let root = workspace_root();
-        let files = collect_sources(&root).unwrap();
-        let mut report = analyze(&files);
-        let baseline = load_baseline(&root).unwrap();
-        let stale = report.apply_baseline(&baseline);
+    fn workspace_is_clean() {
+        let report = analyze(&collect_sources(&workspace_root()).unwrap());
         let diagnostics: Vec<String> = report
             .findings
             .iter()
@@ -282,22 +207,15 @@ mod tests {
             .collect();
         assert!(
             report.findings.is_empty(),
-            "unbaselined findings:\n{}",
+            "unsuppressed findings:\n{}",
             diagnostics.join("\n")
-        );
-        assert!(
-            stale.is_empty(),
-            "stale baseline entries: {stale:?} (run cargo xtask lint --update-baseline)"
         );
     }
 
     #[test]
     fn report_matches_committed_artifact() {
         let root = workspace_root();
-        let files = collect_sources(&root).unwrap();
-        let mut report = analyze(&files);
-        let baseline = load_baseline(&root).unwrap();
-        let _stale = report.apply_baseline(&baseline);
+        let report = analyze(&collect_sources(&root).unwrap());
         let committed = std::fs::read_to_string(root.join(REPORT_PATH))
             .expect("results/lint_report.json is committed");
         assert_eq!(

@@ -4,28 +4,26 @@
 //! `crates/lint-engine`. Usage:
 //!
 //! ```text
-//! cargo xtask lint                     # human diagnostics
-//! cargo xtask lint --format json      # print the report JSON
-//! cargo xtask lint --update-baseline  # rewrite lint_baseline.json
+//! cargo xtask lint                 # human diagnostics
+//! cargo xtask lint --format json  # print the report JSON
 //! ```
 //!
 //! Every run rewrites `results/lint_report.json` (byte-identical for
-//! identical sources). Exit code 0 means the workspace is clean against
-//! the committed baseline; 1 means findings or stale baseline entries;
-//! 2 means usage or I/O error.
+//! identical sources). Exit code 0 means no finding is left unsuppressed;
+//! 1 means findings; 2 means usage or I/O error.
 
 mod lint;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cargo xtask lint [--format human|json] [--update-baseline]";
+const USAGE: &str = "usage: cargo xtask lint [--format human|json]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => match parse_lint_options(&args[1..]) {
-            Ok(options) => match lint::run(&workspace_root(), options) {
+        Some("lint") => match parse_lint_format(&args[1..]) {
+            Ok(format) => match lint::run(&workspace_root(), format) {
                 lint::Outcome::Clean => ExitCode::SUCCESS,
                 lint::Outcome::Dirty => ExitCode::FAILURE,
                 lint::Outcome::Error => ExitCode::from(2),
@@ -46,28 +44,24 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses the flags after `lint`.
-fn parse_lint_options(args: &[String]) -> Result<lint::Options, String> {
-    let mut options = lint::Options {
-        format: lint::Format::Human,
-        update_baseline: false,
-    };
+/// Parses the flags after `lint` into the output format.
+fn parse_lint_format(args: &[String]) -> Result<lint::Format, String> {
+    let mut format = lint::Format::Human;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--format" => {
                 let value = it.next().ok_or("--format needs a value")?;
-                options.format = match value.as_str() {
+                format = match value.as_str() {
                     "human" => lint::Format::Human,
                     "json" => lint::Format::Json,
                     other => return Err(format!("unknown format `{other}`")),
                 };
             }
-            "--update-baseline" => options.update_baseline = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    Ok(options)
+    Ok(format)
 }
 
 /// The workspace root (this crate lives at `<root>/crates/xtask`).
@@ -89,22 +83,20 @@ mod tests {
 
     #[test]
     fn default_options() {
-        let o = parse_lint_options(&[]).unwrap();
-        assert_eq!(o.format, lint::Format::Human);
-        assert!(!o.update_baseline);
+        assert_eq!(parse_lint_format(&[]).unwrap(), lint::Format::Human);
     }
 
     #[test]
-    fn json_format_and_update() {
-        let o = parse_lint_options(&s(&["--format", "json", "--update-baseline"])).unwrap();
-        assert_eq!(o.format, lint::Format::Json);
-        assert!(o.update_baseline);
+    fn json_format() {
+        let format = parse_lint_format(&s(&["--format", "json"])).unwrap();
+        assert_eq!(format, lint::Format::Json);
     }
 
     #[test]
     fn bad_flags_are_rejected() {
-        assert!(parse_lint_options(&s(&["--format"])).is_err());
-        assert!(parse_lint_options(&s(&["--format", "xml"])).is_err());
-        assert!(parse_lint_options(&s(&["--fast"])).is_err());
+        assert!(parse_lint_format(&s(&["--format"])).is_err());
+        assert!(parse_lint_format(&s(&["--format", "xml"])).is_err());
+        assert!(parse_lint_format(&s(&["--fast"])).is_err());
+        assert!(parse_lint_format(&s(&["--update-baseline"])).is_err());
     }
 }

@@ -113,6 +113,6 @@ pub mod prelude {
         SchemeVerification, TpewEnrollment, TpewParams, TpewScheme, Verdict, WatermarkScheme,
         NOR_TPEW,
     };
-    pub use flashmark_nand::{NandPuf, NandPufConfig, NandPufParams};
+    pub use flashmark_nand::{NandPuf, NandPufParams};
     pub use flashmark_reram::RERAM_FORMING;
 }

@@ -69,7 +69,6 @@ fn nand_chip(seed: u64) -> NandChip {
 
 fn nand_params() -> NandPufParams {
     NandPufParams {
-        config: NandPufConfig::default(),
         block: BlockAddr::new(0),
         manufacturer_id: MANUFACTURER,
         record: record(TestStatus::Accept),
