@@ -44,6 +44,8 @@ pub mod rules;
 pub mod scope;
 pub mod suppress;
 
+use std::collections::BTreeMap;
+
 pub use finding::{Finding, Report, Rule};
 pub use scope::FileScope;
 
@@ -70,7 +72,7 @@ pub struct SourceFile {
 pub fn analyze(files: &[SourceFile]) -> Report {
     let mut report = Report::default();
     let mut graph = rules::liveness::Graph::default();
-    let mut all_suppressions: Vec<(String, Vec<suppress::Suppression>)> = Vec::new();
+    let mut all_suppressions: BTreeMap<String, Vec<suppress::Suppression>> = BTreeMap::new();
     let mut findings = Vec::new();
 
     // Deterministic order regardless of how the caller collected files.
@@ -95,30 +97,26 @@ pub fn analyze(files: &[SourceFile]) -> Report {
         let (suppressions, suppression_problems) = suppress::parse(&scope.path, &tokens);
         findings.extend(suppression_problems);
         findings.extend(rules::run_file(&scope, &tokens, &structure));
-        all_suppressions.push((scope.path.clone(), suppressions));
+        all_suppressions.insert(scope.path.clone(), suppressions);
     }
 
     graph.check(&mut findings);
 
     // Apply suppressions file by file (a suppression only ever covers
     // findings in its own file).
-    let mut kept = Vec::new();
+    let mut by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
     for finding in findings {
-        let suppressions = all_suppressions
-            .iter()
-            .find(|(path, _)| *path == finding.file)
-            .map_or(&[][..], |(_, s)| s.as_slice());
-        let covered = finding.rule != Rule::Suppression
-            && suppressions
-                .iter()
-                .any(|s| s.covers(finding.rule, finding.line));
-        if covered {
-            report.suppressed += 1;
-        } else {
-            kept.push(finding);
-        }
+        by_file
+            .entry(finding.file.clone())
+            .or_default()
+            .push(finding);
     }
-    report.findings = kept;
+    for (path, file_findings) in by_file {
+        let suppressions = all_suppressions.get(&path).map_or(&[][..], Vec::as_slice);
+        let (kept, silenced) = suppress::apply(file_findings, suppressions);
+        report.suppressed += silenced;
+        report.findings.extend(kept);
+    }
     report.normalize();
     report
 }

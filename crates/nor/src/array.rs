@@ -12,8 +12,56 @@
 //! randomness comes from counter-based streams: each operation derives a
 //! [`CounterStream`] from `(op seed, entity index, op counter)`, so a batched
 //! sweep draws exactly the deviates a word-by-word loop would, bit for bit.
+//!
+//! # Segment journals
+//!
+//! Clones of one chip mostly repeat one another: every inspection of a chip
+//! runs the same extraction (erase, program, partial erase, read) from the
+//! same enrolled state, and since every draw is keyed on the op counter,
+//! each run computes what the last one computed, bit for bit. So a clone
+//! replays instead. Its cells are copy-on-write ([`CellArena`]), and each
+//! materialized segment keeps a *journal*: the steps, key and output, of
+//! the ops that clones ran from the segment's current state. A step's key
+//! is the op and its arguments (the pulse duration of
+//! [`FlashArray::erase_pulse`], the words of
+//! [`FlashArray::program_segment_words`], nothing more for
+//! [`FlashArray::read_segment_words`]), the op counter at the op's start,
+//! and the die temperature. Everything else an op reads — chip seed, op
+//! seed, physics parameters, geometry — is fixed per array and copied into
+//! every clone, and the erase-distribution cache is a pure cache.
+//!
+//! A clone follows the journal of every segment it copied through a
+//! *trail*: a position, and the steps passed but not yet applied to its
+//! cells. The trail starts at step 0 of a segment the source owns, and is
+//! the source's own trail for a segment the source follows. Each of the
+//! three journaled ops then does one of three things:
+//!
+//! * **follow** — the next step's key matches: return its output, queue
+//!   the step, and advance the counter exactly as the op would;
+//! * **record** — the trail is at the journal's end: apply the queued
+//!   steps, each at its own counter and temperature, compute the op, and
+//!   append its step while the journal holds fewer than 64 steps and no
+//!   other clone appended first;
+//! * **leave** — otherwise: apply the queued steps, compute the op, and
+//!   own the segment, with a fresh journal of its own.
+//!
+//! Ground-truth reads ([`FlashArray::segment`], [`FlashArray::ideal_bits`],
+//! [`FlashArray::wear_stats`], [`FlashArray::worst_t_cross_multi`]) apply
+//! the queued steps and keep the trail. Every other write — word reads and
+//! programs, partial programs, bulk stress, bakes and memo warming —
+//! applies them and leaves.
+//!
+//! An op computed on an owned segment resets that segment's journal (one
+//! that clones still follow stays theirs, and the owner starts a fresh
+//! one), and an op that advances the counter resets the journals of every
+//! owned segment: no step of theirs can match again, and a stale journal
+//! would keep every later clone from recording. Results never depend on
+//! which clone recorded first; only speed does. A segment its source never
+//! materialized has no journal to follow: each clone derives and computes
+//! it.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use flashmark_physics::arena::CellArena;
 use flashmark_physics::erase::erase_temp_factor;
@@ -28,6 +76,10 @@ use crate::addr::{SegmentAddr, WordAddr};
 use crate::error::NorError;
 use crate::geometry::{FlashGeometry, WORD_BITS};
 
+/// The most steps one segment journal holds; a clone at the end of a full
+/// journal computes and leaves it.
+const JOURNAL_CAP: usize = 64;
+
 /// Wear statistics of one segment.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WearStats {
@@ -40,12 +92,12 @@ pub struct WearStats {
 }
 
 /// The flash cell array of one chip.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FlashArray {
     params: PhysicsParams,
     geometry: FlashGeometry,
     chip_seed: u64,
-    segments: BTreeMap<u32, CellArena>,
+    segments: BTreeMap<u32, Segment>,
     /// Seed coordinate of every per-operation [`CounterStream`].
     op_seed: u64,
     /// Monotone operation counter — the third stream coordinate. Advances
@@ -54,6 +106,241 @@ pub struct FlashArray {
     op_counter: u64,
     temp_c: f64,
     dist_cache: EraseDistCache,
+    /// Whether this array is a clone, whose own segments die with it.
+    clone: bool,
+}
+
+impl Clone for FlashArray {
+    /// A copy-on-write clone that follows this array's journals (see the
+    /// module docs). A segment the clone derives itself, such as a wear
+    /// probe's, is short-lived: its lanes come from the thread's free list
+    /// ([`CellArena::derive_short_lived`]).
+    fn clone(&self) -> Self {
+        Self {
+            params: self.params.clone(),
+            geometry: self.geometry,
+            chip_seed: self.chip_seed,
+            segments: self.segments.clone(),
+            op_seed: self.op_seed,
+            op_counter: self.op_counter,
+            temp_c: self.temp_c,
+            dist_cache: self.dist_cache.clone(),
+            clone: true,
+        }
+    }
+}
+
+/// A materialized segment: its cells, the journal that clones of the array
+/// follow, and the array's trail while it follows another array's journal.
+#[derive(Debug)]
+struct Segment {
+    cells: CellArena,
+    journal: Journal,
+    /// `None` while the array owns the segment.
+    trail: Option<Trail>,
+}
+
+impl Clone for Segment {
+    /// The clone follows the journal: from its start where the source owns
+    /// the segment, from the source's trail where the source follows.
+    fn clone(&self) -> Self {
+        Self {
+            cells: self.cells.clone(),
+            journal: Arc::clone(&self.journal),
+            trail: Some(self.trail.clone().unwrap_or_default()),
+        }
+    }
+}
+
+/// The steps clones ran from one segment state, shared by every array that
+/// follows them.
+type Journal = Arc<Mutex<Vec<Step>>>;
+
+/// Where a following array stands in a journal.
+#[derive(Debug, Clone, Default)]
+struct Trail {
+    /// How many steps the array has passed.
+    position: usize,
+    /// The passed steps not yet applied to the cells, oldest first.
+    queued: Vec<Step>,
+}
+
+/// One journal step: a journaled op's key and output. Cloning one shares
+/// its words.
+#[derive(Debug, Clone)]
+struct Step {
+    at: At,
+    op: Recorded,
+}
+
+/// When an op runs: the op counter at its start and the die temperature
+/// (as bits, so that keys compare exactly).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct At {
+    counter: u64,
+    temp_bits: u64,
+}
+
+/// A journaled op's arguments and output, typed per op, so a step of
+/// another op never matches.
+#[derive(Debug, Clone)]
+enum Recorded {
+    /// [`FlashArray::erase_pulse`]: the pulse duration's bits, and whether
+    /// every cell completed.
+    ErasePulse { t_pe: u64, done: bool },
+    /// [`FlashArray::program_segment_words`]: the words programmed.
+    ProgramWords { values: Arc<[u16]> },
+    /// [`FlashArray::read_segment_words`]: the words read.
+    ReadWords { words: Arc<[u16]> },
+}
+
+/// What an op on one segment reads besides the cells: the array's fixed
+/// inputs and its erase-distribution cache, borrowed apart from the
+/// segments so that hot paths never clone `PhysicsParams` (whose
+/// calibration tables are `Vec`-backed).
+struct Kernel<'a> {
+    params: &'a PhysicsParams,
+    dist_cache: &'a mut EraseDistCache,
+    geometry: FlashGeometry,
+    op_seed: u64,
+    seg: SegmentAddr,
+}
+
+impl Kernel<'_> {
+    /// One erase pulse of nominal `t_pe` µs over the segment.
+    fn erase_pulse(&mut self, cells: &mut CellArena, at: At, t_pe: f64) -> bool {
+        let temp = erase_temp_factor(self.params, f64::from_bits(at.temp_bits));
+        let index = self.seg.index();
+        let base_cell = u64::from(index) * self.geometry.cells_per_segment() as u64;
+        let stream = CounterStream::new(self.op_seed, 0xE7A5 ^ u64::from(index), at.counter);
+        let pulse = PulseNoise::from_stream(self.params, &stream);
+        cells.erase_pulse(self.params, self.dist_cache, base_cell, &pulse, t_pe, temp)
+    }
+
+    /// Programs every word of the segment, one counter value per word.
+    fn program_words(&self, cells: &mut CellArena, at: At, values: &[u16]) {
+        let base = self.geometry.first_word(self.seg);
+        for ((w, &value), counter) in values.iter().enumerate().zip(at.counter..) {
+            let word_index = base.offset(w as u32).index();
+            let stream =
+                CounterStream::new(self.op_seed, 0x9806_0000 ^ u64::from(word_index), counter);
+            cells.program_word(self.params, w * WORD_BITS, value, &stream);
+        }
+    }
+
+    /// Senses every word of the segment, one counter value per word.
+    fn read_words(&self, cells: &CellArena, at: At) -> Vec<u16> {
+        let base = self.geometry.first_word(self.seg);
+        (0..self.geometry.words_per_segment())
+            .zip(at.counter..)
+            .map(|(w, counter)| {
+                let word_index = u64::from(base.offset(w as u32).index());
+                let stream = CounterStream::new(self.op_seed, word_index, counter);
+                cells.sense_word(self.params, w * WORD_BITS, &stream)
+            })
+            .collect()
+    }
+}
+
+impl Trail {
+    /// Applies the queued steps' ops to `cells`, each at its own counter
+    /// and temperature (a read leaves the cells as they are).
+    fn apply(&mut self, kernel: &mut Kernel<'_>, cells: &mut CellArena) {
+        for step in self.queued.drain(..) {
+            match &step.op {
+                Recorded::ErasePulse { t_pe, .. } => {
+                    kernel.erase_pulse(cells, step.at, f64::from_bits(*t_pe));
+                }
+                Recorded::ProgramWords { values } => kernel.program_words(cells, step.at, values),
+                Recorded::ReadWords { .. } => {}
+            }
+        }
+    }
+}
+
+impl Segment {
+    /// Applies the queued steps, keeping the trail.
+    fn settle(&mut self, kernel: &mut Kernel<'_>) {
+        if let Some(trail) = &mut self.trail {
+            trail.apply(kernel, &mut self.cells);
+        }
+    }
+
+    /// Makes the array the segment's owner with an empty journal, for a
+    /// write to cells that are settled.
+    fn own(&mut self) {
+        self.trail = None;
+        reset(&mut self.journal);
+    }
+
+    /// Runs one journaled op (see the module docs): `recorded` gives a
+    /// step's output when the step is this op with these arguments, `run`
+    /// computes the op, and `record` makes its step.
+    fn journaled<T>(
+        &mut self,
+        kernel: &mut Kernel<'_>,
+        at: At,
+        recorded: impl FnOnce(&Recorded) -> Option<T>,
+        run: impl FnOnce(&mut Kernel<'_>, &mut CellArena, At) -> T,
+        record: impl FnOnce(&T) -> Recorded,
+    ) -> T {
+        let Self {
+            cells,
+            journal,
+            trail,
+        } = self;
+        if let Some(trail) = trail {
+            let next = lock(journal).get(trail.position).cloned();
+            let Some(step) = next else {
+                trail.apply(kernel, cells);
+                let out = run(kernel, cells, at);
+                let mut steps = lock(journal);
+                if steps.len() == trail.position && steps.len() < JOURNAL_CAP {
+                    steps.push(Step {
+                        at,
+                        op: record(&out),
+                    });
+                    trail.position += 1;
+                } else {
+                    drop(steps);
+                    self.own();
+                }
+                return out;
+            };
+            let hit = if step.at == at {
+                recorded(&step.op)
+            } else {
+                None
+            };
+            if let Some(out) = hit {
+                trail.position += 1;
+                trail.queued.push(step);
+                return out;
+            }
+            trail.apply(kernel, cells);
+        }
+        self.own();
+        run(kernel, &mut self.cells, at)
+    }
+}
+
+/// The steps of `journal`. A poisoned lock is taken over as it is: a push,
+/// the only write under the lock, leaves the list valid.
+fn lock(journal: &Journal) -> MutexGuard<'_, Vec<Step>> {
+    journal.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Empties `journal` for a segment whose state is about to change: in
+/// place when no other array holds it, and otherwise by starting a fresh
+/// one, leaving the old one to the clones that follow it.
+fn reset(journal: &mut Journal) {
+    match Arc::get_mut(journal) {
+        Some(steps) => steps
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear(),
+        None => *journal = Journal::default(),
+    }
 }
 
 impl FlashArray {
@@ -70,6 +357,7 @@ impl FlashArray {
             op_counter: 0,
             temp_c: 25.0,
             dist_cache,
+            clone: false,
         }
     }
 
@@ -96,39 +384,94 @@ impl FlashArray {
         self.chip_seed
     }
 
-    /// Read-only view of a segment's cells (materializing it if needed).
+    /// Read-only view of a segment's cells (materializing it if needed),
+    /// with every op the array has run on it applied.
     pub fn segment(&mut self, seg: SegmentAddr) -> &CellArena {
-        self.op_context(seg).1
+        &self.settled(seg).1.cells
     }
 
-    /// Splits the borrow of `self` into the disjoint parts an operation
-    /// needs — parameters, the (lazily materialized) segment cells, the op
-    /// counter, and the erase-distribution cache — so hot paths never clone
-    /// `PhysicsParams` (whose calibration tables are `Vec`-backed and would
-    /// cost two heap allocations per operation).
-    fn op_context(
-        &mut self,
-        seg: SegmentAddr,
-    ) -> (
-        &PhysicsParams,
-        &mut CellArena,
-        &mut u64,
-        &mut EraseDistCache,
-    ) {
+    /// The kernel inputs and the (lazily materialized) segment, borrowed
+    /// apart.
+    fn split(&mut self, seg: SegmentAddr) -> (Kernel<'_>, &mut Segment) {
         let n = self.geometry.cells_per_segment();
         let base_cell = seg.index() as u64 * n as u64;
         let Self {
             params,
-            segments,
+            geometry,
             chip_seed,
-            op_counter,
+            segments,
+            op_seed,
             dist_cache,
+            clone,
             ..
         } = self;
-        let cells = segments
-            .entry(seg.index())
-            .or_insert_with(|| CellArena::derive(params, *chip_seed, base_cell, n));
-        (params, cells, op_counter, dist_cache)
+        let segment = segments.entry(seg.index()).or_insert_with(|| {
+            let derive = if *clone {
+                CellArena::derive_short_lived
+            } else {
+                CellArena::derive
+            };
+            Segment {
+                cells: derive(params, *chip_seed, base_cell, n),
+                journal: Journal::default(),
+                trail: None,
+            }
+        });
+        let kernel = Kernel {
+            params,
+            dist_cache,
+            geometry: *geometry,
+            op_seed: *op_seed,
+            seg,
+        };
+        (kernel, segment)
+    }
+
+    /// The segment with its queued steps applied; a follower keeps its
+    /// trail (the ground-truth reads).
+    fn settled(&mut self, seg: SegmentAddr) -> (Kernel<'_>, &mut Segment) {
+        let (mut kernel, segment) = self.split(seg);
+        segment.settle(&mut kernel);
+        (kernel, segment)
+    }
+
+    /// The segment's cells, settled and owned by the array with an empty
+    /// journal (the writes outside the journal).
+    fn owned(&mut self, seg: SegmentAddr) -> (Kernel<'_>, &mut CellArena) {
+        let (kernel, segment) = self.settled(seg);
+        segment.own();
+        (kernel, &mut segment.cells)
+    }
+
+    /// Advances the op counter by `ops`, and resets the journals of the
+    /// owned segments, none of whose steps can match again.
+    fn advance(&mut self, ops: u64) {
+        self.op_counter += ops;
+        for segment in self.segments.values_mut() {
+            if segment.trail.is_none() {
+                reset(&mut segment.journal);
+            }
+        }
+    }
+
+    /// Runs a journaled op of `ops` counter steps on `seg`; see
+    /// [`Segment::journaled`].
+    fn journaled<T>(
+        &mut self,
+        seg: SegmentAddr,
+        ops: u64,
+        recorded: impl FnOnce(&Recorded) -> Option<T>,
+        run: impl FnOnce(&mut Kernel<'_>, &mut CellArena, At) -> T,
+        record: impl FnOnce(&T) -> Recorded,
+    ) -> T {
+        let at = At {
+            counter: self.op_counter,
+            temp_bits: self.temp_c.to_bits(),
+        };
+        let (mut kernel, segment) = self.split(seg);
+        let out = segment.journaled(&mut kernel, at, recorded, run, record);
+        self.advance(ops);
+        out
     }
 
     /// Expands a per-word pattern into the per-cell stress mask the arena
@@ -152,14 +495,15 @@ impl FlashArray {
         self.geometry.check_word(word)?;
         let seg = self.geometry.segment_of(word);
         let offset = self.geometry.word_offset_in_segment(word) * WORD_BITS;
-        let op_seed = self.op_seed;
-        let (params, cells, op_counter, _) = self.op_context(seg);
-        let stream = CounterStream::new(op_seed, u64::from(word.index()), *op_counter);
-        *op_counter += 1;
-        Ok(cells.sense_word(params, offset, &stream))
+        let stream = CounterStream::new(self.op_seed, u64::from(word.index()), self.op_counter);
+        let (kernel, cells) = self.owned(seg);
+        let value = cells.sense_word(kernel.params, offset, &stream);
+        self.advance(1);
+        Ok(value)
     }
 
-    /// Senses every word of a segment in one sweep (the bulk-read kernel).
+    /// Senses every word of a segment in one sweep (the bulk-read kernel),
+    /// through the segment's journal.
     ///
     /// Stream derivation and results are bit-identical to calling
     /// [`FlashArray::read_word`] on each word of the segment in order; the
@@ -171,26 +515,27 @@ impl FlashArray {
     /// Returns [`NorError::SegmentOutOfRange`] for a bad address.
     pub fn read_segment_words(&mut self, seg: SegmentAddr) -> Result<Vec<u16>, NorError> {
         self.geometry.check_segment(seg)?;
-        let words = self.geometry.words_per_segment();
-        let base = self.geometry.first_word(seg);
-        let op_seed = self.op_seed;
-        let (params, cells, op_counter, _) = self.op_context(seg);
-        let mut out = Vec::with_capacity(words);
-        for w in 0..words {
-            let word_index = u64::from(base.offset(w as u32).index());
-            let stream = CounterStream::new(op_seed, word_index, *op_counter);
-            *op_counter += 1;
-            out.push(cells.sense_word(params, w * WORD_BITS, &stream));
-        }
-        Ok(out)
+        let words = self.geometry.words_per_segment() as u64;
+        Ok(self.journaled(
+            seg,
+            words,
+            |op| match op {
+                Recorded::ReadWords { words } => Some(words.to_vec()),
+                _ => None,
+            },
+            |kernel, cells, at| kernel.read_words(cells, at),
+            |words| Recorded::ReadWords {
+                words: words.as_slice().into(),
+            },
+        ))
     }
 
     /// Noise-free logical value of every cell of a segment (ground truth for
     /// experiments; not reachable through the digital interface).
     pub fn ideal_bits(&mut self, seg: SegmentAddr) -> Vec<bool> {
-        let (params, cells, _, _) = self.op_context(seg);
-        let vref = params.vref.get();
-        cells.vth().iter().map(|&vth| vth < vref).collect()
+        let (kernel, segment) = self.settled(seg);
+        let vref = kernel.params.vref.get();
+        segment.cells.vth().iter().map(|&vth| vth < vref).collect()
     }
 
     /// Programs the 0-bits of `value` into a word (flash semantics: a
@@ -204,17 +549,16 @@ impl FlashArray {
         self.geometry.check_word(word)?;
         let seg = self.geometry.segment_of(word);
         let offset = self.geometry.word_offset_in_segment(word) * WORD_BITS;
-        let op_seed = self.op_seed;
-        let (params, cells, op_counter, _) = self.op_context(seg);
-        let stream =
-            CounterStream::new(op_seed, 0x9806_0000 ^ u64::from(word.index()), *op_counter);
-        *op_counter += 1;
-        cells.program_word(params, offset, value, &stream);
+        let entity = 0x9806_0000 ^ u64::from(word.index());
+        let stream = CounterStream::new(self.op_seed, entity, self.op_counter);
+        let (kernel, cells) = self.owned(seg);
+        cells.program_word(kernel.params, offset, value, &stream);
+        self.advance(1);
         Ok(())
     }
 
     /// Programs every word of a segment in one sweep (the bulk-program
-    /// kernel behind block programming).
+    /// kernel behind block programming), through the segment's journal.
     ///
     /// Stream derivation and cell updates are bit-identical to calling
     /// [`FlashArray::program_word`] on each word in order.
@@ -228,23 +572,16 @@ impl FlashArray {
         seg: SegmentAddr,
         values: &[u16],
     ) -> Result<(), NorError> {
-        self.geometry.check_segment(seg)?;
-        if values.len() != self.geometry.words_per_segment() {
-            return Err(NorError::BlockLengthMismatch {
-                got: values.len(),
-                expected: self.geometry.words_per_segment(),
-            });
-        }
-        let base = self.geometry.first_word(seg);
-        let op_seed = self.op_seed;
-        let (params, cells, op_counter, _) = self.op_context(seg);
-        for (w, &value) in values.iter().enumerate() {
-            let word_index = base.offset(w as u32).index();
-            let stream =
-                CounterStream::new(op_seed, 0x9806_0000 ^ u64::from(word_index), *op_counter);
-            *op_counter += 1;
-            cells.program_word(params, w * WORD_BITS, value, &stream);
-        }
+        self.check_pattern(seg, values)?;
+        self.journaled(
+            seg,
+            values.len() as u64,
+            |op| matches!(op, Recorded::ProgramWords { values: v } if **v == *values).then_some(()),
+            |kernel, cells, at| kernel.program_words(cells, at, values),
+            |()| Recorded::ProgramWords {
+                values: values.into(),
+            },
+        );
         Ok(())
     }
 
@@ -258,26 +595,26 @@ impl FlashArray {
     /// Returns [`NorError::SegmentOutOfRange`] for a bad address.
     pub fn program_pulse(&mut self, seg: SegmentAddr, t_pp: Micros) -> Result<(), NorError> {
         self.geometry.check_segment(seg)?;
-        let op_seed = self.op_seed;
-        let (params, cells, op_counter, _) = self.op_context(seg);
-        let stream = CounterStream::new(op_seed, 0x9A27 ^ u64::from(seg.index()), *op_counter);
-        *op_counter += 1;
+        let entity = 0x9A27 ^ u64::from(seg.index());
+        let stream = CounterStream::new(self.op_seed, entity, self.op_counter);
+        let (kernel, cells) = self.owned(seg);
         // Partial program is inherently serial (each cell draws its own op
         // noise from the shared sweep stream), so it stays a scalar loop
         // seeded from the counter stream's key.
         let mut rng = SplitMix64::new(stream.key());
         for i in 0..cells.len() {
-            let statics = cells.statics_at(params, i);
+            let statics = cells.statics_at(kernel.params, i);
             let mut state = cells.state_at(i);
-            apply_partial_program(params, &statics, &mut state, t_pp.get(), &mut rng);
+            apply_partial_program(kernel.params, &statics, &mut state, t_pp.get(), &mut rng);
             cells.set_state(i, state);
         }
+        self.advance(1);
         Ok(())
     }
 
     /// Applies an erase pulse of nominal duration `t_pe` to a whole segment,
     /// with per-pulse common-mode and per-cell jitter (the arena's erase
-    /// lane kernel).
+    /// lane kernel), through the segment's journal.
     ///
     /// Returns `true` if every cell completed its erase within the pulse.
     ///
@@ -286,14 +623,20 @@ impl FlashArray {
     /// Returns [`NorError::SegmentOutOfRange`] for a bad address.
     pub fn erase_pulse(&mut self, seg: SegmentAddr, t_pe: Micros) -> Result<bool, NorError> {
         self.geometry.check_segment(seg)?;
-        let temp = erase_temp_factor(&self.params, self.temp_c);
-        let base_cell = seg.index() as u64 * self.geometry.cells_per_segment() as u64;
-        let op_seed = self.op_seed;
-        let (params, cells, op_counter, dist_cache) = self.op_context(seg);
-        let stream = CounterStream::new(op_seed, 0xE7A5 ^ u64::from(seg.index()), *op_counter);
-        *op_counter += 1;
-        let pulse = PulseNoise::from_stream(params, &stream);
-        Ok(cells.erase_pulse(params, dist_cache, base_cell, &pulse, t_pe.get(), temp))
+        let t_pe = t_pe.get();
+        Ok(self.journaled(
+            seg,
+            1,
+            |op| match *op {
+                Recorded::ErasePulse { t_pe: bits, done } if bits == t_pe.to_bits() => Some(done),
+                _ => None,
+            },
+            |kernel, cells, at| kernel.erase_pulse(cells, at, t_pe),
+            |&done| Recorded::ErasePulse {
+                t_pe: t_pe.to_bits(),
+                done,
+            },
+        ))
     }
 
     /// Fully erases a segment (a nominal-duration erase always completes:
@@ -333,10 +676,11 @@ impl FlashArray {
         wear_pairs: &[(f64, f64)],
     ) -> Result<Vec<f64>, NorError> {
         self.check_pattern(seg, pattern)?;
-        let (params, cells, _, dist_cache) = self.op_context(seg);
         let mask = Self::stressed_mask(pattern);
-        Ok(cells
-            .max_ln_t_cross_multi(params, dist_cache, &mask, wear_pairs)
+        let (kernel, segment) = self.settled(seg);
+        Ok(segment
+            .cells
+            .max_ln_t_cross_multi(kernel.params, kernel.dist_cache, &mask, wear_pairs)
             .into_iter()
             .map(f64::exp)
             .collect())
@@ -371,9 +715,9 @@ impl FlashArray {
         cycles: u64,
     ) -> Result<(), NorError> {
         self.check_pattern(seg, pattern)?;
-        let (params, cells, _, _) = self.op_context(seg);
         let mask = Self::stressed_mask(pattern);
-        cells.bulk_stress(params, &mask, cycles as f64);
+        let (kernel, cells) = self.owned(seg);
+        cells.bulk_stress(kernel.params, &mask, cycles as f64);
         Ok(())
     }
 
@@ -381,8 +725,8 @@ impl FlashArray {
     /// [`CellArena::warm_t_cross`]), so every clone of the chip taken
     /// afterwards starts its first erase pulse warm.
     pub(crate) fn warm_erase_memo(&mut self, seg: SegmentAddr) {
-        let (params, cells, _, dist_cache) = self.op_context(seg);
-        cells.warm_t_cross(params, dist_cache);
+        let (kernel, cells) = self.owned(seg);
+        cells.warm_t_cross(kernel.params, kernel.dist_cache);
     }
 
     /// Stores the chip at `temp_c` for `hours` (retention bake).
@@ -390,14 +734,12 @@ impl FlashArray {
     /// Only materialized segments are affected — untouched segments hold no
     /// charge anyway.
     pub fn bake(&mut self, hours: f64, temp_c: f64) {
-        let Self {
-            params, segments, ..
-        } = self;
-        for cells in segments.values_mut() {
+        for seg in self.touched_segments() {
+            let (kernel, cells) = self.owned(seg);
             for i in 0..cells.len() {
-                let statics = cells.statics_at(params, i);
+                let statics = cells.statics_at(kernel.params, i);
                 let mut state = cells.state_at(i);
-                apply_bake(params, &statics, &mut state, hours, temp_c);
+                apply_bake(kernel.params, &statics, &mut state, hours, temp_c);
                 cells.set_state(i, state);
             }
         }
@@ -693,6 +1035,304 @@ mod tests {
             a.worst_t_cross_multi(seg, &[0u16; 2], &[(0.0, 0.0)]),
             Err(NorError::BlockLengthMismatch { .. })
         ));
+    }
+
+    /// The journaled extraction of one segment: a full erase, a program of
+    /// every word to 0, a partial erase and a read; returns the outputs.
+    fn extraction(a: &mut FlashArray, seg: SegmentAddr) -> (bool, bool, Vec<u16>) {
+        let zeros = vec![0u16; a.geometry().words_per_segment()];
+        let full = a.erase_pulse(seg, Micros::from_millis(25.0)).unwrap();
+        a.program_segment_words(seg, &zeros).unwrap();
+        let partial = a.erase_pulse(seg, Micros::new(20.5)).unwrap();
+        (full, partial, a.read_segment_words(seg).unwrap())
+    }
+
+    /// The trail position of a followed segment; `None` where the array
+    /// owns it.
+    fn trail_position(a: &FlashArray, seg: SegmentAddr) -> Option<usize> {
+        a.segments[&seg.index()].trail.as_ref().map(|t| t.position)
+    }
+
+    /// A clone taken after an owner op that advanced the counter records
+    /// the extraction, and a second such clone replays that record: the
+    /// counter move reset the journal an earlier clone recorded at the old
+    /// counter, whose steps could never match again.
+    #[test]
+    fn counter_move_resets_owned_journals() {
+        let seg = SegmentAddr::new(1);
+        let enrolled = || {
+            let mut a = array();
+            a.bulk_stress(seg, &[0x0F0Fu16; 256], 20_000).unwrap();
+            a
+        };
+        let mut owner = enrolled();
+        let mut screening = owner.clone();
+        extraction(&mut screening, seg);
+        assert_eq!(
+            trail_position(&screening, seg),
+            Some(4),
+            "screening records"
+        );
+        drop(screening);
+        owner.read_word(WordAddr::new(0)).unwrap();
+        let mut first = owner.clone();
+        let recorded = extraction(&mut first, seg);
+        assert_eq!(
+            trail_position(&first, seg),
+            Some(4),
+            "the first clone records"
+        );
+        let mut second = owner.clone();
+        let replayed = extraction(&mut second, seg);
+        assert_eq!(trail_position(&second, seg), Some(4), "the second follows");
+        assert_eq!(replayed, recorded);
+        let mut never_cloned = enrolled();
+        never_cloned.read_word(WordAddr::new(0)).unwrap();
+        assert_eq!(extraction(&mut never_cloned, seg), recorded);
+        assert_segments_bitwise(&mut second, &mut never_cloned, seg);
+    }
+
+    fn assert_segments_bitwise(a: &mut FlashArray, b: &mut FlashArray, seg: SegmentAddr) {
+        let bits = |a: &mut FlashArray| {
+            let cells = a.segment(seg);
+            let lane = |l: &[f64]| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (lane(cells.vth()), lane(cells.wear_cycles()))
+        };
+        assert!(bits(a) == bits(b), "segment {} differs", seg.index());
+    }
+
+    /// One step of a journal property script, decoded from a `u64`.
+    #[derive(Debug, Clone, Copy)]
+    enum Action {
+        /// Clone an array and run the extraction on the clone, as an
+        /// inspection does.
+        Inspect {
+            from: usize,
+            seg: u32,
+        },
+        Extract {
+            on: usize,
+            seg: u32,
+        },
+        Erase {
+            on: usize,
+            seg: u32,
+            t_pe: f64,
+        },
+        Program {
+            on: usize,
+            seg: u32,
+            pattern: u16,
+        },
+        Read {
+            on: usize,
+            seg: u32,
+        },
+        Temperature {
+            on: usize,
+            temp_c: f64,
+        },
+        Truth {
+            on: usize,
+            seg: u32,
+        },
+        Leave {
+            on: usize,
+            seg: u32,
+            kind: u8,
+        },
+    }
+
+    /// Three 16-word segments: small enough for many cases in a debug
+    /// build.
+    const SCRIPT_SEGMENTS: u32 = 3;
+
+    /// The most arrays a script keeps; later inspections drop their clone.
+    const SCRIPT_ARRAYS: usize = 8;
+
+    impl Action {
+        /// Inspections and bulk stress pick their array with a bias toward
+        /// the oldest, so that sources keep changing under the clones that
+        /// follow them; the other actions pick uniformly.
+        fn decode(x: u64, arrays: usize) -> Self {
+            let any = (x >> 8) as usize % arrays;
+            let old = any.min((x >> 12) as usize % arrays);
+            let seg = ((x >> 16) % u64::from(SCRIPT_SEGMENTS)) as u32;
+            let pick = (x >> 24) as usize;
+            match x % 20 {
+                0..=3 => Self::Inspect { from: old, seg },
+                4..=6 => Self::Extract { on: any, seg },
+                7 => Self::Erase {
+                    on: any,
+                    seg,
+                    t_pe: [25_000.0, 20.5, 40.0][pick % 3],
+                },
+                8 => Self::Program {
+                    on: any,
+                    seg,
+                    pattern: [0x0000, 0x5A5A][pick % 2],
+                },
+                9 => Self::Read { on: any, seg },
+                10 | 11 => Self::Temperature {
+                    on: any,
+                    temp_c: [25.0, 85.0][pick % 2],
+                },
+                12 | 13 => Self::Truth { on: any, seg },
+                14..=16 => Self::Leave {
+                    on: old,
+                    seg,
+                    kind: 3,
+                },
+                _ => Self::Leave {
+                    on: any,
+                    seg,
+                    kind: (pick % 6) as u8,
+                },
+            }
+        }
+
+        /// Runs the action on `a` (an inspection: its extraction); every
+        /// output as bits.
+        fn apply(self, a: &mut FlashArray) -> Vec<u64> {
+            let seg = |s: u32| SegmentAddr::new(s);
+            let words = a.geometry().words_per_segment();
+            match self {
+                Self::Inspect { seg: s, .. } | Self::Extract { seg: s, .. } => {
+                    let (full, partial, read) = extraction(a, seg(s));
+                    let flags = [u64::from(full), u64::from(partial)];
+                    flags
+                        .into_iter()
+                        .chain(read.into_iter().map(u64::from))
+                        .collect()
+                }
+                Self::Erase { seg: s, t_pe, .. } => {
+                    vec![u64::from(a.erase_pulse(seg(s), Micros::new(t_pe)).unwrap())]
+                }
+                Self::Program {
+                    seg: s, pattern, ..
+                } => {
+                    let values: Vec<u16> =
+                        (0..words as u32).map(|w| pattern.rotate_left(w)).collect();
+                    a.program_segment_words(seg(s), &values).unwrap();
+                    Vec::new()
+                }
+                Self::Read { seg: s, .. } => a
+                    .read_segment_words(seg(s))
+                    .unwrap()
+                    .into_iter()
+                    .map(u64::from)
+                    .collect(),
+                Self::Temperature { temp_c, .. } => {
+                    a.set_temperature_c(temp_c);
+                    Vec::new()
+                }
+                Self::Truth { seg: s, .. } => {
+                    let cells = a.segment(seg(s));
+                    let mut out: Vec<u64> = cells.vth().iter().map(|v| v.to_bits()).collect();
+                    out.extend(cells.wear_cycles().iter().map(|v| v.to_bits()));
+                    let pattern = vec![0x00FFu16; words];
+                    let worst =
+                        a.worst_t_cross_multi(seg(s), &pattern, &[(0.0, 0.0), (30_000.0, 500.0)]);
+                    out.extend(worst.unwrap().into_iter().map(f64::to_bits));
+                    out.extend(a.ideal_bits(seg(s)).into_iter().map(u64::from));
+                    let stats = a.wear_stats(seg(s));
+                    out.extend(
+                        [stats.min_cycles, stats.max_cycles, stats.mean_cycles].map(f64::to_bits),
+                    );
+                    out
+                }
+                Self::Leave { seg: s, kind, .. } => {
+                    let word = a.geometry().first_word(seg(s)).offset(3);
+                    match kind {
+                        0 => a.program_word(word, 0x1234).unwrap(),
+                        1 => return vec![u64::from(a.read_word(word).unwrap())],
+                        2 => a.program_pulse(seg(s), Micros::new(3.0)).unwrap(),
+                        3 => a.bulk_stress(seg(s), &vec![0x3C3Cu16; words], 500).unwrap(),
+                        4 => a.warm_erase_memo(seg(s)),
+                        _ => a.bake(100.0, 85.0),
+                    }
+                    Vec::new()
+                }
+            }
+        }
+
+        fn on(self) -> usize {
+            match self {
+                Self::Inspect { from: on, .. }
+                | Self::Extract { on, .. }
+                | Self::Erase { on, .. }
+                | Self::Program { on, .. }
+                | Self::Read { on, .. }
+                | Self::Temperature { on, .. }
+                | Self::Truth { on, .. }
+                | Self::Leave { on, .. } => on,
+            }
+        }
+    }
+
+    /// The chip every script starts from: two owned segments worn apart,
+    /// and one the root never materializes.
+    fn script_root() -> FlashArray {
+        let geometry = FlashGeometry::new(1, SCRIPT_SEGMENTS, 32).unwrap();
+        let mut a = FlashArray::new(PhysicsParams::msp430_like(), geometry, 0xFACE);
+        a.bulk_stress(SegmentAddr::new(0), &[0x0F0Fu16; 16], 20_000)
+            .unwrap();
+        a.bulk_stress(SegmentAddr::new(1), &[0x00FFu16; 16], 40_000)
+            .unwrap();
+        a
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Scripts of the journaled ops on clones of clones, mixed with
+        /// temperature changes, ground-truth reads and the writes that
+        /// leave the journal, give every output and every `vth`/wear bit of
+        /// the same script on a chip that was never cloned (rebuilt from
+        /// the root through its whole history).
+        #[test]
+        fn clones_replay_what_a_never_cloned_chip_computes(
+            script in proptest::collection::vec(proptest::any::<u64>(), 10..48)
+        ) {
+            let mut arrays = vec![script_root()];
+            let mut histories: Vec<Vec<Action>> = vec![Vec::new()];
+            let mut twins = vec![script_root()];
+            for (i, &x) in script.iter().enumerate() {
+                let action = Action::decode(x, arrays.len());
+                let on = action.on();
+                let mut history = histories[on].clone();
+                let (array, twin) = if let Action::Inspect { from, .. } = action {
+                    let mut twin = script_root();
+                    for &past in &history {
+                        past.apply(&mut twin);
+                    }
+                    arrays.push(arrays[from].clone());
+                    twins.push(twin);
+                    let last = arrays.len() - 1;
+                    (last, last)
+                } else {
+                    (on, on)
+                };
+                let got = action.apply(&mut arrays[array]);
+                let want = action.apply(&mut twins[twin]);
+                proptest::prop_assert!(got == want, "step {i}: {action:?}");
+                history.push(action);
+                if array == on {
+                    histories[on] = history;
+                } else if arrays.len() > SCRIPT_ARRAYS {
+                    arrays.pop();
+                    twins.pop();
+                } else {
+                    histories.push(history);
+                }
+            }
+            for (array, twin) in arrays.iter_mut().zip(&mut twins) {
+                proptest::prop_assert_eq!(array.touched_segments(), twin.touched_segments());
+                for seg in twin.touched_segments() {
+                    assert_segments_bitwise(array, twin, seg);
+                }
+            }
+        }
     }
 
     #[test]
