@@ -48,8 +48,8 @@
 //! Ground-truth reads ([`FlashArray::segment`], [`FlashArray::ideal_bits`],
 //! [`FlashArray::wear_stats`], [`FlashArray::worst_t_cross_multi`]) apply
 //! the queued steps and keep the trail. Every other write — word reads and
-//! programs, partial programs, bulk stress, bakes and memo warming —
-//! applies them and leaves.
+//! programs, partial programs, bulk stress and bakes — applies them and
+//! leaves.
 //!
 //! An op computed on an owned segment resets that segment's journal (one
 //! that clones still follow stays theirs, and the owner starts a fresh
@@ -92,7 +92,10 @@ pub struct WearStats {
 }
 
 /// The flash cell array of one chip.
-#[derive(Debug)]
+///
+/// A clone is copy-on-write and follows this array's journals (see the
+/// module docs).
+#[derive(Debug, Clone)]
 pub struct FlashArray {
     params: PhysicsParams,
     geometry: FlashGeometry,
@@ -106,28 +109,6 @@ pub struct FlashArray {
     op_counter: u64,
     temp_c: f64,
     dist_cache: EraseDistCache,
-    /// Whether this array is a clone, whose own segments die with it.
-    clone: bool,
-}
-
-impl Clone for FlashArray {
-    /// A copy-on-write clone that follows this array's journals (see the
-    /// module docs). A segment the clone derives itself, such as a wear
-    /// probe's, is short-lived: its lanes come from the thread's free list
-    /// ([`CellArena::derive_short_lived`]).
-    fn clone(&self) -> Self {
-        Self {
-            params: self.params.clone(),
-            geometry: self.geometry,
-            chip_seed: self.chip_seed,
-            segments: self.segments.clone(),
-            op_seed: self.op_seed,
-            op_counter: self.op_counter,
-            temp_c: self.temp_c,
-            dist_cache: self.dist_cache.clone(),
-            clone: true,
-        }
-    }
 }
 
 /// A materialized segment: its cells, the journal that clones of the array
@@ -357,7 +338,6 @@ impl FlashArray {
             op_counter: 0,
             temp_c: 25.0,
             dist_cache,
-            clone: false,
         }
     }
 
@@ -402,20 +382,12 @@ impl FlashArray {
             segments,
             op_seed,
             dist_cache,
-            clone,
             ..
         } = self;
-        let segment = segments.entry(seg.index()).or_insert_with(|| {
-            let derive = if *clone {
-                CellArena::derive_short_lived
-            } else {
-                CellArena::derive
-            };
-            Segment {
-                cells: derive(params, *chip_seed, base_cell, n),
-                journal: Journal::default(),
-                trail: None,
-            }
+        let segment = segments.entry(seg.index()).or_insert_with(|| Segment {
+            cells: CellArena::derive(params, *chip_seed, base_cell, n),
+            journal: Journal::default(),
+            trail: None,
         });
         let kernel = Kernel {
             params,
@@ -719,14 +691,6 @@ impl FlashArray {
         let (kernel, cells) = self.owned(seg);
         cells.bulk_stress(kernel.params, &mask, cycles as f64);
         Ok(())
-    }
-
-    /// Fills a segment's crossing-time memo at its current wear (see
-    /// [`CellArena::warm_t_cross`]), so every clone of the chip taken
-    /// afterwards starts its first erase pulse warm.
-    pub(crate) fn warm_erase_memo(&mut self, seg: SegmentAddr) {
-        let (kernel, cells) = self.owned(seg);
-        cells.warm_t_cross(kernel.params, kernel.dist_cache);
     }
 
     /// Stores the chip at `temp_c` for `hours` (retention bake).
@@ -1186,7 +1150,7 @@ mod tests {
                 _ => Self::Leave {
                     on: any,
                     seg,
-                    kind: (pick % 6) as u8,
+                    kind: (pick % 5) as u8,
                 },
             }
         }
@@ -1248,7 +1212,6 @@ mod tests {
                         1 => return vec![u64::from(a.read_word(word).unwrap())],
                         2 => a.program_pulse(seg(s), Micros::new(3.0)).unwrap(),
                         3 => a.bulk_stress(seg(s), &vec![0x3C3Cu16; words], 500).unwrap(),
-                        4 => a.warm_erase_memo(seg(s)),
                         _ => a.bake(100.0, 85.0),
                     }
                     Vec::new()

@@ -364,8 +364,7 @@ impl BulkStress for FlashController {
         if let Some(forming) = self.timings.forming {
             // One forming pass at the voltage that deposits `cycles`: the
             // cost is flat in the stress level, and the imprint-timing
-            // schedule (an erase-loop concept) does not apply. No memo
-            // warm: a forming part never repays it.
+            // schedule (an erase-loop concept) does not apply.
             if cycles > forming.max_cycles {
                 return Err(NorError::WearModelRange {
                     kcycles: cycles as f64 / 1000.0,
@@ -412,10 +411,6 @@ impl BulkStress for FlashController {
             }
         }
         self.array.bulk_stress(seg, pattern, cycles)?;
-        // The crossing-time memo is a pure cache. Filling it at the wear
-        // just written pays its `exp`s once here instead of in the first
-        // partial erase of every clone of the enrolled chip.
-        self.array.warm_erase_memo(seg);
         self.emit_bulk_imprint(seg, cycles);
         Ok(self.clock.now() - start)
     }
