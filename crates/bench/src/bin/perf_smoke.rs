@@ -28,7 +28,9 @@ const BUDGET_FACTOR: f64 = 2.0;
 /// - `bulk_stress_5k`: 5× the pre-arena figure of the stress-imprint
 ///   kernel (the SoA/counter-RNG rewrite);
 /// - `erase_segment`: above anything the per-cell jitter path reaches
-///   (~4 300/s at best), so only the closed-form full erase passes;
+///   (~4 300/s at best), so only the closed-form full erase passes. Both
+///   paths write the same bits, so this floor is the only check that full
+///   erases take the closed form;
 /// - `materialize_segment`: above anything a derive that fills every
 ///   statics field and sorts the scan order reaches (909–1 392/s in 12
 ///   runs on a shared 2-vCPU host, where the seven-lane fill read

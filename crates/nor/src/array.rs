@@ -728,12 +728,11 @@ impl FlashArray {
         stats
     }
 
-    /// Segment indices that have been touched (materialized) so far.
+    /// Segment indices that have been touched (materialized) so far, in
+    /// ascending order.
     #[must_use]
     pub fn touched_segments(&self) -> Vec<SegmentAddr> {
-        let mut v: Vec<SegmentAddr> = self.segments.keys().map(|&i| SegmentAddr::new(i)).collect();
-        v.sort_unstable();
-        v
+        self.segments.keys().map(|&i| SegmentAddr::new(i)).collect()
     }
 }
 

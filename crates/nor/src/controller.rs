@@ -26,13 +26,18 @@ pub struct FlashController {
     timings: FlashTimings,
     clock: SimClock,
     locked: bool,
-    poll_step: Micros,
-    poll_words: usize,
     // tCPT budget per 128-byte flash row, keyed by (segment, row).
     cumulative_program: std::collections::BTreeMap<(u32, u32), Micros>,
 }
 
 impl FlashController {
+    /// Pulse length of the erase-until-clean loop, which polls the segment
+    /// after each pulse.
+    const POLL_STEP: Micros = Micros::new(25.0);
+
+    /// Words read by one erase-until-clean poll.
+    const POLL_WORDS: usize = 16;
+
     /// Creates a controller over a fresh chip.
     #[must_use]
     pub fn new(
@@ -46,8 +51,6 @@ impl FlashController {
             timings,
             clock: SimClock::new(),
             locked: false,
-            poll_step: Micros::new(25.0),
-            poll_words: 16,
             cumulative_program: std::collections::BTreeMap::new(),
         }
     }
@@ -153,7 +156,7 @@ impl FlashController {
     }
 
     fn poll_overhead(&self) -> Micros {
-        self.timings.abort_latency + self.timings.read_word * self.poll_words as f64
+        self.timings.abort_latency + self.timings.read_word * Self::POLL_WORDS as f64
     }
 
     /// Estimated erase times of early-exited erases at a schedule of
@@ -306,10 +309,10 @@ impl FlashInterface for FlashController {
         let mut pulses = 0u64;
         let max_pulses = 4096; // hard stop far beyond any calibrated wear
         for _ in 0..max_pulses {
-            let done = self.array.erase_pulse(seg, self.poll_step)?;
+            let done = self.array.erase_pulse(seg, Self::POLL_STEP)?;
             pulses += 1;
-            spent += self.poll_step;
-            self.clock.advance(self.poll_step + self.poll_overhead());
+            spent += Self::POLL_STEP;
+            self.clock.advance(Self::POLL_STEP + self.poll_overhead());
             if done {
                 break;
             }
@@ -396,7 +399,7 @@ impl BulkStress for FlashController {
                 for (s, est) in estimates.iter().enumerate() {
                     // Round the estimate up to the polling grid and add the
                     // polling overhead the loop implementation would pay.
-                    let step = self.poll_step.get();
+                    let step = Self::POLL_STEP.get();
                     let pulses = (est.get() / step).ceil().max(1.0);
                     let per_erase = pulses * (step + self.poll_overhead().get())
                         + self.timings.setup_overhead.get();
