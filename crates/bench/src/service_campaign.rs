@@ -109,8 +109,10 @@ pub fn campaign_request(seed: u64, i: u64, population: u64) -> VerifyRequest {
 }
 
 /// Builds the campaign service: the mixed population enrolled under the
-/// campaign recipe, recording into a bounded-memory (summary-form)
-/// registry sealed every [`CAMPAIGN_SEAL_EVERY`] records.
+/// campaign recipe, recording into a summary-form registry sealed every
+/// [`CAMPAIGN_SEAL_EVERY`] records. It keeps no record lines, and since
+/// the campaign's request ids arrive in order from 0, its duplicate check
+/// holds constant memory; what grows is one seal per segment.
 ///
 /// # Errors
 ///

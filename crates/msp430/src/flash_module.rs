@@ -22,11 +22,16 @@ pub struct Msp430Flash {
 
 impl Msp430Flash {
     /// Creates a chip of the given variant with identity `chip_seed`.
+    ///
+    /// The [watermark segment](Msp430Flash::watermark_segment) is
+    /// [reserved](flashmark_nor::FlashArray::reserve): clones of a chip
+    /// that never wrote it share one journal of it, so they replay the
+    /// extraction that the first of them computed.
     #[must_use]
     pub fn new(variant: Msp430Variant, chip_seed: u64) -> Self {
         let spec = variant.spec();
         let params = variant.physics();
-        Self {
+        let mut chip = Self {
             spec,
             chip_seed,
             main: FlashController::new(params.clone(), spec.main_geometry, spec.timings, chip_seed),
@@ -36,7 +41,10 @@ impl Msp430Flash {
                 spec.timings,
                 mix2(chip_seed, 0x1F01_F0F0),
             ),
-        }
+        };
+        let seg = chip.watermark_segment();
+        chip.main.array_mut().reserve(seg);
+        chip
     }
 
     /// An MSP430F5438 chip.
@@ -171,6 +179,18 @@ mod tests {
         let c = Msp430Flash::f5438(8).main().array().chip_seed();
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn fresh_chip_lists_no_touched_segment() {
+        let mut chip = Msp430Flash::new(Msp430Variant::F5529, 4);
+        assert!(chip.main().array().touched_segments().is_empty());
+        chip.main_mut().mass_erase().unwrap();
+        chip.main_mut().array_mut().bake(1_000.0, 85.0);
+        assert!(chip.main().array().touched_segments().is_empty());
+        let seg = chip.watermark_segment();
+        chip.erase_segment(seg).unwrap();
+        assert_eq!(chip.main().array().touched_segments(), [seg]);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! same enrolled state, and since every draw is keyed on the op counter,
 //! each run computes what the last one computed, bit for bit. So a clone
 //! replays instead. Its cells are copy-on-write ([`CellArena`]), and each
-//! materialized segment keeps a *journal*: the steps, key and output, of
-//! the ops that clones ran from the segment's current state. A step's key
+//! segment entry keeps a *journal*: the steps, key and output, of the ops
+//! that clones ran from the segment's current state. A step's key
 //! is the op and its arguments (the pulse duration of
 //! [`FlashArray::erase_pulse`], the words of
 //! [`FlashArray::program_segment_words`], nothing more for
@@ -56,9 +56,17 @@
 //! one), and an op that advances the counter resets the journals of every
 //! owned segment: no step of theirs can match again, and a stale journal
 //! would keep every later clone from recording. Results never depend on
-//! which clone recorded first; only speed does. A segment its source never
-//! materialized has no journal to follow: each clone derives and computes
-//! it.
+//! which clone recorded first; only speed does.
+//!
+//! A segment has a journal before it has cells. An op derives a segment's
+//! cells from the chip seed the first time it needs them, and
+//! [`FlashArray::reserve`] makes an entry with a journal and no cells, so
+//! that the clones of a chip that never wrote the segment share one
+//! journal of it: the first to run the extraction derives the cells,
+//! computes and records, and every later one follows without deriving.
+//! The source keeps no cells it did not hold before. A segment the source
+//! has neither touched nor reserved has no entry to share, so each clone
+//! derives and computes it.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -111,11 +119,14 @@ pub struct FlashArray {
     dist_cache: EraseDistCache,
 }
 
-/// A materialized segment: its cells, the journal that clones of the array
-/// follow, and the array's trail while it follows another array's journal.
-#[derive(Debug)]
+/// A segment entry: its cells once an op needs them, the journal that
+/// clones of the array follow, and the array's trail while it follows
+/// another array's journal. An entry without cells holds the state its
+/// cells derive to from the chip seed, with the trail's steps applied.
+#[derive(Debug, Default)]
 struct Segment {
-    cells: CellArena,
+    /// `None` until an op of this array needs the cells.
+    cells: Option<CellArena>,
     journal: Journal,
     /// `None` while the array owns the segment.
     trail: Option<Trail>,
@@ -183,11 +194,22 @@ struct Kernel<'a> {
     params: &'a PhysicsParams,
     dist_cache: &'a mut EraseDistCache,
     geometry: FlashGeometry,
+    chip_seed: u64,
     op_seed: u64,
     seg: SegmentAddr,
 }
 
 impl Kernel<'_> {
+    /// The segment's cells, derived from the chip seed the first time an
+    /// op needs them.
+    fn derive<'c>(&self, cells: &'c mut Option<CellArena>) -> &'c mut CellArena {
+        cells.get_or_insert_with(|| {
+            let n = self.geometry.cells_per_segment();
+            let base_cell = u64::from(self.seg.index()) * n as u64;
+            CellArena::derive(self.params, self.chip_seed, base_cell, n)
+        })
+    }
+
     /// One erase pulse of nominal `t_pe` µs over the segment.
     fn erase_pulse(&mut self, cells: &mut CellArena, at: At, t_pe: f64) -> bool {
         let temp = erase_temp_factor(self.params, f64::from_bits(at.temp_bits));
@@ -240,18 +262,25 @@ impl Trail {
 }
 
 impl Segment {
-    /// Applies the queued steps, keeping the trail.
-    fn settle(&mut self, kernel: &mut Kernel<'_>) {
+    /// The cells with the queued steps applied, keeping the trail.
+    fn settle(&mut self, kernel: &mut Kernel<'_>) -> &mut CellArena {
+        let cells = kernel.derive(&mut self.cells);
         if let Some(trail) = &mut self.trail {
-            trail.apply(kernel, &mut self.cells);
+            trail.apply(kernel, cells);
         }
+        cells
     }
 
-    /// Makes the array the segment's owner with an empty journal, for a
-    /// write to cells that are settled.
-    fn own(&mut self) {
-        self.trail = None;
+    /// The cells with the queued steps applied, and the array the
+    /// segment's owner with an empty journal: for a write outside the
+    /// journal.
+    fn own(&mut self, kernel: &mut Kernel<'_>) -> &mut CellArena {
+        let cells = kernel.derive(&mut self.cells);
+        if let Some(mut trail) = self.trail.take() {
+            trail.apply(kernel, cells);
+        }
         reset(&mut self.journal);
+        cells
     }
 
     /// Runs one journaled op (see the module docs): `recorded` gives a
@@ -273,6 +302,7 @@ impl Segment {
         if let Some(trail) = trail {
             let next = lock(journal).get(trail.position).cloned();
             let Some(step) = next else {
+                let cells = kernel.derive(cells);
                 trail.apply(kernel, cells);
                 let out = run(kernel, cells, at);
                 let mut steps = lock(journal);
@@ -284,7 +314,7 @@ impl Segment {
                     trail.position += 1;
                 } else {
                     drop(steps);
-                    self.own();
+                    self.own(kernel);
                 }
                 return out;
             };
@@ -298,10 +328,9 @@ impl Segment {
                 trail.queued.push(step);
                 return out;
             }
-            trail.apply(kernel, cells);
         }
-        self.own();
-        run(kernel, &mut self.cells, at)
+        let cells = self.own(kernel);
+        run(kernel, cells, at)
     }
 }
 
@@ -364,17 +393,24 @@ impl FlashArray {
         self.chip_seed
     }
 
+    /// Gives segment `seg` a journal before it has cells, so that clones of
+    /// the array share one journal of it while the array never derives
+    /// it. The entry stays out of [`FlashArray::touched_segments`] until an
+    /// op runs on it; an entry that exists already is left as it is.
+    pub fn reserve(&mut self, seg: SegmentAddr) {
+        self.segments.entry(seg.index()).or_default();
+    }
+
     /// Read-only view of a segment's cells (materializing it if needed),
     /// with every op the array has run on it applied.
     pub fn segment(&mut self, seg: SegmentAddr) -> &CellArena {
-        &self.settled(seg).1.cells
+        let (mut kernel, segment) = self.split(seg);
+        segment.settle(&mut kernel)
     }
 
-    /// The kernel inputs and the (lazily materialized) segment, borrowed
-    /// apart.
+    /// The kernel inputs and the segment's entry (made without cells where
+    /// there is none), borrowed apart.
     fn split(&mut self, seg: SegmentAddr) -> (Kernel<'_>, &mut Segment) {
-        let n = self.geometry.cells_per_segment();
-        let base_cell = seg.index() as u64 * n as u64;
         let Self {
             params,
             geometry,
@@ -384,35 +420,23 @@ impl FlashArray {
             dist_cache,
             ..
         } = self;
-        let segment = segments.entry(seg.index()).or_insert_with(|| Segment {
-            cells: CellArena::derive(params, *chip_seed, base_cell, n),
-            journal: Journal::default(),
-            trail: None,
-        });
         let kernel = Kernel {
             params,
             dist_cache,
             geometry: *geometry,
+            chip_seed: *chip_seed,
             op_seed: *op_seed,
             seg,
         };
-        (kernel, segment)
-    }
-
-    /// The segment with its queued steps applied; a follower keeps its
-    /// trail (the ground-truth reads).
-    fn settled(&mut self, seg: SegmentAddr) -> (Kernel<'_>, &mut Segment) {
-        let (mut kernel, segment) = self.split(seg);
-        segment.settle(&mut kernel);
-        (kernel, segment)
+        (kernel, segments.entry(seg.index()).or_default())
     }
 
     /// The segment's cells, settled and owned by the array with an empty
     /// journal (the writes outside the journal).
     fn owned(&mut self, seg: SegmentAddr) -> (Kernel<'_>, &mut CellArena) {
-        let (kernel, segment) = self.settled(seg);
-        segment.own();
-        (kernel, &mut segment.cells)
+        let (mut kernel, segment) = self.split(seg);
+        let cells = segment.own(&mut kernel);
+        (kernel, cells)
     }
 
     /// Advances the op counter by `ops`, and resets the journals of the
@@ -505,9 +529,10 @@ impl FlashArray {
     /// Noise-free logical value of every cell of a segment (ground truth for
     /// experiments; not reachable through the digital interface).
     pub fn ideal_bits(&mut self, seg: SegmentAddr) -> Vec<bool> {
-        let (kernel, segment) = self.settled(seg);
+        let (mut kernel, segment) = self.split(seg);
+        let cells = segment.settle(&mut kernel);
         let vref = kernel.params.vref.get();
-        segment.cells.vth().iter().map(|&vth| vth < vref).collect()
+        cells.vth().iter().map(|&vth| vth < vref).collect()
     }
 
     /// Programs the 0-bits of `value` into a word (flash semantics: a
@@ -649,9 +674,9 @@ impl FlashArray {
     ) -> Result<Vec<f64>, NorError> {
         self.check_pattern(seg, pattern)?;
         let mask = Self::stressed_mask(pattern);
-        let (kernel, segment) = self.settled(seg);
+        let (mut kernel, segment) = self.split(seg);
         Ok(segment
-            .cells
+            .settle(&mut kernel)
             .max_ln_t_cross_multi(kernel.params, kernel.dist_cache, &mask, wear_pairs)
             .into_iter()
             .map(f64::exp)
@@ -695,8 +720,9 @@ impl FlashArray {
 
     /// Stores the chip at `temp_c` for `hours` (retention bake).
     ///
-    /// Only materialized segments are affected — untouched segments hold no
-    /// charge anyway.
+    /// Only the [touched](FlashArray::touched_segments) segments are
+    /// affected — untouched ones, reserved ones included, hold no charge
+    /// anyway.
     pub fn bake(&mut self, hours: f64, temp_c: f64) {
         for seg in self.touched_segments() {
             let (kernel, cells) = self.owned(seg);
@@ -728,11 +754,18 @@ impl FlashArray {
         stats
     }
 
-    /// Segment indices that have been touched (materialized) so far, in
-    /// ascending order.
+    /// Segment indices that an op has touched so far, through this array or
+    /// the array it was cloned from, in ascending order: those with cells,
+    /// and those whose journal the array has followed past a step. A
+    /// [reserved](FlashArray::reserve) segment no op has run on is not
+    /// listed.
     #[must_use]
     pub fn touched_segments(&self) -> Vec<SegmentAddr> {
-        self.segments.keys().map(|&i| SegmentAddr::new(i)).collect()
+        self.segments
+            .iter()
+            .filter(|(_, s)| s.cells.is_some() || s.trail.as_ref().is_some_and(|t| t.position > 0))
+            .map(|(&i, _)| SegmentAddr::new(i))
+            .collect()
     }
 }
 
@@ -1055,6 +1088,41 @@ mod tests {
         assert_segments_bitwise(&mut second, &mut never_cloned, seg);
     }
 
+    /// Whether the array holds cells of `seg`.
+    fn has_cells(a: &FlashArray, seg: SegmentAddr) -> bool {
+        a.segments
+            .get(&seg.index())
+            .is_some_and(|s| s.cells.is_some())
+    }
+
+    /// Clones of a chip that reserved a segment share its journal: the
+    /// first derives, computes and records the extraction, the second
+    /// replays it without cells, and the chip itself never derives. Only
+    /// an op puts the segment in `touched_segments`.
+    #[test]
+    fn clones_of_a_reserved_segment_replay_without_cells() {
+        let seg = SegmentAddr::new(2);
+        let mut owner = array();
+        owner.reserve(seg);
+        assert!(owner.touched_segments().is_empty());
+        let mut first = owner.clone();
+        assert!(first.touched_segments().is_empty(), "a copy is no op");
+        let recorded = extraction(&mut first, seg);
+        assert_eq!(trail_position(&first, seg), Some(4), "the first records");
+        assert!(has_cells(&first, seg));
+        let mut second = owner.clone();
+        assert_eq!(extraction(&mut second, seg), recorded);
+        assert_eq!(trail_position(&second, seg), Some(4), "the second follows");
+        assert!(!has_cells(&second, seg), "a follower derives nothing");
+        assert_eq!(second.touched_segments(), [seg]);
+        assert!(!has_cells(&owner, seg));
+        assert!(owner.touched_segments().is_empty());
+        let mut never_cloned = array();
+        assert_eq!(extraction(&mut never_cloned, seg), recorded);
+        assert_segments_bitwise(&mut second, &mut never_cloned, seg);
+        assert!(has_cells(&second, seg), "a ground-truth read derives");
+    }
+
     fn assert_segments_bitwise(a: &mut FlashArray, b: &mut FlashArray, seg: SegmentAddr) {
         let bits = |a: &mut FlashArray| {
             let cells = a.segment(seg);
@@ -1233,7 +1301,8 @@ mod tests {
     }
 
     /// The chip every script starts from: two owned segments worn apart,
-    /// and one the root never materializes.
+    /// and one the root reserves but never materializes, so that clones
+    /// follow, record and leave an entry without cells.
     fn script_root() -> FlashArray {
         let geometry = FlashGeometry::new(1, SCRIPT_SEGMENTS, 32).unwrap();
         let mut a = FlashArray::new(PhysicsParams::msp430_like(), geometry, 0xFACE);
@@ -1241,6 +1310,7 @@ mod tests {
             .unwrap();
         a.bulk_stress(SegmentAddr::new(1), &[0x00FFu16; 16], 40_000)
             .unwrap();
+        a.reserve(SegmentAddr::new(2));
         a
     }
 

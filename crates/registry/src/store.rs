@@ -29,7 +29,9 @@ pub struct RegistryOptions {
     pub seal_every: u64,
     /// Keep every canonical record line in memory so [`Registry::write_to`]
     /// can serialize the full log. Million-request campaigns turn this off
-    /// and keep only digests, seals, and stats (bounded memory); the
+    /// and keep only the chain digest, one seal per `seal_every` records
+    /// and the stats; the duplicate check then holds constant memory while
+    /// request ids arrive in order from 0 (see [`Registry::append`]). The
     /// serialized log then contains the header, seals, and root only.
     pub retain_records: bool,
 }
@@ -94,13 +96,35 @@ impl AppendOutcome {
     }
 }
 
+/// The request ids recorded so far: every id below `below`, and the ids in
+/// `above`, all past it. While ids arrive in order from 0, `above` stays
+/// empty.
+#[derive(Debug, Clone, Default)]
+struct SeenIds {
+    below: u64,
+    above: BTreeSet<u64>,
+}
+
+impl SeenIds {
+    /// Records `id`; `false` when it was recorded already.
+    fn insert(&mut self, id: u64) -> bool {
+        if id < self.below || !self.above.insert(id) {
+            return false;
+        }
+        while self.above.remove(&self.below) {
+            self.below += 1;
+        }
+        true
+    }
+}
+
 /// The append-only provenance store.
 #[derive(Debug, Clone)]
 pub struct Registry {
     opts: RegistryOptions,
     next_seq: u64,
     chain: Digest64,
-    seen: BTreeSet<u64>,
+    seen: SeenIds,
     lines: Vec<String>,
     seals: Vec<Seal>,
     stats: ServiceStats,
@@ -115,7 +139,7 @@ impl Registry {
             opts,
             next_seq: 0,
             chain: Digest64::EMPTY,
-            seen: BTreeSet::new(),
+            seen: SeenIds::default(),
             lines: Vec::new(),
             seals: Vec::new(),
             stats: ServiceStats::new(),
@@ -124,6 +148,10 @@ impl Registry {
     }
 
     /// Appends one record (idempotent on `record.request_id`).
+    ///
+    /// The duplicate check keeps the lowest id not yet recorded and the
+    /// recorded ids above it, so its memory grows with the ids that arrive
+    /// ahead of a gap, not with the records.
     pub fn append(&mut self, record: Record) -> AppendOutcome {
         if !self.seen.insert(record.request_id) {
             self.duplicates_rejected += 1;
@@ -362,6 +390,61 @@ mod tests {
         assert!(last.starts_with("{\"root\":\""));
         assert!(last.contains(&reg.root().to_hex()));
         assert!(contents.starts_with("{\"flashmark_registry\":1,"));
+    }
+
+    #[test]
+    fn in_order_ids_keep_no_id_set() {
+        let mut reg = Registry::new(RegistryOptions::default());
+        for id in 0..5_000u64 {
+            assert!(reg.append(rec(id)).recorded());
+            assert!(reg.seen.above.is_empty(), "id {id}");
+        }
+        assert_eq!(reg.seen.below, 5_000);
+        assert!(!reg.append(rec(4_999)).recorded());
+        assert!(reg.append(rec(5_001)).recorded());
+        assert_eq!(reg.seen.above.len(), 1, "an id ahead of a gap is kept");
+        assert!(reg.append(rec(5_000)).recorded());
+        assert!(reg.seen.above.is_empty(), "filling the gap drops it");
+        assert_eq!(reg.seen.below, 5_002);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Ids mostly in order, mixed with ids ahead of the next one, ids
+        /// behind it (gap fills and duplicates) and arbitrary ones: each
+        /// append records exactly when a plain set has not seen the id.
+        #[test]
+        fn dedup_matches_a_plain_set(
+            script in proptest::collection::vec(proptest::any::<u64>(), 1..400)
+        ) {
+            let mut reg = Registry::new(RegistryOptions {
+                seal_every: 16,
+                retain_records: false,
+            });
+            let mut plain = BTreeSet::new();
+            let mut next = 0u64;
+            for x in script {
+                let step = (x >> 8) % 12;
+                let id = match x % 8 {
+                    // Far ahead of the stream.
+                    0 => x >> 3,
+                    // Ahead of the next id, leaving a gap.
+                    1 => next + step,
+                    // Behind it: a gap fill or a duplicate.
+                    2 | 3 => next.saturating_sub(step + 1),
+                    _ => next,
+                };
+                if x % 8 != 0 {
+                    next = next.max(id + 1);
+                }
+                let recorded = reg.append(rec(id)).recorded();
+                proptest::prop_assert_eq!(recorded, plain.insert(id), "id {}", id);
+            }
+            proptest::prop_assert_eq!(reg.len(), plain.len() as u64);
+            let below = plain.iter().zip(0..).take_while(|(&id, i)| id == *i).count() as u64;
+            proptest::prop_assert_eq!(reg.seen.below, below);
+        }
     }
 
     #[test]

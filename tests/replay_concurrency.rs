@@ -1,7 +1,8 @@
 //! Clones of one chip on two worker threads record into one segment
 //! journal at once, and a third clone then replays what they recorded:
 //! whichever clone appends first, every output equals that of a chip that
-//! was never cloned.
+//! was never cloned. One round races on a worn segment the chip owns, one
+//! on a segment the chip reserved and never materialized.
 //!
 //! A step's key holds the op counter, which only grows along one array's
 //! history, so two clones running the same ops could never leave a step
@@ -24,8 +25,12 @@ const OTHER_WORD: WordAddr = WordAddr::new(600);
 /// Pairs of racing clones, each of a chip of its own.
 const PAIRS: usize = 24;
 
-/// Chip `k` as enrolled: its mark segment worn and programmed, and its
-/// other segment materialized.
+/// The segment every chip reserves and none materializes: its journal
+/// exists before its cells.
+const BLANK: SegmentAddr = SegmentAddr::new(3);
+
+/// Chip `k` as enrolled: its mark segment worn and programmed, its other
+/// segment materialized, and its blank segment reserved.
 fn chip(k: usize) -> FlashArray {
     let mut a = FlashArray::new(
         PhysicsParams::msp430_like(),
@@ -35,6 +40,7 @@ fn chip(k: usize) -> FlashArray {
     a.bulk_stress(MARK, &[0x0F0F; 256], 30_000).unwrap();
     a.program_segment_words(MARK, &[0x0000; 256]).unwrap();
     a.read_word(OTHER_WORD).unwrap();
+    a.reserve(BLANK);
     a
 }
 
@@ -64,8 +70,31 @@ fn erase_then_partial(a: &mut FlashArray) -> Vec<bool> {
     out
 }
 
-#[test]
-fn racing_recorders_leave_a_journal_that_replays_exactly() {
+/// Blank worker 0: a program of every blank word to 0, which moves the
+/// counter by one per word.
+fn program_blank(a: &mut FlashArray) -> Vec<u16> {
+    a.program_segment_words(BLANK, &[0x0000; 256]).unwrap();
+    Vec::new()
+}
+
+/// Blank worker 1: a read of the other segment, which moves the counter
+/// as far, then a read of the blank segment, still erased. Its key is
+/// that of a read after the program.
+fn read_blank_after_read(a: &mut FlashArray) -> Vec<u16> {
+    a.read_segment_words(SegmentAddr::new(2)).unwrap();
+    a.read_segment_words(BLANK).unwrap()
+}
+
+/// The blank segment's replaying clone: the program, then a read of the
+/// programmed words.
+fn program_then_read_blank(a: &mut FlashArray) -> Vec<u16> {
+    program_blank(a);
+    a.read_segment_words(BLANK).unwrap()
+}
+
+/// Races `workers` on clones of every chip, one pair per chip, and returns
+/// the chips with each worker's outputs.
+fn race<T: Send>(workers: [fn(&mut FlashArray) -> T; 2]) -> (Vec<FlashArray>, Vec<T>) {
     let chips: Vec<FlashArray> = (0..PAIRS).map(chip).collect();
     let start = Barrier::new(2);
     let runner = TrialRunner::with_threads(7, 2);
@@ -74,12 +103,14 @@ fn racing_recorders_leave_a_journal_that_replays_exactly() {
     let raced = runner.run(2 * PAIRS, |trial| {
         let mut clone = chips[trial.index / 2].clone();
         start.wait();
-        if trial.index % 2 == 0 {
-            erase(&mut clone)
-        } else {
-            partial_after_read(&mut clone)
-        }
+        workers[trial.index % 2](&mut clone)
     });
+    (chips, raced)
+}
+
+#[test]
+fn racing_recorders_leave_a_journal_that_replays_exactly() {
+    let (chips, raced) = race([erase, partial_after_read]);
     for (k, source) in chips.iter().enumerate() {
         assert_eq!(raced[2 * k], erase(&mut chip(k)), "chip {k}: worker 0");
         let worker_1 = partial_after_read(&mut chip(k));
@@ -92,5 +123,25 @@ fn racing_recorders_leave_a_journal_that_replays_exactly() {
         );
         assert_eq!(replayed, [true, true]);
         assert_eq!(worker_1, [false]);
+    }
+}
+
+#[test]
+fn racing_recorders_on_a_reserved_segment_replay_exactly() {
+    let (chips, raced) = race([program_blank, read_blank_after_read]);
+    for (k, source) in chips.iter().enumerate() {
+        let worker_1 = read_blank_after_read(&mut chip(k));
+        assert_eq!(raced[2 * k + 1], worker_1, "chip {k}: worker 1");
+        assert!(!source.touched_segments().contains(&BLANK), "chip {k}");
+        let mut replaying = source.clone();
+        let replayed = program_then_read_blank(&mut replaying);
+        assert_eq!(
+            replayed,
+            program_then_read_blank(&mut chip(k)),
+            "chip {k}: replay"
+        );
+        assert!(replaying.touched_segments().contains(&BLANK), "chip {k}");
+        assert_eq!(replayed, [0x0000; 256]);
+        assert_eq!(worker_1, [0xFFFF; 256]);
     }
 }
