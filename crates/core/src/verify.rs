@@ -23,6 +23,8 @@
 
 use std::fmt;
 
+use flashmark_ecc::bytes_from_bits;
+use flashmark_ecc::crc::crc16;
 use flashmark_nor::interface::FlashInterface;
 use flashmark_nor::SegmentAddr;
 use flashmark_obs as obs;
@@ -33,7 +35,7 @@ use crate::characterize::{characterize_segment, SweepSpec};
 use crate::config::FlashmarkConfig;
 use crate::error::CoreError;
 use crate::extract::{Extraction, Extractor};
-use crate::watermark::{TestStatus, Watermark, WatermarkRecord, RECORD_BITS};
+use crate::watermark::{TestStatus, Watermark, WatermarkRecord, RECORD_BITS, RECORD_BYTES};
 
 /// Why a chip was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -571,7 +573,33 @@ fn soft_repair(bits: &[bool], extraction: &Extraction) -> Option<WatermarkRecord
         .collect();
     candidates.sort_by_key(|&(_, m)| m);
     candidates.truncate(12);
+    let candidates: Vec<usize> = candidates.into_iter().map(|(i, _)| i).collect();
+    repair_search(bits, &candidates)
+}
 
+/// Payload bytes of the record wire format: everything before the CRC.
+const PAYLOAD_BYTES: usize = RECORD_BYTES - 2;
+
+/// The first record that decodes with one of `candidates` flipped, in
+/// order, or else with two (each pair in order), as decoding every such
+/// flip set would find it; `None` if none decodes.
+///
+/// Only the sets that clear the CRC are decoded. CRC-16/CCITT is affine
+/// over GF(2), so flipping a bit moves the *syndrome* (the computed CRC
+/// xor the stored one) by an amount that depends on the bit alone (see
+/// [`syndrome_move`]), and a set clears the CRC exactly when its moves
+/// cancel the record's syndrome. [`WatermarkRecord::from_bytes`] rejects
+/// every CRC mismatch, so a skipped set could not have decoded, and the
+/// first set that decodes is the one an unfiltered search finds. A keyed
+/// tag in place of the CRC is not affine: this filter goes with the CRC.
+fn repair_search(bits: &[bool], candidates: &[usize]) -> Option<WatermarkRecord> {
+    if bits.len() != RECORD_BITS {
+        return None;
+    }
+    let bytes = bytes_from_bits(bits);
+    let syndrome = crc16(&bytes[..PAYLOAD_BYTES])
+        ^ u16::from_le_bytes([bytes[PAYLOAD_BYTES], bytes[PAYLOAD_BYTES + 1]]);
+    let moves: Vec<u16> = candidates.iter().map(|&i| syndrome_move(i)).collect();
     let try_bits = |flips: &[usize]| -> Option<WatermarkRecord> {
         let mut b = bits.to_vec();
         for &i in flips {
@@ -580,20 +608,39 @@ fn soft_repair(bits: &[bool], extraction: &Extraction) -> Option<WatermarkRecord
         let wm = Watermark::from_bits(b).ok()?;
         WatermarkRecord::from_watermark(&wm).ok()
     };
-
-    for (i, _) in &candidates {
-        if let Some(r) = try_bits(&[*i]) {
-            return Some(r);
-        }
-    }
-    for (a_idx, (a, _)) in candidates.iter().enumerate() {
-        for (b, _) in candidates.iter().skip(a_idx + 1) {
-            if let Some(r) = try_bits(&[*a, *b]) {
+    for (&i, &m) in candidates.iter().zip(&moves) {
+        if m == syndrome {
+            if let Some(r) = try_bits(&[i]) {
                 return Some(r);
             }
         }
     }
+    for (a_idx, (&a, &ma)) in candidates.iter().zip(&moves).enumerate() {
+        for (&b, &mb) in candidates.iter().zip(&moves).skip(a_idx + 1) {
+            if ma ^ mb == syndrome {
+                if let Some(r) = try_bits(&[a, b]) {
+                    return Some(r);
+                }
+            }
+        }
+    }
     None
+}
+
+/// How flipping bit `i` of a record moves its CRC syndrome. For messages
+/// of one length `crc(x ^ e) = crc(x) ^ crc(e) ^ crc(0)`, so a payload
+/// flip moves the computed CRC by `crc(e) ^ crc(0)` whatever the payload
+/// holds; a flip in the stored CRC moves that bit of it (the CRC is stored
+/// little-endian, and bits run LSB first).
+fn syndrome_move(i: usize) -> u16 {
+    let payload_bits = PAYLOAD_BYTES * 8;
+    if i < payload_bits {
+        let mut flip = [0u8; PAYLOAD_BYTES];
+        flip[i / 8] = 1 << (i % 8);
+        crc16(&flip) ^ crc16(&[0u8; PAYLOAD_BYTES])
+    } else {
+        1 << (i - payload_bits)
+    }
 }
 
 #[cfg(test)]
@@ -727,6 +774,83 @@ mod tests {
             &crate::extract::Extraction::for_tests(votes, bits.clone(), 7),
         );
         assert_eq!(repaired, Some(r));
+    }
+
+    /// The search [`repair_search`] filters: decode every flip set, in
+    /// its order, until one decodes.
+    fn unfiltered_search(bits: &[bool], candidates: &[usize]) -> Option<WatermarkRecord> {
+        let try_bits = |flips: &[usize]| -> Option<WatermarkRecord> {
+            let mut b = bits.to_vec();
+            for &i in flips {
+                b[i] = !b[i];
+            }
+            let wm = Watermark::from_bits(b).ok()?;
+            WatermarkRecord::from_watermark(&wm).ok()
+        };
+        for &i in candidates {
+            if let Some(r) = try_bits(&[i]) {
+                return Some(r);
+            }
+        }
+        for (a_idx, &a) in candidates.iter().enumerate() {
+            for &b in &candidates[a_idx + 1..] {
+                if let Some(r) = try_bits(&[a, b]) {
+                    return Some(r);
+                }
+            }
+        }
+        None
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The CRC-filtered search finds what decoding every flip set
+        /// finds. Records are near-valid: a random payload under its own
+        /// CRC (its status byte valid or not, so a set that clears the CRC
+        /// need not decode) with 0–3 bits flipped. Candidate sets of up to
+        /// 12 bits, in a random order, hold all, some or none of the
+        /// flips; where they hold one or two flips of a record with a
+        /// valid status, the search must find a record.
+        #[test]
+        fn crc_filtered_repair_matches_the_unfiltered_search(
+            payload in proptest::collection::vec(proptest::any::<u8>(), 14..15),
+            valid_status in proptest::any::<bool>(),
+            flips in proptest::collection::vec(0..RECORD_BITS, 0..4),
+            held in 0usize..4,
+            decoys in proptest::collection::vec(0..RECORD_BITS, 0..12),
+            order in proptest::any::<u64>(),
+        ) {
+            let mut bytes = [0u8; RECORD_BYTES];
+            bytes[..PAYLOAD_BYTES].copy_from_slice(&payload);
+            if valid_status {
+                bytes[11] = [0xA5, 0x5A][(order & 1) as usize];
+            }
+            let crc = crc16(&bytes[..PAYLOAD_BYTES]);
+            bytes[PAYLOAD_BYTES..].copy_from_slice(&crc.to_le_bytes());
+            let mut bits = flashmark_ecc::bits_from_bytes(&bytes);
+            let mut flipped = Vec::new();
+            for i in flips {
+                if !flipped.contains(&i) {
+                    flipped.push(i);
+                    bits[i] = !bits[i];
+                }
+            }
+            let mut candidates = Vec::new();
+            for &i in flipped.iter().take(held).chain(&decoys) {
+                if !candidates.contains(&i) {
+                    candidates.push(i);
+                }
+            }
+            candidates.truncate(12);
+            candidates.sort_by_key(|&i| flashmark_physics::rng::mix2(order, i as u64));
+            let filtered = repair_search(&bits, &candidates);
+            proptest::prop_assert_eq!(filtered, unfiltered_search(&bits, &candidates));
+            let repairable = valid_status
+                && (1..=2).contains(&flipped.len())
+                && flipped.iter().all(|i| candidates.contains(i));
+            proptest::prop_assert!(!repairable || filtered.is_some(), "flips {flipped:?}");
+        }
     }
 
     #[test]

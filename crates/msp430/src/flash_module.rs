@@ -81,6 +81,15 @@ impl Msp430Flash {
         &mut self.info
     }
 
+    /// Drops the statics lanes of the main and the info arrays and keeps
+    /// their state
+    /// ([`shed_statics`](flashmark_nor::FlashArray::shed_statics)): an
+    /// enrolled chip keeps only its wear.
+    pub fn shed_statics(&mut self) {
+        self.main.array_mut().shed_statics();
+        self.info.array_mut().shed_statics();
+    }
+
     /// The segment conventionally reserved for the Flashmark watermark: the
     /// last segment of the last main bank (out of the vector table and code
     /// regions).

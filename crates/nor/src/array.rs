@@ -67,6 +67,10 @@
 //! The source keeps no cells it did not hold before. A segment the source
 //! has neither touched nor reserved has no entry to share, so each clone
 //! derives and computes it.
+//!
+//! [`FlashArray::shed_statics`] drops the statics lanes of every segment
+//! and keeps the state: a clone that follows a journal never reads them,
+//! and one that computes derives them again for its own copy.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -754,6 +758,17 @@ impl FlashArray {
         stats
     }
 
+    /// Drops the statics lanes of every segment with cells and keeps their
+    /// state, journals and trails (see
+    /// [`CellArena::shed_statics`]): a segment an op computes on next
+    /// derives them again, bit for bit, and a clone that only follows a
+    /// journal never needs them.
+    pub fn shed_statics(&mut self) {
+        for cells in self.segments.values_mut().filter_map(|s| s.cells.as_mut()) {
+            cells.shed_statics();
+        }
+    }
+
     /// Segment indices that an op has touched so far, through this array or
     /// the array it was cloned from, in ascending order: those with cells,
     /// and those whose journal the array has followed past a step. A
@@ -1172,6 +1187,11 @@ mod tests {
             seg: u32,
             kind: u8,
         },
+        /// Shed the array's statics; the never-cloned twin keeps its own,
+        /// so a wrong re-derive cannot hide on both sides.
+        Shed {
+            on: usize,
+        },
     }
 
     /// Three 16-word segments: small enough for many cases in a debug
@@ -1190,7 +1210,7 @@ mod tests {
             let old = any.min((x >> 12) as usize % arrays);
             let seg = ((x >> 16) % u64::from(SCRIPT_SEGMENTS)) as u32;
             let pick = (x >> 24) as usize;
-            match x % 20 {
+            match x % 21 {
                 0..=3 => Self::Inspect { from: old, seg },
                 4..=6 => Self::Extract { on: any, seg },
                 7 => Self::Erase {
@@ -1214,6 +1234,7 @@ mod tests {
                     seg,
                     kind: 3,
                 },
+                17 => Self::Shed { on: old },
                 _ => Self::Leave {
                     on: any,
                     seg,
@@ -1223,7 +1244,8 @@ mod tests {
         }
 
         /// Runs the action on `a` (an inspection: its extraction); every
-        /// output as bits.
+        /// output as bits. A shed is no op here: the script sheds only
+        /// the array, never its twin.
         fn apply(self, a: &mut FlashArray) -> Vec<u64> {
             let seg = |s: u32| SegmentAddr::new(s);
             let words = a.geometry().words_per_segment();
@@ -1283,6 +1305,7 @@ mod tests {
                     }
                     Vec::new()
                 }
+                Self::Shed { .. } => Vec::new(),
             }
         }
 
@@ -1295,7 +1318,8 @@ mod tests {
                 | Self::Read { on, .. }
                 | Self::Temperature { on, .. }
                 | Self::Truth { on, .. }
-                | Self::Leave { on, .. } => on,
+                | Self::Leave { on, .. }
+                | Self::Shed { on } => on,
             }
         }
     }
@@ -1318,10 +1342,11 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// Scripts of the journaled ops on clones of clones, mixed with
-        /// temperature changes, ground-truth reads and the writes that
-        /// leave the journal, give every output and every `vth`/wear bit of
-        /// the same script on a chip that was never cloned (rebuilt from
-        /// the root through its whole history).
+        /// temperature changes, ground-truth reads, the writes that leave
+        /// the journal and sheds of the statics, give every output and
+        /// every `vth`/wear bit of the same script on a chip that was never
+        /// cloned or shed (rebuilt from the root through its whole
+        /// history).
         #[test]
         fn clones_replay_what_a_never_cloned_chip_computes(
             script in proptest::collection::vec(proptest::any::<u64>(), 10..48)
@@ -1345,6 +1370,9 @@ mod tests {
                 } else {
                     (on, on)
                 };
+                if let Action::Shed { .. } = action {
+                    arrays[array].shed_statics();
+                }
                 let got = action.apply(&mut arrays[array]);
                 let want = action.apply(&mut twins[twin]);
                 proptest::prop_assert!(got == want, "step {i}: {action:?}");

@@ -29,6 +29,12 @@
 //! [`Arc`] and are copy-on-write: a clone copies two pointers, and the
 //! first write to a state that another clone still holds copies its lanes.
 //!
+//! The statics lanes are a cache: [`CellArena::shed_statics`] drops them
+//! and keeps the state, so a shed cell costs its 16 state bytes instead of
+//! 72. The next kernel that reads them on that arena (or on a clone taken
+//! after the shed) derives them again, bit for bit, from the chip seed and
+//! base cell the arena keeps.
+//!
 //! There is no `unsafe` and no explicit SIMD. The exact erase pulse and the
 //! statics fill run a `CHUNK` of cells at a time, `bulk_stress` runs
 //! fixed-width chunks with a scalar tail, and the closed-form erase, reads
@@ -45,9 +51,9 @@
 //! fill stack a `CHUNK` of uniforms and turn them into deviates with one
 //! batched inverse CDF, `program_word` does the same for its 16 bits, and
 //! `sense_word` draws only the bits whose cells sit within the read
-//! noise's reach of `vref`. Dropped arenas hand their lanes to a bounded
-//! per-thread free list, which the next copy or derive of a lane of the
-//! same length draws from.
+//! noise's reach of `vref`. Dropped arenas and shed statics hand their
+//! lanes to a bounded per-thread free list, which the next copy or derive
+//! of a lane of the same length draws from.
 
 use std::sync::Arc;
 
@@ -81,14 +87,10 @@ const CEILING_MARGIN: f64 = 1e-9;
 /// Bits per machine word of the simulated array.
 const WORD_BITS: usize = 16;
 
-/// The lanes fixed at [`CellArena::derive`], shared by every clone: the
-/// seven statics the cell kernels read, and their maxima.
+/// The lanes fixed at [`CellArena::derive`], shared by every clone that
+/// holds them: the seven statics the cell kernels read, and their maxima.
 #[derive(Debug)]
 struct Statics {
-    /// The chip and first cell the lanes were derived for, which
-    /// [`CellArena::statics_at`] re-derives from.
-    chip_seed: u64,
-    base_cell: u64,
     erase_z: Vec<f64>,
     ln_straggler: Vec<f64>,
     early_activation: Vec<f64>,
@@ -152,8 +154,6 @@ impl Statics {
         }
         let lane_max = |lane: &[f64], init: f64| lane.iter().fold(init, |acc, &v| acc.max(v));
         Self {
-            chip_seed,
-            base_cell,
             max_susceptibility: lane_max(&susceptibility, 0.0),
             max_erase_z: lane_max(&erase_z, f64::NEG_INFINITY),
             max_ln_straggler: lane_max(&ln_straggler, f64::NEG_INFINITY),
@@ -166,6 +166,61 @@ impl Statics {
             vth_prog0,
             susceptibility,
         }
+    }
+
+    /// Pre-fills `cache` so every bucket any cell of these lanes can reach
+    /// at wear up to `max_wear` is resident, and the kernel loops are pure
+    /// reads; returns that highest bucket. Uses the lane-wide
+    /// susceptibility maximum; `fl` monotonicity of `*` and `/` guarantees
+    /// no per-cell bucket exceeds the bound.
+    fn ensure_cache(
+        &self,
+        params: &PhysicsParams,
+        cache: &mut EraseDistCache,
+        max_wear: f64,
+    ) -> usize {
+        let max_k = max_wear * self.max_susceptibility / 1000.0;
+        let max_bucket = wear_bucket(max_k, cache.grid_kcycles());
+        cache.ensure(&params.erase_cal, max_bucket);
+        max_bucket
+    }
+
+    /// One sweep in `order` (descending susceptibility, see [`scan_order`])
+    /// over the cells of one stress class, keeping every cell not strictly
+    /// dominated by an earlier (≥ susceptibility) candidate. `d_hi`/`d_lo`
+    /// bound the cell's wear-independent log-time offset over all sigmas in
+    /// the table and both trap states; `fl` monotonicity of `*`/`+` keeps
+    /// the bounds valid in floating point, and [`PRUNE_MARGIN`] absorbs the
+    /// cross-expression rounding slack.
+    fn frontier(
+        &self,
+        order: &[u32],
+        stressed: &[bool],
+        want: bool,
+        sig_lo: f64,
+        sig_hi: f64,
+    ) -> Vec<u32> {
+        let mut cands = Vec::new();
+        let mut best_d_lo = f64::NEG_INFINITY;
+        for &oi in order {
+            let i = oi as usize;
+            if stressed[i] != want {
+                continue;
+            }
+            let z = self.erase_z[i];
+            let straggler = self.ln_straggler[i];
+            let zs_a = sig_lo * z;
+            let zs_b = sig_hi * z;
+            let d_hi = zs_a.max(zs_b) + straggler;
+            // `ln_early_factor` ≤ 0: the trap-active variant is the floor.
+            let d_lo = zs_a.min(zs_b) + straggler + self.ln_early_factor[i];
+            if best_d_lo >= d_hi + PRUNE_MARGIN {
+                continue;
+            }
+            cands.push(oi);
+            best_d_lo = best_d_lo.max(d_lo);
+        }
+        cands
     }
 
     /// A ceiling on every cell's crossing time this pulse: each term of
@@ -277,14 +332,20 @@ impl<'a> ErasePass<'a> {
 /// A structure-of-arrays arena of flash cells.
 ///
 /// The statics lanes are immutable after [`CellArena::derive`] and shared
-/// (behind an [`Arc`]) by every clone. The per-chip lanes — `vth` and
-/// `wear_cycles`, the dynamic state — sit behind their own [`Arc`], and a
-/// clone is copy-on-write: it shares them with its source until one of
-/// the two writes, and that write copies the lanes for the writer alone.
+/// (behind an [`Arc`]) by every clone that holds them; an arena may shed
+/// them ([`CellArena::shed_statics`]) and derives them again when a kernel
+/// next reads them. The per-chip lanes — `vth` and `wear_cycles`, the
+/// dynamic state — sit behind their own [`Arc`], and a clone is
+/// copy-on-write: it shares them with its source until one of the two
+/// writes, and that write copies the lanes for the writer alone.
 #[derive(Debug, Clone)]
 pub struct CellArena {
-    statics: Arc<Statics>,
+    /// `None` once shed; `CellArena::lanes` derives them again.
+    statics: Option<Arc<Statics>>,
     state: Arc<State>,
+    /// The chip and first cell the statics derive from.
+    chip_seed: u64,
+    base_cell: u64,
 }
 
 /// The lanes one chip owns: `vth` and `wear_cycles`, the dynamic state.
@@ -329,8 +390,39 @@ impl CellArena {
                 vth: pool::copied(&statics.vth_erased0),
                 wear_cycles: pool::filled(n, 0.0),
             }),
-            statics: Arc::new(statics),
+            statics: Some(Arc::new(statics)),
+            chip_seed,
+            base_cell,
         }
+    }
+
+    /// Drops the arena's statics lanes and keeps its state (`vth` and
+    /// wear), so the arena costs 16 bytes a cell instead of 72. The next
+    /// kernel that reads the statics derives them again, bit for bit; a
+    /// clone taken before the shed keeps its own. The last holder's lanes
+    /// go to this thread's lane free list.
+    pub fn shed_statics(&mut self) {
+        self.statics = None;
+    }
+
+    /// The statics lanes, derived again if the arena shed them, and the
+    /// state borrowed apart from them.
+    fn lanes(&mut self, params: &PhysicsParams) -> (&Statics, &mut Arc<State>) {
+        let Self {
+            statics,
+            state,
+            chip_seed,
+            base_cell,
+        } = self;
+        let statics = statics.get_or_insert_with(|| {
+            Arc::new(Statics::derive(
+                params,
+                *chip_seed,
+                *base_cell,
+                state.vth.len(),
+            ))
+        });
+        (statics, state)
     }
 
     /// Number of cells in the arena.
@@ -359,11 +451,7 @@ impl CellArena {
             "cell {i} outside an arena of {}",
             self.len()
         );
-        CellStatics::derive(
-            params,
-            self.statics.chip_seed,
-            self.statics.base_cell + i as u64,
-        )
+        CellStatics::derive(params, self.chip_seed, self.base_cell + i as u64)
     }
 
     /// The dynamic [`CellState`] of cell `i`.
@@ -392,23 +480,6 @@ impl CellArena {
     #[must_use]
     pub fn wear_cycles(&self) -> &[f64] {
         &self.state.wear_cycles
-    }
-
-    /// Pre-fills `cache` so every bucket any cell of this arena can reach at
-    /// wear up to `max_wear` is resident, and the kernel loops are pure
-    /// reads; returns that highest bucket. Uses the arena-wide
-    /// susceptibility maximum; `fl` monotonicity of `*` and `/` guarantees
-    /// no per-cell bucket exceeds the bound.
-    fn ensure_cache(
-        &self,
-        params: &PhysicsParams,
-        cache: &mut EraseDistCache,
-        max_wear: f64,
-    ) -> usize {
-        let max_k = max_wear * self.statics.max_susceptibility / 1000.0;
-        let max_bucket = wear_bucket(max_k, cache.grid_kcycles());
-        cache.ensure(&params.erase_cal, max_bucket);
-        max_bucket
     }
 
     /// The log-domain reference-crossing time maximized over all cells,
@@ -446,7 +517,7 @@ impl CellArena {
     ///
     /// Panics if `stressed.len() != self.len()`.
     pub fn max_ln_t_cross_multi(
-        &self,
+        &mut self,
         params: &PhysicsParams,
         cache: &mut EraseDistCache,
         stressed: &[bool],
@@ -457,7 +528,8 @@ impl CellArena {
         let max_wear = wear_pairs
             .iter()
             .fold(0.0f64, |acc, &(s, p)| acc.max(s).max(p));
-        self.ensure_cache(params, cache, max_wear);
+        let (s, _) = self.lanes(params);
+        s.ensure_cache(params, cache, max_wear);
         let pass = ErasePass::new(params, cache);
         let (stressed_cands, spared_cands) = if cache.is_monotone() {
             let (sig_lo, sig_hi) = pass
@@ -466,10 +538,10 @@ impl CellArena {
                 .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
                     (lo.min(s), hi.max(s))
                 });
-            let order = scan_order(&self.statics.susceptibility);
+            let order = scan_order(&s.susceptibility);
             (
-                self.frontier(&order, stressed, true, sig_lo, sig_hi),
-                self.frontier(&order, stressed, false, sig_lo, sig_hi),
+                s.frontier(&order, stressed, true, sig_lo, sig_hi),
+                s.frontier(&order, stressed, false, sig_lo, sig_hi),
             )
         } else {
             let class = |want: bool| -> Vec<u32> {
@@ -479,7 +551,6 @@ impl CellArena {
             };
             (class(true), class(false))
         };
-        let s = &*self.statics;
         let eval = |cands: &[u32], wear: f64| -> f64 {
             let mut worst = f64::NEG_INFINITY;
             for &i in cands {
@@ -491,45 +562,6 @@ impl CellArena {
             .iter()
             .map(|&(sw, pw)| eval(&stressed_cands, sw).max(eval(&spared_cands, pw)))
             .collect()
-    }
-
-    /// One sweep in `order` (descending susceptibility, see [`scan_order`])
-    /// over the cells of one stress class, keeping every cell not strictly
-    /// dominated by an earlier (≥ susceptibility) candidate. `d_hi`/`d_lo`
-    /// bound the cell's wear-independent log-time offset over all sigmas in
-    /// the table and both trap states; `fl` monotonicity of `*`/`+` keeps
-    /// the bounds valid in floating point, and [`PRUNE_MARGIN`] absorbs the
-    /// cross-expression rounding slack.
-    fn frontier(
-        &self,
-        order: &[u32],
-        stressed: &[bool],
-        want: bool,
-        sig_lo: f64,
-        sig_hi: f64,
-    ) -> Vec<u32> {
-        let s = &*self.statics;
-        let mut cands = Vec::new();
-        let mut best_d_lo = f64::NEG_INFINITY;
-        for &oi in order {
-            let i = oi as usize;
-            if stressed[i] != want {
-                continue;
-            }
-            let z = s.erase_z[i];
-            let straggler = s.ln_straggler[i];
-            let zs_a = sig_lo * z;
-            let zs_b = sig_hi * z;
-            let d_hi = zs_a.max(zs_b) + straggler;
-            // `ln_early_factor` ≤ 0: the trap-active variant is the floor.
-            let d_lo = zs_a.min(zs_b) + straggler + s.ln_early_factor[i];
-            if best_d_lo >= d_hi + PRUNE_MARGIN {
-                continue;
-            }
-            cands.push(oi);
-            best_d_lo = best_d_lo.max(d_lo);
-        }
-        cands
     }
 
     /// Applies one erase pulse of nominal duration `nominal_us` (scaled by
@@ -569,11 +601,11 @@ impl CellArena {
         temp_factor: f64,
     ) -> bool {
         let n = self.len();
-        let max_bucket = self.ensure_cache(params, cache, self.state.max_wear());
+        let max_wear = self.state.max_wear();
+        let (s, state) = self.lanes(params);
+        let max_bucket = s.ensure_cache(params, cache, max_wear);
         let pass = ErasePass::new(params, cache);
         let floor = pulse.min_effective_us(params, nominal_us) * temp_factor;
-        let Self { statics, state } = self;
-        let s: &Statics = statics;
         let state = Arc::make_mut(state);
         let t_ub = s.t_cross_ceiling(&pass, max_bucket);
         let mut all_done = true;
@@ -645,7 +677,8 @@ impl CellArena {
         value: u16,
         stream: &CounterStream,
     ) {
-        Arc::make_mut(&mut self.state).program_word(&self.statics, params, offset, value, *stream);
+        let (s, state) = self.lanes(params);
+        Arc::make_mut(state).program_word(s, params, offset, value, *stream);
     }
 
     /// Chunked-lane closed-form P/E stress: cells flagged in `stressed` take
@@ -662,7 +695,8 @@ impl CellArena {
     pub fn bulk_stress(&mut self, params: &PhysicsParams, stressed: &[bool], cycles: f64) {
         assert_eq!(stressed.len(), self.len(), "stress mask length mismatch");
         assert!(cycles >= 0.0, "negative cycle count");
-        Arc::make_mut(&mut self.state).bulk_stress(&self.statics, params, stressed, cycles);
+        let (s, state) = self.lanes(params);
+        Arc::make_mut(state).bulk_stress(s, params, stressed, cycles);
     }
 }
 
@@ -843,13 +877,14 @@ impl State {
 
 /// A bounded per-thread free list of lane buffers.
 ///
-/// A wear probe derives a segment on a chip's throwaway copy, and a
-/// request's first write to a state it shares copies that state's lanes;
-/// the request then drops them all, up to ~0.5 MB in 32 KB lanes. Handed
-/// back to the allocator, that much free memory at the heap top is
+/// A wear probe derives a segment on a chip's throwaway copy, a copy that
+/// computes on a segment whose statics were shed derives them again, and
+/// a request's first write to a state it shares copies that state's
+/// lanes; the request then drops them all, up to ~0.5 MB in 32 KB lanes.
+/// Handed back to the allocator, that much free memory at the heap top is
 /// returned to the OS, and the next request faults the pages back in.
-/// Dropped arenas and statics put their lanes here instead, and the next
-/// copy or derive draws from them. A buffer keeps no values (a derive
+/// Dropped arenas and statics (shed ones included) put their lanes here
+/// instead, and the next copy or derive draws from them. A buffer keeps no values (a derive
 /// fills and a copy overwrites the whole lane), so reuse changes no result.
 ///
 /// A taker gets only a buffer that fits its lane: capacity at least the
@@ -1070,6 +1105,11 @@ mod tests {
         (0..n).map(|i| i % 3 != 0).collect()
     }
 
+    /// The statics lanes an arena holds.
+    fn held(a: &CellArena) -> &Statics {
+        a.statics.as_deref().expect("the arena holds its statics")
+    }
+
     /// Every lane a kernel reads equals its [`CellStatics::derive`] field
     /// or accessor bit for bit, and every lane maximum is that lane's fold:
     /// all three presets, four chips, base cells up to 2⁴⁰, and lengths on
@@ -1108,11 +1148,6 @@ mod tests {
         s: &Statics,
         at: &str,
     ) {
-        assert_eq!(
-            (s.chip_seed, s.base_cell),
-            (chip, base),
-            "{at}: seed and base"
-        );
         let lens = [
             s.erase_z.len(),
             s.ln_straggler.len(),
@@ -1180,14 +1215,14 @@ mod tests {
         let ties: Vec<f64> = (0..4096u64)
             .map(|i| [0.018, 0.25, 1.0, 1.06, 1.15][(crate::rng::mix64(i) % 5) as usize])
             .collect();
-        for lane in [&derived.statics.susceptibility, &ties] {
+        for lane in [&held(&derived).susceptibility, &ties] {
             assert_eq!(scan_order(lane), comparison_sort(lane));
         }
     }
 
     #[test]
     fn max_kernel_matches_scalar_reference() {
-        let (params, arena) = arena(333);
+        let (params, mut arena) = arena(333);
         let stressed = mask(arena.len());
         for wear in [0.0, 4_000.0, 40_000.0, 100_000.0] {
             let mut c1 = EraseDistCache::new(params.erase_dist_grid_kcycles);
@@ -1212,7 +1247,7 @@ mod tests {
 
     #[test]
     fn multi_kernel_matches_single_calls_bitwise() {
-        let (params, arena) = arena(1024);
+        let (params, mut arena) = arena(1024);
         let stressed = mask(arena.len());
         let pairs = schedule();
         let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
@@ -1227,7 +1262,7 @@ mod tests {
     /// evaluates every cell of each class, still bit for bit.
     #[test]
     fn non_monotone_table_scans_every_cell() {
-        let (params, arena) = arena(1024);
+        let (params, mut arena) = arena(1024);
         let stressed = mask(arena.len());
         let pairs = schedule();
         let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
@@ -1427,10 +1462,10 @@ mod tests {
             },
         );
         let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
-        let max_bucket = cell.ensure_cache(&params, &mut cache, 0.0);
+        let max_bucket = held(&cell).ensure_cache(&params, &mut cache, 0.0);
         let pass = ErasePass::new(&params, &cache);
         let t_full_ub = pass.t_full(
-            cell.statics.t_cross_ceiling(&pass, max_bucket),
+            held(&cell).t_cross_ceiling(&pass, max_bucket),
             statics.vth_prog0,
             vth_end,
         );
@@ -1484,7 +1519,10 @@ mod tests {
             let (params, mut source, pulse) = worn(256);
             let before = state_bits(&source);
             let mut copy = source.clone();
-            assert!(Arc::ptr_eq(&source.statics, &copy.statics));
+            assert!(Arc::ptr_eq(
+                source.statics.as_ref().expect("unshed source"),
+                copy.statics.as_ref().expect("unshed copy")
+            ));
             assert!(Arc::ptr_eq(&source.state, &copy.state), "{name}: shared");
             write(&mut copy, &params, &pulse);
             assert!(!Arc::ptr_eq(&source.state, &copy.state), "{name}: copied");
@@ -1511,6 +1549,91 @@ mod tests {
                 "{name}: clone after the source's write"
             );
         }
+    }
+
+    /// Every kernel that reads the statics gives on a shed arena the
+    /// outputs and the `vth`/wear bits of its unshed twin, and leaves the
+    /// shed arena holding lanes of its own, derived again to the spec: the
+    /// exact and the closed-form erase pulse, word programs, bulk stress
+    /// and the crossing-time maxima, over a length off the chunk edges.
+    #[test]
+    fn shed_arenas_compute_what_unshed_ones_do() {
+        type Kernel = fn(&mut CellArena, &PhysicsParams, &PulseNoise) -> Vec<u64>;
+        fn erase(
+            a: &mut CellArena,
+            params: &PhysicsParams,
+            pulse: &PulseNoise,
+            us: f64,
+        ) -> Vec<u64> {
+            let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
+            vec![u64::from(
+                a.erase_pulse(params, &mut cache, 64, pulse, us, 1.07),
+            )]
+        }
+        let kernels: [(&str, Kernel); 5] = [
+            ("exact erase_pulse", |a, params, pulse| {
+                erase(a, params, pulse, 25.0)
+            }),
+            ("closed-form erase_pulse", |a, params, pulse| {
+                erase(a, params, pulse, 25_000.0)
+            }),
+            ("program_word", |a, params, _| {
+                for w in 0..a.len() / WORD_BITS {
+                    let stream = CounterStream::new(CHIP, 0x9806, w as u64);
+                    a.program_word(params, w * WORD_BITS, 0x5A0F, &stream);
+                }
+                Vec::new()
+            }),
+            ("bulk_stress", |a, params, _| {
+                a.bulk_stress(params, &mask(a.len()), 12_345.0);
+                Vec::new()
+            }),
+            ("max_ln_t_cross_multi", |a, params, _| {
+                let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
+                let worst = a.max_ln_t_cross_multi(params, &mut cache, &mask(a.len()), &schedule());
+                worst.into_iter().map(f64::to_bits).collect()
+            }),
+        ];
+        let n = 333;
+        for (name, kernel) in kernels {
+            let (params, mut unshed, pulse) = worn(n);
+            let mut shed = unshed.clone();
+            shed.shed_statics();
+            assert!(shed.statics.is_none(), "{name}: shed");
+            let want = kernel(&mut unshed, &params, &pulse);
+            assert_eq!(kernel(&mut shed, &params, &pulse), want, "{name}: outputs");
+            assert_lanes_bitwise(&shed, &unshed, name);
+            assert!(
+                !Arc::ptr_eq(
+                    shed.statics.as_ref().expect("derived again"),
+                    unshed.statics.as_ref().expect("held")
+                ),
+                "{name}: the shed arena derived lanes of its own"
+            );
+            assert_statics_match_spec(&params, (CHIP, 64, n), held(&shed), name);
+        }
+    }
+
+    /// Shedding the last hold on a segment's statics hands its seven lanes
+    /// to the free list; shedding a hold a clone shares hands none. Both
+    /// keep their state.
+    #[test]
+    fn shedding_the_last_holder_recycles_seven_lanes() {
+        let n = 4096;
+        let (_, mut last) = arena(n);
+        let mut first = last.clone();
+        let before = state_bits(&last);
+        let kept = pool::kept_bytes();
+        first.shed_statics();
+        assert_eq!(pool::kept_bytes(), kept, "a shared hold frees no lane");
+        last.shed_statics();
+        assert_eq!(
+            pool::kept_bytes(),
+            kept + 7 * n * size_of::<f64>(),
+            "the last hold freed seven lanes"
+        );
+        assert_eq!(state_bits(&first), before);
+        assert_eq!(state_bits(&last), before);
     }
 
     /// The free list hands a taker only a buffer that fits its lane: a
@@ -1651,8 +1774,13 @@ mod tests {
         let asked = (CHIP + 1, 64, 4096);
         let derived = CellArena::derive(&params, asked.0, asked.1, asked.2);
         assert!(pool::kept_bytes() < kept, "the derive drew recycled lanes");
-        assert_statics_match_spec(&params, asked, &derived.statics, "recycled derive");
-        let fresh = derived.statics.vth_erased0.iter().map(|v| v.to_bits());
+        assert_eq!(
+            (derived.chip_seed, derived.base_cell),
+            (asked.0, asked.1),
+            "recycled derive: seed and base"
+        );
+        assert_statics_match_spec(&params, asked, held(&derived), "recycled derive");
+        let fresh = held(&derived).vth_erased0.iter().map(|v| v.to_bits());
         let zeros = || vec![0.0f64.to_bits(); 4096];
         assert_eq!(
             state_bits(&derived),
@@ -1673,7 +1801,7 @@ mod tests {
 
     #[test]
     fn empty_arena_max_is_neg_infinity() {
-        let (params, arena) = arena(0);
+        let (params, mut arena) = arena(0);
         let mut cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
         let worst = arena.max_ln_t_cross_multi(&params, &mut cache, &[], &[(10_000.0, 0.0)])[0];
         assert!(worst.is_infinite() && worst < 0.0);

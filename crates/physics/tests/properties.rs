@@ -175,7 +175,7 @@ proptest! {
     ) {
         let p = params();
         let n = n as usize;
-        let a = CellArena::derive(&p, seed, 128, n);
+        let mut a = CellArena::derive(&p, seed, 128, n);
         let mask = lane_mask(n);
         let lane = a.max_ln_t_cross_multi(&p, &mut cache(&p), &mask, &[(sw, pw)]);
         let scalar = reference::max_ln_t_cross(&a, &p, &mut cache(&p), &mask, sw, pw);
@@ -263,7 +263,7 @@ proptest! {
         wears in proptest::collection::vec(0.0f64..140_000.0, 2..36),
     ) {
         let p = params();
-        let a = CellArena::derive(&p, seed, 128, n);
+        let mut a = CellArena::derive(&p, seed, 128, n);
         let mut rng = SplitMix64::new(mask_seed);
         let mask: Vec<bool> = (0..n).map(|_| rng.next_f64() < stressed_share).collect();
         let pairs: Vec<(f64, f64)> = wears.chunks_exact(2).map(|w| (w[0], w[1])).collect();
@@ -327,7 +327,7 @@ proptest! {
 fn lane_kernel_bitwise_at_every_lut_bucket_boundary() {
     let p = params();
     // 13 cells, both stress classes populated.
-    let a = CellArena::derive(&p, 0x1D5EED, 128, 13);
+    let mut a = CellArena::derive(&p, 0x1D5EED, 128, 13);
     let mask = lane_mask(13);
     let mut lane_cache = cache(&p);
     let mut scalar_cache = cache(&p);
@@ -476,7 +476,7 @@ fn erase_bitwise_across_the_closed_form_threshold() {
 #[test]
 fn multi_schedule_bitwise_across_every_lut_bucket() {
     let p = params();
-    let a = CellArena::derive(&p, 0x0D15EA5E, 128, 13);
+    let mut a = CellArena::derive(&p, 0x0D15EA5E, 128, 13);
     let mask = lane_mask(13);
     let grid = p.erase_dist_grid_kcycles;
     let buckets = (130.0 / grid).ceil() as usize;

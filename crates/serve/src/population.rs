@@ -7,6 +7,10 @@
 //! materializes a fresh copy of that state, modeling repeated incoming
 //! inspections of parts from the same lot without the inspector's own
 //! extractions accumulating wear on a single simulated die.
+//!
+//! An enrolled chip keeps only its wear: enrollment sheds the per-cell
+//! statics, which are a pure function of the chip seed, and a request's
+//! copy that computes on a segment derives them again for itself.
 
 use flashmark_core::{CoreError, FlashmarkConfig, TestStatus, Verifier};
 use flashmark_msp430::Msp430Variant;
@@ -150,21 +154,13 @@ impl PopulationSpec {
         for _ in 0..self.genuine {
             let id = chips.len() as u64;
             let chip = screened(&mut manufacturer, chip_seed(id), TestStatus::Accept)?;
-            chips.push(EnrolledChip {
-                chip_id: id,
-                class: class::GENUINE,
-                chip,
-            });
+            enroll(&mut chips, class::GENUINE, chip);
         }
         for _ in 0..self.fallout {
             let id = chips.len() as u64;
             let mut chip = screened(&mut manufacturer, chip_seed(id), TestStatus::Reject)?;
             MetadataForge.apply(&mut chip)?;
-            chips.push(EnrolledChip {
-                chip_id: id,
-                class: class::FALLOUT,
-                chip,
-            });
+            enroll(&mut chips, class::FALLOUT, chip);
         }
         for _ in 0..self.recycled {
             let id = chips.len() as u64;
@@ -175,11 +171,7 @@ impl PopulationSpec {
             chip.provenance = Provenance::Recycled {
                 prior_cycles: self.recycled_cycles,
             };
-            chips.push(EnrolledChip {
-                chip_id: id,
-                class: class::RECYCLED,
-                chip,
-            });
+            enroll(&mut chips, class::RECYCLED, chip);
         }
         if self.clones > 0 {
             let mut donor = manufacturer.produce(mix2(self.seed, 0xD0_00E5), TestStatus::Accept)?;
@@ -192,24 +184,29 @@ impl PopulationSpec {
                     donor_bits: donor_bits.clone(),
                 }
                 .apply(&mut chip)?;
-                chips.push(EnrolledChip {
-                    chip_id: id,
-                    class: class::CLONE,
-                    chip,
-                });
+                enroll(&mut chips, class::CLONE, chip);
             }
         }
         for _ in 0..self.rebranded {
             let id = chips.len() as u64;
             let chip = Chip::fresh(Msp430Variant::F5529, chip_seed(id), Provenance::Rebranded);
-            chips.push(EnrolledChip {
-                chip_id: id,
-                class: class::REBRANDED,
-                chip,
-            });
+            enroll(&mut chips, class::REBRANDED, chip);
         }
         Ok(Population { chips })
     }
+}
+
+/// Enrolls `chip` as the next identity of `chips`, once die sort and its
+/// first life are done with it. The chip keeps only its wear: its statics
+/// are shed, and a request's copy that computes on a segment derives them
+/// again.
+fn enroll(chips: &mut Vec<EnrolledChip>, class: &'static str, mut chip: Chip) {
+    chip.flash.shed_statics();
+    chips.push(EnrolledChip {
+        chip_id: chips.len() as u64,
+        class,
+        chip,
+    });
 }
 
 /// The enrolled population, indexed by `chip_id`.
@@ -258,7 +255,8 @@ impl Population {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashmark_core::FlashmarkConfig;
+    use flashmark_core::{FlashmarkConfig, StressDetector};
+    use flashmark_nor::interface::FlashInterface;
 
     fn config() -> FlashmarkConfig {
         FlashmarkConfig::builder()
@@ -310,6 +308,45 @@ mod tests {
         };
         let built = spec.build(&weak, 0x7C01);
         assert!(matches!(built, Err(CoreError::Config(_))));
+    }
+
+    /// A produced chip, and one a first life wore, verify and probe when
+    /// shed exactly as when not: the same reports and the same `elapsed`
+    /// bits, probing a fresh segment and then a worn one. The two sides
+    /// are built apart, so neither follows a journal the other recorded:
+    /// the shed side computes, deriving its statics again.
+    #[test]
+    fn shed_chips_verify_and_probe_as_unshed_ones_do() {
+        let (worn, fresh) = (SegmentAddr::new(4), SegmentAddr::new(20));
+        let build = |field_use: bool| {
+            let mut maker = Manufacturer::new(0x7C01, Msp430Variant::F5438, config());
+            let mut chip = maker.produce(0x5EED_0001, TestStatus::Accept).unwrap();
+            if field_use {
+                simulate_field_use(&mut chip, worn, 40_000).unwrap();
+            }
+            chip
+        };
+        let verifier = Verifier::new(config(), 0x7C01);
+        let detector = StressDetector::fig5();
+        let inspect = |chip: &Chip, probe: SegmentAddr| {
+            let mut flash = chip.flash.clone();
+            let seg = flash.watermark_segment();
+            let report = verifier.verify(&mut flash, seg).unwrap();
+            let probed = detector.classify(&mut flash, probe).unwrap();
+            (report, probed, flash.elapsed().get().to_bits())
+        };
+        for field_use in [false, true] {
+            let (unshed, mut shed) = (build(field_use), build(field_use));
+            shed.flash.shed_statics();
+            for probe in [fresh, worn] {
+                assert_eq!(
+                    inspect(&shed, probe),
+                    inspect(&unshed, probe),
+                    "field use {field_use}, probe of segment {}",
+                    probe.index()
+                );
+            }
+        }
     }
 
     #[test]
