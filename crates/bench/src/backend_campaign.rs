@@ -35,8 +35,10 @@ use flashmark_physics::rng::mix2;
 use flashmark_physics::{Micros, PhysicsParams};
 use flashmark_registry::{Record, RecordVerdict, Registry, RegistryOptions};
 use flashmark_reram::{reram_like, reram_timings, RERAM_FORMING};
+use flashmark_serve::map_verdict;
 
 use crate::impl_to_json;
+use crate::json::{Json, ToJson};
 
 /// Manufacturer ID every backend's enrollment carries.
 pub const BACKEND_MANUFACTURER: u16 = 0x7C02;
@@ -173,8 +175,8 @@ pub struct BackendRow {
     pub scenario: String,
     /// Trial index within the (scheme, scenario) cell.
     pub trial: u64,
-    /// Verdict class: `accept` / `reject` / `inconclusive`.
-    pub verdict: String,
+    /// Registry verdict class (`accept` / `reject` / `inconclusive`).
+    pub verdict: RecordVerdict,
     /// Stable reason label (empty for accepts).
     pub reason: String,
     /// Resolution strategy label from the scheme verification.
@@ -210,6 +212,12 @@ impl_to_json!(BackendRow {
     expected,
     legacy_match
 });
+
+impl ToJson for RecordVerdict {
+    fn to_json(&self) -> Json {
+        Json::Str(self.name().to_string())
+    }
+}
 
 /// One (scenario, verdict, reason) count in a scheme's verdict mix.
 #[derive(Debug, Clone)]
@@ -298,18 +306,6 @@ impl_to_json!(BackendCampaignData {
     schemes,
     rows
 });
-
-/// Maps the shared verdict vocabulary onto stable (class, reason) labels —
-/// the same labels the serving layer archives.
-#[must_use]
-pub fn verdict_labels(verdict: &Verdict) -> (&'static str, &'static str) {
-    let class = match verdict {
-        Verdict::Genuine => "accept",
-        Verdict::Counterfeit(_) => "reject",
-        Verdict::Inconclusive(_) => "inconclusive",
-    };
-    (class, verdict.reason())
-}
 
 /// One generic trial's measured outcome, before row labeling.
 struct TrialOutcome {
@@ -577,11 +573,6 @@ fn seal_scheme_rows(
     let params_line = backend_params_line(scheme, opts);
     let mut registry = Registry::new(RegistryOptions::default());
     for (i, row) in rows.iter().enumerate() {
-        let verdict = match row.verdict.as_str() {
-            "accept" => RecordVerdict::Accept,
-            "reject" => RecordVerdict::Reject,
-            _ => RecordVerdict::Inconclusive,
-        };
         let mismatch = row
             .mismatch
             .map_or_else(|| "null".to_string(), |m| format!("{m}"));
@@ -592,7 +583,7 @@ fn seal_scheme_rows(
             scheme: scheme.to_string(),
             commit: BACKEND_COMMIT.to_string(),
             params: params_line.clone(),
-            verdict,
+            verdict: row.verdict,
             reason: row.reason.clone(),
             metrics: format!(
                 "{{\"mismatch\":{mismatch},\"imprint_cycles\":{}}}",
@@ -641,13 +632,13 @@ fn summarize_scheme(
     let mut mix: Vec<BackendMixRow> = Vec::new();
     for row in rows {
         if let Some(m) = mix.iter_mut().find(|m| {
-            m.scenario == row.scenario && m.verdict == row.verdict && m.reason == row.reason
+            m.scenario == row.scenario && m.verdict == row.verdict.name() && m.reason == row.reason
         }) {
             m.count += 1;
         } else {
             mix.push(BackendMixRow {
                 scenario: row.scenario.clone(),
-                verdict: row.verdict.clone(),
+                verdict: row.verdict.name().to_string(),
                 reason: row.reason.clone(),
                 count: 1,
             });
@@ -693,12 +684,12 @@ pub fn run_backend_campaign(
         let trial = (rem % per) as u64;
         let (name, _, trial_fn) = backends()[scheme_idx];
         let (out, legacy_match) = trial_fn(t.seed, scenario)?;
-        let (verdict, reason) = verdict_labels(&out.verdict);
+        let (verdict, reason) = map_verdict(out.verdict);
         Ok(BackendRow {
             scheme: name.to_string(),
             scenario: scenario.name().to_string(),
             trial,
-            verdict: verdict.to_string(),
+            verdict,
             reason: reason.to_string(),
             resolution: out.resolution.to_string(),
             mismatch: out.mismatch,

@@ -6,10 +6,11 @@
 //! kept in-tree so the calibration is reproducible when the physics model
 //! changes.
 
-use flashmark_core::{Extractor, FlashmarkConfig, Imprinter, SweepSpec};
+use flashmark_core::{FlashmarkConfig, Imprinter, SweepSpec};
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_physics::{PhysicsParams, SusceptibilityTable};
 
+use flashmark_bench::experiments::ber_sweep;
 use flashmark_bench::harness::uppercase_ascii_watermark;
 
 fn min_ber(params: &PhysicsParams, seed: u64, kcycles: f64, sweep: &SweepSpec) -> (f64, f64) {
@@ -30,27 +31,10 @@ fn min_ber(params: &PhysicsParams, seed: u64, kcycles: f64, sweep: &SweepSpec) -
     Imprinter::new(&cfg)
         .imprint(&mut flash, seg, &wm)
         .expect("imprint");
-    let mut best = (0.0, f64::INFINITY);
-    for t in sweep.times() {
-        if t.get() <= 0.0 {
-            continue;
-        }
-        let cfg_t = FlashmarkConfig::builder()
-            .n_pe(1)
-            .replicas(1)
-            .reads(1)
-            .t_pew(t)
-            .build()
-            .expect("valid");
-        let e = Extractor::new(&cfg_t)
-            .extract(&mut flash, seg, wm.len())
-            .expect("extract");
-        let ber = e.ber_against(&wm);
-        if ber < best.1 {
-            best = (t.get(), ber);
-        }
-    }
-    best
+    ber_sweep(&mut flash, seg, &wm, &cfg, kcycles, sweep)
+        .expect("extract")
+        .minimum()
+        .unwrap_or((0.0, f64::INFINITY))
 }
 
 fn evaluate(label: &str, params: &PhysicsParams) {

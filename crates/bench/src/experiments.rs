@@ -8,14 +8,14 @@
 //! The suite ([`crate::suite`]) writes each result as a JSON artifact.
 
 use flashmark_core::{
-    analyze_segment, characterize_segment, select_t_pew, CoreError, Extractor, FlashmarkConfig,
+    characterize_segment, select_t_pew, sense_segment, CoreError, Extractor, FlashmarkConfig,
     Imprinter, ProgramTimeDetector, SegmentCondition, StressDetector, SweepSpec, TestStatus,
     Verdict, Verifier, Watermark,
 };
 use flashmark_ecc::{Code, Hamming};
 use flashmark_msp430::{Msp430Flash, Msp430Variant};
 use flashmark_nand::{NandChip, NandGeometry, NandWordAdapter};
-use flashmark_nor::interface::{BulkStress, FlashInterface, FlashInterfaceExt};
+use flashmark_nor::interface::{BulkStress, FlashInterface};
 use flashmark_nor::{FlashController, FlashGeometry, FlashTimings, SegmentAddr};
 use flashmark_par::TrialRunner;
 use flashmark_physics::{Micros, PhysicsParams};
@@ -99,11 +99,7 @@ fn all_erased_search(
     let mut t = start;
     for _ in 0..200 {
         t += Micros::new(10.0);
-        flash.erase_segment(seg)?;
-        flash.program_all_zero(seg)?;
-        flash.partial_erase(seg, t)?;
-        let bits = analyze_segment(flash, seg, reads)?;
-        if bits.iter().all(|&b| b) {
+        if sense_segment(flash, seg, t, reads)?.iter().all(|&b| b) {
             flash.erase_segment(seg)?;
             return Ok(t);
         }
@@ -219,23 +215,16 @@ pub fn fig09(
         let k = stress_kcycles[trial.index];
         let mut flash = trial_chip(trial);
         let seg = SegmentAddr::new(0);
-        let points = if k == 0.0 {
+        let recipe = FlashmarkConfig::builder().replicas(1).reads(1);
+        let cfg = if k == 0.0 {
             // No imprint at all: the watermark was never written.
-            ber_sweep(&mut flash, seg, &wm, 1, sweep)?
+            recipe.build()?
         } else {
-            let cfg = FlashmarkConfig::builder()
-                .n_pe((k * 1000.0) as u64)
-                .replicas(1)
-                .reads(1)
-                .build()?;
+            let cfg = recipe.n_pe((k * 1000.0) as u64).build()?;
             Imprinter::new(&cfg).imprint(&mut flash, seg, &wm)?;
-            ber_sweep(&mut flash, seg, &wm, 1, sweep)?
+            cfg
         };
-        Ok(BerSeries {
-            kcycles: k,
-            replicas: 1,
-            points,
-        })
+        ber_sweep(&mut flash, seg, &wm, &cfg, k, sweep)
     });
     Ok(Fig09Data {
         ones_fraction: wm.ones_fraction(),
@@ -243,28 +232,34 @@ pub fn fig09(
     })
 }
 
-fn ber_sweep(
+/// The BER-vs-`tPE` series of a segment imprinted with `wm` at
+/// `kcycles`: one extraction per positive time of the sweep, each under
+/// `recipe` with only its `tPEW` changed.
+///
+/// # Errors
+///
+/// Flash/configuration errors.
+pub fn ber_sweep(
     flash: &mut FlashController,
     seg: SegmentAddr,
     wm: &Watermark,
-    replicas: usize,
+    recipe: &FlashmarkConfig,
+    kcycles: f64,
     sweep: &SweepSpec,
-) -> Result<Vec<(f64, f64)>, CoreError> {
+) -> Result<BerSeries, CoreError> {
     let mut points = Vec::new();
     for t in sweep.times() {
         if t.get() <= 0.0 {
             continue;
         }
-        let cfg = FlashmarkConfig::builder()
-            .n_pe(1) // unused during extraction
-            .replicas(replicas)
-            .reads(1)
-            .t_pew(t)
-            .build()?;
-        let extraction = Extractor::new(&cfg).extract(flash, seg, wm.len())?;
+        let extraction = Extractor::new(&recipe.with_t_pew(t)?).extract(flash, seg, wm.len())?;
         points.push((t.get(), extraction.ber_against(wm)));
     }
-    Ok(points)
+    Ok(BerSeries {
+        kcycles,
+        replicas: recipe.replicas(),
+        points,
+    })
 }
 
 // --------------------------------------------------------------- Fig. 10 --
@@ -392,26 +387,7 @@ pub fn fig11(
             .reads(1)
             .build()?;
         Imprinter::new(&cfg).imprint(&mut flash, seg, &wm)?;
-
-        let mut points = Vec::new();
-        for t in sweep.times() {
-            if t.get() <= 0.0 {
-                continue;
-            }
-            let cfg_t = FlashmarkConfig::builder()
-                .n_pe(1)
-                .replicas(reps)
-                .reads(1)
-                .t_pew(t)
-                .build()?;
-            let e = Extractor::new(&cfg_t).extract(&mut flash, seg, wm.len())?;
-            points.push((t.get(), e.ber_against(&wm)));
-        }
-        Ok(BerSeries {
-            kcycles: k,
-            replicas: reps,
-            points,
-        })
+        ber_sweep(&mut flash, seg, &wm, &cfg, k, sweep)
     });
     Ok(Fig11Data {
         series: merge(series)?,
@@ -571,28 +547,19 @@ pub fn read_majority_ablation(
         let reads = read_counts[trial.index];
         let mut flash = trial_chip(trial);
         let seg = SegmentAddr::new(0);
+        // The imprint reads nothing, so the read count only shapes the
+        // extractions.
         let cfg = FlashmarkConfig::builder()
             .n_pe((stress_kcycles * 1000.0) as u64)
             .replicas(1)
-            .reads(1)
+            .reads(reads)
             .build()?;
         Imprinter::new(&cfg).imprint(&mut flash, seg, &wm)?;
-
-        let mut best = f64::INFINITY;
-        for t in sweep.times() {
-            if t.get() <= 0.0 {
-                continue;
-            }
-            let cfg_t = FlashmarkConfig::builder()
-                .n_pe(1)
-                .replicas(1)
-                .reads(reads)
-                .t_pew(t)
-                .build()?;
-            let e = Extractor::new(&cfg_t).extract(&mut flash, seg, wm.len())?;
-            best = best.min(e.ber_against(&wm));
-        }
-        Ok((reads, best))
+        let series = ber_sweep(&mut flash, seg, &wm, &cfg, stress_kcycles, sweep)?;
+        Ok((
+            reads,
+            series.minimum().map_or(f64::INFINITY, |(_, ber)| ber),
+        ))
     });
     Ok(ReadMajorityData { rows: merge(rows)? })
 }
@@ -707,25 +674,13 @@ pub fn temperature_sweep(
         Imprinter::new(&cfg).imprint(&mut flash, seg, &wm)?;
 
         flash.set_temperature_c(temp);
-        let mut best = (0.0f64, f64::INFINITY);
-        let mut at_ref = f64::NAN;
-        for t in sweep.times() {
-            let c = FlashmarkConfig::builder()
-                .n_pe(1)
-                .replicas(1)
-                .reads(1)
-                .t_pew(t)
-                .build()?;
-            let ber = Extractor::new(&c)
-                .extract(&mut flash, seg, wm.len())?
-                .ber_against(&wm);
-            if ber < best.1 {
-                best = (t.get(), ber);
-            }
-            if (t.get() - 28.0).abs() < 0.01 {
-                at_ref = ber;
-            }
-        }
+        let series = ber_sweep(&mut flash, seg, &wm, &cfg, 60.0, sweep)?;
+        let best = series.minimum().unwrap_or((0.0, f64::INFINITY));
+        let at_ref = series
+            .points
+            .iter()
+            .rfind(|&&(t, _)| (t - 28.0).abs() < 0.01)
+            .map_or(f64::NAN, |&(_, ber)| ber);
         Ok(((temp, best.0, best.1), (temp, at_ref)))
     });
     let (rows, fixed_t_pew_rows) = merge(per_temp)?.into_iter().unzip();

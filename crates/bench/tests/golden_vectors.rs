@@ -1,12 +1,15 @@
 //! Golden-vector regression: re-runs the Fig. 5 extraction on its fixed
 //! suite seed and pins every field against the committed
-//! `results/fig05.json`. Any drift in the physics model, characterization,
-//! or RNG plumbing shows up here as an exact-value mismatch rather than a
-//! silently regenerated artifact.
+//! `results/fig05.json`, and replays one instrumented fault-campaign trial
+//! against its committed event timeline. Any drift in the physics model,
+//! characterization, op order or RNG plumbing shows up here as an
+//! exact-value mismatch rather than a silently regenerated artifact.
 
 use std::path::Path;
 
 use flashmark_bench::experiments::fig05;
+use flashmark_bench::observability::dump_trial;
+use flashmark_bench::suite::Profile;
 use flashmark_par::TrialRunner;
 use flashmark_physics::Micros;
 
@@ -62,4 +65,32 @@ fn fig05_extraction_matches_committed_golden_vector() {
         field(&text, "best_distinguishable").to_bits()
     );
     assert_eq!(f5.programmed_at_t_pew, programmed_pair(&text));
+}
+
+/// The timeline `obs_dump --seed=42 --trial=0` prints (the smoke profile's
+/// first trial: every flash op, retry, ladder rung and the verdict, in op
+/// order), pinned byte for byte. Regenerate the fixture with that command
+/// only for a change meant to move the timeline.
+#[test]
+fn obs_dump_timeline_matches_the_pinned_fixture() {
+    let pinned = include_str!("obs_dump_seed42_trial0.txt");
+    let timeline = dump_trial(42, 0, Profile::Smoke).unwrap();
+    let first_diff = timeline
+        .lines()
+        .zip(pinned.lines())
+        .position(|(got, want)| got != want);
+    if let Some(i) = first_diff {
+        panic!(
+            "timeline line {} moved: got {:?}, pinned {:?}",
+            i + 1,
+            timeline.lines().nth(i),
+            pinned.lines().nth(i)
+        );
+    }
+    assert!(
+        timeline == pinned,
+        "timeline has {} lines, the pinned one {}",
+        timeline.lines().count(),
+        pinned.lines().count()
+    );
 }

@@ -2,10 +2,11 @@
 //! interface (paper Fig. 3 / Fig. 4).
 //!
 //! [`analyze_segment`] is the paper's `AnalyzeSegment`: read every word N
-//! times (N odd) and majority-vote each bit. [`characterize_segment`] is
-//! `CharacterizeSegment`: for each partial-erase time in a sweep, erase →
-//! program-all → partial erase → analyze, recording how many cells read
-//! programmed vs erased.
+//! times (N odd) and majority-vote each bit. [`sense_segment`] is the
+//! sensing round every Flashmark procedure shares: erase → program-all →
+//! partial erase → analyze. [`characterize_segment`] is
+//! `CharacterizeSegment`: one sensing round per partial-erase time of a
+//! sweep, recording how many cells read programmed vs erased.
 
 use flashmark_ecc::MajorityVote;
 use flashmark_nor::interface::{FlashInterface, FlashInterfaceExt};
@@ -147,26 +148,10 @@ pub fn analyze_segment<F: FlashInterface>(
     seg: SegmentAddr,
     reads: usize,
 ) -> Result<Vec<bool>, CoreError> {
-    let votes = analyze_segment_soft(flash, seg, reads)?;
-    Ok(votes.iter().map(MajorityVote::winner).collect())
-}
-
-/// Like [`analyze_segment`] but returns the per-bit vote tallies.
-///
-/// # Errors
-///
-/// Flash errors, or [`CoreError::Config`] for an even/zero read count.
-pub fn analyze_segment_soft<F: FlashInterface>(
-    flash: &mut F,
-    seg: SegmentAddr,
-    reads: usize,
-) -> Result<Vec<MajorityVote>, CoreError> {
     if reads == 0 || reads.is_multiple_of(2) {
         return Err(CoreError::Config("read count must be odd"));
     }
-    let geometry = flash.geometry();
-    let cells = geometry.cells_per_segment();
-    let mut votes = vec![MajorityVote::new(); cells];
+    let mut votes = vec![MajorityVote::new(); flash.geometry().cells_per_segment()];
     for _ in 0..reads {
         // Batched segment read: bit-identical to a word-by-word loop, but
         // implementations may run the physics sweep in one pass.
@@ -177,12 +162,35 @@ pub fn analyze_segment_soft<F: FlashInterface>(
             }
         }
     }
-    Ok(votes)
+    Ok(votes.iter().map(MajorityVote::winner).collect())
 }
 
-/// The paper's `CharacterizeSegment` (Fig. 3): for each `tPE` of the sweep,
-/// erase the segment, program every cell, partially erase for `tPE`, then
-/// majority-analyze.
+/// One sensing round, the primitive `CharacterizeSegment` (Fig. 3), the
+/// fresh/stressed detector (Fig. 5) and `ExtractFlashmark` (Fig. 8) share:
+/// erase the segment, program every cell to 0, abort an erase after
+/// `t_pe` (no erase at all when `t_pe` is not positive), then
+/// [`analyze_segment`]. Fresh cells have crossed back to 1 by then while
+/// worn cells still read 0. **Destructive** to segment contents.
+///
+/// # Errors
+///
+/// Flash errors, or [`CoreError::Config`] for an even/zero read count.
+pub fn sense_segment<F: FlashInterface>(
+    flash: &mut F,
+    seg: SegmentAddr,
+    t_pe: Micros,
+    reads: usize,
+) -> Result<Vec<bool>, CoreError> {
+    flash.erase_segment(seg)?;
+    flash.program_all_zero(seg)?;
+    if t_pe.get() > 0.0 {
+        flash.partial_erase(seg, t_pe)?;
+    }
+    analyze_segment(flash, seg, reads)
+}
+
+/// The paper's `CharacterizeSegment` (Fig. 3): one [`sense_segment`]
+/// round for each `tPE` of the sweep.
 ///
 /// # Errors
 ///
@@ -201,12 +209,7 @@ pub fn characterize_segment<F: FlashInterface>(
     });
     let mut points = Vec::new();
     for t_pe in times {
-        flash.erase_segment(seg)?;
-        flash.program_all_zero(seg)?;
-        if t_pe.get() > 0.0 {
-            flash.partial_erase(seg, t_pe)?;
-        }
-        let bits = analyze_segment(flash, seg, reads)?;
+        let bits = sense_segment(flash, seg, t_pe, reads)?;
         let cells_1 = bits.iter().filter(|&&b| b).count();
         points.push(CharacterizationPoint {
             t_pe,

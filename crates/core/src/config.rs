@@ -62,6 +62,22 @@ impl FlashmarkConfig {
     pub fn accelerated(&self) -> bool {
         self.accelerated
     }
+
+    /// This recipe with only its extraction time changed: one rung of the
+    /// verifier's `tPEW` ladder, or one point of a BER sweep.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Config`] for a non-positive or non-finite `t_pew`.
+    pub fn with_t_pew(&self, t_pew: Micros) -> Result<Self, CoreError> {
+        FlashmarkConfigBuilder {
+            config: Self {
+                t_pew,
+                ..self.clone()
+            },
+        }
+        .build()
+    }
 }
 
 impl Default for FlashmarkConfig {
@@ -183,6 +199,32 @@ mod tests {
         assert_eq!(c.replicas(), 3);
         assert_eq!(c.reads(), 5);
         assert!(!c.accelerated());
+    }
+
+    #[test]
+    fn with_t_pew_changes_only_the_extraction_time() {
+        let c = FlashmarkConfig::builder()
+            .n_pe(40_000)
+            .replicas(3)
+            .reads(5)
+            .accelerated(false)
+            .build()
+            .unwrap();
+        let rung = c.with_t_pew(Micros::new(23.0)).unwrap();
+        assert_eq!(
+            rung,
+            FlashmarkConfig::builder()
+                .n_pe(40_000)
+                .t_pew(Micros::new(23.0))
+                .replicas(3)
+                .reads(5)
+                .accelerated(false)
+                .build()
+                .unwrap()
+        );
+        for t in [0.0, -1.0, f64::NAN] {
+            assert!(c.with_t_pew(Micros::new(t)).is_err(), "{t}");
+        }
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! *recycled* chips (heavily used flash that a counterfeiter resells as
 //! new).
 
-use flashmark_nor::interface::{FlashInterface, FlashInterfaceExt};
+use flashmark_nor::interface::FlashInterface;
 use flashmark_nor::SegmentAddr;
 use flashmark_physics::Micros;
 
-use crate::characterize::analyze_segment;
+use crate::characterize::{analyze_segment, sense_segment};
 use crate::error::CoreError;
 
 /// Verdict of a stress classification.
@@ -37,6 +37,25 @@ pub struct StressReport {
 }
 
 impl StressReport {
+    /// Counts the cells of one sensing round (`true` = erased) that still
+    /// read programmed, and calls the segment stressed when their fraction
+    /// exceeds `threshold`.
+    fn classify(bits: &[bool], threshold: f64, t_pew: Micros) -> Self {
+        let programmed = bits.iter().filter(|&&b| !b).count();
+        let total = bits.len();
+        let verdict = if (programmed as f64 / total as f64) > threshold {
+            SegmentCondition::Stressed
+        } else {
+            SegmentCondition::Fresh
+        };
+        Self {
+            programmed,
+            total,
+            verdict,
+            t_pew,
+        }
+    }
+
     /// Fraction of cells that resisted the partial erase.
     #[must_use]
     pub fn programmed_fraction(&self) -> f64 {
@@ -64,9 +83,12 @@ impl StressDetector {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Config`] for an even read count or a threshold outside
-    /// `(0, 1)`.
+    /// [`CoreError::Config`] for a non-positive or non-finite `t_pew`, an
+    /// even read count or a threshold outside `(0, 1)`.
     pub fn new(t_pew: Micros, reads: usize, threshold: f64) -> Result<Self, CoreError> {
+        if !t_pew.is_finite() || t_pew.get() <= 0.0 {
+            return Err(CoreError::Config("t_pew must be positive"));
+        }
         if reads == 0 || reads.is_multiple_of(2) {
             return Err(CoreError::Config("read count must be odd"));
         }
@@ -97,9 +119,9 @@ impl StressDetector {
         self.t_pew
     }
 
-    /// Runs one detection round (erase → program all → partial erase →
-    /// analyze). **Destructive** to segment contents, like all Flashmark
-    /// sensing.
+    /// Runs one detection round (one [`sense_segment`] round at `tPEW`,
+    /// then an erase). **Destructive** to segment contents, like all
+    /// Flashmark sensing.
     ///
     /// # Errors
     ///
@@ -109,25 +131,10 @@ impl StressDetector {
         flash: &mut F,
         seg: SegmentAddr,
     ) -> Result<StressReport, CoreError> {
-        flash.erase_segment(seg)?;
-        flash.program_all_zero(seg)?;
-        flash.partial_erase(seg, self.t_pew)?;
-        let bits = analyze_segment(flash, seg, self.reads)?;
-        let programmed = bits.iter().filter(|&&b| !b).count();
-        let total = bits.len();
-        let verdict = if (programmed as f64 / total as f64) > self.threshold {
-            SegmentCondition::Stressed
-        } else {
-            SegmentCondition::Fresh
-        };
+        let bits = sense_segment(flash, seg, self.t_pew, self.reads)?;
         // Restore a defined state.
         flash.erase_segment(seg)?;
-        Ok(StressReport {
-            programmed,
-            total,
-            verdict,
-            t_pew: self.t_pew,
-        })
+        Ok(StressReport::classify(&bits, self.threshold, self.t_pew))
     }
 }
 
@@ -172,20 +179,8 @@ impl ProgramTimeDetector {
         flash.erase_segment(seg)?;
         flash.partial_program(seg, self.t_pp)?;
         let bits = analyze_segment(flash, seg, self.reads)?;
-        let programmed = bits.iter().filter(|&&b| !b).count();
-        let total = bits.len();
-        let verdict = if (programmed as f64 / total as f64) > self.threshold {
-            SegmentCondition::Stressed
-        } else {
-            SegmentCondition::Fresh
-        };
         flash.erase_segment(seg)?;
-        Ok(StressReport {
-            programmed,
-            total,
-            verdict,
-            t_pew: self.t_pp,
-        })
+        Ok(StressReport::classify(&bits, self.threshold, self.t_pp))
     }
 }
 
@@ -207,6 +202,9 @@ mod tests {
 
     #[test]
     fn rejects_bad_parameters() {
+        for t in [0.0, -23.0, f64::NAN, f64::INFINITY] {
+            assert!(StressDetector::new(Micros::new(t), 3, 0.5).is_err(), "{t}");
+        }
         assert!(StressDetector::new(Micros::new(23.0), 2, 0.5).is_err());
         assert!(StressDetector::new(Micros::new(23.0), 3, 0.0).is_err());
         assert!(StressDetector::new(Micros::new(23.0), 3, 1.0).is_err());

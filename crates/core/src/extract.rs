@@ -11,16 +11,18 @@
 //!
 //! After the aborted erase, fresh ("good") cells have already crossed back
 //! to 1 while worn ("bad") cells still read 0 — the wear-encoded watermark
-//! becomes digitally readable. [`Extraction`] additionally majority-votes
-//! across the configured replicas and exposes soft per-bit information.
+//! becomes digitally readable. [`Extractor::extract`] runs this as one
+//! [`sense_segment`] round at `tPEW`; [`Extraction`] additionally
+//! majority-votes across the configured replicas and exposes soft per-bit
+//! information.
 
-use flashmark_ecc::MajorityVote;
-use flashmark_nor::interface::{FlashInterface, FlashInterfaceExt};
+use flashmark_ecc::{MajorityVote, Repetition};
+use flashmark_nor::interface::FlashInterface;
 use flashmark_nor::SegmentAddr;
 use flashmark_obs as obs;
 use flashmark_physics::{Micros, Seconds};
 
-use crate::characterize::analyze_segment;
+use crate::characterize::sense_segment;
 use crate::config::FlashmarkConfig;
 use crate::error::CoreError;
 use crate::layout::SegmentLayout;
@@ -73,9 +75,8 @@ impl Extraction {
     /// Panics if `r` is out of range.
     #[must_use]
     pub fn replica(&self, r: usize) -> &[bool] {
-        let len = self.votes.len();
         assert!(r < self.replicas, "replica index out of range");
-        &self.channel[r * len..(r + 1) * len]
+        Repetition::new(self.replicas).map_or(&[], |code| code.replica(&self.channel, r))
     }
 
     /// Number of replicas.
@@ -188,20 +189,11 @@ impl<'a> Extractor<'a> {
         layout.check_fits(flash.geometry())?;
 
         let start = flash.elapsed();
-        // Fig. 8, literally:
-        flash.erase_segment(seg)?;
-        flash.program_all_zero(seg)?;
-        flash.partial_erase(seg, self.config.t_pew())?;
-        let segment_bits = analyze_segment(flash, seg, self.config.reads())?;
+        let segment_bits = sense_segment(flash, seg, self.config.t_pew(), self.config.reads())?;
         let elapsed = flash.elapsed() - start;
 
         let channel = layout.slice_channel(&segment_bits)?;
-        let mut votes = vec![MajorityVote::new(); data_len];
-        for r in 0..self.config.replicas() {
-            for i in 0..data_len {
-                votes[i].push(channel[r * data_len + i]);
-            }
-        }
+        let votes = layout.repetition()?.decode_soft(&channel)?;
         Ok(Extraction {
             votes,
             channel,

@@ -67,7 +67,8 @@ impl SegmentLayout {
         Ok(())
     }
 
-    fn repetition(&self) -> Result<Repetition, CoreError> {
+    /// The replication code the channel is written and read under.
+    pub(crate) fn repetition(&self) -> Result<Repetition, CoreError> {
         Ok(Repetition::new(self.replicas)?)
     }
 

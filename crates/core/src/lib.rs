@@ -9,13 +9,16 @@
 //!   watermark pattern to a reserved segment; 0-bits wear out ("bad" cells),
 //!   1-bits stay fresh ("good" cells). Wear cannot be undone, so a "reject"
 //!   mark can never be forged into "accept".
-//! * [`Extractor`] (Fig. 8) erases, programs everything to 0, then aborts an
-//!   erase after the partial-erase time `tPEW`: fresh cells have already
-//!   flipped to 1, worn cells still read 0 — the watermark appears in the
-//!   read-back data.
-//! * [`characterize_segment`] (Fig. 3) sweeps the partial-erase time to map
-//!   a device family's wear response; [`select_t_pew`] picks the extraction
-//!   window from it (Fig. 5).
+//! * [`sense_segment`] is the sensing round the procedures below share: it
+//!   erases, programs everything to 0, then aborts an erase after a
+//!   partial-erase time: fresh cells have already flipped to 1, worn cells
+//!   still read 0.
+//! * [`Extractor`] (Fig. 8) runs one round at `tPEW`, and the watermark
+//!   appears in the read-back data.
+//! * [`characterize_segment`] (Fig. 3) runs one round per point of a
+//!   partial-erase time sweep to map a device family's wear response;
+//!   [`select_t_pew`] picks the extraction window from it (Fig. 5), and
+//!   [`StressDetector`] tells fresh from worn segments with one round.
 //! * [`Verifier`] runs the full system-integrator check: extract, majority-
 //!   vote across replicas, validate the record signature and balance, and
 //!   classify the chip.
@@ -68,7 +71,8 @@ pub mod watermark;
 pub mod window;
 
 pub use characterize::{
-    analyze_segment, characterize_segment, CharacterizationCurve, CharacterizationPoint, SweepSpec,
+    analyze_segment, characterize_segment, sense_segment, CharacterizationCurve,
+    CharacterizationPoint, SweepSpec,
 };
 pub use config::{FlashmarkConfig, FlashmarkConfigBuilder};
 pub use detect::{ProgramTimeDetector, SegmentCondition, StressDetector, StressReport};

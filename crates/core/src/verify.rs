@@ -22,6 +22,7 @@
 //! false Genuine) when faults persist.
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use flashmark_ecc::bytes_from_bits;
 use flashmark_ecc::crc::crc16;
@@ -240,34 +241,10 @@ impl Verifier {
         seg: SegmentAddr,
     ) -> Result<VerificationReport, CoreError> {
         let _span = obs::span("verify");
-        let mut last: Option<VerificationReport> = None;
-        for &offset in &self.retry_offsets_us {
-            let t = Micros::new((self.config.t_pew().get() + offset).max(1.0));
-            let report = self.verify_at(flash, seg, t)?;
-            obs::emit(ObsEvent::LadderRung {
-                offset_us: offset,
-                outcome: rung_outcome(&report),
-            });
-            match report.verdict {
-                // A decoded record is conclusive either way: the signature
-                // binds it, whether it says accept or reject.
-                _ if report.record.is_some() => {
-                    return Ok(finish(report, Resolution::Ladder { offset_us: offset }))
-                }
-                // No wear watermark at all: retrying other times cannot
-                // conjure one up.
-                Verdict::Counterfeit(CounterfeitReason::NoWatermark) if offset.abs() < 1e-9 => {
-                    return Ok(finish(report, Resolution::Ladder { offset_us: offset }))
-                }
-                // Signature mismatch: retry elsewhere in the window.
-                _ => last = Some(report),
-            }
+        match self.ladder(flash, |flash, t| self.verify_at(flash, seg, t).map(Some))? {
+            ControlFlow::Break(report) => Ok(report),
+            ControlFlow::Continue(last) => no_decode(last),
         }
-        // `retry_offsets_us` is kept non-empty by construction, so the loop
-        // always yields a report; surface a typed error instead of panicking
-        // if that invariant is ever broken.
-        last.map(|r| finish(r, Resolution::NoDecode))
-            .ok_or(CoreError::Config("verifier has no retry offsets"))
     }
 
     /// [`Verifier::verify`] hardened for field conditions: transient flash
@@ -293,33 +270,11 @@ impl Verifier {
         seg: SegmentAddr,
     ) -> Result<VerificationReport, CoreError> {
         let _span = obs::span("verify_resilient");
-        let mut last: Option<VerificationReport> = None;
-        for &offset in &self.retry_offsets_us {
-            let t = Micros::new((self.config.t_pew().get() + offset).max(1.0));
-            let Some(report) = self.attempt_with_retry(flash, seg, t)? else {
-                obs::emit(ObsEvent::LadderRung {
-                    offset_us: offset,
-                    outcome: "transient_faults",
-                });
-                return Ok(finish(
-                    Self::inconclusive(InconclusiveReason::TransientFaults, t),
-                    Resolution::RetriesExhausted,
-                ));
+        let mut last =
+            match self.ladder(flash, |flash, t| self.attempt_with_retry(flash, seg, t))? {
+                ControlFlow::Break(report) => return Ok(report),
+                ControlFlow::Continue(last) => last,
             };
-            obs::emit(ObsEvent::LadderRung {
-                offset_us: offset,
-                outcome: rung_outcome(&report),
-            });
-            match report.verdict {
-                _ if report.record.is_some() => {
-                    return Ok(finish(report, Resolution::Ladder { offset_us: offset }))
-                }
-                Verdict::Counterfeit(CounterfeitReason::NoWatermark) if offset.abs() < 1e-9 => {
-                    return Ok(finish(report, Resolution::Ladder { offset_us: offset }))
-                }
-                _ => last = Some(report),
-            }
-        }
 
         // Nothing decoded anywhere on the published ladder. The window may
         // have drifted past it (ageing, temperature, timing faults):
@@ -334,9 +289,7 @@ impl Verifier {
                     ))
                 }
                 Some(report) => {
-                    if last.is_none() {
-                        last = Some(report);
-                    }
+                    last.get_or_insert(report);
                 }
                 None => {
                     return Ok(finish(
@@ -356,8 +309,51 @@ impl Verifier {
             }
             Recharacterization::NoWindow => {}
         }
-        last.map(|r| finish(r, Resolution::NoDecode))
-            .ok_or(CoreError::Config("verifier has no retry offsets"))
+        no_decode(last)
+    }
+
+    /// Walks the published `tPEW` ladder, one `attempt` per rung, emitting
+    /// each rung's [`ObsEvent::LadderRung`]. Breaks with the finished
+    /// report of the first rung that settles the verdict: a decoded record,
+    /// no watermark on the nominal rung, or an attempt that ran out of
+    /// transient retries (`None`). Otherwise continues with the last rung's
+    /// report.
+    fn ladder<F: FlashInterface>(
+        &self,
+        flash: &mut F,
+        mut attempt: impl FnMut(&mut F, Micros) -> Result<Option<VerificationReport>, CoreError>,
+    ) -> Result<ControlFlow<VerificationReport, Option<VerificationReport>>, CoreError> {
+        let mut last = None;
+        for &offset in &self.retry_offsets_us {
+            let t = Micros::new((self.config.t_pew().get() + offset).max(1.0));
+            let Some(report) = attempt(flash, t)? else {
+                obs::emit(ObsEvent::LadderRung {
+                    offset_us: offset,
+                    outcome: "transient_faults",
+                });
+                return Ok(ControlFlow::Break(finish(
+                    Self::inconclusive(InconclusiveReason::TransientFaults, t),
+                    Resolution::RetriesExhausted,
+                )));
+            };
+            obs::emit(ObsEvent::LadderRung {
+                offset_us: offset,
+                outcome: rung_outcome(&report),
+            });
+            // A decoded record is conclusive either way: the signature binds
+            // it, whether it says accept or reject. No wear watermark on the
+            // nominal rung: retrying other times cannot conjure one up.
+            let blank = report.verdict == Verdict::Counterfeit(CounterfeitReason::NoWatermark);
+            if report.record.is_some() || (blank && offset.abs() < 1e-9) {
+                return Ok(ControlFlow::Break(finish(
+                    report,
+                    Resolution::Ladder { offset_us: offset },
+                )));
+            }
+            // Signature mismatch: retry elsewhere in the window.
+            last = Some(report);
+        }
+        Ok(ControlFlow::Continue(last))
     }
 
     /// One ladder attempt under the transient retry budget. `Ok(None)`
@@ -441,13 +437,7 @@ impl Verifier {
         seg: SegmentAddr,
         t_pew: Micros,
     ) -> Result<VerificationReport, CoreError> {
-        let config = FlashmarkConfig::builder()
-            .n_pe(self.config.n_pe())
-            .replicas(self.config.replicas())
-            .reads(self.config.reads())
-            .accelerated(self.config.accelerated())
-            .t_pew(t_pew)
-            .build()?;
+        let config = self.config.with_t_pew(t_pew)?;
         let extraction = Extractor::new(&config).extract(flash, seg, RECORD_BITS)?;
         let bits = extraction.bits();
 
@@ -506,6 +496,15 @@ fn rung_outcome(report: &VerificationReport) -> &'static str {
     } else {
         "no_decode"
     }
+}
+
+/// Finishes the last completed attempt when nothing decoded.
+/// `retry_offsets_us` is kept non-empty by construction, so the ladder
+/// always yields a report; surface a typed error instead of panicking if
+/// that invariant is ever broken.
+fn no_decode(last: Option<VerificationReport>) -> Result<VerificationReport, CoreError> {
+    last.map(|r| finish(r, Resolution::NoDecode))
+        .ok_or(CoreError::Config("verifier has no retry offsets"))
 }
 
 /// Stamps the winning strategy on a finished report and emits the
@@ -971,6 +970,65 @@ mod tests {
             v.verify_resilient(&mut f, seg).unwrap().verdict,
             Verdict::Genuine
         );
+    }
+
+    /// On a fault-free chip the two verifiers walk one ladder: the same
+    /// report and the same event timeline, op for op, apart from the name
+    /// of the outer span.
+    #[test]
+    fn resilient_and_plain_verification_walk_one_ladder() {
+        use flashmark_obs::{collect, Collector};
+        let seg = SegmentAddr::new(0);
+        let mut genuine = flash(111);
+        imprint(&mut genuine, &record(TestStatus::Accept));
+        let mut rejected = flash(112);
+        imprint(&mut rejected, &record(TestStatus::Reject));
+        let chips = [
+            ("genuine", genuine, Verdict::Genuine),
+            (
+                "rejected",
+                rejected,
+                Verdict::Counterfeit(CounterfeitReason::RejectedDie),
+            ),
+            (
+                "blank",
+                flash(113),
+                Verdict::Counterfeit(CounterfeitReason::NoWatermark),
+            ),
+        ];
+        let v = Verifier::new(config(), MFG);
+        for (name, chip, verdict) in chips {
+            let mut plain_chip = chip.clone();
+            let (plain, plain_events) =
+                collect(Collector::new(0), || v.verify(&mut plain_chip, seg));
+            let mut resilient_chip = chip;
+            let (resilient, resilient_events) = collect(Collector::new(0), || {
+                v.verify_resilient(&mut resilient_chip, seg)
+            });
+            let plain = plain.unwrap();
+            assert_eq!(plain.verdict, verdict, "{name}");
+            assert_eq!(plain, resilient.unwrap(), "{name}");
+            let outer = |event: ObsEvent| match event {
+                ObsEvent::SpanEnter {
+                    name: "verify_resilient",
+                } => ObsEvent::SpanEnter { name: "verify" },
+                ObsEvent::SpanExit {
+                    name: "verify_resilient",
+                } => ObsEvent::SpanExit { name: "verify" },
+                other => other,
+            };
+            let timeline: Vec<(u64, ObsEvent)> =
+                plain_events.events().map(|(op, &e)| (op, e)).collect();
+            assert!(timeline.len() > 2 && plain_events.dropped() == 0, "{name}");
+            assert_eq!(
+                timeline,
+                resilient_events
+                    .events()
+                    .map(|(op, &e)| (op, outer(e)))
+                    .collect::<Vec<_>>(),
+                "{name}"
+            );
+        }
     }
 
     #[test]

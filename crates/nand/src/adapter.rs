@@ -38,6 +38,7 @@ fn convert(err: NandError) -> NorError {
         },
         NandError::DataLength { got, expected } => NorError::BlockLengthMismatch { got, expected },
         NandError::NopLimitExceeded { .. } => NorError::AccessViolation { word: 0 },
+        NandError::InvalidPulse => NorError::InvalidPulse,
     }
 }
 

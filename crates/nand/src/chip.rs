@@ -49,6 +49,9 @@ pub enum NandError {
         /// The limit.
         limit: u8,
     },
+    /// A pulse duration was negative or not finite; the operation was
+    /// refused before any cell, wear or clock state changed.
+    InvalidPulse,
 }
 
 impl core::fmt::Display for NandError {
@@ -69,11 +72,22 @@ impl core::fmt::Display for NandError {
                     "page programmed more than {limit} times since the last erase"
                 )
             }
+            Self::InvalidPulse => write!(f, "pulse duration must be finite and not negative"),
         }
     }
 }
 
 impl std::error::Error for NandError {}
+
+/// Refuses a pulse that would undo wear: a negative or non-finite duration
+/// (a zero-length pulse is legal and changes nothing).
+fn check_pulse(t: Micros) -> Result<(), NandError> {
+    if t.is_finite() && t.get() >= 0.0 {
+        Ok(())
+    } else {
+        Err(NandError::InvalidPulse)
+    }
+}
 
 #[derive(Debug, Clone)]
 struct BlockCells {
@@ -273,9 +287,11 @@ impl NandChip {
     ///
     /// # Errors
     ///
-    /// Address errors.
+    /// Address errors, or [`NandError::InvalidPulse`] for a negative or
+    /// non-finite `t`.
     pub fn erase_pulse(&mut self, block: BlockAddr, t: Micros) -> Result<bool, NandError> {
         self.check_block(block)?;
+        check_pulse(t)?;
         let params = self.params.clone();
         let pulse = PulseNoise::draw(&params, &mut self.op_rng);
         let base = block.index() as u64 * self.geometry.cells_per_block() as u64;
@@ -312,7 +328,8 @@ impl NandChip {
     ///
     /// # Errors
     ///
-    /// Address errors.
+    /// Address errors, or [`NandError::InvalidPulse`] for a negative or
+    /// non-finite `t`.
     pub fn partial_erase_block(&mut self, block: BlockAddr, t: Micros) -> Result<(), NandError> {
         self.erase_pulse(block, t)?;
         self.clock.advance(t + self.timings.abort_latency);
@@ -349,13 +366,15 @@ impl NandChip {
     ///
     /// # Errors
     ///
-    /// Address errors.
+    /// Address errors, or [`NandError::InvalidPulse`] for a negative or
+    /// non-finite `t_pp`.
     pub fn partial_program_block(
         &mut self,
         block: BlockAddr,
         t_pp: Micros,
     ) -> Result<(), NandError> {
         self.check_block(block)?;
+        check_pulse(t_pp)?;
         let params = self.params.clone();
         let mut rng = self.op_rng.fork(mix2(0x9A27, block.index() as u64));
         let cells = self.block_cells(block);
@@ -493,6 +512,37 @@ mod tests {
             .filter(|&&b| b)
             .count();
         assert!((1000..16_000).contains(&ones), "ones = {ones}");
+    }
+
+    #[test]
+    fn invalid_pulse_durations_are_refused_before_anything_moves() {
+        type Op = fn(&mut NandChip, Micros) -> Result<(), NandError>;
+        const BLOCK: BlockAddr = BlockAddr::new(1);
+        let ops: [Op; 3] = [
+            |c, t| c.erase_pulse(BLOCK, t).map(drop),
+            |c, t| c.partial_erase_block(BLOCK, t),
+            |c, t| c.partial_program_block(BLOCK, t),
+        ];
+        let mut worn = chip();
+        worn.bulk_stress(BLOCK, &[0u8; 2048], 30_000).unwrap();
+        for op in ops {
+            for t in [-500.0, f64::NAN, f64::INFINITY] {
+                let mut c = worn.clone();
+                assert_eq!(op(&mut c, Micros::new(t)), Err(NandError::InvalidPulse));
+                assert_eq!(
+                    c.mean_wear(BLOCK).to_bits(),
+                    worn.mean_wear(BLOCK).to_bits()
+                );
+                assert_eq!(c.elapsed().get().to_bits(), worn.elapsed().get().to_bits());
+                // Nor did the op noise stream move: the next pulse lands
+                // where it lands on an untouched copy.
+                let mut twin = worn.clone();
+                for copy in [&mut c, &mut twin] {
+                    copy.partial_erase_block(BLOCK, Micros::new(20.5)).unwrap();
+                }
+                assert_eq!(c.ideal_bits(BLOCK), twin.ideal_bits(BLOCK));
+            }
+        }
     }
 
     #[test]

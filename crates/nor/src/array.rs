@@ -357,6 +357,16 @@ fn reset(journal: &mut Journal) {
     }
 }
 
+/// Refuses a pulse that would undo wear: a negative or non-finite duration
+/// (a zero-length pulse is legal and changes nothing).
+fn check_pulse(t: Micros) -> Result<(), NorError> {
+    if t.is_finite() && t.get() >= 0.0 {
+        Ok(())
+    } else {
+        Err(NorError::InvalidPulse)
+    }
+}
+
 impl FlashArray {
     /// Creates the array of chip `chip_seed`.
     #[must_use]
@@ -593,9 +603,11 @@ impl FlashArray {
     ///
     /// # Errors
     ///
-    /// Returns [`NorError::SegmentOutOfRange`] for a bad address.
+    /// Returns [`NorError::SegmentOutOfRange`] for a bad address, or
+    /// [`NorError::InvalidPulse`] for a negative or non-finite `t_pp`.
     pub fn program_pulse(&mut self, seg: SegmentAddr, t_pp: Micros) -> Result<(), NorError> {
         self.geometry.check_segment(seg)?;
+        check_pulse(t_pp)?;
         let entity = 0x9A27 ^ u64::from(seg.index());
         let stream = CounterStream::new(self.op_seed, entity, self.op_counter);
         let (kernel, cells) = self.owned(seg);
@@ -621,9 +633,11 @@ impl FlashArray {
     ///
     /// # Errors
     ///
-    /// Returns [`NorError::SegmentOutOfRange`] for a bad address.
+    /// Returns [`NorError::SegmentOutOfRange`] for a bad address, or
+    /// [`NorError::InvalidPulse`] for a negative or non-finite `t_pe`.
     pub fn erase_pulse(&mut self, seg: SegmentAddr, t_pe: Micros) -> Result<bool, NorError> {
         self.geometry.check_segment(seg)?;
+        check_pulse(t_pe)?;
         let t_pe = t_pe.get();
         Ok(self.journaled(
             seg,

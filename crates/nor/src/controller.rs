@@ -103,10 +103,10 @@ impl FlashController {
     /// Returns [`NorError::Locked`] if the controller is locked.
     pub fn mass_erase(&mut self) -> Result<(), NorError> {
         self.check_writable()?;
-        self.cumulative_program.clear();
         for seg in self.array.touched_segments() {
             self.array.erase_complete(seg, self.timings.mass_erase)?;
         }
+        self.cumulative_program.clear();
         self.clock
             .advance(self.timings.setup_overhead + self.timings.mass_erase);
         obs::emit(ObsEvent::FlashOp {
@@ -276,8 +276,8 @@ impl FlashInterface for FlashController {
 
     fn erase_segment(&mut self, seg: SegmentAddr) -> Result<(), NorError> {
         self.check_writable()?;
-        self.clear_program_budget(seg);
         self.array.erase_complete(seg, self.timings.erase_segment)?;
+        self.clear_program_budget(seg);
         self.clock
             .advance(self.timings.setup_overhead + self.timings.erase_segment);
         obs::emit(ObsEvent::FlashOp {
@@ -289,8 +289,8 @@ impl FlashInterface for FlashController {
 
     fn partial_erase(&mut self, seg: SegmentAddr, t_pe: Micros) -> Result<(), NorError> {
         self.check_writable()?;
-        self.clear_program_budget(seg);
         self.array.erase_pulse(seg, t_pe)?;
+        self.clear_program_budget(seg);
         self.clock
             .advance(self.timings.setup_overhead + t_pe + self.timings.abort_latency);
         obs::emit(ObsEvent::PartialErase {
@@ -686,6 +686,52 @@ mod tests {
             ctl.erase_segment(seg).unwrap();
             ctl.program_block(seg, &vec![0u16; 256]).unwrap();
         }
+    }
+
+    #[test]
+    fn invalid_pulse_durations_are_refused_before_anything_moves() {
+        type Op = fn(&mut FlashController, Micros) -> Result<(), NorError>;
+        const SEG: SegmentAddr = SegmentAddr::new(2);
+        let ops: [(&str, Op); 3] = [
+            ("partial_erase", |c, t| c.partial_erase(SEG, t)),
+            ("partial_program", |c, t| c.partial_program(SEG, t)),
+            // A full erase under hand-built timings.
+            ("erase_segment", |c, t| {
+                c.timings.erase_segment = t;
+                c.erase_segment(SEG)
+            }),
+        ];
+        let mut worn = controller();
+        worn.bulk_imprint(SEG, &[0; 256], 40_000, ImprintTiming::Baseline)
+            .unwrap();
+        // Charge a row's tCPT budget, which an erase would reset.
+        worn.program_word(WordAddr::new(2 * 256), 0).unwrap();
+        let wear_bits = |c: &mut FlashController| {
+            let w = c.wear_stats(SEG);
+            [w.min_cycles, w.max_cycles, w.mean_cycles].map(f64::to_bits)
+        };
+        for (name, op) in ops {
+            for t in [-500.0, -1e-9, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut ctl = worn.clone();
+                let (result, collector) =
+                    obs::collect(obs::Collector::new(0), || op(&mut ctl, Micros::new(t)));
+                assert_eq!(result, Err(NorError::InvalidPulse), "{name} {t}");
+                assert_eq!(collector.ops(), 0, "{name} {t} emitted events");
+                assert_eq!(wear_bits(&mut ctl), wear_bits(&mut worn), "{name} {t}");
+                assert_eq!(
+                    ctl.array_mut().ideal_bits(SEG),
+                    worn.array_mut().ideal_bits(SEG)
+                );
+                assert_eq!(
+                    ctl.elapsed().get().to_bits(),
+                    worn.elapsed().get().to_bits()
+                );
+                assert_eq!(ctl.cumulative_program, worn.cumulative_program);
+            }
+        }
+        // A zero-length pulse is legal (a power cut at the pulse's start).
+        worn.clone().partial_erase(SEG, Micros::new(0.0)).unwrap();
+        worn.clone().partial_program(SEG, Micros::new(0.0)).unwrap();
     }
 
     #[test]

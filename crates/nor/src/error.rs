@@ -63,6 +63,10 @@ pub enum NorError {
     /// partial or absent; once power returns the device accepts commands
     /// again.
     PowerLoss,
+    /// A pulse duration was negative or not finite. Applying it would lower
+    /// wear and run the clock backwards, so the operation was refused
+    /// before anything changed.
+    InvalidPulse,
 }
 
 // f64 in WearModelRange breaks Eq; keep Eq by comparing bits.
@@ -116,6 +120,9 @@ impl fmt::Display for NorError {
             }
             Self::TransientNak => write!(f, "interface rejected the command (transient nak)"),
             Self::PowerLoss => write!(f, "power lost mid-operation"),
+            Self::InvalidPulse => {
+                write!(f, "pulse duration must be finite and not negative")
+            }
         }
     }
 }
@@ -146,6 +153,7 @@ mod tests {
             },
             NorError::TransientNak,
             NorError::PowerLoss,
+            NorError::InvalidPulse,
         ];
         for e in samples {
             let msg = e.to_string();

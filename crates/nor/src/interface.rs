@@ -87,7 +87,8 @@ pub trait FlashInterface {
     ///
     /// # Errors
     ///
-    /// Address or lock errors.
+    /// Address or lock errors, or [`NorError::InvalidPulse`] for a negative
+    /// or non-finite `t_pe`.
     fn partial_erase(&mut self, seg: SegmentAddr, t_pe: Micros) -> Result<(), NorError>;
 
     /// Erases a segment but exits as soon as every cell reads erased
@@ -187,7 +188,8 @@ pub trait PartialProgram: FlashInterface {
     ///
     /// # Errors
     ///
-    /// Address or lock errors.
+    /// Address or lock errors, or [`NorError::InvalidPulse`] for a negative
+    /// or non-finite `t_pp`.
     fn partial_program(&mut self, seg: SegmentAddr, t_pp: Micros) -> Result<(), NorError>;
 }
 

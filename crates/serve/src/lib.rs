@@ -25,6 +25,6 @@ pub mod service;
 
 pub use population::{class, EnrolledChip, Population, PopulationSpec};
 pub use service::{
-    BatchReport, RequestSender, ServiceConfig, VerificationService, VerifyRequest, COMMIT_TAG,
-    PROBE_WINDOW_SEGMENTS,
+    map_verdict, BatchReport, RequestSender, ServiceConfig, VerificationService, VerifyRequest,
+    COMMIT_TAG, PROBE_WINDOW_SEGMENTS,
 };

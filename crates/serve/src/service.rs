@@ -426,8 +426,10 @@ impl ShardCtx<'_> {
     }
 }
 
-/// Maps a core verdict into the registry's (verdict, reason) pair.
-fn map_verdict(verdict: Verdict) -> (RecordVerdict, &'static str) {
+/// Maps a core verdict into the registry's (verdict, reason) pair: the one
+/// mapping every registry record's verdict and reason come from.
+#[must_use]
+pub fn map_verdict(verdict: Verdict) -> (RecordVerdict, &'static str) {
     let class = match verdict {
         Verdict::Genuine => RecordVerdict::Accept,
         Verdict::Counterfeit(_) => RecordVerdict::Reject,

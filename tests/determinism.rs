@@ -159,14 +159,7 @@ fn experiments_are_reproducible() {
             .times()
             .iter()
             .map(|&t| {
-                let c = FlashmarkConfig::builder()
-                    .n_pe(1)
-                    .replicas(1)
-                    .reads(1)
-                    .t_pew(t)
-                    .build()
-                    .unwrap();
-                Extractor::new(&c)
+                Extractor::new(&cfg.with_t_pew(t).unwrap())
                     .extract(&mut chip, SegmentAddr::new(0), wm.len())
                     .unwrap()
                     .ber_against(&wm)
