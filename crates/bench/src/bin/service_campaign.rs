@@ -15,8 +15,8 @@
 //!   (the `trend_check` bin gates on it).
 //!
 //! Throughput goes to stdout only. The 10 k-request shape and its
-//! `service_timings.json` belong to `run_all`. The run takes about 15
-//! minutes at `--threads 2`; `--threads` is the only flag.
+//! `service_timings.json` belong to `run_all`. The run takes 70–85 s at
+//! `--threads 2` on 2 vCPUs; `--threads` is the only flag.
 //!
 //! ```text
 //! cargo run --release -p flashmark-bench --bin service_campaign -- --threads 8
@@ -30,7 +30,7 @@ use flashmark_bench::trend::{append_and_report, service_record};
 use flashmark_par::threads_from_env_args;
 
 /// Refuses every argument but `--threads N` / `--threads=N`, so a stale
-/// flag fails fast instead of starting a 15-minute run.
+/// flag fails fast instead of starting a million-request run.
 fn reject_other_args() -> Result<(), String> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use flashmark_bench::output::{results_dir, write_json_in};
-use flashmark_bench::trend::{report_data, TREND_LOG_NAME, TREND_REPORT_NAME};
+use flashmark_bench::trend::{TREND_LOG_NAME, TREND_REPORT_NAME};
 use flashmark_trend::{compute_drift, TrendLog};
 
 fn main() -> ExitCode {
@@ -46,7 +46,7 @@ fn main() -> ExitCode {
     let report = compute_drift(&log);
 
     let dir = log_path.parent().map_or_else(results_dir, PathBuf::from);
-    match write_json_in(&dir, TREND_REPORT_NAME, &report_data(&report)) {
+    match write_json_in(&dir, TREND_REPORT_NAME, &report) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("trend_check: cannot write report: {e}");

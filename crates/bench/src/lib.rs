@@ -34,6 +34,8 @@
 //! The one artifact too slow for the suite, the million-request
 //! `service_campaign.json`, has its own bin, `service_campaign`.
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod backend_campaign;
 pub mod experiments;
 pub mod fault_campaign;

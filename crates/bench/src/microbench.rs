@@ -132,6 +132,10 @@ impl Bench {
 
     /// The statistics of one benchmark's samples (seconds per iteration),
     /// printed as one line.
+    #[allow(
+        clippy::print_stdout,
+        reason = "live micro-benchmark progress meter; the harness binary owns this stdout"
+    )]
     fn report(&self, name: &str, mut per_iter: Vec<f64>) -> BenchStats {
         per_iter.sort_by(f64::total_cmp);
         let stats = BenchStats {
@@ -139,7 +143,6 @@ impl Bench {
             median_s: per_iter[per_iter.len() / 2],
             mean_s: per_iter.iter().sum::<f64>() / per_iter.len() as f64,
         };
-        // flashmark-lint: allow(print-discipline) -- live micro-benchmark progress meter; the harness binary owns this stdout
         println!(
             "{}/{:<32} min {:>12}  median {:>12}  mean {:>12}",
             self.group,

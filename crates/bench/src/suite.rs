@@ -234,6 +234,10 @@ fn same(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits()
 }
 
+#[allow(
+    clippy::print_stderr,
+    reason = "suite progress ticker and live failures on stderr; artifacts stay deterministic on stdout and disk"
+)]
 fn step<F>(
     outcomes: &mut Vec<ExperimentOutcome>,
     md: &mut String,
@@ -243,13 +247,11 @@ fn step<F>(
 ) where
     F: FnOnce(&mut String) -> StepResult,
 {
-    // flashmark-lint: allow(print-discipline) -- suite progress ticker on stderr; artifacts stay deterministic on stdout/disk
     eprintln!("[{:>2}] {name} ...", outcomes.len() + 1);
     let t0 = Instant::now();
     let error = f(md).err().map(|e| e.to_string());
     let wall_s = t0.elapsed().as_secs_f64();
     if let Some(e) = &error {
-        // flashmark-lint: allow(print-discipline) -- failure surfaced live on stderr as well as in the outcome record
         eprintln!("     {name} FAILED: {e}");
     }
     outcomes.push(ExperimentOutcome {

@@ -22,11 +22,13 @@ use std::path::Path;
 
 use flashmark_registry::Digest64;
 use flashmark_trend::{
-    append_to_log, compute_drift, DriftReport, TrendLog, TrendRecord, TREND_FORMAT_VERSION,
+    append_to_log, compute_drift, DriftCheck, DriftReport, TrendLog, TrendRecord,
+    TREND_FORMAT_VERSION,
 };
 
 use crate::backend_campaign::{BackendCampaignData, BackendSchemeSummary};
 use crate::impl_to_json;
+use crate::json::{Json, ToJson};
 use crate::microbench::RuntimeReport;
 use crate::output::write_json_in;
 use crate::service_campaign::ServiceCampaignData;
@@ -149,19 +151,7 @@ pub fn perf_record(report: &RuntimeReport) -> TrendRecord {
     record
 }
 
-/// One drift-gate group in the `trend_report.json` artifact.
-#[derive(Debug, Clone)]
-pub struct DriftCheckRow {
-    /// Campaign kind.
-    pub kind: String,
-    /// Params digest (hex) of the group.
-    pub params: String,
-    /// Campaign seed of the group.
-    pub seed: u64,
-    /// Comparable runs in the group.
-    pub runs: u64,
-}
-impl_to_json!(DriftCheckRow {
+impl_to_json!(DriftCheck {
     kind,
     params,
     seed,
@@ -169,50 +159,17 @@ impl_to_json!(DriftCheckRow {
 });
 
 /// The `trend_report.json` artifact: the drift gates evaluated over the
-/// verified trend log.
-#[derive(Debug, Clone)]
-pub struct TrendReportData {
-    /// Trend-log format version the report was computed against.
-    pub format: u32,
-    /// Records in the log.
-    pub records: u64,
-    /// Whether every detection gate held (warnings never gate).
-    pub passed: bool,
-    /// Detection-drift failures.
-    pub failures: Vec<String>,
-    /// Advisory perf-drift warnings.
-    pub warnings: Vec<String>,
-    /// The groups that were evaluated.
-    pub checks: Vec<DriftCheckRow>,
-}
-impl_to_json!(TrendReportData {
-    format,
-    records,
-    passed,
-    failures,
-    warnings,
-    checks
-});
-
-/// Renders a [`DriftReport`] into the artifact struct.
-#[must_use]
-pub fn report_data(report: &DriftReport) -> TrendReportData {
-    TrendReportData {
-        format: TREND_FORMAT_VERSION,
-        records: report.records,
-        passed: report.passed(),
-        failures: report.failures.clone(),
-        warnings: report.warnings.clone(),
-        checks: report
-            .checks
-            .iter()
-            .map(|c| DriftCheckRow {
-                kind: c.kind.clone(),
-                params: c.params.clone(),
-                seed: c.seed,
-                runs: c.runs,
-            })
-            .collect(),
+/// verified trend log, stamped with the log format they read.
+impl ToJson for DriftReport {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("format".to_string(), TREND_FORMAT_VERSION.to_json()),
+            ("records".to_string(), self.records.to_json()),
+            ("passed".to_string(), self.passed().to_json()),
+            ("failures".to_string(), self.failures.to_json()),
+            ("warnings".to_string(), self.warnings.to_json()),
+            ("checks".to_string(), self.checks.to_json()),
+        ])
     }
 }
 
@@ -230,7 +187,7 @@ pub fn append_and_report(dir: &Path, record: TrendRecord) -> io::Result<DriftRep
     append_to_log(&log_path, record)?;
     let log = TrendLog::load(&log_path)?;
     let report = compute_drift(&log);
-    write_json_in(dir, TREND_REPORT_NAME, &report_data(&report))?;
+    write_json_in(dir, TREND_REPORT_NAME, &report)?;
     Ok(report)
 }
 

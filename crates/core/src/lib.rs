@@ -52,6 +52,16 @@
 //! # }
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod characterize;
 pub mod config;
 pub mod detect;

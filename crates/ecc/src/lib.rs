@@ -26,6 +26,8 @@
 //! assert_eq!(rx.corrected, 2);
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod bits;
 pub mod crc;
 pub mod hamming;

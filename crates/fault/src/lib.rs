@@ -35,6 +35,8 @@
 //! assert!(flash.erase_segment(seg).is_ok());
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod flash;
 pub mod plan;
 

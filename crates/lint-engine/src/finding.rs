@@ -4,8 +4,8 @@
 //! sorted by `(file, line, rule, message)`, rule counts live in a
 //! `BTreeMap`, and nothing timestamped ever enters the document — so
 //! `results/lint_report.json` is byte-identical across repeated runs.
-//! There is no baseline of accepted findings: a justified in-place
-//! suppression ([`crate::suppress`]) is the one way to silence one.
+//! There is no baseline of accepted findings and no way to silence one in
+//! place: a finding is fixed in the code.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -14,12 +14,8 @@ use std::fmt::Write as _;
 /// Every rule family the engine knows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Panic-free hot paths (`unwrap`/`expect`/`panic!` family).
-    PanicFree,
-    /// No exact f64 equality on physics quantities.
+    /// No exact float equality with zero on physics quantities.
     FloatEq,
-    /// No direct printing from library crates.
-    PrintDiscipline,
     /// RNG/stream constructions must derive from a seed parameter.
     SeedDataflow,
     /// No ad-hoc float accumulation in cross-trial merge code.
@@ -28,44 +24,21 @@ pub enum Rule {
     WrappingAudit,
     /// Unreferenced `pub` items across the workspace.
     PubLiveness,
-    /// Malformed or unjustified `flashmark-lint: allow(...)` comments.
-    Suppression,
 }
 
 impl Rule {
-    /// Stable kebab-case name used in reports and suppression comments.
+    /// Stable kebab-case name used in reports.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Self::PanicFree => "panic-free",
             Self::FloatEq => "float-eq",
-            Self::PrintDiscipline => "print-discipline",
             Self::SeedDataflow => "seed-dataflow",
             Self::MergeCommutativity => "merge-commutativity",
             Self::WrappingAudit => "wrapping-audit",
             Self::PubLiveness => "pub-liveness",
-            Self::Suppression => "suppression",
         }
     }
-
-    /// Parses a kebab-case rule name (as written in `allow(...)`).
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        ALL_RULES.iter().copied().find(|r| r.name() == name)
-    }
 }
-
-/// Every rule, in report order.
-pub const ALL_RULES: [Rule; 8] = [
-    Rule::PanicFree,
-    Rule::FloatEq,
-    Rule::PrintDiscipline,
-    Rule::SeedDataflow,
-    Rule::MergeCommutativity,
-    Rule::WrappingAudit,
-    Rule::PubLiveness,
-    Rule::Suppression,
-];
 
 impl fmt::Display for Rule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -99,12 +72,10 @@ impl fmt::Display for Finding {
 /// The result of one engine run over the workspace.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
-    /// All unsuppressed findings, sorted for stable output.
+    /// All findings, sorted for stable output.
     pub findings: Vec<Finding>,
     /// Number of files analyzed.
     pub files_checked: usize,
-    /// Findings silenced by a justified suppression comment.
-    pub suppressed: usize,
 }
 
 impl Report {
@@ -125,7 +96,6 @@ impl Report {
         let mut out = String::new();
         out.push_str("{\n  \"schema\": \"flashmark-lint/1\",\n");
         let _ = writeln!(out, "  \"files_checked\": {},", self.files_checked);
-        let _ = writeln!(out, "  \"suppressed\": {},", self.suppressed);
         out.push_str("  \"rule_counts\": {");
         for (i, (rule, n)) in counts.iter().enumerate() {
             if i > 0 {
@@ -471,12 +441,11 @@ mod tests {
     fn report_json_is_deterministic_and_sorted() {
         let mut r = Report {
             findings: vec![
-                finding("b.rs", 9, Rule::FloatEq, "z"),
-                finding("a.rs", 3, Rule::PanicFree, "y"),
-                finding("a.rs", 1, Rule::PanicFree, "x"),
+                finding("b.rs", 9, Rule::WrappingAudit, "z"),
+                finding("a.rs", 3, Rule::FloatEq, "y"),
+                finding("a.rs", 1, Rule::FloatEq, "x"),
             ],
             files_checked: 2,
-            suppressed: 1,
         };
         r.normalize();
         let one = r.to_json();
@@ -486,7 +455,7 @@ mod tests {
         let a3 = one.find("\"a.rs\", \"line\": 3").unwrap();
         let b9 = one.find("\"b.rs\"").unwrap();
         assert!(a1 < a3 && a3 < b9);
-        assert!(one.contains("\"panic-free\": 2"));
+        assert!(one.contains("\"float-eq\": 2"));
         assert!(one.ends_with("}\n"));
     }
 
@@ -503,9 +472,8 @@ mod tests {
         let file = "a \"b\"\\c.rs";
         let message = "line1\nline2\ttabbed \"quoted\" \\ end";
         let r = Report {
-            findings: vec![finding(file, 4, Rule::PanicFree, message)],
+            findings: vec![finding(file, 4, Rule::FloatEq, message)],
             files_checked: 1,
-            suppressed: 0,
         };
         let doc = json::parse(&r.to_json()).unwrap();
         let field = |v: &json::Value, key: &str| {
@@ -515,15 +483,7 @@ mod tests {
         let only = field(&doc, "findings").as_array().unwrap()[0].clone();
         assert_eq!(field(&only, "file").as_str(), Some(file));
         assert_eq!(field(&only, "message").as_str(), Some(message));
-        assert_eq!(field(&only, "rule").as_str(), Some("panic-free"));
-    }
-
-    #[test]
-    fn rule_names_round_trip() {
-        for rule in ALL_RULES {
-            assert_eq!(Rule::parse(rule.name()), Some(rule));
-        }
-        assert_eq!(Rule::parse("nope"), None);
+        assert_eq!(field(&only, "rule").as_str(), Some("float-eq"));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! A lossless-enough Rust lexer for static analysis.
 //!
 //! Produces a flat token stream with 1-based line numbers. Comments and
-//! string literals are kept as *tokens* (so the suppression parser can read
-//! `// flashmark-lint: ...` comments) but rule passes that scan for code
-//! patterns simply skip non-code token kinds — which is what makes the engine immune to
-//! `.unwrap()` appearing inside a raw string or a comment.
+//! string literals are kept as *tokens* (so the scope parser can step over
+//! doc comments) but rule passes that scan for code patterns simply skip
+//! non-code token kinds — which is what makes the engine immune to
+//! `x == 0.0` appearing inside a raw string or a comment.
 //!
 //! Handled: line and nested block comments, doc comments (`///`, `//!`,
 //! `/** */`), string literals with escapes, byte strings, raw strings

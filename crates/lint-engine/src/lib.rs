@@ -11,14 +11,13 @@
 //! * [`scope`] — file classification (which rule families apply where)
 //!   and a lightweight item/scope parser (`#[cfg(test)]` regions,
 //!   `macro_rules!` bodies, per-function scopes);
-//! * [`rules`] — the rules no rustc or clippy lint matches: panic-free hot
-//!   paths, exact float equality (clippy's `float_cmp` skips `x == 0.0`),
-//!   library printing, seed-dataflow, merge-commutativity, the wrapping
-//!   arithmetic inventory, and workspace pub-API liveness. Missing docs and
-//!   `unsafe` are rustc's workspace lints; hash-ordered containers, the
-//!   wall clock, OS randomness and raw threads are banned in `clippy.toml`;
-//! * [`suppress`] — `// flashmark-lint: allow(<rule>) -- <justification>`
-//!   comments (justification mandatory);
+//! * [`rules`] — the rules no rustc or clippy lint matches: exact float
+//!   equality with zero (clippy's `float_cmp` skips `x == 0.0`),
+//!   seed-dataflow, merge-commutativity, the wrapping arithmetic
+//!   inventory, and workspace pub-API liveness. Missing docs and `unsafe`
+//!   are rustc's workspace lints; hash-ordered containers, the wall clock,
+//!   OS randomness and raw threads are banned in `clippy.toml`; panics and
+//!   prints are clippy lints the crate roots warn on;
 //! * [`finding`] — findings and the deterministic JSON report
 //!   (`results/lint_report.json`).
 //!
@@ -35,16 +34,15 @@
 //!     source: "/// Doc.\npub fn hot(v: Option<u32>) -> u32 { v.unwrap() }\n".to_string(),
 //! }];
 //! let report = analyze(&files);
-//! assert_eq!(report.findings.len(), 2); // panic-free + pub-liveness
+//! assert_eq!(report.findings.len(), 1); // pub-liveness: nothing reaches `hot`
 //! ```
+
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod finding;
 pub mod lexer;
 pub mod rules;
 pub mod scope;
-pub mod suppress;
-
-use std::collections::BTreeMap;
 
 pub use finding::{Finding, Report, Rule};
 pub use scope::FileScope;
@@ -66,14 +64,11 @@ pub struct SourceFile {
 /// the pub-liveness roots, so a `pub` item that no such file reaches, even
 /// through other library items, is a finding.
 ///
-/// The returned report is normalized (sorted) and carries suppression
-/// accounting.
+/// The returned report is normalized (sorted).
 #[must_use]
 pub fn analyze(files: &[SourceFile]) -> Report {
     let mut report = Report::default();
     let mut graph = rules::liveness::Graph::default();
-    let mut all_suppressions: BTreeMap<String, Vec<suppress::Suppression>> = BTreeMap::new();
-    let mut findings = Vec::new();
 
     // Deterministic order regardless of how the caller collected files.
     let mut sorted: Vec<&SourceFile> = files.iter().collect();
@@ -94,29 +89,12 @@ pub fn analyze(files: &[SourceFile]) -> Report {
         };
         report.files_checked += 1;
         let structure = scope::Structure::analyze(&tokens);
-        let (suppressions, suppression_problems) = suppress::parse(&scope.path, &tokens);
-        findings.extend(suppression_problems);
-        findings.extend(rules::run_file(&scope, &tokens, &structure));
-        all_suppressions.insert(scope.path.clone(), suppressions);
+        report
+            .findings
+            .extend(rules::run_file(&scope, &tokens, &structure));
     }
 
-    graph.check(&mut findings);
-
-    // Apply suppressions file by file (a suppression only ever covers
-    // findings in its own file).
-    let mut by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for finding in findings {
-        by_file
-            .entry(finding.file.clone())
-            .or_default()
-            .push(finding);
-    }
-    for (path, file_findings) in by_file {
-        let suppressions = all_suppressions.get(&path).map_or(&[][..], Vec::as_slice);
-        let (kept, silenced) = suppress::apply(file_findings, suppressions);
-        report.suppressed += silenced;
-        report.findings.extend(kept);
-    }
+    graph.check(&mut report.findings);
     report.normalize();
     report
 }
@@ -145,23 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn suppression_with_justification_silences() {
-        let src = "/// Doc.\npub fn noise_stream(seed: u64) -> SplitMix64 {\n    // flashmark-lint: allow(seed-dataflow) -- fixture stream, seed threaded by caller\n    SplitMix64::new(0x1234)\n}\n";
-        let report = analyze(&[file("crates/physics/src/seeded.rs", src)]);
-        assert!(report.findings.iter().all(|f| f.rule != Rule::SeedDataflow));
-        assert_eq!(report.suppressed, 1);
-    }
-
-    #[test]
-    fn unjustified_suppression_does_not_silence() {
-        let src = "/// Doc.\npub fn noise_stream(seed: u64) -> SplitMix64 {\n    // flashmark-lint: allow(seed-dataflow)\n    SplitMix64::new(0x1234)\n}\n";
-        let report = analyze(&[file("crates/physics/src/seeded.rs", src)]);
-        assert!(report.findings.iter().any(|f| f.rule == Rule::SeedDataflow));
-        assert!(report.findings.iter().any(|f| f.rule == Rule::Suppression));
-        assert_eq!(report.suppressed, 0);
-    }
-
-    #[test]
     fn cross_file_liveness_sees_test_references() {
         let lib = file(
             "crates/nor/src/thing.rs",
@@ -186,11 +147,11 @@ mod tests {
         let files = vec![
             file(
                 "crates/nor/src/a.rs",
-                "pub fn unreached_thing() { x.unwrap(); }\n",
+                "pub fn unreached_thing(x: f64) -> bool { x == 0.0 }\n",
             ),
             file(
                 "crates/core/src/b.rs",
-                "fn f(x: f64) -> bool { x == 0.5 }\n",
+                "fn f(x: u64) -> u64 { x.wrapping_mul(3) }\n",
             ),
         ];
         let a = analyze(&files).to_json();

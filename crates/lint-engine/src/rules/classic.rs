@@ -1,7 +1,7 @@
-//! The token-pattern rules: panic-free hot paths, exact float equality,
-//! library printing and the wrapping-arithmetic inventory. Comments,
-//! strings (raw strings included), test regions, and macro templates
-//! cannot produce false positives — the tokens simply are not code.
+//! The token-pattern rules: exact float equality with zero and the
+//! wrapping-arithmetic inventory. Comments, strings (raw strings
+//! included), test regions, and macro templates cannot produce false
+//! positives — the tokens simply are not code.
 
 use crate::finding::{Finding, Rule};
 use crate::lexer::{Token, TokenKind};
@@ -24,154 +24,55 @@ fn live_code<'a>(
     (0..tokens.len()).filter(move |&i| tokens[i].is_code() && structure.is_live_code(i))
 }
 
-/// `.unwrap()` / `.expect(...)` / `panic!`-family macros in non-test code.
-pub fn panic_free(
-    file: &str,
-    tokens: &[Token],
-    structure: &Structure,
-    findings: &mut Vec<Finding>,
-) {
-    for i in live_code(tokens, structure) {
-        let t = &tokens[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let prev_is_dot = i > 0 && tokens[i - 1].is_punct(".");
-        let next = tokens.get(i + 1);
-        match t.text.as_str() {
-            "unwrap" if prev_is_dot && next.is_some_and(|n| n.is_punct("(")) => push(
-                findings,
-                file,
-                t.line,
-                Rule::PanicFree,
-                "`.unwrap()` in non-test code: use a typed error (`?` / `ok_or`) instead".into(),
-            ),
-            "expect" if prev_is_dot && next.is_some_and(|n| n.is_punct("(")) => push(
-                findings,
-                file,
-                t.line,
-                Rule::PanicFree,
-                "`.expect(...)` in non-test code: use a typed error instead".into(),
-            ),
-            "panic" | "unreachable" | "todo" | "unimplemented"
-                if next.is_some_and(|n| n.is_punct("!")) =>
-            {
-                push(
-                    findings,
-                    file,
-                    t.line,
-                    Rule::PanicFree,
-                    format!(
-                        "`{}!` in non-test code: return a typed error instead",
-                        t.text
-                    ),
-                );
-            }
-            _ => {}
-        }
-    }
+/// Whether `t` is a float literal whose value is zero (`0.0`, `0.`, `0e3`,
+/// `0.0_f64`, `0f32`): every mantissa digit is a `0`.
+fn is_zero_float(t: Option<&Token>) -> bool {
+    t.is_some_and(|t| {
+        t.kind == TokenKind::Float
+            && t.text
+                .split(['e', 'E', 'f'])
+                .next()
+                .is_some_and(|mantissa| mantissa.chars().all(|c| matches!(c, '0' | '.' | '_')))
+    })
 }
 
-/// Tokens allowed inside a comparison operand chain.
-fn operand_token(t: &Token) -> bool {
-    matches!(t.kind, TokenKind::Ident | TokenKind::Int | TokenKind::Float)
-        || (t.kind == TokenKind::Punct
-            && matches!(t.text.as_str(), "." | "::" | "(" | ")" | "[" | "]"))
+/// Whether `t` binds tighter than `==`, so a literal beside it is only part
+/// of an operand (`x == 0.0 * y`, `t.0.0 == y`).
+fn binds_tighter(t: Option<&Token>) -> bool {
+    t.is_some_and(|t| {
+        t.is_ident("as") || [".", "*", "/", "%", "+", "-"].iter().any(|p| t.is_punct(p))
+    })
 }
 
-/// Whether an operand token slice reads as an f64 quantity: a float
-/// literal, a unit-wrapper `.get()` read, or an `f64::` constant.
-fn operand_is_float(ops: &[&Token]) -> bool {
-    for (i, t) in ops.iter().enumerate() {
-        if t.kind == TokenKind::Float {
-            return true;
-        }
-        if t.is_ident("f64") && ops.get(i + 1).is_some_and(|n| n.is_punct("::")) {
-            return true;
-        }
-        if t.is_ident("get")
-            && i > 0
-            && ops[i - 1].is_punct(".")
-            && ops.get(i + 1).is_some_and(|n| n.is_punct("("))
-            && ops.get(i + 2).is_some_and(|n| n.is_punct(")"))
-        {
-            return true;
-        }
-    }
-    false
-}
-
-/// Exact `==` / `!=` with a float operand.
+/// Exact `==` / `!=` against a zero float literal (`x == 0.0`,
+/// `x != -0.0`, `0.0 == x`). Clippy's `float_cmp` checks every other float
+/// comparison but skips this one.
 pub fn float_eq(file: &str, tokens: &[Token], structure: &Structure, findings: &mut Vec<Finding>) {
-    let live: Vec<usize> = live_code(tokens, structure).collect();
-    for (pos, &i) in live.iter().enumerate() {
-        let t = &tokens[i];
+    let live: Vec<&Token> = live_code(tokens, structure).map(|i| &tokens[i]).collect();
+    for (pos, t) in live.iter().enumerate() {
         if !(t.is_punct("==") || t.is_punct("!=")) {
             continue;
         }
-        // Collect up to 8 operand tokens on each side.
-        let left: Vec<&Token> = live[..pos]
-            .iter()
-            .rev()
-            .map(|&j| &tokens[j])
-            .take_while(|t| operand_token(t))
-            .take(8)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .rev()
-            .collect();
-        let right: Vec<&Token> = live[pos + 1..]
-            .iter()
-            .map(|&j| &tokens[j])
-            .take_while(|t| operand_token(t))
-            .take(8)
-            .collect();
-        if operand_is_float(&left) || operand_is_float(&right) {
-            let render = |ops: &[&Token]| {
-                ops.iter()
-                    .map(|t| t.text.as_str())
-                    .collect::<Vec<_>>()
-                    .join("")
-            };
+        let next = |k: usize| live.get(pos + k).copied();
+        let prev = |k: usize| pos.checked_sub(k).and_then(|i| live.get(i)).copied();
+        // A unary minus keeps a right-hand zero zero.
+        let k = 1 + usize::from(next(1).is_some_and(|n| n.is_punct("-")));
+        let zero = if is_zero_float(next(k)) && !binds_tighter(next(k + 1)) {
+            next(k)
+        } else if is_zero_float(prev(1)) && !binds_tighter(prev(2)) {
+            prev(1)
+        } else {
+            None
+        };
+        if let Some(zero) = zero {
             push(
                 findings,
                 file,
                 t.line,
                 Rule::FloatEq,
                 format!(
-                    "exact f64 comparison `{} {} {}`: compare with a tolerance or restructure",
-                    render(&left),
-                    t.text,
-                    render(&right)
-                ),
-            );
-        }
-    }
-}
-
-/// `println!` / `eprintln!` from library code.
-pub fn print_discipline(
-    file: &str,
-    tokens: &[Token],
-    structure: &Structure,
-    findings: &mut Vec<Finding>,
-) {
-    for i in live_code(tokens, structure) {
-        let t = &tokens[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        if matches!(t.text.as_str(), "println" | "eprintln" | "print" | "eprint")
-            && tokens.get(i + 1).is_some_and(|n| n.is_punct("!"))
-        {
-            push(
-                findings,
-                file,
-                t.line,
-                Rule::PrintDiscipline,
-                format!(
-                    "`{}!` in a library crate: report through typed results or emit a `flashmark_obs` event; only binary targets own stdout",
-                    t.text
+                    "exact float comparison `{} {}`: compare with a tolerance or restructure",
+                    t.text, zero.text
                 ),
             );
         }
@@ -194,7 +95,7 @@ pub fn wrapping_audit(
                 t.line,
                 Rule::WrappingAudit,
                 format!(
-                    "`{}` in numeric simulation code: silent wraparound corrupts physics — use checked/saturating arithmetic or suppress with a justification",
+                    "`{}` in numeric simulation code: silent wraparound corrupts physics — use checked or saturating arithmetic",
                     t.text
                 ),
             );
@@ -217,61 +118,28 @@ mod tests {
     }
 
     #[test]
-    fn panic_family_flagged_variants_clean() {
-        let f = run(
-            panic_free,
-            "fn f() { y.unwrap(); w.expect(\"no\"); panic!(\"b\"); unreachable!(); }",
-        );
-        assert_eq!(f.len(), 4);
-        let ok = run(
-            panic_free,
-            "fn f() { a.unwrap_or(0); b.unwrap_or_else(|| 1); d.expect_err(\"e\"); }",
-        );
-        assert!(ok.is_empty());
-    }
-
-    #[test]
-    fn panic_inside_raw_string_or_test_is_clean() {
-        assert!(run(
-            panic_free,
-            r##"fn f() { let s = r#"x.unwrap() panic!"#; }"##
-        )
-        .is_empty());
-        assert!(run(panic_free, "#[cfg(test)]\nmod t { fn g() { x.unwrap(); } }").is_empty());
-    }
-
-    #[test]
-    fn float_eq_detection() {
+    fn float_eq_flags_only_zero_compares() {
         let f = run(
             float_eq,
-            "fn f(x: f64, s: usize) { if x == 0.0 {} if t.get() != limit.get() {} if s == 0 {} if w == 0xFFFF {} for i in 0..=5 {} if s >= 3 {} }",
+            "fn f(x: f64, s: usize) { if x == 0.0 {} if 0.0_f64 != x {} if x == -0. {} if x.get() != 0e3 {} }",
         );
-        assert_eq!(f.len(), 2);
-        assert!(f[0].message.contains("0.0"));
+        assert_eq!(f.len(), 4, "{f:?}");
+        assert!(f[0].message.contains("== 0.0"));
+        let clean = run(
+            float_eq,
+            "fn f(x: f64, s: usize) { if x == 0.5 {} if t.get() != limit.get() {} if x == f64::EPSILON {} if s == 0 {} if x == 0.0 * y {} if p.0.0 == y {} if x == 10.0 {} }",
+        );
+        assert!(clean.is_empty(), "clippy's float_cmp owns these: {clean:?}");
     }
 
     #[test]
-    fn float_eq_f64_constants() {
-        let f = run(float_eq, "fn f(x: f64) { if x == f64::NAN {} }");
-        assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn print_discipline_detection() {
-        let f = run(
-            print_discipline,
-            "fn f() { println!(\"x\"); eprintln!(\"y\"); }",
-        );
-        assert_eq!(f.len(), 2);
+    fn float_eq_skips_strings_and_tests() {
+        assert!(run(float_eq, r#"fn f() { let s = "x == 0.0"; }"#).is_empty());
         assert!(run(
-            print_discipline,
-            "fn g(out: &mut String) { writeln!(out, \"z\"); }"
+            float_eq,
+            "#[cfg(test)]\nmod t { fn g(x: f64) -> bool { x == 0.0 } }"
         )
         .is_empty());
-        assert!(
-            run(print_discipline, "/// Call `println!` never.\nfn h() {}").is_empty(),
-            "doc comments are not code"
-        );
     }
 
     #[test]

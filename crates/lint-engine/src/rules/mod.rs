@@ -9,9 +9,12 @@
 //!
 //! The engine holds only the rules no compiler lint matches: missing docs
 //! and `unsafe` are rustc's (`missing_docs`, `unreachable_pub`,
-//! `unsafe_code`), and hash-ordered containers, wall-clock reads, OS
+//! `unsafe_code`); hash-ordered containers, wall-clock reads, OS
 //! randomness and raw threads are clippy's `disallowed_types` /
-//! `disallowed_methods` (see `clippy.toml`).
+//! `disallowed_methods` (see `clippy.toml`); panics and prints are
+//! clippy's `unwrap_used`, `panic`, `print_stdout` and kin, which the crate
+//! roots warn on; float comparisons other than with zero are clippy's
+//! `float_cmp` and `float_cmp_const`.
 
 pub mod classic;
 pub mod dataflow;
@@ -24,12 +27,8 @@ use crate::scope::{FileScope, Structure};
 /// Which rule families apply to one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuleSet {
-    /// Panic-free hot paths.
-    pub panic_free: bool,
-    /// No exact f64 equality.
+    /// No exact float equality with zero.
     pub float_eq: bool,
-    /// No library printing.
-    pub print_discipline: bool,
     /// RNG constructions derive from seed parameters.
     pub seed_dataflow: bool,
     /// No ad-hoc float accumulation in merge code.
@@ -46,14 +45,8 @@ pub fn run_file(scope: &FileScope, tokens: &[Token], structure: &Structure) -> V
     let mut findings = Vec::new();
     let r = scope.rules;
     let path = scope.path.as_str();
-    if r.panic_free {
-        classic::panic_free(path, tokens, structure, &mut findings);
-    }
     if r.float_eq {
         classic::float_eq(path, tokens, structure, &mut findings);
-    }
-    if r.print_discipline {
-        classic::print_discipline(path, tokens, structure, &mut findings);
     }
     if r.seed_dataflow {
         dataflow::seed_dataflow(path, tokens, structure, &mut findings);

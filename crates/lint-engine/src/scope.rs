@@ -6,9 +6,9 @@
 //!   from its workspace-relative path. This is the successor of the old
 //!   `rules_for` in `crates/xtask/src/lint.rs`, with the scoping bug fixed:
 //!   **binary targets** (`src/bin/*.rs`, `src/main.rs`) are classified as
-//!   drivers that own their stdout, while **library** sources — including
-//!   the bench crate's library and the root `src/lib.rs` facade — carry
-//!   full library discipline.
+//!   drivers, whose items are the pub-liveness roots, while **library**
+//!   sources — including the bench crate's library and the root
+//!   `src/lib.rs` facade — carry full library discipline.
 //! * [`Structure::analyze`] — a lightweight item/scope parse over the token
 //!   stream: `#[cfg(test)]` regions (nested mods included), `macro_rules!`
 //!   bodies, and per-function scopes with parameter and body token ranges
@@ -27,7 +27,7 @@ pub struct FileScope {
 }
 
 /// Crates whose sources are the analysis tooling itself: they spell the
-/// forbidden patterns as data and print diagnostics by design.
+/// forbidden patterns as data.
 fn is_tooling(crate_name: &str) -> bool {
     matches!(crate_name, "xtask" | "lint-engine")
 }
@@ -51,22 +51,16 @@ impl FileScope {
             .strip_prefix("crates/")
             .and_then(|p| p.split('/').next())
             .unwrap_or("");
-        // Binary targets are top-level drivers: they own stdout/stderr and
-        // may panic on startup misconfiguration. Library discipline does
+        // Binary targets are top-level drivers. Library discipline does
         // not apply.
         let is_bin = path.contains("/src/bin/") || path.ends_with("src/main.rs");
         let tooling = is_tooling(c);
         let sanctioned_rng = path == SANCTIONED_RNG;
         // The root package (`src/lib.rs`) is the public facade: full
-        // library discipline, including the hot-path families.
+        // library discipline, float-eq included.
         let root_lib = c.is_empty();
         let rules = RuleSet {
-            panic_free: !is_bin && (matches!(c, "nor" | "core" | "reram") || root_lib),
             float_eq: !is_bin && (matches!(c, "physics" | "nor" | "core" | "reram") || root_lib),
-            // Only binary targets own stdout; the bench *library* reports
-            // through its output/markdown layer (sanctioned prints carry
-            // justified suppressions). The tooling prints diagnostics.
-            print_discipline: !is_bin && !tooling,
             // The RNG module is the sanctioned entropy source; the tooling
             // spells the forbidden patterns.
             seed_dataflow: !is_bin && !tooling && !sanctioned_rng,
@@ -351,26 +345,15 @@ mod tests {
     fn bin_targets_are_drivers() {
         let bin = FileScope::classify("crates/bench/src/bin/run_all.rs").unwrap();
         assert!(!bin.rules.pub_liveness, "a bin's items are liveness roots");
-        assert!(!bin.rules.print_discipline, "bins own their stdout");
-        assert!(!bin.rules.panic_free);
+        assert!(!bin.rules.float_eq && !bin.rules.seed_dataflow);
     }
 
     #[test]
     fn root_facade_gets_full_library_discipline() {
         let root = FileScope::classify("src/lib.rs").unwrap();
         assert!(root.rules.pub_liveness);
-        assert!(root.rules.panic_free && root.rules.float_eq);
-        assert!(root.rules.print_discipline);
+        assert!(root.rules.float_eq);
         assert!(root.rules.seed_dataflow);
-    }
-
-    #[test]
-    fn bench_library_is_print_disciplined() {
-        let lib = FileScope::classify("crates/bench/src/suite.rs").unwrap();
-        assert!(
-            lib.rules.print_discipline,
-            "the bench library reports through its output layer; only bins own stdout"
-        );
     }
 
     #[test]
@@ -380,15 +363,13 @@ mod tests {
         assert!(!rng.rules.wrapping_audit, "the mixer is wrapping by design");
         let xtask = FileScope::classify("crates/xtask/src/main.rs").unwrap();
         assert!(!xtask.rules.pub_liveness);
-        assert!(!xtask.rules.print_discipline);
         let engine = FileScope::classify("crates/lint-engine/src/lexer.rs").unwrap();
-        assert!(!engine.rules.seed_dataflow && !engine.rules.print_discipline);
+        assert!(!engine.rules.seed_dataflow && !engine.rules.merge_commutativity);
     }
 
     #[test]
     fn reram_backend_gets_library_discipline() {
         let chip = FileScope::classify("crates/reram/src/params.rs").unwrap();
-        assert!(chip.rules.panic_free, "reram is a simulation backend");
         assert!(chip.rules.float_eq, "reram carries analog physics");
         assert!(chip.rules.pub_liveness && chip.rules.seed_dataflow);
     }

@@ -1,15 +1,13 @@
-//! Fixture: classic-family violations — float-eq, print-discipline,
-//! wrapping-audit.
+//! Fixture: classic-family violations — float-eq, wrapping-audit.
 
-/// Exact float comparison against a simulated threshold.
-pub fn same_level(a: f64) -> bool {
-    a == 0.5
+/// Exact comparison with zero: the one float compare clippy skips.
+pub fn is_unworn(wear: f64) -> bool {
+    wear == 0.0
 }
 
-/// Library code writing to stdout/stderr.
-pub fn narrate(step: u32) {
-    println!("step {step}");
-    eprintln!("step {step} done");
+/// A non-zero exact compare is clippy's `float_cmp`, not the engine's.
+pub fn same_level(a: f64) -> bool {
+    a == 0.5
 }
 
 /// Silent wraparound in numeric simulation code.

@@ -11,17 +11,15 @@ mod tests {
 
     #[test]
     fn direct() {
-        assert_eq!(live(1).checked_add(1).unwrap(), 3);
+        assert!(f64::from(live(1)) != 0.0);
     }
 
     mod nested {
         #[test]
         fn inner() {
-            // Test-only panics and prints are allowed.
-            let mut m = std::collections::HashMap::new();
-            m.insert(1u32, 2u32);
-            println!("{:?}", m.get(&1).unwrap());
-            panic!("intentional");
+            // Test-only wraparound and zero compares are allowed.
+            let h = 3u64.wrapping_mul(0x9E37_79B9);
+            assert!(h as f64 == 0.0 || h > 0);
         }
 
         #[cfg(test)]
@@ -36,4 +34,9 @@ mod tests {
 }
 
 #[cfg(test)]
-use std::collections::HashSet;
+fn merge_totals(total: &mut f64, shard: f64) {
+    *total += shard * 0.5;
+}
+
+#[cfg(test)]
+const FRESH: bool = WEAR == 0.0;

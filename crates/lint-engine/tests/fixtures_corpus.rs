@@ -19,36 +19,34 @@ fn of(report: &Report, rule: Rule) -> usize {
 }
 
 #[test]
-fn bad_panic_fires_three_times() {
-    let r = analyze_at(
-        "crates/nor/src/fixture.rs",
-        include_str!("fixtures/bad_panic.rs"),
-    );
-    assert_eq!(of(&r, Rule::PanicFree), 3, "unwrap, expect, unreachable!");
-}
-
-#[test]
 fn raw_strings_and_comments_never_fire() {
+    // The fixture spells a zero compare, a wrapping call and a constant
+    // seed in every kind of string and comment; only its unreached `pub`
+    // items are findings.
     let r = analyze_at(
-        "crates/nor/src/fixture.rs",
+        "crates/core/src/fixture.rs",
         include_str!("fixtures/clean_raw_string.rs"),
     );
-    for rule in [Rule::PanicFree, Rule::PrintDiscipline, Rule::FloatEq] {
-        assert_eq!(of(&r, rule), 0, "{} fired inside string data", rule.name());
-    }
+    assert!(
+        r.findings.iter().all(|f| f.rule == Rule::PubLiveness),
+        "a rule fired inside string data: {:?}",
+        r.findings
+    );
 }
 
 #[test]
 fn nested_cfg_test_regions_are_fully_exempt() {
     // The fixture's unit tests do not keep `live` live; a bin calling it
-    // does, so every remaining finding would come from test-only code.
+    // does, so every remaining finding would come from test-only code,
+    // which breaks float-eq, wrapping-audit, seed-dataflow and
+    // merge-commutativity.
     let r = analyze(&[
         SourceFile {
-            path: "crates/nor/src/fixture.rs".to_string(),
+            path: "crates/core/src/fixture.rs".to_string(),
             source: include_str!("fixtures/nested_cfg_test.rs").to_string(),
         },
         SourceFile {
-            path: "crates/nor/src/bin/driver.rs".to_string(),
+            path: "crates/core/src/bin/driver.rs".to_string(),
             source: "//! Driver.\nfn main() {\n    let _ = live(1);\n}\n".to_string(),
         },
     ]);
@@ -109,22 +107,12 @@ fn classic_families_each_fire() {
         "crates/core/src/fixture.rs",
         include_str!("fixtures/bad_classic.rs"),
     );
-    assert_eq!(of(&r, Rule::FloatEq), 1, "a == 0.5");
-    assert_eq!(of(&r, Rule::PrintDiscipline), 2, "println + eprintln");
+    let float_eq: Vec<u32> = r
+        .findings
+        .iter()
+        .filter(|f| f.rule == Rule::FloatEq)
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(float_eq, [5], "`wear == 0.0` only; `a == 0.5` is clippy's");
     assert_eq!(of(&r, Rule::WrappingAudit), 1, "wrapping_mul");
-}
-
-#[test]
-fn suppression_semantics_end_to_end() {
-    let r = analyze_at(
-        "crates/nor/src/fixture.rs",
-        include_str!("fixtures/suppressions.rs"),
-    );
-    // Kept: the unwraps under the unjustified and unknown-rule comments.
-    assert_eq!(of(&r, Rule::PanicFree), 2, "{:?}", r.findings);
-    // The bad comments themselves are findings.
-    assert_eq!(of(&r, Rule::Suppression), 2, "{:?}", r.findings);
-    // Silenced: the justified unwrap plus the multi-rule line (2 findings).
-    assert_eq!(r.suppressed, 3);
-    assert_eq!(of(&r, Rule::FloatEq), 0, "multi-rule allow covers `==`");
 }

@@ -19,6 +19,8 @@
 //! chip.erase_segment(seg).expect("erase reserved segment");
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod datasheet;
 pub mod device;
 pub mod flash_module;

@@ -129,6 +129,11 @@ impl NandChip {
     }
 
     /// Creates a chip with explicit physics/timing.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every duration of `timings` is finite and
+    /// non-negative.
     #[must_use]
     pub fn with_params(
         params: PhysicsParams,
@@ -136,6 +141,7 @@ impl NandChip {
         timings: NandTimings,
         chip_seed: u64,
     ) -> Self {
+        timings.assert_valid();
         let dist_cache = EraseDistCache::new(params.erase_dist_grid_kcycles);
         Self {
             params,
@@ -455,6 +461,28 @@ mod tests {
 
     fn page0() -> PageAddr {
         PageAddr::new(BlockAddr::new(0), 0)
+    }
+
+    #[test]
+    fn negative_or_non_finite_timings_are_refused_at_construction() {
+        type Setter = fn(&mut NandTimings, Micros);
+        let setters: [(&str, Setter); 5] = [
+            ("page_read", |t, d| t.page_read = d),
+            ("page_program", |t, d| t.page_program = d),
+            ("block_erase", |t, d| t.block_erase = d),
+            ("abort_latency", |t, d| t.abort_latency = d),
+            ("byte_io", |t, d| t.byte_io = d),
+        ];
+        for (name, set) in setters {
+            for d in [-1_000.0, f64::NAN] {
+                let mut timings = NandTimings::slc();
+                set(&mut timings, Micros::new(d));
+                let build =
+                    || NandChip::with_params(nand_physics(), NandGeometry::tiny(), timings, 0xDA7A);
+                let refused = std::panic::catch_unwind(build).is_err();
+                assert!(refused, "`{name}` = {d} us was accepted");
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //! # }
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod adapter;
 pub mod chip;
 pub mod geometry;

@@ -41,6 +41,30 @@ impl NandTimings {
     pub fn page_program_total(&self, bytes: usize) -> Micros {
         self.page_program + self.byte_io * bytes as f64
     }
+
+    /// Panics unless every duration is finite and non-negative: a negative
+    /// one runs the simulated clock backwards.
+    pub(crate) fn assert_valid(&self) {
+        let Self {
+            page_read,
+            page_program,
+            block_erase,
+            abort_latency,
+            byte_io,
+        } = *self;
+        for (name, t) in [
+            ("page_read", page_read),
+            ("page_program", page_program),
+            ("block_erase", block_erase),
+            ("abort_latency", abort_latency),
+            ("byte_io", byte_io),
+        ] {
+            assert!(
+                t.get() >= 0.0 && t.get().is_finite(),
+                "NAND timing `{name}` must be finite and non-negative, not {t}"
+            );
+        }
+    }
 }
 
 impl Default for NandTimings {

@@ -39,6 +39,11 @@ impl FlashController {
     const POLL_WORDS: usize = 16;
 
     /// Creates a controller over a fresh chip.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every duration of `timings`, the forming pass's
+    /// included, is finite and non-negative.
     #[must_use]
     pub fn new(
         params: PhysicsParams,
@@ -46,6 +51,7 @@ impl FlashController {
         timings: FlashTimings,
         chip_seed: u64,
     ) -> Self {
+        timings.assert_valid();
         Self {
             array: FlashArray::new(params, geometry, chip_seed),
             timings,
@@ -447,6 +453,51 @@ mod tests {
             },
             0xC1A0,
         )
+    }
+
+    #[test]
+    fn negative_or_non_finite_timings_are_refused_at_construction() {
+        type Setter = fn(&mut FlashTimings, Micros);
+        fn forming(pass: Micros) -> FlashTimings {
+            FlashTimings {
+                forming: Some(FormingPass {
+                    pass,
+                    max_cycles: 200_000,
+                }),
+                ..FlashTimings::msp430()
+            }
+        }
+        fn build(timings: FlashTimings) -> FlashController {
+            FlashController::new(
+                PhysicsParams::msp430_like(),
+                FlashGeometry::single_bank(8),
+                timings,
+                0xC1A0,
+            )
+        }
+        let _ = build(forming(Micros::new(0.0)));
+        let setters: [(&str, Setter); 10] = [
+            ("erase_segment", |t, d| t.erase_segment = d),
+            ("mass_erase", |t, d| t.mass_erase = d),
+            ("program_word", |t, d| t.program_word = d),
+            ("block_write_word", |t, d| t.block_write_word = d),
+            ("block_write_overhead", |t, d| t.block_write_overhead = d),
+            ("read_word", |t, d| t.read_word = d),
+            ("abort_latency", |t, d| t.abort_latency = d),
+            ("setup_overhead", |t, d| t.setup_overhead = d),
+            ("cumulative_program_limit", |t, d| {
+                t.cumulative_program_limit = d;
+            }),
+            ("forming.pass", |t, d| *t = forming(d)),
+        ];
+        for (name, set) in setters {
+            for d in [-1_000.0, f64::NAN] {
+                let mut timings = FlashTimings::msp430();
+                set(&mut timings, Micros::new(d));
+                let refused = std::panic::catch_unwind(|| build(timings)).is_err();
+                assert!(refused, "`{name}` = {d} us was accepted");
+            }
+        }
     }
 
     #[test]

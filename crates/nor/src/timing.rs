@@ -79,6 +79,42 @@ impl FlashTimings {
     pub fn block_write(&self, words: usize) -> Micros {
         self.block_write_overhead + self.block_write_word * words as f64
     }
+
+    /// Panics unless every duration, the forming pass's included, is
+    /// finite and non-negative: a negative one runs the simulated clock
+    /// backwards.
+    pub(crate) fn assert_valid(&self) {
+        let Self {
+            erase_segment,
+            mass_erase,
+            program_word,
+            block_write_word,
+            block_write_overhead,
+            read_word,
+            abort_latency,
+            setup_overhead,
+            cumulative_program_limit,
+            forming,
+        } = *self;
+        let fields = [
+            ("erase_segment", erase_segment),
+            ("mass_erase", mass_erase),
+            ("program_word", program_word),
+            ("block_write_word", block_write_word),
+            ("block_write_overhead", block_write_overhead),
+            ("read_word", read_word),
+            ("abort_latency", abort_latency),
+            ("setup_overhead", setup_overhead),
+            ("cumulative_program_limit", cumulative_program_limit),
+        ];
+        let forming = forming.map(|f| ("forming.pass", f.pass));
+        for (name, t) in fields.into_iter().chain(forming) {
+            assert!(
+                t.get() >= 0.0 && t.get().is_finite(),
+                "flash timing `{name}` must be finite and non-negative, not {t}"
+            );
+        }
+    }
 }
 
 /// The simulated wall clock.

@@ -27,6 +27,8 @@
 //! assert_eq!(collector.metrics().counter("flash", "erase_segment"), 1);
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod collector;
 pub mod event;
 pub mod metrics;

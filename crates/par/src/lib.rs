@@ -18,6 +18,8 @@
 //! in the workspace by `clippy.toml`; all parallelism funnels through this
 //! crate so the determinism guarantee holds globally.
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;

@@ -41,6 +41,8 @@
 //! assert!(flashmark_physics::cell::sense(&params, &cell, &mut rng)); // reads 1
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod arena;
 pub mod calibration;
 pub mod cell;

@@ -19,6 +19,8 @@
 //! no shrinking: a failing case panics with the sampled inputs printed via
 //! the normal assertion message.
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 use core::marker::PhantomData;
 use core::ops::Range;
 

@@ -54,6 +54,8 @@
 //! assert_eq!(reg.len(), 1);
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod digest;
 pub mod record;
 pub mod stats;

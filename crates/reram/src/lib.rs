@@ -56,6 +56,16 @@
 //! assert!(cost.elapsed.get() < 1.0); // one forming pass, not a wear loop
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod params;
 pub mod scheme;
 

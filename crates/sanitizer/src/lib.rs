@@ -38,6 +38,8 @@
 //! ));
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod flash;
 pub mod violation;
 

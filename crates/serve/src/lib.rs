@@ -20,6 +20,8 @@
 //! repeated inspection of parts from a lot, not repeated sensing of one
 //! die (which would wear out the watermark it is trying to read).
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod population;
 pub mod service;
 

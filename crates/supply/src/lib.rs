@@ -18,6 +18,8 @@
 //! Incoming inspection itself is `flashmark_serve`'s verification service,
 //! which enrolls populations built from these parts.
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod chip;
 pub mod counterfeiter;
 pub mod manufacturer;

@@ -29,6 +29,8 @@
 //! campaign at `--threads 1` and `--threads 8` produces byte-identical
 //! lines, and the drift report over the log is byte-identical too.
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write as _;

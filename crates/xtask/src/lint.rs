@@ -22,9 +22,9 @@ pub(crate) enum Format {
 /// Outcome of a lint run, for exit-code mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Outcome {
-    /// No unsuppressed findings.
+    /// No findings.
     Clean,
-    /// Unsuppressed findings remain.
+    /// Findings remain.
     Dirty,
     /// An I/O failure prevented a verdict.
     Error,
@@ -118,13 +118,12 @@ pub(crate) fn run(root: &Path, format: Format) -> Outcome {
         Format::Json => println!("{}", report.to_json()),
         Format::Human => {
             for f in &report.findings {
-                println!("{}:{}: [{}] {}", f.file, f.line, f.rule.name(), f.message);
+                println!("{f}");
             }
             println!(
-                "xtask lint: {} files checked, {} finding(s), {} suppressed",
+                "xtask lint: {} files checked, {} finding(s)",
                 report.files_checked,
-                report.findings.len(),
-                report.suppressed
+                report.findings.len()
             );
         }
     }
@@ -197,17 +196,75 @@ mod tests {
         }
     }
 
+    /// The lint paths named by a source's `#![warn(..)]` attributes, read
+    /// from code tokens only, so a commented-out attribute names nothing.
+    fn warned_lints(source: &str) -> Vec<String> {
+        let code: String = flashmark_lint_engine::lexer::lex(source)
+            .iter()
+            .filter(|t| t.is_code())
+            .map(|t| t.text.as_str())
+            .collect();
+        code.split("#![warn(")
+            .skip(1)
+            .flat_map(|rest| rest.split(')').next().unwrap_or_default().split(','))
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// The crate-root half of the lint policy: every library warns on
+    /// prints, so only bins own stdout, and the simulator's hot-path crates
+    /// and the facade warn on panics. Test code is exempt through
+    /// `clippy.toml`'s `allow-*-in-tests`.
+    #[test]
+    fn crate_roots_carry_the_panic_and_print_lints() {
+        const PRINT: [&str; 2] = ["clippy::print_stdout", "clippy::print_stderr"];
+        const PANIC: [&str; 6] = [
+            "clippy::unwrap_used",
+            "clippy::expect_used",
+            "clippy::panic",
+            "clippy::todo",
+            "clippy::unimplemented",
+            "clippy::unreachable",
+        ];
+        const PANIC_FREE_ROOTS: [&str; 4] = [
+            "src/lib.rs",
+            "crates/core/src/lib.rs",
+            "crates/nor/src/lib.rs",
+            "crates/reram/src/lib.rs",
+        ];
+        let root = workspace_root();
+        let mut roots = vec!["src/lib.rs".to_string()];
+        for entry in std::fs::read_dir(root.join("crates")).unwrap().flatten() {
+            let lib = format!("crates/{}/src/lib.rs", entry.file_name().to_string_lossy());
+            if root.join(&lib).is_file() {
+                roots.push(lib);
+            }
+        }
+        assert!(roots.len() > 10, "{roots:?}");
+        for rel in &roots {
+            let warned = warned_lints(&std::fs::read_to_string(root.join(rel)).unwrap());
+            let panic_free = PANIC_FREE_ROOTS.contains(&rel.as_str());
+            let missing: Vec<&str> = PRINT
+                .iter()
+                .chain(PANIC.iter().filter(|_| panic_free))
+                .copied()
+                .filter(|lint| !warned.iter().any(|w| w == lint))
+                .collect();
+            assert!(
+                missing.is_empty(),
+                "{rel} lacks `#![warn({})]`",
+                missing.join(", ")
+            );
+        }
+    }
+
     #[test]
     fn workspace_is_clean() {
         let report = analyze(&collect_sources(&workspace_root()).unwrap());
-        let diagnostics: Vec<String> = report
-            .findings
-            .iter()
-            .map(|f| format!("{}:{}: [{}] {}", f.file, f.line, f.rule.name(), f.message))
-            .collect();
+        let diagnostics: Vec<String> = report.findings.iter().map(ToString::to_string).collect();
         assert!(
             report.findings.is_empty(),
-            "unsuppressed findings:\n{}",
+            "findings:\n{}",
             diagnostics.join("\n")
         );
     }

@@ -9,8 +9,8 @@
 //! ```
 //!
 //! Every run rewrites `results/lint_report.json` (byte-identical for
-//! identical sources). Exit code 0 means no finding is left unsuppressed;
-//! 1 means findings; 2 means usage or I/O error.
+//! identical sources). Exit code 0 means no finding; 1 means findings; 2
+//! means usage or I/O error.
 
 mod lint;
 

@@ -83,6 +83,16 @@
 //! The classic NOR-only imprint/extract API remains available under
 //! [`core`] (`Imprinter`, `Extractor`, `Verifier`).
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub use flashmark_core as core;
 pub use flashmark_ecc as ecc;
 pub use flashmark_fault as fault;
